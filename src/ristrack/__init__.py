@@ -28,7 +28,6 @@ from .ris import (
     coherent_gain,
     coherent_gain_values,
     optimal_config,
-    quantize_config,
     received_sample,
     received_samples,
     update_config,
@@ -104,7 +103,6 @@ __all__ = [
     "oracle_config",
     "overhead_report",
     "path_loss_linear",
-    "quantize_config",
     "r2_at",
     "r_from_eta",
     "received_sample",

@@ -30,10 +30,9 @@ class SweepSpec:
 
 def sweep_configs(sweep: SweepSpec, geom: LinkGeometry, config_id_base: int = 0):
     """Configurations phi_k = k * phi2 for phi2 on the half-open degree grid."""
-    k = np.arange(geom.n_ris)
     for i, phi2_deg in enumerate(np.arange(0.0, 360.0, sweep.resolution_deg)):
-        phi2 = np.deg2rad(phi2_deg)
-        yield RisConfiguration(phases=k * phi2, config_id=config_id_base + i)
+        yield RisConfiguration(slope=np.deg2rad(phi2_deg), n_ris=geom.n_ris,
+                               config_id=config_id_base + i)
 
 
 def exhaustive_sweep(

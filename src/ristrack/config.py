@@ -36,8 +36,7 @@ _TRAJECTORY_KEYS = {
 }
 _TRACKER_KEYS = {
     "algorithms", "gamma", "gamma_exh", "n_sol", "theta2_halfwidth_deg",
-    "theta2_step_deg", "r_halfwidth_m", "r_step_m", "gain_error_squared",
-    "threshold_mode", "obs_avg_slots",
+    "theta2_step_deg", "r_halfwidth_m", "r_step_m", "threshold_mode",
 }
 _RUN_KEYS = {"seeds", "output_dir"}
 _SECTIONS = {
@@ -60,7 +59,6 @@ class ScenarioConfig:
     gamma_exh: float
     grid: SearchGrid
     threshold_mode: str
-    obs_avg_slots: int
     seeds: tuple[int, ...]
     output_dir: str
 
@@ -71,8 +69,7 @@ class ScenarioConfig:
             if name == "oracle":
                 out.append(OraclePolicy(gamma=self.gamma))
             elif name == "proposed":
-                out.append(ProposedPolicy(gamma=self.gamma, grid=self.grid,
-                                          obs_avg_slots=self.obs_avg_slots))
+                out.append(ProposedPolicy(gamma=self.gamma, grid=self.grid))
             elif name.startswith("exhaustive:"):
                 res = float(name.split(":", 1)[1])
                 out.append(ExhaustivePolicy(gamma=self.gamma_exh, sweep=SweepSpec(res)))
@@ -81,25 +78,32 @@ class ScenarioConfig:
         return out
 
 
-def _get(parser, section, key, conv, default, errors=()):
+# Scenario files and `sweep --vary` share the per-key parsers below: a parser
+# raises ValueError for a bad value and _value names the key it came from.
+
+
+def _value(section: str, key: str, raw: str, conv):
+    try:
+        return conv(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"[{section}] {key}: bad value {raw!r} ({exc})") from None
+
+
+def _build(section: str, ctor, *args, **kwargs):
+    """Construct a self-validating object, reporting its ValueError per section."""
+    try:
+        return ctor(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] invalid: {exc}") from None
+
+
+def _get(parser, section, key, conv, default):
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key).strip()
     if raw == "":
         return default
-    try:
-        return conv(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from None
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    return _value(section, key, raw, conv)
 
 
 def _parse_segments(raw: str) -> tuple[tuple[float, float], ...]:
@@ -113,22 +117,44 @@ def _parse_segments(raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+def _parse_threshold_mode(raw: str) -> str:
+    mode = raw.lower()
+    if mode not in ("normalized", "absolute"):
+        raise ValueError("must be 'normalized' or 'absolute'")
+    return mode
+
+
+def _threshold_parser(threshold_mode: str):
+    def parse(raw: str) -> float:
+        value = float(raw)
+        if value <= 0:
+            raise ValueError(f"threshold must be > 0, got {value}")
+        if threshold_mode == "normalized" and value > 1.0:
+            raise ValueError(f"normalized threshold is a fraction <= 1, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_algorithms(raw: str) -> tuple[str, ...]:
-    names = []
-    for part in raw.split(","):
-        part = part.strip().lower()
-        if not part:
-            continue
-        names.append(part)
+    names = tuple(p.strip().lower() for p in raw.split(",") if p.strip())
     if not names:
         raise ValueError("empty algorithm list")
-    return tuple(names)
+    for name in names:
+        if name.startswith("exhaustive:"):
+            SweepSpec(float(name.split(":", 1)[1]))
+        elif name not in ("oracle", "proposed"):
+            raise ValueError(f"unknown algorithm {name!r} "
+                             "(use proposed, oracle or exhaustive:<resolution_deg>)")
+    return names
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
     seeds = tuple(int(p.strip()) for p in raw.split(",") if p.strip())
     if not seeds:
         raise ValueError("empty seed list")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
 
 
@@ -154,106 +180,60 @@ def load_config(path: str) -> ScenarioConfig:
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
 
-    wavelength = _get(parser, "geometry", "wavelength_m", float, 0.005)
-    spacing = _get(parser, "geometry", "spacing_m", float, None)
     snr_db = _get(parser, "geometry", "snr_db", float, 10.0)
-    try:
-        geometry = LinkGeometry(
-            n_tx=_get(parser, "geometry", "n_tx", int, 16),
-            n_ris=_get(parser, "geometry", "n_ris", int, 64),
-            wavelength=wavelength,
-            spacing_d=spacing,
-            theta1=np.deg2rad(_get(parser, "geometry", "theta1_deg", float, 45.0)),
-            phi_ap=np.deg2rad(_get(parser, "geometry", "phi_ap_deg", float, 0.0)),
-            r1=_get(parser, "geometry", "r1_m", float, 4.0),
-            alpha=_get(parser, "geometry", "alpha", complex, 1.0 + 0.0j),
-            snr_linear=10.0 ** (snr_db / 10.0),
-            noise_var=_get(parser, "geometry", "noise_var", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[geometry] invalid: {exc}") from None
-
-    try:
-        trajectory = TrajectorySpec(
-            theta2_init=np.deg2rad(_get(parser, "trajectory", "theta2_init_deg", float, 20.0)),
-            r2_init=_get(parser, "trajectory", "r2_init_m", float, 4.0),
-            psi_a=np.deg2rad(_get(parser, "trajectory", "psi_a_deg", float, 110.0)),
-            speed_v=_get(parser, "trajectory", "speed_mps", float, 0.6),
-            slot_duration_t0=_get(parser, "trajectory", "slot_duration_s", float, 15.6e-6),
-            path_length=_get(parser, "trajectory", "path_length_m", float, 3.0),
-            rayleigh_scale=_get(parser, "trajectory", "rayleigh_scale", float,
-                                1.0 / math.sqrt(2.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[trajectory] invalid: {exc}") from None
+    geometry = _build(
+        "geometry", LinkGeometry,
+        n_tx=_get(parser, "geometry", "n_tx", int, 16),
+        n_ris=_get(parser, "geometry", "n_ris", int, 64),
+        wavelength=_get(parser, "geometry", "wavelength_m", float, 0.005),
+        spacing_d=_get(parser, "geometry", "spacing_m", float, None),
+        theta1=np.deg2rad(_get(parser, "geometry", "theta1_deg", float, 45.0)),
+        phi_ap=np.deg2rad(_get(parser, "geometry", "phi_ap_deg", float, 0.0)),
+        r1=_get(parser, "geometry", "r1_m", float, 4.0),
+        alpha=_get(parser, "geometry", "alpha", complex, 1.0 + 0.0j),
+        snr_linear=10.0 ** (snr_db / 10.0),
+        noise_var=_get(parser, "geometry", "noise_var", float, 1.0),
+    )
+    trajectory = _build(
+        "trajectory", TrajectorySpec,
+        theta2_init=np.deg2rad(_get(parser, "trajectory", "theta2_init_deg", float, 20.0)),
+        r2_init=_get(parser, "trajectory", "r2_init_m", float, 4.0),
+        psi_a=np.deg2rad(_get(parser, "trajectory", "psi_a_deg", float, 110.0)),
+        speed_v=_get(parser, "trajectory", "speed_mps", float, 0.6),
+        slot_duration_t0=_get(parser, "trajectory", "slot_duration_s", float, 15.6e-6),
+        path_length=_get(parser, "trajectory", "path_length_m", float, 3.0),
+        rayleigh_scale=_get(parser, "trajectory", "rayleigh_scale", float,
+                            1.0 / math.sqrt(2.0)),
+    )
     continuations = _get(parser, "trajectory", "segments", _parse_segments, ())
 
-    threshold_mode = _get(parser, "tracker", "threshold_mode", str, "normalized").lower()
-    if threshold_mode not in ("normalized", "absolute"):
-        raise ConfigError(
-            f"[tracker] threshold_mode: must be 'normalized' or 'absolute', got {threshold_mode!r}"
-        )
-    gamma = _get(parser, "tracker", "gamma", float, 0.9)
-    gamma_exh = _get(parser, "tracker", "gamma_exh", float, 0.5)
-    for key, value in (("gamma", gamma), ("gamma_exh", gamma_exh)):
-        if value <= 0:
-            raise ConfigError(f"[tracker] {key}: threshold must be > 0, got {value}")
-        if threshold_mode == "normalized" and value > 1.0:
-            raise ConfigError(
-                f"[tracker] {key}: normalized threshold is a fraction <= 1, got {value}"
-            )
-
-    try:
-        grid = SearchGrid(
-            theta2_halfwidth=np.deg2rad(
-                _get(parser, "tracker", "theta2_halfwidth_deg", float, 2.5)),
-            theta2_step=np.deg2rad(_get(parser, "tracker", "theta2_step_deg", float, 0.05)),
-            r_halfwidth=_get(parser, "tracker", "r_halfwidth_m", float, 0.005),
-            r_step=_get(parser, "tracker", "r_step_m", float, None),
-            n_sol=_get(parser, "tracker", "n_sol", int, 7),
-            gain_error_squared=_get(parser, "tracker", "gain_error_squared",
-                                    _parse_bool, True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[tracker] invalid search grid: {exc}") from None
-
-    obs_avg_slots = _get(parser, "tracker", "obs_avg_slots", int, 1)
-    if obs_avg_slots < 1:
-        raise ConfigError("[tracker] obs_avg_slots: must be >= 1")
-
-    algorithms = _get(
-        parser, "tracker", "algorithms", _parse_algorithms,
-        ("proposed", "exhaustive:1", "exhaustive:5", "exhaustive:10", "oracle"),
+    threshold_mode = _get(parser, "tracker", "threshold_mode", _parse_threshold_mode,
+                          "normalized")
+    threshold = _threshold_parser(threshold_mode)
+    grid = _build(
+        "tracker", SearchGrid,
+        theta2_halfwidth=np.deg2rad(
+            _get(parser, "tracker", "theta2_halfwidth_deg", float, 2.5)),
+        theta2_step=np.deg2rad(_get(parser, "tracker", "theta2_step_deg", float, 0.05)),
+        r_halfwidth=_get(parser, "tracker", "r_halfwidth_m", float, 0.005),
+        r_step=_get(parser, "tracker", "r_step_m", float, None),
+        n_sol=_get(parser, "tracker", "n_sol", int, 7),
     )
-    for name in algorithms:
-        if name in ("oracle", "proposed"):
-            continue
-        if name.startswith("exhaustive:"):
-            try:
-                SweepSpec(float(name.split(":", 1)[1]))
-            except ValueError as exc:
-                raise ConfigError(f"[tracker] algorithms: {exc}") from None
-            continue
-        raise ConfigError(
-            f"[tracker] algorithms: unknown algorithm {name!r} "
-            "(use proposed, oracle or exhaustive:<resolution_deg>)"
-        )
-
-    seeds = _get(parser, "run", "seeds", _parse_seeds, (1,))
-    output_dir = _get(parser, "run", "output_dir", str, "runs")
 
     return ScenarioConfig(
         geometry=geometry,
         trajectory=trajectory,
         continuations=continuations,
-        algorithms=algorithms,
-        gamma=gamma,
-        gamma_exh=gamma_exh,
+        algorithms=_get(
+            parser, "tracker", "algorithms", _parse_algorithms,
+            ("proposed", "exhaustive:1", "exhaustive:5", "exhaustive:10", "oracle"),
+        ),
+        gamma=_get(parser, "tracker", "gamma", threshold, 0.9),
+        gamma_exh=_get(parser, "tracker", "gamma_exh", threshold, 0.5),
         grid=grid,
         threshold_mode=threshold_mode,
-        obs_avg_slots=obs_avg_slots,
-        seeds=seeds,
-        output_dir=output_dir,
+        seeds=_get(parser, "run", "seeds", _parse_seeds, (1,)),
+        output_dir=_get(parser, "run", "output_dir", str, "runs"),
     )
 
 
@@ -261,33 +241,27 @@ def override_config(cfg: ScenarioConfig, key: str, raw_value: str) -> ScenarioCo
     """Return a copy of `cfg` with one sweepable parameter replaced.
 
     Accepts the same key names as the scenario file (optionally prefixed with
-    the section, e.g. ``tracker.gamma``).
+    the section, e.g. ``tracker.gamma``) and checks the value with the same
+    per-key parser and constructor checks as a scenario file.
     """
     name = key.split(".")[-1].lower()
-    try:
-        if name == "gamma":
-            value = float(raw_value)
-            if value <= 0 or (cfg.threshold_mode == "normalized" and value > 1):
-                raise ConfigError(f"gamma: invalid threshold {value}")
-            return replace(cfg, gamma=value)
-        if name == "gamma_exh":
-            return replace(cfg, gamma_exh=float(raw_value))
-        if name == "n_sol":
-            return replace(cfg, grid=replace(cfg.grid, n_sol=int(raw_value)))
-        if name == "speed_mps":
-            return replace(cfg, trajectory=replace(cfg.trajectory, speed_v=float(raw_value)))
-        if name == "path_length_m":
-            return replace(cfg, trajectory=replace(cfg.trajectory,
-                                                   path_length=float(raw_value)))
-        if name == "obs_avg_slots":
-            return replace(cfg, obs_avg_slots=int(raw_value))
-        if name == "algorithms":
-            return replace(cfg, algorithms=_parse_algorithms(raw_value))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{key}: cannot parse {raw_value!r} ({exc})") from None
+    if name in ("gamma", "gamma_exh"):
+        value = _value("tracker", name, raw_value, _threshold_parser(cfg.threshold_mode))
+        return replace(cfg, **{name: value})
+    if name == "algorithms":
+        return replace(cfg, algorithms=_value("tracker", name, raw_value, _parse_algorithms))
+    if name == "n_sol":
+        n_sol = _value("tracker", name, raw_value, int)
+        return replace(cfg, grid=_build("tracker", replace, cfg.grid, n_sol=n_sol))
+    if name == "speed_mps":
+        speed = _value("trajectory", name, raw_value, float)
+        return replace(cfg, trajectory=_build("trajectory", replace, cfg.trajectory,
+                                              speed_v=speed))
+    if name == "path_length_m":
+        length = _value("trajectory", name, raw_value, float)
+        return replace(cfg, trajectory=_build("trajectory", replace, cfg.trajectory,
+                                              path_length=length))
     raise ConfigError(
         f"{key}: not sweepable (use gamma, gamma_exh, n_sol, speed_mps, "
-        "path_length_m, obs_avg_slots or algorithms)"
+        "path_length_m or algorithms)"
     )

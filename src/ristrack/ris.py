@@ -1,10 +1,13 @@
 """RIS phase configurations, the aligned-configuration law and signal synthesis.
 
-Every configuration used by the simulator stores N element phases wrapped to
+Every configuration the simulator installs has linear phase phi_k = k*slope:
+the aligned law, its differential update and the exhaustive sweep all move
+only the per-element slope, so a configuration stores that slope wrapped to
 [0, 2*pi). The received downlink sample reduces, under the fixed AP
-beamformer, to c*alpha*beta * sum_k exp(j*(phi_k - kd*k*(sin(theta1) -
-sin(theta2)))) with c = sqrt(SNR*n_tx); the explicit matrix pipeline
-h^H Theta G f gives the same value and is kept as a test oracle.
+beamformer, to c*alpha*beta * sum_k exp(j*k*(slope - kd*(sin(theta1) -
+sin(theta2)))) with c = sqrt(SNR*n_tx), a geometric series evaluated in
+closed form; the explicit matrix pipeline h^H Theta G f over the element
+phases gives the same value and is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -19,18 +22,21 @@ from .wavefield import LinkGeometry, wrap_two_pi
 
 @dataclass(frozen=True)
 class RisConfiguration:
-    """Immutable vector of element phase shifts plus a bookkeeping id."""
+    """Linear-phase configuration phi_k = k*slope over n_ris elements, plus an id."""
 
-    phases: np.ndarray
+    slope: float
+    n_ris: int
     config_id: int = 0
 
     def __post_init__(self):
-        phases = wrap_two_pi(np.asarray(self.phases, dtype=float))
-        phases.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "slope", wrap_two_pi(float(self.slope)))
 
-    def __len__(self) -> int:
-        return self.phases.shape[0]
+    @property
+    def phases(self) -> np.ndarray:
+        """Read-only element phases k*slope wrapped to [0, 2*pi)."""
+        phases = wrap_two_pi(np.arange(self.n_ris) * self.slope)
+        phases.setflags(write=False)
+        return phases
 
 
 @dataclass(frozen=True)
@@ -52,21 +58,20 @@ class CoherentGain:
 def optimal_config(
     theta1: float, theta2: float, geom: LinkGeometry, config_id: int = 0
 ) -> RisConfiguration:
-    """Phase-aligned configuration phi_k = kd * k * (sin(theta1) - sin(theta2)).
+    """Phase-aligned configuration with slope kd * (sin(theta1) - sin(theta2)).
 
     Applying it to a channel at exactly `theta2` makes all N element
     contributions add in phase, so the noiseless received magnitude is
     |c*alpha*beta|*N.
     """
-    k = np.arange(geom.n_ris)
-    phases = geom.kd * k * (np.sin(theta1) - np.sin(theta2))
-    return RisConfiguration(phases=phases, config_id=config_id)
+    slope = geom.kd * (np.sin(theta1) - np.sin(theta2))
+    return RisConfiguration(slope=slope, n_ris=geom.n_ris, config_id=config_id)
 
 
 def update_config(
     current: RisConfiguration, w: float, geom: LinkGeometry, config_id: int | None = None
 ) -> RisConfiguration:
-    """Differential update phi_k <- phi_k - kd * k * w for mismatch w.
+    """Differential update phi_k <- phi_k - kd * k * w, i.e. slope <- slope - kd*w.
 
     Starting from the aligned configuration for some reference angle and
     applying w = sin(theta_new) - sin(theta_ref) lands exactly on the aligned
@@ -76,40 +81,29 @@ def update_config(
         raise ValueError(f"|w| must be <= 2, got {w}")
     if config_id is None:
         config_id = current.config_id + 1
-    k = np.arange(len(current))
-    return RisConfiguration(phases=current.phases - geom.kd * k * w, config_id=config_id)
-
-
-def quantize_config(
-    config: RisConfiguration, bits: int, config_id: int | None = None
-) -> RisConfiguration:
-    """Snap phases to a uniform b-bit grid on [0, 2*pi).
-
-    Models discrete phase shifters. Nothing in the simulator applies this by
-    default (the reference setup assumes continuous shifting); callers opt in
-    per configuration.
-    """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-    if config_id is None:
-        config_id = config.config_id
-    step = 2.0 * np.pi / (2**bits)
-    return RisConfiguration(phases=np.round(config.phases / step) * step,
+    return RisConfiguration(slope=current.slope - geom.kd * w, n_ris=current.n_ris,
                             config_id=config_id)
 
 
-def coherent_gain_values(w, n_ris: int, spacing_d: float, wavelength: float) -> np.ndarray:
-    """Vectorised closed form of sum_{k=0}^{N-1} exp(j*kd*k*w).
+def _geometric_sum(mu, n_ris: int) -> np.ndarray:
+    """Closed form of sum_{k=0}^{N-1} exp(j*k*mu) for per-element steps mu.
 
-    The geometric-series ratio degenerates when the per-element step is a
-    multiple of 2*pi; that branch returns N exactly and is taken whenever
-    |exp(j*kd*w) - 1| < 1e-12.
+    The ratio degenerates when the step is a multiple of 2*pi; that branch
+    returns N exactly and is taken whenever |exp(j*mu) - 1| < 1e-12.
     """
-    mu = (2.0 * np.pi * spacing_d / wavelength) * np.asarray(w, dtype=float)
     den = np.exp(1j * mu) - 1.0
     degenerate = np.abs(den) < 1e-12
-    safe = np.where(degenerate, 1.0, den)
-    return np.where(degenerate, n_ris + 0.0j, (np.exp(1j * mu * n_ris) - 1.0) / safe)
+    # adding the mask keeps degenerate denominators nonzero and leaves the
+    # others bit-for-bit unchanged (none has a -0.0 part); the degenerate
+    # ratios are replaced by N below
+    ratio = (np.exp(1j * mu * n_ris) - 1.0) / (den + degenerate)
+    return np.where(degenerate, n_ris + 0.0j, ratio)
+
+
+def coherent_gain_values(w, n_ris: int, spacing_d: float, wavelength: float) -> np.ndarray:
+    """Vectorised closed form of sum_{k=0}^{N-1} exp(j*kd*k*w)."""
+    mu = (2.0 * np.pi * spacing_d / wavelength) * np.asarray(w, dtype=float)
+    return _geometric_sum(mu, n_ris)
 
 
 def coherent_gain(w: float, n_ris: int, spacing_d: float, wavelength: float) -> CoherentGain:
@@ -121,22 +115,12 @@ def coherent_gain(w: float, n_ris: int, spacing_d: float, wavelength: float) -> 
 def aggregate_gains(
     u: np.ndarray, config: RisConfiguration, geom: LinkGeometry
 ) -> np.ndarray:
-    """Per-slot sums sum_k exp(j*(phi_k - kd*k*u)) for mismatch arguments u.
-
-    Evaluated as a polynomial in z = exp(-j*kd*u) with coefficients
-    exp(j*phi_k) (Horner), which avoids materialising a (slots, N) matrix.
-    """
-    if len(config) != geom.n_ris:
+    """Per-slot sums sum_k exp(j*k*(slope - kd*u)) for mismatch arguments u."""
+    if config.n_ris != geom.n_ris:
         raise ValueError(
-            f"configuration has {len(config)} phases, geometry expects {geom.n_ris}"
+            f"configuration has {config.n_ris} elements, geometry expects {geom.n_ris}"
         )
-    z = np.exp(-1j * geom.kd * np.asarray(u, dtype=float))
-    coeff = np.exp(1j * config.phases)
-    acc = np.full_like(z, coeff[-1])
-    for k in range(geom.n_ris - 2, -1, -1):
-        acc *= z
-        acc += coeff[k]
-    return acc
+    return _geometric_sum(config.slope - geom.kd * np.asarray(u, dtype=float), geom.n_ris)
 
 
 def received_samples(
@@ -148,8 +132,9 @@ def received_samples(
 ) -> np.ndarray:
     """Noiseless-plus-noise downlink samples for per-slot (beta, theta2) arrays.
 
-    Shared by the single-sample API and the timeline engine so both paths are
-    numerically identical.
+    Vector form of :func:`received_sample`. The timeline engine does not call
+    it: it applies :func:`aggregate_gains` to its precomputed per-slot
+    mismatch and amplitude columns, which is the same arithmetic.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=complex))
     theta2 = np.atleast_1d(np.asarray(theta2, dtype=float))

@@ -167,12 +167,13 @@ def run_sweep(cfg: ScenarioConfig, param: str, raw_values: list[str],
     """
     from .config import override_config
 
+    # every value is checked before the first scenario runs
+    sub_cfgs = [override_config(cfg, param, raw) for raw in raw_values]
     out = resolve_output_dir(cfg, out_dir)
     os.makedirs(out, exist_ok=True)
     name = param.split(".")[-1].lower()
     rows = []
-    for raw in raw_values:
-        sub_cfg = override_config(cfg, param, raw)
+    for raw, sub_cfg in zip(raw_values, sub_cfgs):
         sub_dir = os.path.join(out, f"{name}={raw}")
         for result in run_scenario(sub_cfg, out_dir=sub_dir):
             rows.append((raw, result))

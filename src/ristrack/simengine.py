@@ -67,11 +67,6 @@ class ProposedPolicy:
 
     gamma: float = 0.9
     grid: SearchGrid = field(default_factory=SearchGrid)
-    obs_avg_slots: int = 1
-
-    def __post_init__(self):
-        if self.obs_avg_slots < 1:
-            raise ValueError("obs_avg_slots must be >= 1")
 
     @property
     def name(self) -> str:
@@ -256,7 +251,6 @@ def run_timeline(
 
     is_oracle = isinstance(policy, OraclePolicy)
     is_proposed = isinstance(policy, ProposedPolicy)
-    obs_avg = policy.obs_avg_slots if is_proposed else 1
 
     # initial access leaves the surface aligned to the first slot's channel
     config = optimal_config(geom.theta1, float(theta2[0]), geom, config_id=0)
@@ -280,7 +274,7 @@ def run_timeline(
     while cursor < n:
         ref_idx = cursor
         rss_ref = -1.0
-        ref_samples: list[complex] = []
+        y_ref = 0j
         t2 = -1
         y_t2 = 0j
         scan = cursor
@@ -291,8 +285,7 @@ def run_timeline(
             power = np.abs(y) ** 2
             if rss_ref < 0:
                 rss_ref = max(float(power[0]), 1e-300)
-            while len(ref_samples) < obs_avg and scan <= ref_idx + len(ref_samples) < hi:
-                ref_samples.append(complex(y[ref_idx + len(ref_samples) - scan]))
+                y_ref = complex(y[0])
             norm = power / rss_ref
             rss[scan:hi] = power
             rss_norm[scan:hi] = norm
@@ -342,8 +335,6 @@ def run_timeline(
 
         try:
             if is_proposed:
-                usable = min(len(ref_samples), max(1, t2 - ref_idx))
-                y_ref = complex(np.mean(ref_samples[:usable]))
                 theta_ref = math.asin(max(-1.0, min(1.0, believed_sin)))
                 obs = measure_observables(y_ref, y_t2, believed_r, theta_ref)
                 candidates = two_dim_search(obs, policy.grid, geom)

@@ -67,10 +67,7 @@ class CandidatePair:
 class SearchGrid:
     """Search ranges and steps for the two-dimensional candidate search.
 
-    ``r_step=None`` resolves to wavelength/50 at call time. With
-    ``gain_error_squared`` the strength residual compares squared gain ratios,
-    matching the relation the calibration distance is derived from; the
-    unsquared variant is kept as a switch.
+    ``r_step=None`` resolves to wavelength/50 at call time.
     """
 
     theta2_halfwidth: float = np.deg2rad(2.5)
@@ -78,7 +75,6 @@ class SearchGrid:
     r_halfwidth: float = 0.005
     r_step: float | None = None
     n_sol: int = 7
-    gain_error_squared: bool = True
 
     def __post_init__(self):
         if self.theta2_halfwidth <= 0 or self.theta2_step <= 0:
@@ -164,11 +160,9 @@ def two_dim_search(
         r_set = r_set[r_set > 0]
         if r_set.size == 0:
             continue
+        # strength residual on squared gain ratios, the relation r_cal inverts
         ratio_sq = (obs.r_ref / r_set) ** 2
-        if grid.gain_error_squared:
-            error_rss = np.abs(ratio_sq * gain_ratio[i] ** 2 - obs.eta)
-        else:
-            error_rss = np.abs(ratio_sq * gain_ratio[i] - obs.eta)
+        error_rss = np.abs(ratio_sq * gain_ratio[i] ** 2 - obs.eta)
         error_angle = np.abs(
             wrap_principal((TWO_PI / lam) * (r_set - obs.r_ref) + gain_ang[i] - obs.xi)
         )

@@ -1,3 +1,4 @@
+import configparser
 import os
 
 import pytest
@@ -96,6 +97,27 @@ class TestExitCodes:
         bad = write_scenario(tmp_path, "[tracker]\ngamma = 1.5\n")
         assert main(["run", bad]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("tracker", "gamma_exh", "-1"),
+        ("tracker", "algorithms", "exhaustive:0"),
+        ("run", "seeds", "-1"),
+    ])
+    def test_bad_value_is_one_from_file_and_vary(self, tmp_path, capsys, section, key, value):
+        parser = configparser.ConfigParser()
+        parser.read_string(TINY_SCENARIO)
+        parser.set(section, key, value)
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert main(["run", str(bad), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+        cfg = write_scenario(tmp_path)
+        vary = ["sweep", cfg, "--vary", f"{key}={value}", "--out", str(tmp_path / "sweep")]
+        assert main(vary) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
 
     def test_missing_config_is_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 1
