@@ -155,6 +155,8 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
         raise ValueError("empty seed list")
     if min(seeds) < 0:
         raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
     return seeds
 
 

@@ -172,10 +172,10 @@ def cumulative_rate(records) -> np.ndarray:
 def overhead_report(records, gamma: float, oracle_records=None) -> RunMetrics:
     """Signaling accounting: share of non-data slots and tracking-call count.
 
-    Below-threshold, training and feedback slots all count against the
-    threshold `gamma` the run was driven with. When an oracle run over the
-    same trajectory is supplied, the mean absolute instantaneous-rate gap is
-    included.
+    Below-threshold, training and feedback slots all count as non-data. The
+    slot kinds were fixed against the run's threshold when it was simulated,
+    so `gamma` is not read here. When an oracle run over the same trajectory
+    is supplied, the mean absolute instantaneous-rate gap is included.
     """
     if isinstance(records, Timeline):
         kinds = records.kind

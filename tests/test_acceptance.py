@@ -233,7 +233,7 @@ def test_c7_rate_orderings():
 
 
 def test_c8_determinism(tmp_path):
-    """Identical configuration and seed give byte-identical CSV artifacts."""
+    """Identical configuration and seed give byte-identical artifacts."""
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(
         "[geometry]\nr1_m = 2.0\n"
@@ -248,12 +248,13 @@ def test_c8_determinism(tmp_path):
     run_scenario(cfg, out_dir=str(out_b))
     compared = 0
     for res in results_a:
-        for path in (res.ledger_path, res.cumrate_path):
+        for path in (res.ledger_path, res.summary_path):
             other = path.replace(str(out_a), str(out_b))
             with open(path, "rb") as fa, open(other, "rb") as fb:
                 assert fa.read() == fb.read(), path
             compared += 1
-    report(8, f"{compared} CSV artifacts byte-identical across reruns")
+    assert compared == 12
+    report(8, f"{compared} ledgers and summaries byte-identical across reruns")
 
 
 def test_c9_running_mean_recurrence():

@@ -1,10 +1,13 @@
 import configparser
 import os
 
+import numpy as np
 import pytest
 
+from ristrack import runner
 from ristrack.cli import main
 from ristrack.runner import LEDGER_HEADER
+from ristrack.simengine import SlotKind
 
 TINY_SCENARIO = """
 [geometry]
@@ -25,6 +28,19 @@ def write_scenario(tmp_path, text=TINY_SCENARIO, name="scenario.ini"):
     return str(path)
 
 
+def row_wise_ledger(tl):
+    """Reference ledger text: one f-string per row on numpy scalars."""
+    theta_deg = np.rad2deg(tl.theta2_true)
+    lines = [LEDGER_HEADER]
+    for i in range(len(tl)):
+        lines.append(
+            f"{i + 1},{SlotKind(int(tl.kind[i])).name},{tl.rss[i]:.12g},"
+            f"{tl.rss_normalized[i]:.12g},{tl.inst_rate[i]:.12g},{tl.cum_rate[i]:.12g},"
+            f"{int(tl.status_id[i])},{int(tl.config_id[i])},{theta_deg[i]:.12g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 class TestRunCommand:
     def test_run_writes_all_artifacts(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path)
@@ -32,9 +48,9 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(out)]) == 0
         for stem in ("proposed_seed1", "oracle_seed1"):
             assert (out / f"{stem}_slots.csv").is_file()
-            assert (out / f"{stem}_cumrate.csv").is_file()
             assert (out / f"{stem}_summary.txt").is_file()
         assert (out / "summary.txt").is_file()
+        assert not list(out.glob("*_cumrate.csv"))
         assert "proposed seed=1" in capsys.readouterr().out
 
     def test_ledger_schema(self, tmp_path):
@@ -47,6 +63,32 @@ class TestRunCommand:
         assert first[0] == "1"
         assert first[1] in ("DATA", "DATA_BELOW_THRESHOLD", "DL_TRAINING", "UL_FEEDBACK")
         assert len(first) == 9
+
+    def test_ledger_matches_row_wise_reference(self, tmp_path, monkeypatch):
+        block = 9
+        monkeypatch.setattr(runner, "LEDGER_BLOCK_ROWS", block)
+        timelines = []
+        real_run_timeline = runner.run_timeline
+
+        def keep(*args, **kwargs):
+            timelines.append(real_run_timeline(*args, **kwargs))
+            return timelines[-1]
+
+        monkeypatch.setattr(runner, "run_timeline", keep)
+        cfg = write_scenario(tmp_path, TINY_SCENARIO.replace(
+            "proposed, oracle", "proposed, exhaustive:10, oracle"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert len(timelines) == 3
+        kinds = np.concatenate([tl.kind for tl in timelines])
+        assert set(kinds.tolist()) == {int(k) for k in SlotKind}
+        proposed = timelines[0].kind
+        # a partial last block, and a block boundary inside a tracking event
+        assert len(proposed) % block != 0
+        assert any(proposed[i - 1] and proposed[i] for i in range(block, len(proposed), block))
+        for tl in timelines:
+            written = (out / f"{tl.policy_name}_seed1_slots.csv").read_bytes()
+            assert written == row_wise_ledger(tl).encode("utf-8"), tl.policy_name
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_scenario(tmp_path)
@@ -88,8 +130,13 @@ class TestSweepCommand:
 
     def test_vary_argument_validated(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path)
-        assert main(["sweep", cfg, "--vary", "n_sol", "--out", str(tmp_path / "s")]) == 1
+        out = tmp_path / "s"
+        assert main(["sweep", cfg, "--vary", "n_sol", "--out", str(out)]) == 1
         assert "configuration error" in capsys.readouterr().err
+        assert main(["sweep", cfg, "--vary", "gamma=0.9,0.8,0.9", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "gamma" in err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -102,6 +149,7 @@ class TestExitCodes:
         ("tracker", "gamma_exh", "-1"),
         ("tracker", "algorithms", "exhaustive:0"),
         ("run", "seeds", "-1"),
+        ("run", "seeds", "1, 1"),
     ])
     def test_bad_value_is_one_from_file_and_vary(self, tmp_path, capsys, section, key, value):
         parser = configparser.ConfigParser()
