@@ -23,6 +23,7 @@ from ristrack import (
     received_sample,
     select_by_training,
     two_dim_search,
+    update_config,
 )
 
 geom = LinkGeometry(r1=4.0)
@@ -63,14 +64,11 @@ for rank, c in enumerate(candidates, 1):
     marker = " <-- true" if abs(c.w_cand - w_true) <= 8.6e-4 else ""
     print(f"  {rank}. w = {c.w_cand:+.6f}  (residual {c.error_total:.3e}){marker}")
 
-probes = []
-
-def probe(cfg):
-    rss = abs(received_sample(state_now, cfg, geom)) ** 2
-    probes.append(rss)
-    return rss
-
-chosen_cfg, chosen = select_by_training(candidates, probe, config, geom)
+# one training slot per candidate, each under its updated configuration
+candidate_cfgs = [update_config(config, c.w_cand, geom) for c in candidates]
+probes = [abs(received_sample(state_now, cfg, geom)) ** 2 for cfg in candidate_cfgs]
+best = select_by_training(candidates, probes)
+chosen, chosen_cfg = candidates[best], candidate_cfgs[best]
 print(f"\n{len(probes)} training probes; strongest candidate: w = {chosen.w_cand:+.6f}")
 
 y_after = received_sample(state_now, chosen_cfg, geom)

@@ -8,7 +8,7 @@ phase difference), alongside an exhaustive-sweep configurator and a
 zero-cost genie used as baselines.
 """
 
-from .baselines import SweepSpec, exhaustive_sweep, oracle_config
+from .baselines import SweepSpec
 from .config import ConfigError, ScenarioConfig, load_config
 from .mobility import (
     ChannelState,
@@ -92,7 +92,6 @@ __all__ = [
     "coherent_gain_values",
     "cumulative_rate",
     "evolve_channel",
-    "exhaustive_sweep",
     "follow_on_spec",
     "generate_path",
     "generate_trajectory",
@@ -100,7 +99,6 @@ __all__ = [
     "load_config",
     "measure_observables",
     "optimal_config",
-    "oracle_config",
     "overhead_report",
     "path_loss_linear",
     "r2_at",

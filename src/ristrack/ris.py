@@ -112,15 +112,14 @@ def coherent_gain(w: float, n_ris: int, spacing_d: float, wavelength: float) -> 
     return CoherentGain(value=complex(value), w=float(w))
 
 
-def aggregate_gains(
-    u: np.ndarray, config: RisConfiguration, geom: LinkGeometry
-) -> np.ndarray:
-    """Per-slot sums sum_k exp(j*k*(slope - kd*u)) for mismatch arguments u."""
-    if config.n_ris != geom.n_ris:
-        raise ValueError(
-            f"configuration has {config.n_ris} elements, geometry expects {geom.n_ris}"
-        )
-    return _geometric_sum(config.slope - geom.kd * np.asarray(u, dtype=float), geom.n_ris)
+def aggregate_gains(u: np.ndarray, slope, geom: LinkGeometry) -> np.ndarray:
+    """Per-slot sums sum_k exp(j*k*(slope - kd*u)) over the geometry's n_ris elements.
+
+    `slope` is one configuration's slope for every slot, or a per-slot array
+    with the shape of `u`: slot i is then received under slope i, which is
+    how the timeline engine evaluates a batch of training slots in one call.
+    """
+    return _geometric_sum(slope - geom.kd * np.asarray(u, dtype=float), geom.n_ris)
 
 
 def received_samples(
@@ -136,10 +135,14 @@ def received_samples(
     it: it applies :func:`aggregate_gains` to its precomputed per-slot
     mismatch and amplitude columns, which is the same arithmetic.
     """
+    if config.n_ris != geom.n_ris:
+        raise ValueError(
+            f"configuration has {config.n_ris} elements, geometry expects {geom.n_ris}"
+        )
     beta = np.atleast_1d(np.asarray(beta, dtype=complex))
     theta2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     u = np.sin(geom.theta1) - np.sin(theta2)
-    gains = aggregate_gains(u, config, geom)
+    gains = aggregate_gains(u, config.slope, geom)
     return geom.beamformer_gain * geom.alpha * beta * gains + noise
 
 

@@ -9,19 +9,29 @@ event runs: one uplink feedback slot, the policy's downlink training slots
 (none for the genie), one closing feedback slot, then data resumes with the
 new configuration. The user keeps moving during signaling, and the
 instantaneous rate of every non-data slot is zero.
+
+Training is one slice of slots. The policy supplies the slopes of its
+candidate configurations: the proposed tracker one per candidate of the
+two-dimensional search (the differential update law applied to the current
+configuration), the exhaustive sweep its degree grid. The event's i-th
+training slot is received under candidate i with that slot's channel, all
+of them in one evaluation; candidate i takes the i-th configuration id after
+the last one used, and the strongest candidate is installed under its id.
+When the trajectory ends mid-training the event stays counted but open: no
+closing feedback slot and no new configuration.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import SweepSpec, exhaustive_sweep
+from .baselines import SweepSpec
 from .mobility import Trajectory
-from .ris import RisConfiguration, aggregate_gains, optimal_config
+from .ris import RisConfiguration, aggregate_gains, optimal_config, update_config
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
 from .wavefield import LinkGeometry
 
@@ -135,10 +145,6 @@ class RunMetrics:
     pct_below_threshold: float
     tracking_calls: int
     avg_error_vs_oracle: float = math.nan
-
-
-class _TimelineEnd(Exception):
-    """Raised by the probe when the trajectory runs out mid-event."""
 
 
 def instantaneous_rate(rss, noise_var: float):
@@ -260,15 +266,16 @@ def run_timeline(
     believed_sin = math.sin(float(theta2[0]))
     believed_r = geom.r1 + float(trajectory.r2[0])
 
-    def span_samples(lo: int, hi: int, cfg: RisConfiguration) -> np.ndarray:
-        return amp[lo:hi] * aggregate_gains(u_all[lo:hi], cfg, geom) + noise[lo:hi]
+    def span_samples(lo: int, hi: int, slope) -> np.ndarray:
+        return amp[lo:hi] * aggregate_gains(u_all[lo:hi], slope, geom) + noise[lo:hi]
 
-    def mark_signaling(idx: int, k: SlotKind, cfg_id: int, rss_val: float, ref: float) -> None:
-        kind[idx] = int(k)
-        rss[idx] = rss_val
-        rss_norm[idx] = rss_val / ref if ref > 0 else 0.0
-        config_col[idx] = cfg_id
-        status_col[idx] = status
+    # slots [lo, hi) of the current status, normalised to its reference
+    def write(lo: int, hi: int, k: SlotKind, power, cfg_id) -> None:
+        kind[lo:hi] = int(k)
+        rss[lo:hi] = power
+        rss_norm[lo:hi] = power / rss_ref
+        config_col[lo:hi] = cfg_id
+        status_col[lo:hi] = status
 
     cursor = 0
     while cursor < n:
@@ -281,20 +288,15 @@ def run_timeline(
         chunk = _CHUNK_START
         while scan < n:
             hi = min(n, scan + chunk)
-            y = span_samples(scan, hi, config)
+            y = span_samples(scan, hi, config.slope)
             power = np.abs(y) ** 2
             if rss_ref < 0:
                 rss_ref = max(float(power[0]), 1e-300)
                 y_ref = complex(y[0])
-            norm = power / rss_ref
-            rss[scan:hi] = power
-            rss_norm[scan:hi] = norm
-            config_col[scan:hi] = config.config_id
-            status_col[scan:hi] = status
-            kind[scan:hi] = int(SlotKind.DATA)
+            write(scan, hi, SlotKind.DATA, power, config.config_id)
             start = max(scan, ref_idx + 1)
             if start < hi:
-                level = norm if normalized else power
+                level = rss_norm[scan:hi] if normalized else power
                 below = np.nonzero(level[start - scan :] < policy.gamma)[0]
                 if below.size:
                     t2 = start + int(below[0])
@@ -321,38 +323,35 @@ def run_timeline(
 
         if cursor >= n:
             break
-        mark_signaling(cursor, SlotKind.UL_FEEDBACK, config.config_id, 0.0, rss_ref)
+        write(cursor, cursor + 1, SlotKind.UL_FEEDBACK, 0.0, config.config_id)
         cursor += 1
 
-        def probe(cfg: RisConfiguration) -> float:
-            nonlocal cursor
-            if cursor >= n:
-                raise _TimelineEnd
-            p = abs(span_samples(cursor, cursor + 1, cfg)[0]) ** 2
-            mark_signaling(cursor, SlotKind.DL_TRAINING, cfg.config_id, p, rss_ref)
-            cursor += 1
-            return p
-
-        try:
-            if is_proposed:
-                theta_ref = math.asin(max(-1.0, min(1.0, believed_sin)))
-                obs = measure_observables(y_ref, y_t2, believed_r, theta_ref)
-                candidates = two_dim_search(obs, policy.grid, geom)
-                # rebase so candidate ids never collide with earlier events'
-                rebased = replace(config, config_id=next_config_id - 1)
-                config, chosen = select_by_training(candidates, probe, rebased, geom)
-                next_config_id += len(candidates)
-                believed_sin += chosen.w_cand
-                believed_r = chosen.r_cand
-            else:
-                config, _ = exhaustive_sweep(probe, policy.sweep, geom,
-                                             config_id_base=next_config_id)
-                next_config_id += policy.sweep.slots_per_sweep
-        except _TimelineEnd:
+        if is_proposed:
+            theta_ref = math.asin(max(-1.0, min(1.0, believed_sin)))
+            obs = measure_observables(y_ref, y_t2, believed_r, theta_ref)
+            candidates = two_dim_search(obs, policy.grid, geom)
+            slopes = np.array([update_config(config, c.w_cand, geom).slope
+                               for c in candidates])
+        else:
+            slopes = policy.sweep.slopes
+        # training slot cursor+i measures candidate i while the user keeps moving
+        hi = min(n, cursor + slopes.size)
+        power = np.abs(span_samples(cursor, hi, slopes[: hi - cursor])) ** 2
+        write(cursor, hi, SlotKind.DL_TRAINING, power, next_config_id + np.arange(hi - cursor))
+        if hi - cursor < slopes.size:
             break
+        cursor = hi
+        if is_proposed:
+            best = select_by_training(candidates, power)
+            believed_sin += candidates[best].w_cand
+            believed_r = candidates[best].r_cand
+        else:
+            best = int(np.argmax(power))
+        config = RisConfiguration(slopes[best], geom.n_ris, next_config_id + best)
+        next_config_id += slopes.size
 
         if cursor < n:
-            mark_signaling(cursor, SlotKind.UL_FEEDBACK, config.config_id, 0.0, rss_ref)
+            write(cursor, cursor + 1, SlotKind.UL_FEEDBACK, 0.0, config.config_id)
             cursor += 1
 
     inst = np.where(kind == int(SlotKind.DATA),

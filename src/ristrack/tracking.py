@@ -4,9 +4,10 @@ A tracking call sees only two complex samples: the reference sample captured
 when the current configuration was installed and the sample at the slot where
 the received strength dropped below threshold. The strength ratio eta and the
 wrapped phase difference xi of those two samples are fitted against the
-closed-form model over a (departure angle, total distance) grid; the best few
-distinct-angle hypotheses are then probed over the air and the strongest one
-wins.
+closed-form model over a (departure angle, total distance) grid. The best few
+distinct-angle hypotheses become candidate configurations through the
+differential update law; the timeline engine probes them over the air, one
+training slot each, and the strongest one wins.
 
 The distance dimension sweeps the physically reachable window around the
 believed total distance. On top of the uniform grid, two kinds of exact
@@ -18,11 +19,10 @@ phase residual, so candidate ranking is not limited by grid quantisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .ris import RisConfiguration, coherent_gain_values, update_config
+from .ris import coherent_gain_values
 from .wavefield import TWO_PI, LinkGeometry, wrap_principal
 
 
@@ -183,23 +183,18 @@ def two_dim_search(
     return candidates[: grid.n_sol]
 
 
-def select_by_training(
-    candidates: list[CandidatePair],
-    probe: Callable[[RisConfiguration], float],
-    current: RisConfiguration,
-    geom: LinkGeometry,
-) -> tuple[RisConfiguration, CandidatePair]:
-    """Probe one configuration per candidate and keep the strongest.
+def select_by_training(candidates: list[CandidatePair], rss) -> int:
+    """Index of the candidate whose training slot received the most power.
 
-    Each probe consumes one downlink training slot by contract. Exact ties go
-    to the candidate with smaller |w|.
+    `rss[i]` is the strength measured while candidate i's configuration was
+    installed; the timeline engine probes all candidates as one slice of
+    training slots. Exact ties go to the candidate with smaller |w|, then to
+    the earlier one.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    best = None
-    for i, cand in enumerate(candidates):
-        cfg = update_config(current, cand.w_cand, geom, config_id=current.config_id + 1 + i)
-        rss = probe(cfg)
-        if best is None or rss > best[0] or (rss == best[0] and abs(cand.w_cand) < abs(best[2].w_cand)):
-            best = (rss, cfg, cand)
-    return best[1], best[2]
+    rss = np.asarray(rss, dtype=float)
+    if rss.shape != (len(candidates),):
+        raise ValueError(f"need one strength per candidate ({len(candidates)}), "
+                         f"got shape {rss.shape}")
+    return min(range(len(candidates)), key=lambda i: (-rss[i], abs(candidates[i].w_cand)))

@@ -178,8 +178,10 @@ class TestReceivedSample:
     def test_dimension_mismatch_rejected(self):
         state = ChannelState(beta=1.0 + 0.0j, theta2=0.3, r2=4.0)
         bad = RisConfiguration(slope=0.0, n_ris=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="elements"):
             received_sample(state, bad, GEOM)
+        with pytest.raises(ValueError, match="elements"):
+            received_samples(np.ones(3), np.zeros(3), bad, GEOM)
 
     def test_vector_form_matches_scalar(self):
         rng = np.random.default_rng(29)
@@ -204,18 +206,22 @@ class TestAggregateGains:
         rng = np.random.default_rng(41)
         k = np.arange(GEOM.n_ris)
         for _ in range(200):
-            cfg = RisConfiguration(slope=rng.uniform(0, 2 * np.pi), n_ris=GEOM.n_ris)
+            slope = rng.uniform(0, 2 * np.pi)
             u = rng.uniform(-2, 2, size=16)
-            got = aggregate_gains(u, cfg, GEOM)
-            want = np.exp(1j * np.outer(cfg.slope - GEOM.kd * u, k)).sum(axis=1)
+            got = aggregate_gains(u, slope, GEOM)
+            want = np.exp(1j * np.outer(slope - GEOM.kd * u, k)).sum(axis=1)
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+        # a per-slot slope array: slot i is received under slope i
+        slopes = rng.uniform(0, 2 * np.pi, size=64)
+        u = rng.uniform(-2, 2, size=64)
+        want = np.exp(1j * (slopes - GEOM.kd * u)[:, None] * k).sum(axis=1)
+        got = aggregate_gains(u, slopes, GEOM)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
         for th2_deg in (20.0, 45.0, 70.0, -37.0):
             theta2 = np.deg2rad(th2_deg)
             aligned = optimal_config(GEOM.theta1, theta2, GEOM)
             u = np.sin(GEOM.theta1) - np.sin(theta2)
-            assert aggregate_gains(np.array([u]), aligned, GEOM)[0] == GEOM.n_ris + 0j
-        with pytest.raises(ValueError, match="elements"):
-            aggregate_gains(np.zeros(3), RisConfiguration(slope=0.1, n_ris=5), GEOM)
+            assert aggregate_gains(np.array([u]), aligned.slope, GEOM)[0] == GEOM.n_ris + 0j
 
 
 class TestRisConfiguration:

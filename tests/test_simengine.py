@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ristrack import (
     ProposedPolicy,
     SlotKind,
     SweepSpec,
+    Trajectory,
     TrajectorySpec,
     cumulative_rate,
     generate_trajectory,
@@ -158,6 +160,45 @@ class TestExhaustiveTimeline:
         kinds = kinds_of(tl)
         train = np.nonzero(kinds == int(SlotKind.DL_TRAINING))[0]
         assert tl.theta2_true[train[-1]] != tl.theta2_true[train[0]]
+
+    def test_training_slot_i_measures_candidate_i(self):
+        # slot cursor+i of an event is received under swept slope i, with the
+        # channel of that slot: explicit element sum at the slot's own angle
+        walk = generate_trajectory(replace(SPEC, path_length=0.2), GEOM)
+        tl = run_timeline(walk, ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(10.0)),
+                          GEOM, noise_enabled=False)
+        assert tl.tracking_calls > 1
+        train = np.nonzero(kinds_of(tl) == int(SlotKind.DL_TRAINING))[0]
+        first_id = {s: tl.config_id[train][tl.status_id[train] == s].min()
+                    for s in np.unique(tl.status_id[train])}
+        k = np.arange(GEOM.n_ris)
+        for t in train:
+            slope = np.deg2rad(10.0 * (tl.config_id[t] - first_id[tl.status_id[t]]))
+            u = np.sin(GEOM.theta1) - np.sin(walk.theta2[t])
+            gain = np.exp(1j * k * (slope - GEOM.kd * u)).sum()
+            want = abs(GEOM.beamformer_gain * GEOM.alpha * walk.beta[t] * gain) ** 2
+            assert tl.rss[t] == pytest.approx(want, rel=1e-9)
+
+
+class TestTrajectoryEndsMidTraining:
+    @pytest.mark.parametrize("policy", [ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(1.0)),
+                                        ProposedPolicy(gamma=0.9)])
+    def test_cut_event_is_counted_and_left_open(self, traj, policy):
+        full = run_timeline(traj, policy, GEOM, noise_enabled=False)
+        t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
+        # trigger, opening feedback, then three of the event's training slots
+        end = t2 + 5
+        cut = Trajectory(traj.anchor, traj.theta2[:end], traj.r2[:end], traj.beta[:end],
+                         traj.wavelength, traj.r1)
+        tl = run_timeline(cut, policy, GEOM, noise_enabled=False)
+        kinds = kinds_of(tl)
+        assert len(tl) == end
+        assert kinds[t2] == int(SlotKind.DATA_BELOW_THRESHOLD)
+        assert kinds[t2 + 1] == int(SlotKind.UL_FEEDBACK)
+        assert np.all(kinds[t2 + 2 :] == int(SlotKind.DL_TRAINING))
+        assert np.array_equal(tl.config_id[t2 + 2 :], [1, 2, 3])
+        assert tl.tracking_calls == 1
+        assert np.array_equal(tl.rss[:end], full.rss[:end])
 
 
 class TestTimelineStructure:

@@ -227,10 +227,7 @@ class TestSelectByTraining:
     def test_single_candidate_wins(self):
         obs = measure_observables(1.0 + 0.0j, 1.0 + 0.0j, 8.0, np.deg2rad(25.0))
         cands = two_dim_search(obs, SearchGrid(n_sol=1), GEOM)
-        current = optimal_config(GEOM.theta1, np.deg2rad(25.0), GEOM)
-        cfg, chosen = select_by_training(cands, lambda c: 1.0, current, GEOM)
-        assert chosen == cands[0]
-        assert cfg.config_id == current.config_id + 1
+        assert select_by_training(cands, [1.0]) == 0
 
     def test_true_candidate_wins_under_noiseless_probe(self):
         theta_ref = np.deg2rad(25.0)
@@ -239,11 +236,9 @@ class TestSelectByTraining:
         obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
         cands = two_dim_search(obs, SearchGrid(), GEOM)
         truth = ChannelState(beta=0.8 + 0.3j, theta2=theta_ref + d_theta, r2=4.0)
-
-        def probe(cfg):
-            return abs(received_sample(truth, cfg, GEOM)) ** 2
-
-        _, chosen = select_by_training(cands, probe, cfg_ref, GEOM)
+        rss = [abs(received_sample(truth, update_config(cfg_ref, c.w_cand, GEOM), GEOM)) ** 2
+               for c in cands]
+        chosen = cands[select_by_training(cands, rss)]
         w_true = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
         step_w = math.sin(theta_ref + np.deg2rad(0.05)) - math.sin(theta_ref)
         assert abs(chosen.w_cand - w_true) <= step_w * 1.01
@@ -251,20 +246,21 @@ class TestSelectByTraining:
     def test_tie_break_prefers_smaller_w(self):
         obs = measure_observables(1.0 + 0.0j, 1.0 + 0.0j, 8.0, np.deg2rad(25.0))
         cands = two_dim_search(obs, SearchGrid(n_sol=5), GEOM)
-        current = optimal_config(GEOM.theta1, np.deg2rad(25.0), GEOM)
-        _, chosen = select_by_training(cands, lambda c: 42.0, current, GEOM)
-        assert abs(chosen.w_cand) == min(abs(c.w_cand) for c in cands)
+        smallest = min(range(5), key=lambda i: abs(cands[i].w_cand))
+        assert select_by_training(cands, [42.0] * 5) == smallest
+        # the tie-break only orders exact ties: a stronger candidate still wins
+        largest = max(range(5), key=lambda i: abs(cands[i].w_cand))
+        rss = [42.0] * 5
+        rss[largest] = 42.0 + 1e-9
+        assert select_by_training(cands, rss) == largest
 
-    def test_probe_called_once_per_candidate(self):
+    def test_needs_one_strength_per_candidate(self):
         obs = measure_observables(1.0 + 0.0j, 0.95 + 0.0j, 8.0, np.deg2rad(25.0))
         cands = two_dim_search(obs, SearchGrid(n_sol=4), GEOM)
-        current = optimal_config(GEOM.theta1, np.deg2rad(25.0), GEOM)
-        calls = []
-        select_by_training(cands, lambda c: float(len(calls)) if calls.append(c) is None else 0.0,
-                           current, GEOM)
-        assert len(calls) == 4
+        for rss in ([1.0, 2.0, 3.0], [1.0] * 5, [[1.0] * 4]):
+            with pytest.raises(ValueError, match="one strength per candidate"):
+                select_by_training(cands, rss)
 
     def test_empty_candidates_rejected(self):
-        current = optimal_config(GEOM.theta1, 0.3, GEOM)
         with pytest.raises(ValueError):
-            select_by_training([], lambda c: 1.0, current, GEOM)
+            select_by_training([], [])
