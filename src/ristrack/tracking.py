@@ -14,6 +14,11 @@ believed total distance. On top of the uniform grid, two kinds of exact
 points are evaluated per angle: the calibration distance implied by the
 strength ratio (when it falls inside the window) and the zeros of the wrapped
 phase residual, so candidate ranking is not limited by grid quantisation.
+The whole search is one masked (angle x distance) matrix: one row per angle,
+the grid distances, the phase-residual zeros (padded to the longest row) and
+the calibration distance as columns, and an infinite total on the cells that
+a row does not have. Each row keeps its first minimum; the rows are ranked by
+(total error, |w|, angle).
 """
 
 from __future__ import annotations
@@ -106,10 +111,13 @@ def measure_observables(
     )
 
 
-def r_from_eta(obs: TrackingObservables, gain_mag: float, n_ris: int) -> float:
+def r_from_eta(
+    obs: TrackingObservables, gain_mag: float | np.ndarray, n_ris: int
+) -> float | np.ndarray:
     """Calibration distance implied by the strength ratio for a gain hypothesis.
 
-    Inverts eta = (r_ref/r)^2 * (gain_mag/N)^2 for r.
+    Inverts eta = (r_ref/r)^2 * (gain_mag/N)^2 for r. `gain_mag` is a scalar
+    or an array of gain magnitudes; the result has the same shape.
     """
     return obs.r_ref * gain_mag / (np.sqrt(obs.eta) * n_ris)
 
@@ -119,12 +127,15 @@ def two_dim_search(
 ) -> list[CandidatePair]:
     """Best distinct-angle hypotheses explaining the observables.
 
-    For each candidate angle on the grid the mismatch w, the complex coherent
-    gain and the calibration distance are computed; the distance sweep then
-    scores errorI (strength-ratio residual) plus errorII (wrapped phase
-    residual) and the per-angle best distance is kept. Candidates are sorted
-    by total error (ties by smaller |w|); at most n_sol are returned, one per
-    angle. The search is a pure function of its inputs.
+    Every candidate angle is one row of a padded distance matrix whose columns
+    are the shared grid distances, the phase-residual zeros inside the window
+    and the calibration distance. Cells past a row's last zero, a calibration
+    distance outside the window and non-positive distances are masked with an
+    infinite total. Each cell scores errorI (strength-ratio residual) plus
+    errorII (wrapped phase residual); each row keeps its first minimum and
+    the rows are ranked by (total error, |w|, angle). At most n_sol
+    candidates are returned, one per angle. The search is a pure function of
+    its inputs.
     """
     r_step = grid.r_step if grid.r_step is not None else geom.wavelength / 50.0
     n_theta = int(round(2.0 * grid.theta2_halfwidth / grid.theta2_step)) + 1
@@ -137,50 +148,64 @@ def two_dim_search(
     gains = coherent_gain_values(w, geom.n_ris, geom.spacing_d, geom.wavelength)
     gain_mag = np.abs(gains)
     gain_ang = np.angle(gains)
-    gain_ratio = gain_mag / geom.n_ris
-
-    n_r = int(round(2.0 * grid.r_halfwidth / r_step)) + 1
-    base_offsets = np.linspace(-grid.r_halfwidth, grid.r_halfwidth, n_r)
-    sqrt_eta = np.sqrt(obs.eta)
+    # float_power squares as the scalar pow does; an array ** 2 is x*x and
+    # can differ in the last ulp
+    gain_ratio_sq = np.float_power(gain_mag / geom.n_ris, 2.0)
     lam = geom.wavelength
 
-    candidates: list[CandidatePair] = []
-    for i in range(n_theta):
-        r_cal = obs.r_ref * gain_mag[i] / (sqrt_eta * geom.n_ris)
-        r_set = obs.r_ref + base_offsets
-        # exact zeros of the wrapped phase residual inside the window
-        zero_base = (obs.xi - gain_ang[i]) * lam / TWO_PI
-        k_lo = np.ceil((-grid.r_halfwidth - zero_base) / lam)
-        k_hi = np.floor((grid.r_halfwidth - zero_base) / lam)
-        if k_hi >= k_lo:
-            ks = np.arange(k_lo, k_hi + 1)
-            r_set = np.concatenate([r_set, obs.r_ref + zero_base + ks * lam])
-        if abs(r_cal - obs.r_ref) <= grid.r_halfwidth:
-            r_set = np.append(r_set, r_cal)
-        r_set = r_set[r_set > 0]
-        if r_set.size == 0:
-            continue
-        # strength residual on squared gain ratios, the relation r_cal inverts
-        ratio_sq = (obs.r_ref / r_set) ** 2
-        error_rss = np.abs(ratio_sq * gain_ratio[i] ** 2 - obs.eta)
-        error_angle = np.abs(
-            wrap_principal((TWO_PI / lam) * (r_set - obs.r_ref) + gain_ang[i] - obs.xi)
-        )
-        total = error_rss + error_angle
-        j = int(np.argmin(total))
-        candidates.append(
-            CandidatePair(
-                theta2_cand=float(thetas[i]),
-                w_cand=float(w[i]),
-                r_cand=float(r_set[j]),
-                error_total=float(total[j]),
-                error_rss=float(error_rss[j]),
-                error_angle=float(error_angle[j]),
-            )
-        )
+    # columns: grid distances, exact zeros of the wrapped phase residual
+    # inside the window (padded to the longest row), calibration distance
+    n_r = int(round(2.0 * grid.r_halfwidth / r_step)) + 1
+    r_grid = obs.r_ref + np.linspace(-grid.r_halfwidth, grid.r_halfwidth, n_r)
+    zero_base = (obs.xi - gain_ang) * lam / TWO_PI
+    k_lo = np.ceil((-grid.r_halfwidth - zero_base) / lam)
+    k_hi = np.floor((grid.r_halfwidth - zero_base) / lam)
+    n_k = int(np.max(k_hi - k_lo)) + 1  # k_hi >= k_lo - 1 on every row
+    ks = k_lo[:, None] + np.arange(n_k)
+    r_cal = r_from_eta(obs, gain_mag, geom.n_ris)
+    r_set = np.concatenate(
+        [
+            np.broadcast_to(r_grid, (n_theta, n_r)),
+            (obs.r_ref + zero_base)[:, None] + ks * lam,
+            r_cal[:, None],
+        ],
+        axis=1,
+    )
+    valid = np.concatenate(
+        [
+            np.ones((n_theta, n_r), dtype=bool),
+            ks <= k_hi[:, None],
+            (np.abs(r_cal - obs.r_ref) <= grid.r_halfwidth)[:, None],
+        ],
+        axis=1,
+    )
+    valid &= r_set > 0
+    r_set[~valid] = obs.r_ref
 
-    candidates.sort(key=lambda c: (c.error_total, abs(c.w_cand), c.theta2_cand))
-    return candidates[: grid.n_sol]
+    # strength residual on squared gain ratios, the relation r_cal inverts
+    ratio_sq = (obs.r_ref / r_set) ** 2
+    error_rss = np.abs(ratio_sq * gain_ratio_sq[:, None] - obs.eta)
+    error_angle = np.abs(
+        wrap_principal((TWO_PI / lam) * (r_set - obs.r_ref) + gain_ang[:, None] - obs.xi)
+    )
+    total = np.where(valid, error_rss + error_angle, np.inf)
+
+    # the last grid distance r_ref + r_halfwidth is always valid, so every
+    # row has a minimum; argmin keeps the first one
+    cols = np.argmin(total, axis=1)
+    best = total[np.arange(n_theta), cols]
+    rows = np.lexsort((thetas, np.abs(w), best))[: grid.n_sol]
+    return [
+        CandidatePair(
+            theta2_cand=float(thetas[i]),
+            w_cand=float(w[i]),
+            r_cand=float(r_set[i, j]),
+            error_total=float(total[i, j]),
+            error_rss=float(error_rss[i, j]),
+            error_angle=float(error_angle[i, j]),
+        )
+        for i, j in zip(rows, cols[rows])
+    ]
 
 
 def select_by_training(candidates: list[CandidatePair], rss) -> int:

@@ -1,14 +1,18 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ristrack import (
+    CandidatePair,
     ChannelState,
     LinkGeometry,
     SearchGrid,
+    TrackingObservables,
     coherent_gain,
+    coherent_gain_values,
     measure_observables,
     optimal_config,
     r_from_eta,
@@ -18,6 +22,7 @@ from ristrack import (
     update_config,
     wrap_principal,
 )
+from ristrack.wavefield import TWO_PI
 
 GEOM = LinkGeometry(r1=4.0)
 
@@ -109,28 +114,116 @@ class TestSearchGrid:
 def brute_force_minimum(obs, geom, theta_halfwidth, theta_step, r_halfwidth, r_step):
     """Fine-grid reimplementation of the search objective (direct-sum gains).
 
-    Returns (theta, |w|, total_error) of the global grid minimiser. The
+    Every (angle, distance) grid point is scored; each angle's gain is the
+    explicit element sum sum_k exp(j*kd*k*w). Returns (theta, |w|,
+    total_error) of the first global grid minimiser in angle-major order. The
     observables determine |w| only up to sign, so comparisons use |w|.
     """
     kd = 2 * math.pi * geom.spacing_d / geom.wavelength
-    best = (math.inf, 0.0, 0.0)
     n_th = int(round(2 * theta_halfwidth / theta_step)) + 1
     n_r = int(round(2 * r_halfwidth / r_step)) + 1
-    for i in range(n_th):
-        theta = obs.theta2_ref - theta_halfwidth + i * theta_step
-        w = math.sin(theta) - math.sin(obs.theta2_ref)
-        acc = 0j
-        for k in range(geom.n_ris):
-            acc += cmath.exp(1j * kd * k * w)
-        gm = abs(acc) / geom.n_ris
-        ga = cmath.phase(acc)
-        for j in range(n_r):
-            r = obs.r_ref - r_halfwidth + j * r_step
-            e1 = abs((obs.r_ref / r) ** 2 * gm**2 - obs.eta)
-            e2 = abs(wrap_principal(2 * math.pi * (r - obs.r_ref) / geom.wavelength + ga - obs.xi))
-            if e1 + e2 < best[0]:
-                best = (e1 + e2, theta, abs(w))
-    return best[1], best[2], best[0]
+    theta = obs.theta2_ref - theta_halfwidth + np.arange(n_th) * theta_step
+    w = np.sin(theta) - math.sin(obs.theta2_ref)
+    acc = np.exp(1j * kd * np.arange(geom.n_ris)[None, :] * w[:, None]).sum(axis=1)
+    gm = np.abs(acc) / geom.n_ris
+    ga = np.angle(acc)
+    r = obs.r_ref - r_halfwidth + np.arange(n_r) * r_step
+    e1 = np.abs((obs.r_ref / r)[None, :] ** 2 * (gm**2)[:, None] - obs.eta)
+    e2 = np.abs(wrap_principal(
+        (2 * math.pi * (r - obs.r_ref) / geom.wavelength)[None, :] + ga[:, None] - obs.xi
+    ))
+    total = e1 + e2
+    best = int(np.argmin(total))
+    i = best // n_r
+    return theta[i], abs(w[i]), total.flat[best]
+
+
+def loop_two_dim_search(obs, grid, geom):
+    """Per-angle reference implementation of two_dim_search.
+
+    Builds each angle's distance set (grid distances, phase-residual zeros
+    inside the window, calibration distance when inside the window, all
+    positive), keeps its first minimum and sorts by (total, |w|, angle).
+    """
+    r_step = grid.r_step if grid.r_step is not None else geom.wavelength / 50.0
+    n_theta = int(round(2.0 * grid.theta2_halfwidth / grid.theta2_step)) + 1
+    thetas = obs.theta2_ref + np.linspace(
+        -grid.theta2_halfwidth, grid.theta2_halfwidth, n_theta
+    )
+    w = np.sin(thetas) - np.sin(obs.theta2_ref)
+    gains = coherent_gain_values(w, geom.n_ris, geom.spacing_d, geom.wavelength)
+    gain_mag = np.abs(gains)
+    gain_ang = np.angle(gains)
+    gain_ratio = gain_mag / geom.n_ris
+
+    n_r = int(round(2.0 * grid.r_halfwidth / r_step)) + 1
+    base_offsets = np.linspace(-grid.r_halfwidth, grid.r_halfwidth, n_r)
+    sqrt_eta = np.sqrt(obs.eta)
+    lam = geom.wavelength
+
+    candidates = []
+    for i in range(n_theta):
+        r_cal = obs.r_ref * gain_mag[i] / (sqrt_eta * geom.n_ris)
+        r_set = obs.r_ref + base_offsets
+        zero_base = (obs.xi - gain_ang[i]) * lam / TWO_PI
+        k_lo = np.ceil((-grid.r_halfwidth - zero_base) / lam)
+        k_hi = np.floor((grid.r_halfwidth - zero_base) / lam)
+        if k_hi >= k_lo:
+            ks = np.arange(k_lo, k_hi + 1)
+            r_set = np.concatenate([r_set, obs.r_ref + zero_base + ks * lam])
+        if abs(r_cal - obs.r_ref) <= grid.r_halfwidth:
+            r_set = np.append(r_set, r_cal)
+        r_set = r_set[r_set > 0]
+        if r_set.size == 0:
+            continue
+        ratio_sq = (obs.r_ref / r_set) ** 2
+        error_rss = np.abs(ratio_sq * gain_ratio[i] ** 2 - obs.eta)
+        error_angle = np.abs(
+            wrap_principal((TWO_PI / lam) * (r_set - obs.r_ref) + gain_ang[i] - obs.xi)
+        )
+        total = error_rss + error_angle
+        j = int(np.argmin(total))
+        candidates.append(
+            CandidatePair(
+                theta2_cand=float(thetas[i]),
+                w_cand=float(w[i]),
+                r_cand=float(r_set[j]),
+                error_total=float(total[j]),
+                error_rss=float(error_rss[j]),
+                error_angle=float(error_angle[j]),
+            )
+        )
+
+    candidates.sort(key=lambda c: (c.error_total, abs(c.w_cand), c.theta2_cand))
+    return candidates[: grid.n_sol]
+
+
+def random_observables(rng, **fixed):
+    """Seeded random observables; keyword arguments pin single fields."""
+    values = dict(
+        eta=float(np.exp(rng.uniform(np.log(1e-3), np.log(4.0)))),
+        xi=wrap_principal(rng.uniform(-math.pi, math.pi)),
+        rss_ref=1.0,
+        r_ref=rng.uniform(2.0, 15.0),
+        theta2_ref=np.deg2rad(rng.uniform(-60.0, 60.0)),
+    )
+    values.update(fixed)
+    return TrackingObservables(**values)
+
+
+# (observable pins, grid, geometry) of the matrix search's edge cases
+EDGE_CASES = {
+    "tiny_r_ref": (dict(r_ref=0.003), SearchGrid(), GEOM),
+    "wide_r_window": ({}, SearchGrid(r_halfwidth=0.02), GEOM),
+    "five_angles": (
+        {}, SearchGrid(theta2_halfwidth=np.deg2rad(0.1), theta2_step=np.deg2rad(0.05)), GEOM,
+    ),
+    "one_element": ({}, SearchGrid(), LinkGeometry(r1=4.0, n_ris=1)),
+    "four_elements": ({}, SearchGrid(), LinkGeometry(r1=4.0, n_ris=4)),
+    "xi_pi": (dict(xi=math.pi), SearchGrid(), GEOM),
+    "eta_tiny": (dict(eta=1e-6), SearchGrid(), GEOM),
+    "eta_large": (dict(eta=50.0), SearchGrid(), GEOM),
+}
 
 
 class TestTwoDimSearch:
@@ -221,6 +314,31 @@ class TestTwoDimSearch:
     def test_respects_n_sol(self):
         obs = measure_observables(1.0 + 0.0j, 0.9 + 0.1j, 8.0, np.deg2rad(25.0))
         assert len(two_dim_search(obs, SearchGrid(n_sol=3), GEOM)) == 3
+
+    def test_equals_per_angle_loop_on_random_observables(self):
+        rng = np.random.default_rng(2024)
+        grid = SearchGrid()
+        for _ in range(500):
+            obs = random_observables(rng)
+            assert two_dim_search(obs, grid, GEOM) == loop_two_dim_search(obs, grid, GEOM)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_equals_per_angle_loop_on_edge_cases(self, case):
+        fixed, grid, geom = EDGE_CASES[case]
+        rng = np.random.default_rng(sorted(EDGE_CASES).index(case))
+        for _ in range(100):
+            obs = random_observables(rng, **fixed)
+            assert two_dim_search(obs, grid, geom) == loop_two_dim_search(obs, grid, geom)
+
+    def test_masked_cells_do_not_warn(self):
+        # with r_ref below r_halfwidth, non-positive distances are masked
+        # before the division by r
+        fixed, grid, geom = EDGE_CASES["tiny_r_ref"]
+        rng = np.random.default_rng(7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(50):
+                assert two_dim_search(random_observables(rng, **fixed), grid, geom)
 
 
 class TestSelectByTraining:
