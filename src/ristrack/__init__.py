@@ -14,22 +14,16 @@ from .mobility import (
     ChannelState,
     Trajectory,
     TrajectorySpec,
-    evolve_channel,
     follow_on_spec,
     generate_path,
     generate_trajectory,
-    r2_at,
     slot_count,
-    theta2_at,
 )
 from .ris import (
-    CoherentGain,
     RisConfiguration,
-    coherent_gain,
     coherent_gain_values,
     optimal_config,
     received_sample,
-    received_samples,
     update_config,
 )
 from .runner import RunResult, run_scenario, run_sweep
@@ -39,7 +33,6 @@ from .simengine import (
     ProposedPolicy,
     RunMetrics,
     SlotKind,
-    SlotRecord,
     Timeline,
     cumulative_rate,
     instantaneous_rate,
@@ -57,8 +50,6 @@ from .tracking import (
 )
 from .wavefield import (
     LinkGeometry,
-    ap_ris_channel,
-    path_loss_linear,
     steering_vector,
     wrap_principal,
     wrap_two_pi,
@@ -69,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidatePair",
     "ChannelState",
-    "CoherentGain",
     "ConfigError",
     "ExhaustivePolicy",
     "LinkGeometry",
@@ -81,17 +71,13 @@ __all__ = [
     "ScenarioConfig",
     "SearchGrid",
     "SlotKind",
-    "SlotRecord",
     "SweepSpec",
     "Timeline",
     "TrackingObservables",
     "Trajectory",
     "TrajectorySpec",
-    "ap_ris_channel",
-    "coherent_gain",
     "coherent_gain_values",
     "cumulative_rate",
-    "evolve_channel",
     "follow_on_spec",
     "generate_path",
     "generate_trajectory",
@@ -100,18 +86,14 @@ __all__ = [
     "measure_observables",
     "optimal_config",
     "overhead_report",
-    "path_loss_linear",
-    "r2_at",
     "r_from_eta",
     "received_sample",
-    "received_samples",
     "run_scenario",
     "run_sweep",
     "run_timeline",
     "select_by_training",
     "slot_count",
     "steering_vector",
-    "theta2_at",
     "two_dim_search",
     "update_config",
     "wrap_principal",

@@ -1,4 +1,4 @@
-"""Command-line entry point: run scenarios, sweep parameters, selftest.
+"""Command-line entry point: `ristrack run` and `ristrack sweep`.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error. The output
 directory can be overridden with the RISTRACK_OUTDIR environment variable or
@@ -12,7 +12,6 @@ import sys
 
 from .config import ConfigError, load_config
 from .runner import run_scenario, run_sweep
-from .selftest import run_selftest
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,16 +32,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parameter to vary, e.g. gamma=0.9,0.8,0.5 or n_sol=1,3,5,7",
     )
     sweep_p.add_argument("--out", default=None, help="output directory override")
-
-    sub.add_parser("selftest", help="run the built-in invariant/oracle checks")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "selftest":
-            return run_selftest()
         cfg = load_config(args.config)
         if args.command == "run":
             results = run_scenario(cfg, out_dir=args.out)

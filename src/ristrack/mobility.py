@@ -82,23 +82,10 @@ def slot_count(spec: TrajectorySpec) -> int:
     return int(math.ceil(spec.path_length / (spec.speed_v * spec.slot_duration_t0)))
 
 
-def _check_slot(spec: TrajectorySpec, t: int) -> None:
-    n = slot_count(spec)
-    if not 1 <= t <= n:
-        raise ValueError(f"slot index {t} outside 1..{n}")
-
-
 def _r2_of_displacement(spec: TrajectorySpec, s):
     return np.sqrt(
         spec.r2_init**2 + np.square(s) - 2.0 * spec.r2_init * s * np.cos(spec.psi_a)
     )
-
-
-def r2_at(spec: TrajectorySpec, t: int) -> float:
-    """RIS-UE distance after t slots of walking (displacement s = v*t*t0)."""
-    _check_slot(spec, t)
-    s = spec.speed_v * t * spec.slot_duration_t0
-    return float(_r2_of_displacement(spec, s))
 
 
 def _theta2_of(spec: TrajectorySpec, s, r2t):
@@ -108,31 +95,6 @@ def _theta2_of(spec: TrajectorySpec, s, r2t):
     arg = np.clip(arg, -1.0, 1.0)
     sign = 1.0 if math.sin(spec.psi_a) >= 0.0 else -1.0
     return spec.theta2_init + sign * np.arccos(arg)
-
-
-def theta2_at(spec: TrajectorySpec, t: int) -> float:
-    """Departure angle after t slots; increment sign follows sin(psi_a)."""
-    _check_slot(spec, t)
-    s = spec.speed_v * t * spec.slot_duration_t0
-    return float(_theta2_of(spec, s, _r2_of_displacement(spec, s)))
-
-
-def evolve_channel(
-    prev: ChannelState, next_r2: float, next_theta2: float, wavelength: float, r1: float
-) -> ChannelState:
-    """Advance the complex gain by one slot.
-
-    beta scales by rho = (r1 + r2_prev)/(r1 + r2_next) and rotates by
-    2*pi*(r2_next - r2_prev)/lambda, the extra travel phase.
-    """
-    if next_r2 <= 0:
-        raise ValueError("next_r2 must be > 0")
-    rho = (r1 + prev.r2) / (r1 + next_r2)
-    r_delta = next_r2 - prev.r2
-    beta = rho * prev.beta * np.exp(1j * TWO_PI * r_delta / wavelength)
-    return ChannelState(
-        beta=complex(beta), theta2=next_theta2, r2=next_r2, slot_index=prev.slot_index + 1
-    )
 
 
 def _draw_beta(spec: TrajectorySpec) -> complex:
@@ -147,7 +109,7 @@ def _draw_beta(spec: TrajectorySpec) -> complex:
 class Trajectory:
     """Per-slot channel states of one or more chained segments.
 
-    Behaves as an ordered sequence of :class:`ChannelState`; the underlying
+    ``traj[i]`` is slot i+1's :class:`ChannelState`; the underlying
     ``theta2``, ``r2`` and ``beta`` arrays are exposed for vectorised
     consumers. ``anchor`` is the state just before slot 1.
     """
@@ -178,9 +140,6 @@ class Trajectory:
             slot_index=i + 1,
         )
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def final_state(self) -> ChannelState:
         return self[len(self) - 1]
 
@@ -198,7 +157,8 @@ def generate_trajectory(spec: TrajectorySpec, geom: LinkGeometry) -> Trajectory:
     s = spec.speed_v * spec.slot_duration_t0 * t
     r2 = _r2_of_displacement(spec, s)
     theta2 = _theta2_of(spec, s, r2)
-    # closed form of the per-slot evolve_channel chain
+    # closed form of the one-slot law: beta scales by (r1+r2_prev)/(r1+r2_next)
+    # and rotates by the extra travel phase 2*pi*(r2_next-r2_prev)/lambda
     rho_prod = (geom.r1 + spec.r2_init) / (geom.r1 + r2)
     beta = beta0 * rho_prod * np.exp(1j * TWO_PI * (r2 - spec.r2_init) / geom.wavelength)
     anchor = ChannelState(beta=beta0, theta2=spec.theta2_init, r2=spec.r2_init, slot_index=0)

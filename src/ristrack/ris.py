@@ -39,22 +39,6 @@ class RisConfiguration:
         return phases
 
 
-@dataclass(frozen=True)
-class CoherentGain:
-    """Complex sum of per-element phase residuals under steering mismatch w."""
-
-    value: complex
-    w: float
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-    @property
-    def angle(self) -> float:
-        return float(np.angle(self.value))
-
-
 def optimal_config(
     theta1: float, theta2: float, geom: LinkGeometry, config_id: int = 0
 ) -> RisConfiguration:
@@ -106,12 +90,6 @@ def coherent_gain_values(w, n_ris: int, spacing_d: float, wavelength: float) -> 
     return _geometric_sum(mu, n_ris)
 
 
-def coherent_gain(w: float, n_ris: int, spacing_d: float, wavelength: float) -> CoherentGain:
-    """Coherent gain at a single steering mismatch w (see coherent_gain_values)."""
-    value = coherent_gain_values(w, n_ris, spacing_d, wavelength)
-    return CoherentGain(value=complex(value), w=float(w))
-
-
 def aggregate_gains(u: np.ndarray, slope, geom: LinkGeometry) -> np.ndarray:
     """Per-slot sums sum_k exp(j*k*(slope - kd*u)) over the geometry's n_ris elements.
 
@@ -122,36 +100,22 @@ def aggregate_gains(u: np.ndarray, slope, geom: LinkGeometry) -> np.ndarray:
     return _geometric_sum(slope - geom.kd * np.asarray(u, dtype=float), geom.n_ris)
 
 
-def received_samples(
-    beta: np.ndarray,
-    theta2: np.ndarray,
-    config: RisConfiguration,
-    geom: LinkGeometry,
-    noise: np.ndarray | complex = 0.0j,
-) -> np.ndarray:
-    """Noiseless-plus-noise downlink samples for per-slot (beta, theta2) arrays.
-
-    Vector form of :func:`received_sample`. The timeline engine does not call
-    it: it applies :func:`aggregate_gains` to its precomputed per-slot
-    mismatch and amplitude columns, which is the same arithmetic.
-    """
-    if config.n_ris != geom.n_ris:
-        raise ValueError(
-            f"configuration has {config.n_ris} elements, geometry expects {geom.n_ris}"
-        )
-    beta = np.atleast_1d(np.asarray(beta, dtype=complex))
-    theta2 = np.atleast_1d(np.asarray(theta2, dtype=float))
-    u = np.sin(geom.theta1) - np.sin(theta2)
-    gains = aggregate_gains(u, config.slope, geom)
-    return geom.beamformer_gain * geom.alpha * beta * gains + noise
-
-
 def received_sample(
     channel: ChannelState,
     config: RisConfiguration,
     geom: LinkGeometry,
     noise: complex = 0.0j,
 ) -> complex:
-    """One downlink baseband sample for a unit-power symbol."""
-    y = received_samples(channel.beta, channel.theta2, config, geom)
-    return complex(y[0]) + complex(noise)
+    """One downlink baseband sample for a unit-power symbol.
+
+    The timeline engine computes the same arithmetic for whole slot ranges:
+    :func:`aggregate_gains` over its precomputed per-slot mismatch, scaled by
+    its amplitude column.
+    """
+    if config.n_ris != geom.n_ris:
+        raise ValueError(
+            f"configuration has {config.n_ris} elements, geometry expects {geom.n_ris}"
+        )
+    u = np.sin(geom.theta1) - np.sin(channel.theta2)
+    gain = aggregate_gains(u, config.slope, geom)
+    return complex(geom.beamformer_gain * geom.alpha * channel.beta * gain) + complex(noise)

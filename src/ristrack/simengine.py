@@ -47,20 +47,6 @@ class SlotKind(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class SlotRecord:
-    """Ledger entry for one time slot (slot_index is 1-based)."""
-
-    slot_index: int
-    kind: SlotKind
-    rss: float
-    rss_normalized: float
-    inst_rate: float
-    config_id: int
-    status_id: int
-    theta2_true: float
-
-
-@dataclass(frozen=True)
 class OraclePolicy:
     """Genie reconfiguration at zero signaling cost."""
 
@@ -96,7 +82,7 @@ class ExhaustivePolicy:
 
 
 class Timeline:
-    """Column-oriented slot ledger; indexing materialises SlotRecord values."""
+    """Column-oriented slot ledger: one read-only array per ledger column."""
 
     def __init__(self, kind, rss, rss_normalized, inst_rate, cum_rate, config_id,
                  status_id, theta2_true, policy_name: str, gamma: float,
@@ -116,30 +102,17 @@ class Timeline:
     def __len__(self) -> int:
         return self.kind.shape[0]
 
-    def __getitem__(self, i: int) -> SlotRecord:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        return SlotRecord(
-            slot_index=i + 1,
-            kind=SlotKind(int(self.kind[i])),
-            rss=float(self.rss[i]),
-            rss_normalized=float(self.rss_normalized[i]),
-            inst_rate=float(self.inst_rate[i]),
-            config_id=int(self.config_id[i]),
-            status_id=int(self.status_id[i]),
-            theta2_true=float(self.theta2_true[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Headline numbers of one timeline run."""
+    """Headline numbers of one timeline run.
+
+    `avg_error_vs_oracle` is the mean over all slots of |inst_rate -
+    oracle inst_rate| (NaN without an oracle run). It is not the gap between
+    the final cumulative rates: slot-level swaps count in both directions
+    (a retrained tracker beating an aged genie configuration adds as much as
+    falling behind it), so for the proposed tracker it is about twice that gap.
+    """
 
     cumulative_rate_series: np.ndarray
     pct_below_threshold: float
@@ -158,24 +131,16 @@ def instantaneous_rate(rss, noise_var: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _inst_rate_column(records) -> np.ndarray:
-    if isinstance(records, Timeline):
-        return records.inst_rate
-    rates = np.array([r.inst_rate for r in records], dtype=float)
+def cumulative_rate(rates) -> np.ndarray:
+    """Running mean of per-slot instantaneous rates over all elapsed slots."""
+    rates = np.asarray(rates, dtype=float)
     if rates.size == 0:
-        raise ValueError("empty record list")
-    return rates
-
-
-def cumulative_rate(records) -> np.ndarray:
-    """Running mean of the instantaneous rate over all elapsed slots."""
-    rates = _inst_rate_column(records)
-    if rates.size == 0:
-        raise ValueError("empty record list")
+        raise ValueError("empty rate series")
     return np.cumsum(rates) / np.arange(1, rates.size + 1)
 
 
-def overhead_report(records, gamma: float, oracle_records=None) -> RunMetrics:
+def overhead_report(records: Timeline, gamma: float,
+                    oracle_records: Timeline | None = None) -> RunMetrics:
     """Signaling accounting: share of non-data slots and tracking-call count.
 
     Below-threshold, training and feedback slots all count as non-data. The
@@ -183,30 +148,16 @@ def overhead_report(records, gamma: float, oracle_records=None) -> RunMetrics:
     so `gamma` is not read here. When an oracle run over the same trajectory
     is supplied, the mean absolute instantaneous-rate gap is included.
     """
-    if isinstance(records, Timeline):
-        kinds = records.kind
-        status = records.status_id
-        calls = records.tracking_calls
-    else:
-        recs = list(records)
-        if not recs:
-            raise ValueError("empty record list")
-        kinds = np.array([r.kind for r in recs], dtype=int)
-        status = np.array([r.status_id for r in recs], dtype=int)
-        calls = int(status[-1] - status[0])
-    pct = 100.0 * float(np.mean(kinds != int(SlotKind.DATA)))
-    cum = cumulative_rate(records)
+    pct = 100.0 * float(np.mean(records.kind != int(SlotKind.DATA)))
     err = math.nan
     if oracle_records is not None:
-        mine = _inst_rate_column(records)
-        orc = _inst_rate_column(oracle_records)
-        if orc.shape != mine.shape:
+        if oracle_records.inst_rate.shape != records.inst_rate.shape:
             raise ValueError("oracle run must cover the same slots")
-        err = float(np.mean(np.abs(mine - orc)))
+        err = float(np.mean(np.abs(records.inst_rate - oracle_records.inst_rate)))
     return RunMetrics(
-        cumulative_rate_series=cum,
+        cumulative_rate_series=records.cum_rate,
         pct_below_threshold=pct,
-        tracking_calls=int(calls),
+        tracking_calls=records.tracking_calls,
         avg_error_vs_oracle=err,
     )
 
@@ -354,9 +305,8 @@ def run_timeline(
             write(cursor, cursor + 1, SlotKind.UL_FEEDBACK, 0.0, config.config_id)
             cursor += 1
 
-    inst = np.where(kind == int(SlotKind.DATA),
-                    np.log2(1.0 + rss / geom.noise_var), 0.0)
-    cum = np.cumsum(inst) / np.arange(1, n + 1)
+    inst = np.where(kind == int(SlotKind.DATA), instantaneous_rate(rss, geom.noise_var), 0.0)
+    cum = cumulative_rate(inst)
     for arr in (kind, rss, rss_norm, inst, cum, config_col, status_col):
         arr.setflags(write=False)
     return Timeline(kind, rss, rss_norm, inst, cum, config_col, status_col,

@@ -1,4 +1,4 @@
-"""Array-response, path-loss and phase-wrapping primitives shared by every module.
+"""Link geometry, array-response and phase-wrapping primitives shared by every module.
 
 Angles are radians everywhere inside the library; degree conversion happens
 only at the configuration/CLI boundary. Element indexing is zero-based, so a
@@ -86,24 +86,6 @@ def steering_vector(angle: float, count: int, spacing_d: float, wavelength: floa
         raise ValueError("spacing_d and wavelength must be > 0")
     k = np.arange(count)
     return np.exp(-1j * (TWO_PI * spacing_d / wavelength) * k * np.sin(angle))
-
-
-def path_loss_linear(distance, wavelength: float):
-    """Free-space path loss (4*pi*distance/wavelength)**2 in linear scale."""
-    distance = np.asarray(distance, dtype=float)
-    if np.any(distance <= 0):
-        raise ValueError("distance must be > 0")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be > 0")
-    out = (4.0 * np.pi * distance / wavelength) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def ap_ris_channel(geom: LinkGeometry) -> np.ndarray:
-    """Rank-one AP-to-RIS channel alpha * a_RIS(theta1) a_AP(phi_ap)^H, shape (n_ris, n_tx)."""
-    a_ris = steering_vector(geom.theta1, geom.n_ris, geom.spacing_d, geom.wavelength)
-    a_ap = steering_vector(geom.phi_ap, geom.n_tx, geom.spacing_d, geom.wavelength)
-    return geom.alpha * np.outer(a_ris, a_ap.conj())
 
 
 def wrap_two_pi(phases):

@@ -176,7 +176,8 @@ class TestExitCodes:
         blocker.write_text("a file, not a directory")
         assert main(["run", cfg, "--out", str(blocker)]) == 2
 
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+    def test_help_lists_run_and_sweep_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{run,sweep}" in capsys.readouterr().out

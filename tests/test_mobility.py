@@ -8,14 +8,32 @@ from ristrack import (
     ChannelState,
     LinkGeometry,
     TrajectorySpec,
-    evolve_channel,
     follow_on_spec,
     generate_path,
     generate_trajectory,
-    r2_at,
     slot_count,
-    theta2_at,
 )
+
+
+GEOM = LinkGeometry()
+
+
+def walk(spec: TrajectorySpec):
+    return generate_trajectory(spec, GEOM)
+
+
+def evolve_channel(prev: ChannelState, next_r2: float, next_theta2: float,
+                   wavelength: float, r1: float) -> ChannelState:
+    """Per-slot oracle of the gain chain that generate_trajectory telescopes.
+
+    beta scales by rho = (r1 + r2_prev)/(r1 + r2_next) and rotates by
+    2*pi*(r2_next - r2_prev)/lambda, the extra travel phase.
+    """
+    rho = (r1 + prev.r2) / (r1 + next_r2)
+    beta = rho * prev.beta * np.exp(1j * 2 * np.pi * (next_r2 - prev.r2) / wavelength)
+    return ChannelState(
+        beta=complex(beta), theta2=next_theta2, r2=next_r2, slot_index=prev.slot_index + 1
+    )
 
 
 def cartesian_states(spec: TrajectorySpec, n: int):
@@ -57,21 +75,14 @@ class TestR2At:
         spec = TrajectorySpec(
             r2_init=4.0, psi_a=np.pi / 2, speed_v=1.0, slot_duration_t0=1.0, path_length=4.0
         )
-        assert r2_at(spec, 4) == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)
+        assert walk(spec).r2[3] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)
 
     def test_hand_value_110_degrees(self):
         spec = TrajectorySpec(
             r2_init=4.0, psi_a=np.deg2rad(110.0), speed_v=1.0,
             slot_duration_t0=0.01, path_length=0.01,
         )
-        assert r2_at(spec, 1) == pytest.approx(4.00343, abs=1e-5)
-
-    def test_rejects_out_of_range_slot(self):
-        spec = TrajectorySpec(speed_v=1.0, slot_duration_t0=1.0, path_length=2.0)
-        with pytest.raises(ValueError):
-            r2_at(spec, 0)
-        with pytest.raises(ValueError):
-            r2_at(spec, 3)
+        assert walk(spec).r2[0] == pytest.approx(4.00343, abs=1e-5)
 
 
 class TestTheta2At:
@@ -80,7 +91,7 @@ class TestTheta2At:
             theta2_init=np.deg2rad(20.0), r2_init=4.0, psi_a=np.deg2rad(110.0),
             speed_v=1.0, slot_duration_t0=0.01, path_length=0.01,
         )
-        inc = theta2_at(spec, 1) - spec.theta2_init
+        inc = walk(spec).theta2[0] - spec.theta2_init
         assert np.rad2deg(inc) == pytest.approx(0.1345, abs=1e-3)
 
     @pytest.mark.parametrize("psi_deg", [35.0, 110.0, 200.0, 290.0])
@@ -89,19 +100,18 @@ class TestTheta2At:
             theta2_init=np.deg2rad(20.0), r2_init=4.0, psi_a=np.deg2rad(psi_deg),
             speed_v=0.5, slot_duration_t0=0.001, path_length=1.0,
         )
-        n = slot_count(spec)
-        r2_o, th_o = cartesian_states(spec, n)
-        for t in range(1, n + 1, max(1, n // 37)):
-            assert r2_at(spec, t) == pytest.approx(r2_o[t - 1], abs=1e-9)
-            assert theta2_at(spec, t) == pytest.approx(th_o[t - 1], abs=1e-9)
+        traj = walk(spec)
+        r2_o, th_o = cartesian_states(spec, slot_count(spec))
+        assert np.max(np.abs(traj.r2 - r2_o)) <= 1e-9
+        assert np.max(np.abs(traj.theta2 - th_o)) <= 1e-9
 
     def test_sign_follows_walking_side(self):
         base = dict(theta2_init=np.deg2rad(20.0), r2_init=4.0, speed_v=1.0,
                     slot_duration_t0=0.01, path_length=0.05)
         up = TrajectorySpec(psi_a=np.deg2rad(110.0), **base)
         down = TrajectorySpec(psi_a=np.deg2rad(250.0), **base)
-        assert theta2_at(up, 5) > up.theta2_init
-        assert theta2_at(down, 5) < down.theta2_init
+        assert walk(up).theta2[4] > up.theta2_init
+        assert walk(down).theta2[4] < down.theta2_init
 
 
 class TestEvolveChannel:
@@ -155,12 +165,11 @@ class TestGenerateTrajectory:
         traj = generate_trajectory(spec, self.geom)
         state = traj.anchor
         for t in range(1, len(traj) + 1):
-            state = evolve_channel(state, r2_at(spec, t), theta2_at(spec, t),
+            state = evolve_channel(state, traj.r2[t - 1], traj.theta2[t - 1],
                                    self.geom.wavelength, self.geom.r1)
             got = traj[t - 1]
+            assert got.slot_index == state.slot_index
             assert got.beta == pytest.approx(state.beta, rel=1e-12)
-            assert got.r2 == pytest.approx(state.r2, rel=1e-12)
-            assert got.theta2 == pytest.approx(state.theta2, abs=1e-12)
 
     def test_given_beta_skips_draw(self):
         spec = TrajectorySpec(path_length=0.01, beta_init=0.5 + 0.5j)

@@ -11,7 +11,6 @@ from ristrack import (
     LinkGeometry,
     SearchGrid,
     TrackingObservables,
-    coherent_gain,
     coherent_gain_values,
     measure_observables,
     optimal_config,
@@ -62,10 +61,10 @@ class TestMeasureObservables:
         y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r)
         obs = measure_observables(y_ref, y_now, GEOM.r1 + 4.0, theta_ref)
         w = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
-        gain = coherent_gain(w, GEOM.n_ris, GEOM.spacing_d, GEOM.wavelength)
+        gain = complex(coherent_gain_values(w, GEOM.n_ris, GEOM.spacing_d, GEOM.wavelength))
         rho = 8.0 / (8.0 + d_r)
-        assert obs.eta == pytest.approx(rho**2 * gain.magnitude**2 / GEOM.n_ris**2, rel=1e-9)
-        want_xi = wrap_principal(2 * math.pi * d_r / GEOM.wavelength + gain.angle)
+        assert obs.eta == pytest.approx(rho**2 * abs(gain)**2 / GEOM.n_ris**2, rel=1e-9)
+        want_xi = wrap_principal(2 * math.pi * d_r / GEOM.wavelength + cmath.phase(gain))
         assert obs.xi == pytest.approx(want_xi, abs=1e-9)
 
     def test_zero_reference_rejected(self):
@@ -88,9 +87,9 @@ class TestRFromEta:
         y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r)
         obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
         w = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
-        gain = coherent_gain(w, GEOM.n_ris, GEOM.spacing_d, GEOM.wavelength)
+        gain = complex(coherent_gain_values(w, GEOM.n_ris, GEOM.spacing_d, GEOM.wavelength))
         rho = 8.0 / (8.0 + d_r)
-        assert r_from_eta(obs, gain.magnitude, GEOM.n_ris) == pytest.approx(8.0 / rho, rel=1e-9)
+        assert r_from_eta(obs, abs(gain), GEOM.n_ris) == pytest.approx(8.0 / rho, rel=1e-9)
 
 
 class TestSearchGrid:

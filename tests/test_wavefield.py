@@ -5,8 +5,6 @@ import pytest
 
 from ristrack import (
     LinkGeometry,
-    ap_ris_channel,
-    path_loss_linear,
     steering_vector,
     wrap_principal,
     wrap_two_pi,
@@ -46,54 +44,6 @@ class TestSteeringVector:
             steering_vector(0.1, 4, -1.0, 0.005)
         with pytest.raises(ValueError):
             steering_vector(0.1, 4, 0.0025, 0.0)
-
-
-class TestPathLoss:
-    def test_unity_at_reference_distance(self):
-        lam = 0.005
-        assert path_loss_linear(lam / (4 * np.pi), lam) == pytest.approx(1.0, rel=1e-12)
-
-    def test_quadratic_in_distance(self):
-        assert path_loss_linear(2.0, 0.005) / path_loss_linear(1.0, 0.005) == pytest.approx(4.0)
-
-    def test_hand_value_four_meters(self):
-        # (4*pi*800)^2 rewritten as 16*pi^2*640000 for an independent route
-        assert path_loss_linear(4.0, 0.005) == pytest.approx(16 * math.pi**2 * 640000, rel=1e-12)
-        assert path_loss_linear(4.0, 0.005) == pytest.approx(1.01e8, rel=1e-2)
-
-    def test_strictly_increasing(self):
-        d = np.linspace(0.5, 10, 50)
-        pl = path_loss_linear(d, 0.005)
-        assert np.all(np.diff(pl) > 0)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            path_loss_linear(0.0, 0.005)
-        with pytest.raises(ValueError):
-            path_loss_linear(-1.0, 0.005)
-
-
-class TestApRisChannel:
-    def test_scalar_case(self):
-        geom = LinkGeometry(n_tx=1, n_ris=1, alpha=1.0 + 0.0j)
-        g = ap_ris_channel(geom)
-        assert g.shape == (1, 1)
-        assert abs(g[0, 0] - 1.0) < 1e-12
-
-    def test_rank_one(self):
-        geom = LinkGeometry(theta1=np.deg2rad(33.0), phi_ap=np.deg2rad(-12.0))
-        s = np.linalg.svd(ap_ris_channel(geom), compute_uv=False)
-        assert s[1] < 1e-9 * s[0]
-
-    def test_frobenius_norm(self):
-        geom = LinkGeometry(n_tx=16, n_ris=64, theta1=np.deg2rad(45.0), alpha=1.0 + 0.0j)
-        g = ap_ris_channel(geom)
-        # independent loop oracle over the unit-modulus entries
-        total = 0.0
-        for row in g:
-            for entry in row:
-                total += abs(entry) ** 2
-        assert total == pytest.approx(16 * 64, rel=1e-10)
 
 
 class TestWrapping:
