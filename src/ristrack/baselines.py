@@ -31,8 +31,3 @@ class SweepSpec:
         The grid lies in [0, 2*pi), so the slopes are already wrapped.
         """
         return np.deg2rad(np.arange(0.0, 360.0, self.resolution_deg))
-
-    @property
-    def slots_per_sweep(self) -> int:
-        """Training slots of one sweep, ceil(360/resolution): one per slope."""
-        return self.slopes.size

@@ -1,17 +1,19 @@
-"""Scenario configuration: INI-style files with evaluation-setup defaults.
+"""Scenario configuration: INI-style files over the library's own defaults.
 
-An empty file is a valid scenario; every key then takes the reference
-evaluation default (16 AP antennas, 64 RIS elements, 45 deg arrival angle,
-10 dB SNR, unit noise variance, thresholds 0.9/0.5, 7 training frames,
-0.6 m/s walk, 15.6 us slots). Angles appear in degrees in files and are
-converted to radians at this boundary.
+Every key of a scenario file is one row of ``_SCHEMA``: its section, the
+field it sets and a converter from the file's text. An absent or empty key
+keeps the default of that field, so the reference evaluation setup is the set
+of field defaults of :class:`ScenarioConfig`, :class:`LinkGeometry`,
+:class:`TrajectorySpec` and :class:`SearchGrid`; an empty file loads as
+``ScenarioConfig()``. Converters only convert types; the constructors check
+values. Angles appear in degrees in files and are converted to radians at
+this boundary.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,47 +25,54 @@ from .wavefield import LinkGeometry
 
 
 class ConfigError(ValueError):
-    """Configuration file problem; message names the offending key."""
+    """Configuration problem; the message names the offending section and key."""
 
 
-_GEOMETRY_KEYS = {
-    "n_tx", "n_ris", "wavelength_m", "spacing_m", "theta1_deg", "phi_ap_deg",
-    "r1_m", "alpha", "snr_db", "noise_var",
-}
-_TRAJECTORY_KEYS = {
-    "theta2_init_deg", "r2_init_m", "psi_a_deg", "speed_mps", "slot_duration_s",
-    "path_length_m", "rayleigh_scale", "segments",
-}
-_TRACKER_KEYS = {
-    "algorithms", "gamma", "gamma_exh", "n_sol", "theta2_halfwidth_deg",
-    "theta2_step_deg", "r_halfwidth_m", "r_step_m", "threshold_mode",
-}
-_RUN_KEYS = {"seeds", "output_dir"}
-_SECTIONS = {
-    "geometry": _GEOMETRY_KEYS,
-    "trajectory": _TRAJECTORY_KEYS,
-    "tracker": _TRACKER_KEYS,
-    "run": _RUN_KEYS,
-}
+def _invalid(key: str, message: str) -> ConfigError:
+    return ConfigError(f"[{_SCHEMA[key][0]}] {key}: {message}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated scenario: geometry, walk, tracker knobs and run plan."""
 
-    geometry: LinkGeometry
-    trajectory: TrajectorySpec
-    continuations: tuple[tuple[float, float], ...]
-    algorithms: tuple[str, ...]
-    gamma: float
-    gamma_exh: float
-    grid: SearchGrid
-    threshold_mode: str
-    seeds: tuple[int, ...]
-    output_dir: str
+    geometry: LinkGeometry = field(default_factory=LinkGeometry)
+    trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
+    continuations: tuple[tuple[float, float], ...] = ()
+    algorithms: tuple[str, ...] = ("proposed", "exhaustive:1", "exhaustive:5",
+                                   "exhaustive:10", "oracle")
+    gamma: float = ProposedPolicy.gamma
+    gamma_exh: float = ExhaustivePolicy.gamma
+    grid: SearchGrid = field(default_factory=SearchGrid)
+    threshold_mode: str = "normalized"
+    seeds: tuple[int, ...] = (1,)
+    output_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.threshold_mode not in ("normalized", "absolute"):
+            raise _invalid("threshold_mode", "must be 'normalized' or 'absolute', "
+                           f"got {self.threshold_mode!r}")
+        for key in ("gamma", "gamma_exh"):
+            value = getattr(self, key)
+            if value <= 0:
+                raise _invalid(key, f"threshold must be > 0, got {value}")
+            if self.threshold_mode == "normalized" and value > 1.0:
+                raise _invalid(key, f"normalized threshold is a fraction <= 1, got {value}")
+        if not self.algorithms:
+            raise _invalid("algorithms", "empty algorithm list")
+        try:
+            self.policies()
+        except ValueError as exc:
+            raise _invalid("algorithms", str(exc)) from None
+        if not self.seeds:
+            raise _invalid("seeds", "empty seed list")
+        if min(self.seeds) < 0:
+            raise _invalid("seeds", f"seeds must be >= 0, got {min(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise _invalid("seeds", "seeds must be distinct")
 
     def policies(self):
-        """Policy objects in configured order."""
+        """Policy objects in configured order; the one parser of algorithm names."""
         out = []
         for name in self.algorithms:
             if name == "oracle":
@@ -71,97 +80,101 @@ class ScenarioConfig:
             elif name == "proposed":
                 out.append(ProposedPolicy(gamma=self.gamma, grid=self.grid))
             elif name.startswith("exhaustive:"):
-                res = float(name.split(":", 1)[1])
-                out.append(ExhaustivePolicy(gamma=self.gamma_exh, sweep=SweepSpec(res)))
+                sweep = SweepSpec(float(name.split(":", 1)[1]))
+                out.append(ExhaustivePolicy(gamma=self.gamma_exh, sweep=sweep))
             else:
-                raise ConfigError(f"[tracker] algorithms: unknown algorithm {name!r}")
+                raise ValueError(f"unknown algorithm {name!r} "
+                                 "(use proposed, oracle or exhaustive:<resolution_deg>)")
         return out
 
 
-# Scenario files and `sweep --vary` share the per-key parsers below: a parser
-# raises ValueError for a bad value and _value names the key it came from.
+def _radians(raw: str) -> float:
+    return np.deg2rad(float(raw))
 
 
-def _value(section: str, key: str, raw: str, conv):
-    try:
-        return conv(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section}] {key}: bad value {raw!r} ({exc})") from None
+def _db_to_linear(raw: str) -> float:
+    return 10.0 ** (float(raw) / 10.0)
 
 
-def _build(section: str, ctor, *args, **kwargs):
-    """Construct a self-validating object, reporting its ValueError per section."""
-    try:
-        return ctor(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] invalid: {exc}") from None
+def _segment(raw: str) -> tuple[float, float]:
+    psi, _, length = raw.partition(":")
+    return (np.deg2rad(float(psi)), float(length))
 
 
-def _get(parser, section, key, conv, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    if raw == "":
-        return default
-    return _value(section, key, raw, conv)
+def _listed(conv):
+    """Converter of a comma-separated list; empty items are skipped."""
+    return lambda raw: tuple(conv(p.strip()) for p in raw.split(",") if p.strip())
 
 
-def _parse_segments(raw: str) -> tuple[tuple[float, float], ...]:
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        psi, _, length = part.partition(":")
-        out.append((np.deg2rad(float(psi)), float(length)))
-    return tuple(out)
+# key: (section, target, converter). A target "holder.name" is field `name` of
+# the ScenarioConfig field `holder`; a bare target is a ScenarioConfig field.
+_SCHEMA = {
+    "n_tx": ("geometry", "geometry.n_tx", int),
+    "n_ris": ("geometry", "geometry.n_ris", int),
+    "wavelength_m": ("geometry", "geometry.wavelength", float),
+    "spacing_m": ("geometry", "geometry.spacing", float),
+    "theta1_deg": ("geometry", "geometry.theta1", _radians),
+    "r1_m": ("geometry", "geometry.r1", float),
+    "alpha": ("geometry", "geometry.alpha", complex),
+    "snr_db": ("geometry", "geometry.snr_linear", _db_to_linear),
+    "noise_var": ("geometry", "geometry.noise_var", float),
+    "theta2_init_deg": ("trajectory", "trajectory.theta2_init", _radians),
+    "r2_init_m": ("trajectory", "trajectory.r2_init", float),
+    "psi_a_deg": ("trajectory", "trajectory.psi_a", _radians),
+    "speed_mps": ("trajectory", "trajectory.speed_v", float),
+    "slot_duration_s": ("trajectory", "trajectory.slot_duration_t0", float),
+    "path_length_m": ("trajectory", "trajectory.path_length", float),
+    "rayleigh_scale": ("trajectory", "trajectory.rayleigh_scale", float),
+    "segments": ("trajectory", "continuations", _listed(_segment)),
+    "algorithms": ("tracker", "algorithms", _listed(str.lower)),
+    "gamma": ("tracker", "gamma", float),
+    "gamma_exh": ("tracker", "gamma_exh", float),
+    "threshold_mode": ("tracker", "threshold_mode", str.lower),
+    "n_sol": ("tracker", "grid.n_sol", int),
+    "theta2_halfwidth_deg": ("tracker", "grid.theta2_halfwidth", _radians),
+    "theta2_step_deg": ("tracker", "grid.theta2_step", _radians),
+    "r_halfwidth_m": ("tracker", "grid.r_halfwidth", float),
+    "r_step_m": ("tracker", "grid.r_step", float),
+    "seeds": ("run", "seeds", _listed(int)),
+    "output_dir": ("run", "output_dir", str),
+}
+
+_SWEEPABLE = ("gamma", "gamma_exh", "n_sol", "speed_mps", "path_length_m", "algorithms")
 
 
-def _parse_threshold_mode(raw: str) -> str:
-    mode = raw.lower()
-    if mode not in ("normalized", "absolute"):
-        raise ValueError("must be 'normalized' or 'absolute'")
-    return mode
+def _apply(cfg: ScenarioConfig, raw_values: dict[str, str]) -> ScenarioConfig:
+    """`cfg` with each key's raw value converted and set on its target field.
 
-
-def _threshold_parser(threshold_mode: str):
-    def parse(raw: str) -> float:
-        value = float(raw)
-        if value <= 0:
-            raise ValueError(f"threshold must be > 0, got {value}")
-        if threshold_mode == "normalized" and value > 1.0:
-            raise ValueError(f"normalized threshold is a fraction <= 1, got {value}")
-        return value
-
-    return parse
-
-
-def _parse_algorithms(raw: str) -> tuple[str, ...]:
-    names = tuple(p.strip().lower() for p in raw.split(",") if p.strip())
-    if not names:
-        raise ValueError("empty algorithm list")
-    for name in names:
-        if name.startswith("exhaustive:"):
-            SweepSpec(float(name.split(":", 1)[1]))
-        elif name not in ("oracle", "proposed"):
-            raise ValueError(f"unknown algorithm {name!r} "
-                             "(use proposed, oracle or exhaustive:<resolution_deg>)")
-    return names
-
-
-def _parse_seeds(raw: str) -> tuple[int, ...]:
-    seeds = tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-    if not seeds:
-        raise ValueError("empty seed list")
-    if min(seeds) < 0:
-        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    return seeds
+    Scenario files and `sweep --vary` both come through here, so a bad value
+    fails the same way from either, naming its section and key.
+    """
+    top: dict = {}
+    nested: dict[str, dict] = {}
+    keys_of: dict[str, list[str]] = {}
+    for key, raw in raw_values.items():
+        section, target, conv = _SCHEMA[key]
+        try:
+            value = conv(raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"[{section}] {key}: bad value {raw!r} ({exc})") from None
+        holder, _, name = target.rpartition(".")
+        if holder:
+            nested.setdefault(holder, {})[name] = value
+            keys_of.setdefault(holder, []).append(key)
+        else:
+            top[name] = value
+    # one replace per object, so checks that relate its fields see all new values
+    for holder, fields in nested.items():
+        try:
+            top[holder] = replace(getattr(cfg, holder), **fields)
+        except ValueError as exc:
+            keys = keys_of[holder]
+            raise ConfigError(f"[{_SCHEMA[keys[0]][0]}] {', '.join(keys)}: {exc}") from None
+    return replace(cfg, **top)
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Read, validate and default-fill a scenario file.
+    """Read and validate a scenario file over the default :class:`ScenarioConfig`.
 
     Raises :class:`ConfigError` with the section, key and violated rule for
     semantic problems; syntax errors keep configparser's line numbers.
@@ -175,95 +188,28 @@ def load_config(path: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"parse error: {exc}") from None
 
+    sections = {row[0] for row in _SCHEMA.values()}
+    raw_values = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _SECTIONS[section]:
+            if key not in _SCHEMA or _SCHEMA[key][0] != section:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
-
-    snr_db = _get(parser, "geometry", "snr_db", float, 10.0)
-    geometry = _build(
-        "geometry", LinkGeometry,
-        n_tx=_get(parser, "geometry", "n_tx", int, 16),
-        n_ris=_get(parser, "geometry", "n_ris", int, 64),
-        wavelength=_get(parser, "geometry", "wavelength_m", float, 0.005),
-        spacing_d=_get(parser, "geometry", "spacing_m", float, None),
-        theta1=np.deg2rad(_get(parser, "geometry", "theta1_deg", float, 45.0)),
-        phi_ap=np.deg2rad(_get(parser, "geometry", "phi_ap_deg", float, 0.0)),
-        r1=_get(parser, "geometry", "r1_m", float, 4.0),
-        alpha=_get(parser, "geometry", "alpha", complex, 1.0 + 0.0j),
-        snr_linear=10.0 ** (snr_db / 10.0),
-        noise_var=_get(parser, "geometry", "noise_var", float, 1.0),
-    )
-    trajectory = _build(
-        "trajectory", TrajectorySpec,
-        theta2_init=np.deg2rad(_get(parser, "trajectory", "theta2_init_deg", float, 20.0)),
-        r2_init=_get(parser, "trajectory", "r2_init_m", float, 4.0),
-        psi_a=np.deg2rad(_get(parser, "trajectory", "psi_a_deg", float, 110.0)),
-        speed_v=_get(parser, "trajectory", "speed_mps", float, 0.6),
-        slot_duration_t0=_get(parser, "trajectory", "slot_duration_s", float, 15.6e-6),
-        path_length=_get(parser, "trajectory", "path_length_m", float, 3.0),
-        rayleigh_scale=_get(parser, "trajectory", "rayleigh_scale", float,
-                            1.0 / math.sqrt(2.0)),
-    )
-    continuations = _get(parser, "trajectory", "segments", _parse_segments, ())
-
-    threshold_mode = _get(parser, "tracker", "threshold_mode", _parse_threshold_mode,
-                          "normalized")
-    threshold = _threshold_parser(threshold_mode)
-    grid = _build(
-        "tracker", SearchGrid,
-        theta2_halfwidth=np.deg2rad(
-            _get(parser, "tracker", "theta2_halfwidth_deg", float, 2.5)),
-        theta2_step=np.deg2rad(_get(parser, "tracker", "theta2_step_deg", float, 0.05)),
-        r_halfwidth=_get(parser, "tracker", "r_halfwidth_m", float, 0.005),
-        r_step=_get(parser, "tracker", "r_step_m", float, None),
-        n_sol=_get(parser, "tracker", "n_sol", int, 7),
-    )
-
-    return ScenarioConfig(
-        geometry=geometry,
-        trajectory=trajectory,
-        continuations=continuations,
-        algorithms=_get(
-            parser, "tracker", "algorithms", _parse_algorithms,
-            ("proposed", "exhaustive:1", "exhaustive:5", "exhaustive:10", "oracle"),
-        ),
-        gamma=_get(parser, "tracker", "gamma", threshold, 0.9),
-        gamma_exh=_get(parser, "tracker", "gamma_exh", threshold, 0.5),
-        grid=grid,
-        threshold_mode=threshold_mode,
-        seeds=_get(parser, "run", "seeds", _parse_seeds, (1,)),
-        output_dir=_get(parser, "run", "output_dir", str, "runs"),
-    )
+            raw = parser.get(section, key).strip()
+            if raw:
+                raw_values[key] = raw
+    return _apply(ScenarioConfig(), raw_values)
 
 
 def override_config(cfg: ScenarioConfig, key: str, raw_value: str) -> ScenarioConfig:
     """Return a copy of `cfg` with one sweepable parameter replaced.
 
     Accepts the same key names as the scenario file (optionally prefixed with
-    the section, e.g. ``tracker.gamma``) and checks the value with the same
-    per-key parser and constructor checks as a scenario file.
+    the section, e.g. ``tracker.gamma``) and converts and checks the value
+    exactly as a scenario file's.
     """
     name = key.split(".")[-1].lower()
-    if name in ("gamma", "gamma_exh"):
-        value = _value("tracker", name, raw_value, _threshold_parser(cfg.threshold_mode))
-        return replace(cfg, **{name: value})
-    if name == "algorithms":
-        return replace(cfg, algorithms=_value("tracker", name, raw_value, _parse_algorithms))
-    if name == "n_sol":
-        n_sol = _value("tracker", name, raw_value, int)
-        return replace(cfg, grid=_build("tracker", replace, cfg.grid, n_sol=n_sol))
-    if name == "speed_mps":
-        speed = _value("trajectory", name, raw_value, float)
-        return replace(cfg, trajectory=_build("trajectory", replace, cfg.trajectory,
-                                              speed_v=speed))
-    if name == "path_length_m":
-        length = _value("trajectory", name, raw_value, float)
-        return replace(cfg, trajectory=_build("trajectory", replace, cfg.trajectory,
-                                              path_length=length))
-    raise ConfigError(
-        f"{key}: not sweepable (use gamma, gamma_exh, n_sol, speed_mps, "
-        "path_length_m or algorithms)"
-    )
+    if name not in _SWEEPABLE:
+        raise ConfigError(f"{key}: not sweepable (use {', '.join(_SWEEPABLE)})")
+    return _apply(cfg, {name: raw_value})

@@ -22,9 +22,6 @@ import numpy as np
 
 from .wavefield import TWO_PI, LinkGeometry
 
-# Unit mean-square magnitude for the Rayleigh draw of the initial gain.
-RAYLEIGH_SCALE_DEFAULT = 1.0 / math.sqrt(2.0)
-
 _ACOS_CLAMP_TOL = 1e-9
 
 
@@ -60,7 +57,7 @@ class TrajectorySpec:
     path_length: float = 3.0
     beta_init: complex | None = None
     rng_seed: int | None = None
-    rayleigh_scale: float = RAYLEIGH_SCALE_DEFAULT
+    rayleigh_scale: float = 1.0 / math.sqrt(2.0)  # unit mean-square magnitude
 
     def __post_init__(self):
         if self.speed_v <= 0:
@@ -114,13 +111,11 @@ class Trajectory:
     consumers. ``anchor`` is the state just before slot 1.
     """
 
-    def __init__(self, anchor: ChannelState, theta2, r2, beta, wavelength: float, r1: float):
+    def __init__(self, anchor: ChannelState, theta2, r2, beta):
         self.anchor = anchor
         self.theta2 = np.asarray(theta2, dtype=float)
         self.r2 = np.asarray(r2, dtype=float)
         self.beta = np.asarray(beta, dtype=complex)
-        self.wavelength = wavelength
-        self.r1 = r1
         for arr in (self.theta2, self.r2, self.beta):
             arr.setflags(write=False)
 
@@ -162,7 +157,7 @@ def generate_trajectory(spec: TrajectorySpec, geom: LinkGeometry) -> Trajectory:
     rho_prod = (geom.r1 + spec.r2_init) / (geom.r1 + r2)
     beta = beta0 * rho_prod * np.exp(1j * TWO_PI * (r2 - spec.r2_init) / geom.wavelength)
     anchor = ChannelState(beta=beta0, theta2=spec.theta2_init, r2=spec.r2_init, slot_index=0)
-    return Trajectory(anchor, theta2, r2, beta, geom.wavelength, geom.r1)
+    return Trajectory(anchor, theta2, r2, beta)
 
 
 def follow_on_spec(base: TrajectorySpec, traj: Trajectory, psi_a: float, path_length: float) -> TrajectorySpec:
@@ -201,6 +196,4 @@ def generate_path(
         np.concatenate([p.theta2 for p in parts]),
         np.concatenate([p.r2 for p in parts]),
         np.concatenate([p.beta for p in parts]),
-        geom.wavelength,
-        geom.r1,
     )

@@ -81,23 +81,21 @@ class ExhaustivePolicy:
         return f"exhaustive_{self.sweep.resolution_deg:g}deg"
 
 
+@dataclass(frozen=True, eq=False)  # identity equality: arrays have no single truth value
 class Timeline:
     """Column-oriented slot ledger: one read-only array per ledger column."""
 
-    def __init__(self, kind, rss, rss_normalized, inst_rate, cum_rate, config_id,
-                 status_id, theta2_true, policy_name: str, gamma: float,
-                 tracking_calls: int):
-        self.kind = kind
-        self.rss = rss
-        self.rss_normalized = rss_normalized
-        self.inst_rate = inst_rate
-        self.cum_rate = cum_rate
-        self.config_id = config_id
-        self.status_id = status_id
-        self.theta2_true = theta2_true
-        self.policy_name = policy_name
-        self.gamma = gamma
-        self.tracking_calls = tracking_calls
+    kind: np.ndarray
+    rss: np.ndarray
+    rss_normalized: np.ndarray
+    inst_rate: np.ndarray
+    cum_rate: np.ndarray
+    config_id: np.ndarray
+    status_id: np.ndarray
+    theta2_true: np.ndarray
+    policy_name: str
+    gamma: float
+    tracking_calls: int
 
     def __len__(self) -> int:
         return self.kind.shape[0]

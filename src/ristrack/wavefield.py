@@ -25,24 +25,21 @@ class LinkGeometry:
     Defaults follow the reference evaluation setup: a 16-antenna AP, a
     64-element RIS at half-wavelength spacing, 45 deg arrival angle on the
     AP-RIS path, 10 dB transmit SNR and unit noise variance. The carrier
-    wavelength defaults to 5 mm (60 GHz); ``spacing_d=None`` means half a
-    wavelength.
+    wavelength defaults to 5 mm (60 GHz); ``spacing=None`` means half a
+    wavelength, so a replaced wavelength moves the default spacing with it.
     """
 
     n_tx: int = 16
     n_ris: int = 64
     wavelength: float = 0.005
-    spacing_d: float | None = None
+    spacing: float | None = None
     theta1: float = np.deg2rad(45.0)
-    phi_ap: float = 0.0
     r1: float = 4.0
     alpha: complex = 1.0 + 0.0j
     snr_linear: float = 10.0
     noise_var: float = 1.0
 
     def __post_init__(self):
-        if self.spacing_d is None:
-            object.__setattr__(self, "spacing_d", self.wavelength / 2.0)
         if self.n_tx < 1:
             raise ValueError(f"n_tx must be >= 1, got {self.n_tx}")
         if self.n_ris < 1:
@@ -50,18 +47,21 @@ class LinkGeometry:
         if self.wavelength <= 0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
         if self.spacing_d <= 0:
-            raise ValueError(f"spacing_d must be > 0, got {self.spacing_d}")
+            raise ValueError(f"spacing must be > 0, got {self.spacing_d}")
         if self.r1 <= 0:
             raise ValueError(f"r1 must be > 0, got {self.r1}")
         half_pi = np.pi / 2
         if not -half_pi < self.theta1 < half_pi:
             raise ValueError("theta1 must lie in (-pi/2, pi/2)")
-        if not -half_pi < self.phi_ap < half_pi:
-            raise ValueError("phi_ap must lie in (-pi/2, pi/2)")
         if self.snr_linear <= 0:
             raise ValueError("snr_linear must be > 0")
         if self.noise_var <= 0:
             raise ValueError("noise_var must be > 0")
+
+    @property
+    def spacing_d(self) -> float:
+        """Element spacing in metres: ``spacing``, or half a wavelength when unset."""
+        return self.wavelength / 2.0 if self.spacing is None else self.spacing
 
     @property
     def kd(self) -> float:
@@ -70,7 +70,11 @@ class LinkGeometry:
 
     @property
     def beamformer_gain(self) -> float:
-        """Scalar c = sqrt(SNR)*|a_AP| = sqrt(SNR * n_tx) of the fixed AP beamformer."""
+        """Scalar c = sqrt(SNR)*|a_AP| = sqrt(SNR * n_tx) of the fixed AP beamformer.
+
+        The beamformer is matched to the AP-RIS path, so the AP's own steering
+        angle cancels and does not enter the link.
+        """
         return float(np.sqrt(self.snr_linear * self.n_tx))
 
 

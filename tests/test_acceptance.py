@@ -68,9 +68,8 @@ def test_c2_aligned_configuration_law():
     rng = np.random.default_rng(1002)
     start = time.perf_counter()
     for _ in range(100):
-        geom = LinkGeometry(
-            theta1=rng.uniform(-1.3, 1.3), phi_ap=rng.uniform(-1.3, 1.3),
-        )
+        geom = LinkGeometry(theta1=rng.uniform(-1.3, 1.3))
+        phi_ap = rng.uniform(-1.3, 1.3)  # the AP's steering angle must cancel
         theta2 = rng.uniform(-1.3, 1.3)
         beta = complex(rng.normal(), rng.normal())
         if abs(beta) < 1e-3:
@@ -87,7 +86,7 @@ def test_c2_aligned_configuration_law():
         k_ap = np.arange(geom.n_tx)
         a1 = np.exp(-1j * kd * k_ris * math.sin(geom.theta1))
         a2 = np.exp(-1j * kd * k_ris * math.sin(theta2))
-        a_ap = np.exp(-1j * kd * k_ap * math.sin(geom.phi_ap))
+        a_ap = np.exp(-1j * kd * k_ap * math.sin(phi_ap))
         big_g = geom.alpha * np.outer(a1, a_ap.conj())
         f = math.sqrt(geom.snr_linear) * a_ap / np.linalg.norm(a_ap)
         y_matrix = (beta * a2.conj()) @ np.diag(np.exp(1j * cfg.phases)) @ big_g @ f

@@ -32,7 +32,7 @@ def swept_rss(state, sweep):
 class TestSweepSpec:
     @pytest.mark.parametrize("res,slots", [(1.0, 360), (5.0, 72), (10.0, 36)])
     def test_slot_cost(self, res, slots):
-        assert SweepSpec(res).slots_per_sweep == slots
+        assert SweepSpec(res).slopes.size == slots
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
-import math
+import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ristrack import ConfigError, load_config
-from ristrack.config import override_config
+from ristrack import ConfigError, ScenarioConfig, load_config
+from ristrack.config import _SCHEMA, override_config
 from ristrack.simengine import ExhaustivePolicy, OraclePolicy, ProposedPolicy
 
 
@@ -42,7 +44,94 @@ class TestDefaults:
                                   "exhaustive:10", "oracle")
 
 
+def leaf_fields(cfg):
+    """Every scalar setting of a config, keyed "field" or "holder.field"."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            for g in dataclasses.fields(value):
+                out[f"{f.name}.{g.name}"] = getattr(value, g.name)
+        else:
+            out[f.name] = value
+    return out
+
+
+# key: (a valid non-default value, the one field it must change)
+NON_DEFAULT = {
+    "n_tx": ("8", "geometry.n_tx"),
+    "n_ris": ("32", "geometry.n_ris"),
+    "wavelength_m": ("0.01", "geometry.wavelength"),
+    "spacing_m": ("0.002", "geometry.spacing"),
+    "theta1_deg": ("30", "geometry.theta1"),
+    "r1_m": ("2", "geometry.r1"),
+    "alpha": ("0.5+0.5j", "geometry.alpha"),
+    "snr_db": ("20", "geometry.snr_linear"),
+    "noise_var": ("2", "geometry.noise_var"),
+    "theta2_init_deg": ("10", "trajectory.theta2_init"),
+    "r2_init_m": ("3", "trajectory.r2_init"),
+    "psi_a_deg": ("90", "trajectory.psi_a"),
+    "speed_mps": ("1.2", "trajectory.speed_v"),
+    "slot_duration_s": ("1e-5", "trajectory.slot_duration_t0"),
+    "path_length_m": ("1", "trajectory.path_length"),
+    "rayleigh_scale": ("1", "trajectory.rayleigh_scale"),
+    "segments": ("70:1", "continuations"),
+    "algorithms": ("proposed, oracle", "algorithms"),
+    "gamma": ("0.8", "gamma"),
+    "gamma_exh": ("0.4", "gamma_exh"),
+    "threshold_mode": ("absolute", "threshold_mode"),
+    "n_sol": ("3", "grid.n_sol"),
+    "theta2_halfwidth_deg": ("3", "grid.theta2_halfwidth"),
+    "theta2_step_deg": ("0.1", "grid.theta2_step"),
+    "r_halfwidth_m": ("0.01", "grid.r_halfwidth"),
+    "r_step_m": ("0.001", "grid.r_step"),
+    "seeds": ("2", "seeds"),
+    "output_dir": ("elsewhere", "output_dir"),
+}
+
+
+class TestSchema:
+    def test_empty_file_is_default_config(self, tmp_path):
+        assert load_config(write(tmp_path, "")) == ScenarioConfig()
+
+    def test_every_key_is_listed_here(self):
+        assert set(NON_DEFAULT) == set(_SCHEMA)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_each_key_changes_exactly_its_field(self, tmp_path, key):
+        raw, target = NON_DEFAULT[key]
+        section = _SCHEMA[key][0]
+        cfg = load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+        before, after = leaf_fields(ScenarioConfig()), leaf_fields(cfg)
+        assert [f for f in before if before[f] != after[f]] == [target]
+
+    def test_constructor_checks_values(self):
+        with pytest.raises(ConfigError, match=r"\[tracker\] gamma:"):
+            ScenarioConfig(gamma=1.5)
+        with pytest.raises(ConfigError, match=r"\[run\] seeds:"):
+            dataclasses.replace(ScenarioConfig(), seeds=(1, 1))
+        with pytest.raises(ConfigError, match=r"\[tracker\] algorithms:"):
+            ScenarioConfig(algorithms=("exhaustive:0",))
+        assert ScenarioConfig(threshold_mode="absolute", gamma=1000).gamma == 1000
+
+    def test_object_check_names_section_and_key(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[trajectory\] speed_mps: speed_v"):
+            load_config(write(tmp_path, "[trajectory]\nspeed_mps = 0\n"))
+        with pytest.raises(ConfigError, match=r"\[trajectory\] speed_mps: speed_v"):
+            override_config(ScenarioConfig(), "speed_mps", "0")
+
+    def test_readme_scenario_block_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
+        cfg = load_config(write(tmp_path, block.group(1)))
+        assert cfg.seeds == (1, 2, 3)
+
+
 class TestOverrides:
+    def test_wavelength_alone_keeps_half_wavelength_spacing(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[geometry]\nwavelength_m = 0.01\n"))
+        assert cfg.geometry.spacing_d == 0.005
+
     def test_speed_override(self, tmp_path):
         cfg = load_config(write(tmp_path, "[trajectory]\nspeed_mps = 1.2\n"))
         assert cfg.trajectory.speed_v == pytest.approx(1.2)
@@ -145,6 +234,15 @@ class TestOverrideConfig:
         assert override_config(cfg, "speed_mps", "1.8").trajectory.speed_v == 1.8
         assert override_config(cfg, "path_length_m", "0.5").trajectory.path_length == 0.5
         assert override_config(cfg, "algorithms", "oracle").algorithms == ("oracle",)
+
+    def test_keeps_every_other_setting(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[trajectory]\npath_length_m = 0.5\n"
+                                          "[tracker]\ntheta2_step_deg = 0.1\n"))
+        swept = override_config(cfg, "speed_mps", "1.8")
+        assert swept == dataclasses.replace(
+            cfg, trajectory=dataclasses.replace(cfg.trajectory, speed_v=1.8))
+        swept = override_config(cfg, "n_sol", "3")
+        assert swept == dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, n_sol=3))
 
     def test_rejects_unknown_or_invalid(self, tmp_path):
         cfg = load_config(write(tmp_path, ""))

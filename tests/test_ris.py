@@ -33,14 +33,14 @@ def brute_force_gain(w: float, n: int, spacing_d: float, wavelength: float) -> c
     return acc
 
 
-def matrix_pipeline_sample(beta, theta2, config, geom):
+def matrix_pipeline_sample(beta, theta2, config, geom, phi_ap):
     """Explicit h^H Theta G f product, built independently of the library."""
     kd = 2 * math.pi * geom.spacing_d / geom.wavelength
     k_ris = np.arange(geom.n_ris)
     k_ap = np.arange(geom.n_tx)
     a_ris_1 = np.exp(-1j * kd * k_ris * math.sin(geom.theta1))
     a_ris_2 = np.exp(-1j * kd * k_ris * math.sin(theta2))
-    a_ap = np.exp(-1j * kd * k_ap * math.sin(geom.phi_ap))
+    a_ap = np.exp(-1j * kd * k_ap * math.sin(phi_ap))
     big_g = geom.alpha * np.outer(a_ris_1, a_ap.conj())
     big_theta = np.diag(np.exp(1j * config.phases))
     f = math.sqrt(geom.snr_linear) * a_ap / np.linalg.norm(a_ap)
@@ -158,13 +158,14 @@ class TestReceivedSample:
     def test_matches_matrix_pipeline(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            geom = LinkGeometry(theta1=rng.uniform(-1.2, 1.2), phi_ap=rng.uniform(-1.2, 1.2))
+            geom = LinkGeometry(theta1=rng.uniform(-1.2, 1.2))
+            phi_ap = rng.uniform(-1.2, 1.2)  # the AP's steering angle must cancel
             theta2 = rng.uniform(-1.2, 1.2)
             beta = complex(rng.normal(), rng.normal()) or 1.0
             cfg = RisConfiguration(slope=rng.uniform(0, 2 * np.pi), n_ris=geom.n_ris)
             state = ChannelState(beta=beta, theta2=theta2, r2=4.0)
             got = received_sample(state, cfg, geom)
-            want = matrix_pipeline_sample(beta, theta2, cfg, geom)
+            want = matrix_pipeline_sample(beta, theta2, cfg, geom, phi_ap)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_noise_is_added(self):

@@ -179,8 +179,7 @@ class TestTrajectoryEndsMidTraining:
         t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
         # trigger, opening feedback, then three of the event's training slots
         end = t2 + 5
-        cut = Trajectory(traj.anchor, traj.theta2[:end], traj.r2[:end], traj.beta[:end],
-                         traj.wavelength, traj.r1)
+        cut = Trajectory(traj.anchor, traj.theta2[:end], traj.r2[:end], traj.beta[:end])
         tl = run_timeline(cut, policy, GEOM, noise_enabled=False)
         kinds = kinds_of(tl)
         assert len(tl) == end
