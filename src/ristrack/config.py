@@ -188,6 +188,12 @@ def load_config(path: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"parse error: {exc}") from None
 
+    # configparser copies [DEFAULT] keys into every section, where they would
+    # pass as that section's own keys or be reported under the wrong section
+    if parser.defaults():
+        keys = ", ".join(parser.defaults())
+        raise ConfigError(f"[DEFAULT] {keys}: the [DEFAULT] section is not supported; "
+                          "set each key in its own section")
     sections = {row[0] for row in _SCHEMA.values()}
     raw_values = {}
     for section in parser.sections():
@@ -205,11 +211,15 @@ def load_config(path: str) -> ScenarioConfig:
 def override_config(cfg: ScenarioConfig, key: str, raw_value: str) -> ScenarioConfig:
     """Return a copy of `cfg` with one sweepable parameter replaced.
 
-    Accepts the same key names as the scenario file (optionally prefixed with
-    the section, e.g. ``tracker.gamma``) and converts and checks the value
-    exactly as a scenario file's.
+    Accepts the same key names as the scenario file, optionally prefixed with
+    the key's own section (``tracker.gamma``, ``trajectory.speed_mps``), and
+    converts and checks the value exactly as a scenario file's.
     """
-    name = key.split(".")[-1].lower()
+    prefix, dot, name = key.lower().rpartition(".")
     if name not in _SWEEPABLE:
         raise ConfigError(f"{key}: not sweepable (use {', '.join(_SWEEPABLE)})")
+    section = _SCHEMA[name][0]
+    if dot and prefix != section:
+        raise ConfigError(f"{key}: {name} belongs to [{section}] "
+                          f"(use {name} or {section}.{name})")
     return _apply(cfg, {name: raw_value})

@@ -10,6 +10,13 @@ event runs: one uplink feedback slot, the policy's downlink training slots
 new configuration. The user keeps moving during signaling, and the
 instantaneous rate of every non-data slot is zero.
 
+A status is scanned in fixed windows of slots: each window's received samples
+are evaluated under the status configuration in one call, and in the window
+that holds the trigger slot the samples past that slot are discarded, since
+those slots belong to the event and to the next status. So at most one window
+of samples is thrown away per event; the window size sets speed, not the
+slot kinds or ids.
+
 Training is one slice of slots. The policy supplies the slopes of its
 candidate configurations: the proposed tracker one per candidate of the
 two-dimensional search (the differential update law applied to the current
@@ -35,8 +42,7 @@ from .ris import RisConfiguration, aggregate_gains, optimal_config, update_confi
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
 from .wavefield import LinkGeometry
 
-_CHUNK_START = 512
-_CHUNK_MAX = 65536
+_SCAN_WINDOW = 1024  # slots per scan window; sets speed, not slot kinds or ids
 
 
 class SlotKind(enum.IntEnum):
@@ -173,8 +179,11 @@ def run_timeline(
     `threshold_mode="normalized"` compares strength against the status
     reference (portable thresholds in (0, 1]); `"absolute"` compares raw
     strength. Either way a fresh status re-evaluates from the slot after its
-    reference slot, so at most one event fires per trigger. Identical inputs
-    and seeds give bit-identical ledgers.
+    reference slot, so at most one event fires per trigger. A status is
+    scanned in fixed windows of `_SCAN_WINDOW` slots; samples past the trigger
+    slot are discarded, and those slots are evaluated again as signaling or
+    under the next configuration. Identical inputs and seeds give
+    bit-identical ledgers.
     """
     n = len(trajectory)
     if n == 0:
@@ -234,9 +243,8 @@ def run_timeline(
         t2 = -1
         y_t2 = 0j
         scan = cursor
-        chunk = _CHUNK_START
         while scan < n:
-            hi = min(n, scan + chunk)
+            hi = min(n, scan + _SCAN_WINDOW)
             y = span_samples(scan, hi, config.slope)
             power = np.abs(y) ** 2
             if rss_ref < 0:
@@ -252,7 +260,6 @@ def run_timeline(
                     y_t2 = complex(y[t2 - scan])
                     break
             scan = hi
-            chunk = min(chunk * 4, _CHUNK_MAX)
 
         if t2 < 0:
             break

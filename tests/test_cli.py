@@ -138,6 +138,17 @@ class TestSweepCommand:
         assert "configuration error" in err and "gamma" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["geometry.gamma", "nonsense.x.gamma"])
+    def test_vary_prefix_must_be_the_keys_section(self, tmp_path, capsys, key):
+        cfg = write_scenario(tmp_path)
+        out = tmp_path / "s"
+        assert main(["sweep", cfg, "--vary", f"{key}=0.8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err and "[tracker]" in err
+        assert not out.exists()
+        assert main(["sweep", cfg, "--vary", "tracker.gamma=0.8", "--out", str(out)]) == 0
+        assert (out / "sweep_gamma.csv").is_file()
+
 
 class TestExitCodes:
     def test_config_error_is_one(self, tmp_path, capsys):
@@ -166,6 +177,12 @@ class TestExitCodes:
         assert main(vary) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+
+    def test_default_section_is_one(self, tmp_path, capsys):
+        bad = write_scenario(tmp_path, "[DEFAULT]\ngamma = 0.5\n" + TINY_SCENARIO)
+        assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
+        assert "configuration error: [DEFAULT] gamma" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_is_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 1

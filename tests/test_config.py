@@ -207,6 +207,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\ngamma = 0.5\n",
+        "[DEFAULT]\ngamma = 0.5\n[geometry]\nn_tx = 8\n",
+        "[DEFAULT]\ngamma = 0.5\n[tracker]\nn_sol = 3\n",
+    ])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser would copy the key into every section
+        with pytest.raises(ConfigError, match=r"^\[DEFAULT\] gamma"):
+            load_config(write(tmp_path, text))
+
 
 class TestPolicies:
     def test_policy_construction(self, tmp_path):
@@ -232,6 +242,7 @@ class TestOverrideConfig:
         assert override_config(cfg, "tracker.gamma", "0.5").gamma == 0.5
         assert override_config(cfg, "n_sol", "3").grid.n_sol == 3
         assert override_config(cfg, "speed_mps", "1.8").trajectory.speed_v == 1.8
+        assert override_config(cfg, "trajectory.speed_mps", "1.2").trajectory.speed_v == 1.2
         assert override_config(cfg, "path_length_m", "0.5").trajectory.path_length == 0.5
         assert override_config(cfg, "algorithms", "oracle").algorithms == ("oracle",)
 
@@ -252,3 +263,11 @@ class TestOverrideConfig:
             override_config(cfg, "gamma", "1.5")
         with pytest.raises(ConfigError):
             override_config(cfg, "n_sol", "three")
+
+    @pytest.mark.parametrize("key", ["geometry.gamma", "nonsense.x.gamma", ".gamma",
+                                     "tracker.speed_mps", "run.algorithms"])
+    def test_prefix_must_be_the_keys_own_section(self, tmp_path, key):
+        cfg = load_config(write(tmp_path, ""))
+        name = key.rpartition(".")[2]
+        with pytest.raises(ConfigError, match=f"{name} belongs to \\[{_SCHEMA[name][0]}\\]"):
+            override_config(cfg, key, "0.8")

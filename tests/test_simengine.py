@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ristrack.simengine as simengine
 from ristrack import (
     ExhaustivePolicy,
     LinkGeometry,
@@ -342,3 +343,51 @@ class TestLedgerInvariantMatrix:
                 assert np.unique(config[data & (status == s)]).size == 1
             train = config[kinds == int(SlotKind.DL_TRAINING)]
             assert np.unique(train).size == train.size
+
+
+# default geometry and walk, cut to 0.3 m: about 32k slots with statuses of a few
+# thousand slots each, several windows long
+WINDOW_GEOM = LinkGeometry()
+WINDOW_POLICIES = (ProposedPolicy(), ExhaustivePolicy(sweep=SweepSpec(10.0)), OraclePolicy())
+
+
+@pytest.fixture(scope="module")
+def default_walk():
+    return generate_trajectory(TrajectorySpec(path_length=0.3, rng_seed=4), WINDOW_GEOM)
+
+
+class TestScanWindow:
+    @pytest.mark.parametrize("window", [7, 10**9])
+    def test_window_changes_no_result(self, default_walk, monkeypatch, window):
+        base = [run_timeline(default_walk, p, WINDOW_GEOM, noise_seed=5)
+                for p in WINDOW_POLICIES]
+        monkeypatch.setattr(simengine, "_SCAN_WINDOW", window)
+        for policy, want in zip(WINDOW_POLICIES, base):
+            got = run_timeline(default_walk, policy, WINDOW_GEOM, noise_seed=5)
+            assert want.tracking_calls > 0, policy.name
+            assert got.tracking_calls == want.tracking_calls
+            for col in ("kind", "status_id", "config_id"):
+                assert np.array_equal(getattr(got, col), getattr(want, col)), col
+            # numpy's vector loops may round the last bit differently once
+            # the slices start at other offsets
+            for col in ("rss", "rss_normalized", "inst_rate", "cum_rate"):
+                np.testing.assert_allclose(getattr(got, col), getattr(want, col),
+                                           rtol=1e-12, atol=0, err_msg=col)
+
+    def test_each_slot_evaluated_about_once(self, default_walk, monkeypatch):
+        handed = []
+        original = simengine.aggregate_gains
+
+        def counting(u, slope, geom):
+            handed.append(np.size(u))
+            return original(u, slope, geom)
+
+        monkeypatch.setattr(simengine, "aggregate_gains", counting)
+        n = len(default_walk)
+        for policy in WINDOW_POLICIES:
+            handed.clear()
+            tl = run_timeline(default_walk, policy, WINDOW_GEOM, noise_seed=5)
+            training = int(np.sum(kinds_of(tl) == int(SlotKind.DL_TRAINING)))
+            # every window but the one holding a trigger is kept whole
+            bound = n + (tl.tracking_calls + 1) * simengine._SCAN_WINDOW + training
+            assert sum(handed) <= bound, policy.name
