@@ -61,9 +61,14 @@ class ScenarioConfig:
         if not self.algorithms:
             raise _invalid("algorithms", "empty algorithm list")
         try:
-            self.policies()
+            names = [policy.name for policy in self.policies()]
         except ValueError as exc:
             raise _invalid("algorithms", str(exc)) from None
+        # each tracker's files and summary column are keyed by its name
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise _invalid("algorithms", "each tracker may appear once, repeated: "
+                           + ", ".join(repeated))
         if not self.seeds:
             raise _invalid("seeds", "empty seed list")
         if min(self.seeds) < 0:

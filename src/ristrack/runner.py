@@ -5,8 +5,10 @@ rate-vs-position curves come from the ledger's ``theta2_true_deg`` and
 ``cum_rate`` columns. A scenario-level summary aggregates the signaling share
 and tracking-call tables across runs. Floats are serialised with 12
 significant digits so identical configurations and seeds produce byte-equal
-files. The trajectory noise stream is derived from the run seed (seed for the
-walk, seed+1 for receiver noise).
+files; :mod:`ristrack.ledger` formats the ledger with numpy, in blocks of
+rows, into the bytes a row-by-row ``%d``/``%.12g`` writer would produce. The
+trajectory noise stream is derived from the run seed (seed for the walk,
+seed+1 for receiver noise).
 """
 
 from __future__ import annotations
@@ -15,23 +17,12 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import ConfigError, ScenarioConfig, override_config
+from .ledger import ledger_text
 from .mobility import generate_path
-from .simengine import RunMetrics, SlotKind, Timeline, overhead_report, run_timeline
+from .simengine import RunMetrics, Timeline, overhead_report, run_timeline
 
 OUTPUT_DIR_ENV = "RISTRACK_OUTDIR"
-
-LEDGER_HEADER = ("slot_index,kind,rss,rss_normalized,inst_rate,cum_rate,"
-                 "status_id,config_id,theta2_true_deg")
-_LEDGER_ROW = "%d,%s,%.12g,%.12g,%.12g,%.12g,%d,%d,%.12g\n"
-# SlotKind values are 0, 1, 2, 3 in declaration order
-_KIND_NAMES = tuple(k.name for k in SlotKind)
-# Rows converted to Python values at a time. Whole columns would hold every
-# ledger cell as a Python object at once; 1024 rows write as fast as 8192 and
-# keep peak RSS below the row-by-row writer's.
-LEDGER_BLOCK_ROWS = 1024
 
 
 def _fmt(x: float) -> str:
@@ -51,15 +42,9 @@ class RunResult:
 
 
 def write_ledger_csv(path: str, tl: Timeline) -> None:
-    columns = (tl.kind, tl.rss, tl.rss_normalized, tl.inst_rate, tl.cum_rate,
-               tl.status_id, tl.config_id, np.rad2deg(tl.theta2_true))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(LEDGER_HEADER + "\n")
-        for start in range(0, len(tl), LEDGER_BLOCK_ROWS):
-            kind, *values = (c[start:start + LEDGER_BLOCK_ROWS].tolist() for c in columns)
-            rows = zip(range(start + 1, start + 1 + len(kind)),
-                       map(_KIND_NAMES.__getitem__, kind), *values)
-            fh.writelines(_LEDGER_ROW % row for row in rows)
+    """Write the slot ledger: a header, then one ``%d``/``%.12g`` row per slot."""
+    with open(path, "wb") as fh:
+        fh.writelines(ledger_text(tl))
 
 
 def write_run_summary(path: str, tl: Timeline, seed: int, metrics: RunMetrics) -> None:

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from ristrack import runner
+from ristrack import ledger, runner
 from ristrack.cli import main
-from ristrack.runner import LEDGER_HEADER
+from ristrack.ledger import LEDGER_HEADER
 from ristrack.simengine import SlotKind
 
 TINY_SCENARIO = """
@@ -41,6 +41,27 @@ def row_wise_ledger(tl):
     return "\n".join(lines) + "\n"
 
 
+def run_keeping_timelines(tmp_path, monkeypatch, text):
+    """`ristrack run` on a scenario; returns its timelines and output directory."""
+    timelines = []
+    real_run_timeline = runner.run_timeline
+
+    def keep(*args, **kwargs):
+        timelines.append(real_run_timeline(*args, **kwargs))
+        return timelines[-1]
+
+    monkeypatch.setattr(runner, "run_timeline", keep)
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, text), "--out", str(out)]) == 0
+    return timelines, out
+
+
+def assert_ledgers_match_row_wise(timelines, out):
+    for tl in timelines:
+        written = (out / f"{tl.policy_name}_seed1_slots.csv").read_bytes()
+        assert written == row_wise_ledger(tl).encode("utf-8"), tl.policy_name
+
+
 class TestRunCommand:
     def test_run_writes_all_artifacts(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path)
@@ -66,19 +87,9 @@ class TestRunCommand:
 
     def test_ledger_matches_row_wise_reference(self, tmp_path, monkeypatch):
         block = 9
-        monkeypatch.setattr(runner, "LEDGER_BLOCK_ROWS", block)
-        timelines = []
-        real_run_timeline = runner.run_timeline
-
-        def keep(*args, **kwargs):
-            timelines.append(real_run_timeline(*args, **kwargs))
-            return timelines[-1]
-
-        monkeypatch.setattr(runner, "run_timeline", keep)
-        cfg = write_scenario(tmp_path, TINY_SCENARIO.replace(
+        monkeypatch.setattr(ledger, "LEDGER_BLOCK_ROWS", block)
+        timelines, out = run_keeping_timelines(tmp_path, monkeypatch, TINY_SCENARIO.replace(
             "proposed, oracle", "proposed, exhaustive:10, oracle"))
-        out = tmp_path / "out"
-        assert main(["run", cfg, "--out", str(out)]) == 0
         assert len(timelines) == 3
         kinds = np.concatenate([tl.kind for tl in timelines])
         assert set(kinds.tolist()) == {int(k) for k in SlotKind}
@@ -86,9 +97,23 @@ class TestRunCommand:
         # a partial last block, and a block boundary inside a tracking event
         assert len(proposed) % block != 0
         assert any(proposed[i - 1] and proposed[i] for i in range(block, len(proposed), block))
-        for tl in timelines:
-            written = (out / f"{tl.policy_name}_seed1_slots.csv").read_bytes()
-            assert written == row_wise_ledger(tl).encode("utf-8"), tl.policy_name
+        assert_ledgers_match_row_wise(timelines, out)
+
+    def test_exponent_and_negative_cells_match_row_wise_reference(self, tmp_path, monkeypatch):
+        # the walk crosses theta2 = 0 within a few slots
+        timelines, out = run_keeping_timelines(tmp_path, monkeypatch, TINY_SCENARIO.replace(
+            "path_length_m = 0.03", "path_length_m = 0.001\ntheta2_init_deg = -0.00055"))
+        text = (out / "proposed_seed1_slots.csv").read_text()
+        cells = [c for row in text.splitlines()[1:] for c in row.split(",")[2:]]
+        assert any(c.startswith("-") and "e" not in c for c in cells)
+        assert any(c.startswith("-") and "e-05" in c for c in cells)
+        assert_ledgers_match_row_wise(timelines, out)
+
+    def test_one_slot_ledger_matches_row_wise_reference(self, tmp_path, monkeypatch):
+        timelines, out = run_keeping_timelines(tmp_path, monkeypatch, TINY_SCENARIO.replace(
+            "path_length_m = 0.03", "path_length_m = 0.000001"))
+        assert [len(tl) for tl in timelines] == [1, 1]
+        assert_ledgers_match_row_wise(timelines, out)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_scenario(tmp_path)
@@ -177,6 +202,18 @@ class TestExitCodes:
         assert main(vary) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+
+    @pytest.mark.parametrize("algorithms", ["oracle, oracle", "exhaustive:5, exhaustive:5.0"])
+    def test_repeated_tracker_is_one(self, tmp_path, capsys, algorithms):
+        bad = write_scenario(tmp_path, TINY_SCENARIO.replace("proposed, oracle", algorithms))
+        assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
+        assert "configuration error: [tracker] algorithms" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        # --vary splits on commas, so each of its values names one tracker
+        cfg = write_scenario(tmp_path)
+        vary = ["sweep", cfg, "--vary", "algorithms=oracle,oracle", "--out", str(tmp_path / "s")]
+        assert main(vary) == 1
+        assert "configuration error: algorithms" in capsys.readouterr().err
 
     def test_default_section_is_one(self, tmp_path, capsys):
         bad = write_scenario(tmp_path, "[DEFAULT]\ngamma = 0.5\n" + TINY_SCENARIO)

@@ -207,6 +207,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
 
+    @pytest.mark.parametrize("algorithms,name", [
+        ("oracle, proposed, oracle", "oracle"),
+        ("exhaustive:5, exhaustive:5.0", "exhaustive_5deg"),
+    ])
+    def test_repeated_tracker_rejected(self, tmp_path, algorithms, name):
+        # a repeat would write the same files twice and share one summary column
+        match = rf"^\[tracker\] algorithms: .*repeated: {name}$"
+        with pytest.raises(ConfigError, match=match):
+            load_config(write(tmp_path, f"[tracker]\nalgorithms = {algorithms}\n"))
+        with pytest.raises(ConfigError, match=match):
+            override_config(ScenarioConfig(), "algorithms", algorithms)
+
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\ngamma = 0.5\n",
         "[DEFAULT]\ngamma = 0.5\n[geometry]\nn_tx = 8\n",
