@@ -5,9 +5,14 @@ the aligned law, its differential update and the exhaustive sweep all move
 only the per-element slope, so a configuration stores that slope wrapped to
 [0, 2*pi). The received downlink sample reduces, under the fixed AP
 beamformer, to c*alpha*beta * sum_k exp(j*k*(slope - kd*(sin(theta1) -
-sin(theta2)))) with c = sqrt(SNR*n_tx), a geometric series evaluated in
-closed form; the explicit matrix pipeline h^H Theta G f over the element
-phases gives the same value and is kept as a test oracle.
+sin(theta2)))) with c = sqrt(SNR*n_tx). That geometric series in the
+per-element step mu is evaluated in Dirichlet form, exp(j*(N-1)*mu/2) *
+sin(N*mu/2) / sin(mu/2), with both sines taken of mu wrapped into (-pi, pi]:
+it keeps about 1e-14 relative accuracy next to every whole turn of mu, where
+the ratio (exp(j*N*mu) - 1) / (exp(j*mu) - 1) lost up to 5e-9 next to 0 and,
+for N = 7 or 100, 5e-6 at 1e-9 rad from +-2*pi. The explicit matrix pipeline
+h^H Theta G f over the element phases gives the same value and is kept as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mobility import ChannelState
-from .wavefield import LinkGeometry, wrap_two_pi
+from .wavefield import TWO_PI, LinkGeometry, wrap_two_pi
 
 
 @dataclass(frozen=True)
@@ -69,19 +74,41 @@ def update_config(
                             config_id=config_id)
 
 
-def _geometric_sum(mu, n_ris: int) -> np.ndarray:
-    """Closed form of sum_{k=0}^{N-1} exp(j*k*mu) for per-element steps mu.
+def _dirichlet(mu, n_ris: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real Dirichlet kernel D(mu) = sin(N*mu/2) / sin(mu/2) and its degenerate mask.
 
-    The ratio degenerates when the step is a multiple of 2*pi; that branch
-    returns N exactly and is taken whenever |exp(j*mu) - 1| < 1e-12.
+    sum_{k=0}^{N-1} exp(j*k*mu) = exp(j*(N-1)*mu/2) * D(mu) for every real mu.
+    Both sines are taken of mu wrapped by m turns into (-pi, pi], where they
+    keep their digits next to every multiple of 2*pi; undoing the wrap
+    multiplies D by (-1)**((N-1)*m). A step with |exp(j*mu) - 1| =
+    2*|sin(mu/2)| < 1e-12 is degenerate: D is then +-N exactly.
     """
-    den = np.exp(1j * mu) - 1.0
-    degenerate = np.abs(den) < 1e-12
-    # adding the mask keeps degenerate denominators nonzero and leaves the
-    # others bit-for-bit unchanged (none has a -0.0 part); the degenerate
-    # ratios are replaced by N below
-    ratio = (np.exp(1j * mu * n_ris) - 1.0) / (den + degenerate)
-    return np.where(degenerate, n_ris + 0.0j, ratio)
+    mu = np.asarray(mu, dtype=float)
+    turns = np.rint(mu / TWO_PI)
+    half = 0.5 * mu - np.pi * turns
+    den = np.sin(half)
+    d = np.sin(n_ris * half)
+    degenerate = np.abs(den) < 0.5e-12
+    # the fix-ups below cost as much as a sine, so they run only when needed
+    if degenerate.any():
+        # adding the mask keeps degenerate denominators nonzero and leaves
+        # the others bit-for-bit unchanged; their ratios are replaced by N
+        d = np.where(degenerate, float(n_ris), d / (den + degenerate))
+    else:
+        d = d / den
+    if n_ris % 2 == 0 and turns.any():
+        d = np.where(np.fmod(turns, 2.0) != 0.0, -d, d)
+    return d, degenerate
+
+
+def _geometric_sum(mu, n_ris: int) -> np.ndarray:
+    """sum_{k=0}^{N-1} exp(j*k*mu) for per-element steps mu, in Dirichlet form.
+
+    Degenerate steps (|exp(j*mu) - 1| < 1e-12) return exactly N + 0j.
+    """
+    mu = np.asarray(mu, dtype=float)
+    d, degenerate = _dirichlet(mu, n_ris)
+    return np.where(degenerate, n_ris + 0.0j, np.exp(0.5j * (n_ris - 1) * mu) * d)
 
 
 def coherent_gain_values(w, n_ris: int, spacing_d: float, wavelength: float) -> np.ndarray:
@@ -108,9 +135,9 @@ def received_sample(
 ) -> complex:
     """One downlink baseband sample for a unit-power symbol.
 
-    The timeline engine computes the same arithmetic for whole slot ranges:
-    :func:`aggregate_gains` over its precomputed per-slot mismatch, scaled by
-    its amplitude column.
+    The timeline engine computes the same Dirichlet form for whole slot
+    ranges, from per-trajectory columns that hold kd*(sin(theta1) -
+    sin(theta2)) and the amplitude times the slope-free half of the phase.
     """
     if config.n_ris != geom.n_ris:
         raise ValueError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .config import ConfigError, ScenarioConfig, override_config
 from .ledger import ledger_text
@@ -101,6 +101,19 @@ def resolve_output_dir(cfg: ScenarioConfig, out_dir: str | None = None) -> str:
     return os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
 
 
+def _simulate_seed(cfg: ScenarioConfig, seed: int) -> list[Timeline]:
+    """Every configured tracker's timeline on one seed's trajectory.
+
+    The trajectory, and the slot columns the engine keeps for it, are freed
+    when this returns, before the caller writes any ledger.
+    """
+    traj = generate_path(replace(cfg.trajectory, rng_seed=seed), cfg.continuations,
+                         cfg.geometry)
+    return [run_timeline(traj, policy, cfg.geometry, noise_seed=seed + 1,
+                         threshold_mode=cfg.threshold_mode)
+            for policy in cfg.policies()]
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> list[RunResult]:
     """Run every configured (tracker, seed) pair and write all artifacts.
 
@@ -109,31 +122,33 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> list[RunRes
     """
     out = resolve_output_dir(cfg, out_dir)
     os.makedirs(out, exist_ok=True)
-    policies = cfg.policies()
     results: list[RunResult] = []
     for seed in cfg.seeds:
-        spec = replace(cfg.trajectory, rng_seed=seed)
-        traj = generate_path(spec, cfg.continuations, cfg.geometry)
-        timelines: list[Timeline] = []
-        oracle_tl: Timeline | None = None
-        for policy in policies:
-            tl = run_timeline(traj, policy, cfg.geometry, noise_seed=seed + 1,
-                              threshold_mode=cfg.threshold_mode)
-            timelines.append(tl)
-            if oracle_tl is None and tl.policy_name == "oracle":
-                oracle_tl = tl
-        for tl in timelines:
-            reference = oracle_tl if (oracle_tl is not None and tl is not oracle_tl) else None
-            metrics = overhead_report(tl, tl.gamma, oracle_records=reference)
-            stem = f"{tl.policy_name}_seed{seed}"
-            ledger = os.path.join(out, f"{stem}_slots.csv")
-            summary = os.path.join(out, f"{stem}_summary.txt")
-            write_ledger_csv(ledger, tl)
-            write_run_summary(summary, tl, seed, metrics)
-            results.append(RunResult(tl.policy_name, seed, len(tl), metrics,
-                                     ledger, summary))
+        results += _write_seed(out, seed, _simulate_seed(cfg, seed))
     _aggregate_summary(os.path.join(out, "summary.txt"), results)
     return results
+
+
+def _write_seed(out: str, seed: int, timelines: list[Timeline]) -> list[RunResult]:
+    """Write one seed's ledgers and run summaries; the oracle, if any, is the reference."""
+    oracle_tl = next((tl for tl in timelines if tl.policy_name == "oracle"), None)
+    results = []
+    for tl in timelines:
+        reference = oracle_tl if (oracle_tl is not None and tl is not oracle_tl) else None
+        metrics = overhead_report(tl, tl.gamma, oracle_records=reference)
+        stem = f"{tl.policy_name}_seed{seed}"
+        ledger = os.path.join(out, f"{stem}_slots.csv")
+        summary = os.path.join(out, f"{stem}_summary.txt")
+        write_ledger_csv(ledger, tl)
+        write_run_summary(summary, tl, seed, metrics)
+        results.append(RunResult(tl.policy_name, seed, len(tl), metrics, ledger, summary))
+    return results
+
+
+def _runs_of(cfg: ScenarioConfig) -> tuple:
+    """What a scenario simulates and writes: its fields, trackers compared by name."""
+    return tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                 if f.name != "algorithms") + (tuple(p.name for p in cfg.policies()),)
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, raw_values: list[str],
@@ -144,10 +159,13 @@ def run_sweep(cfg: ScenarioConfig, param: str, raw_values: list[str],
     ``sweep_<param>.csv`` holding one row per (value, tracker, seed).
     """
     # every value is checked before the first scenario runs
-    if len(set(raw_values)) != len(raw_values):
-        raise ConfigError(f"{param}: values must be distinct (each gets its own "
-                          "output directory)")
     sub_cfgs = [override_config(cfg, param, raw) for raw in raw_values]
+    runs = [_runs_of(sub_cfg) for sub_cfg in sub_cfgs]
+    for i, run in enumerate(runs):
+        if run in runs[:i]:
+            first = raw_values[runs.index(run)]
+            raise ConfigError(f"{param}: values {first!r} and {raw_values[i]!r} give the "
+                              "same scenario; each value must be distinct")
     out = resolve_output_dir(cfg, out_dir)
     os.makedirs(out, exist_ok=True)
     name = param.split(".")[-1].lower()

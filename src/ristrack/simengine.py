@@ -17,6 +17,16 @@ those slots belong to the event and to the next status. So at most one window
 of samples is thrown away per event; the window size sets speed, not the
 slot kinds or ids.
 
+Every scan window and training slice is evaluated by one function,
+`_received_samples`, from three read-only columns of the trajectory that do
+not depend on the tracker: kd*(sin(theta1) - sin(theta2)), the amplitude
+times exp(-j*(N-1)*kd*(sin(theta1) - sin(theta2))/2), and the receiver
+noise. They are built once per (trajectory, geometry, noise seed) and kept
+while the trajectory lives, so all trackers of a seed share them. A sample
+is then exp(j*(N-1)*slope/2) * phase * D(slope - kd*u) + noise, with the
+real Dirichlet kernel D of :mod:`ristrack.ris`; a scan window computes one
+complex exponential, not one per slot.
+
 Training is one slice of slots. The policy supplies the slopes of its
 candidate configurations: the proposed tracker one per candidate of the
 two-dimensional search (the differential update law applied to the current
@@ -32,13 +42,14 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import SweepSpec
 from .mobility import Trajectory
-from .ris import RisConfiguration, aggregate_gains, optimal_config, update_config
+from .ris import RisConfiguration, _dirichlet, optimal_config, update_config
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
 from .wavefield import LinkGeometry
 
@@ -166,6 +177,68 @@ def overhead_report(records: Timeline, gamma: float,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _SlotColumns:
+    """Tracker-independent columns of one (trajectory, geometry, noise) triple.
+
+    `kdu` is kd * (sin(theta1) - sin(theta2)), so a slot's per-element step
+    under slope s is s - kdu; `phase` is the slot's amplitude times
+    exp(-j*(N-1)*kdu/2), the slope-free half of the Dirichlet phase; `noise`
+    is the slot's receiver noise.
+    """
+
+    kdu: np.ndarray
+    phase: np.ndarray
+    noise: np.ndarray
+    n_ris: int
+
+
+# one entry per live trajectory: (geometry, noise seed, noise on) and its columns
+_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _slot_columns(trajectory: Trajectory, geom: LinkGeometry, noise_seed: int | None,
+                  noise_enabled: bool) -> _SlotColumns:
+    """The trajectory's columns, built once per (geometry, noise seed, noise on).
+
+    They are kept as long as the trajectory lives, so every tracker of a seed
+    shares one evaluation of its channel and noise. An unseeded noise draw is
+    fresh on every call and never kept.
+    """
+    key = (geom, noise_seed, noise_enabled)
+    kept = _COLUMNS.get(trajectory)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    n = len(trajectory)
+    kdu = geom.kd * (np.sin(geom.theta1) - np.sin(trajectory.theta2))
+    amp = geom.beamformer_gain * geom.alpha * trajectory.beta
+    phase = amp * np.exp(-0.5j * (geom.n_ris - 1) * kdu)
+    if noise_enabled:
+        rng = np.random.default_rng(noise_seed)
+        scale = math.sqrt(geom.noise_var / 2.0)
+        noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    else:
+        noise = np.zeros(n, dtype=complex)
+    for arr in (kdu, phase, noise):
+        arr.setflags(write=False)
+    cols = _SlotColumns(kdu, phase, noise, geom.n_ris)
+    if noise_seed is not None or not noise_enabled:
+        _COLUMNS[trajectory] = (key, cols)
+    return cols
+
+
+def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope) -> np.ndarray:
+    """Received samples of slots [lo, hi) under `slope`, one for all or one per slot.
+
+    Every scan window and training slice goes through here: the Dirichlet
+    form exp(j*(N-1)*s/2) * phase * D(s - kdu) + noise, where the slope's
+    half of the phase is one scalar for a scan window.
+    """
+    d, _ = _dirichlet(slope - cols.kdu[lo:hi], cols.n_ris)
+    turn = np.exp(0.5j * (cols.n_ris - 1) * np.asarray(slope))
+    return turn * cols.phase[lo:hi] * d + cols.noise[lo:hi]
+
+
 def run_timeline(
     trajectory: Trajectory,
     policy,
@@ -197,15 +270,7 @@ def run_timeline(
         raise ValueError("absolute mode needs gamma > 0")
 
     theta2 = trajectory.theta2
-    beta = trajectory.beta
-    amp = geom.beamformer_gain * geom.alpha * beta
-    u_all = np.sin(geom.theta1) - np.sin(theta2)
-    if noise_enabled:
-        rng = np.random.default_rng(noise_seed)
-        scale = math.sqrt(geom.noise_var / 2.0)
-        noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    else:
-        noise = np.zeros(n, dtype=complex)
+    cols = _slot_columns(trajectory, geom, noise_seed, noise_enabled)
 
     kind = np.zeros(n, dtype=np.int8)
     rss = np.zeros(n, dtype=float)
@@ -223,9 +288,6 @@ def run_timeline(
     events = 0
     believed_sin = math.sin(float(theta2[0]))
     believed_r = geom.r1 + float(trajectory.r2[0])
-
-    def span_samples(lo: int, hi: int, slope) -> np.ndarray:
-        return amp[lo:hi] * aggregate_gains(u_all[lo:hi], slope, geom) + noise[lo:hi]
 
     # slots [lo, hi) of the current status, normalised to its reference
     def write(lo: int, hi: int, k: SlotKind, power, cfg_id) -> None:
@@ -245,7 +307,7 @@ def run_timeline(
         scan = cursor
         while scan < n:
             hi = min(n, scan + _SCAN_WINDOW)
-            y = span_samples(scan, hi, config.slope)
+            y = _received_samples(cols, scan, hi, config.slope)
             power = np.abs(y) ** 2
             if rss_ref < 0:
                 rss_ref = max(float(power[0]), 1e-300)
@@ -292,7 +354,7 @@ def run_timeline(
             slopes = policy.sweep.slopes
         # training slot cursor+i measures candidate i while the user keeps moving
         hi = min(n, cursor + slopes.size)
-        power = np.abs(span_samples(cursor, hi, slopes[: hi - cursor])) ** 2
+        power = np.abs(_received_samples(cols, cursor, hi, slopes[: hi - cursor])) ** 2
         write(cursor, hi, SlotKind.DL_TRAINING, power, next_config_id + np.arange(hi - cursor))
         if hi - cursor < slopes.size:
             break

@@ -163,6 +163,16 @@ class TestSweepCommand:
         assert "configuration error" in err and "gamma" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("vary", ["gamma=0.9,0.90",
+                                      "algorithms=exhaustive:5,exhaustive:5.0"])
+    def test_values_giving_one_scenario_are_one(self, tmp_path, capsys, vary):
+        cfg = write_scenario(tmp_path)
+        out = tmp_path / "s"
+        assert main(["sweep", cfg, "--vary", vary, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "same scenario" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["geometry.gamma", "nonsense.x.gamma"])
     def test_vary_prefix_must_be_the_keys_section(self, tmp_path, capsys, key):
         cfg = write_scenario(tmp_path)

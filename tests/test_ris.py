@@ -196,12 +196,44 @@ class TestReceivedSample:
             assert ys[i] == pytest.approx(one, rel=1e-12)
 
 
+def extended_element_sum(mu, n: int) -> np.ndarray:
+    """sum_k exp(j*k*mu) summed element by element in extended precision."""
+    k = np.arange(n, dtype=np.longdouble)
+    phase = np.asarray(mu, dtype=np.longdouble)[:, None] * k
+    return (np.cos(phase).sum(axis=1) + 1j * np.sin(phase).sum(axis=1)).astype(complex)
+
+
+class TestKernelAccuracy:
+    # steps within 1e-9, 1e-6 and 1e-3 rad of 0 and of +-2*pi: the engine's
+    # slots right after an alignment sit there (next to 2*pi when theta2 >
+    # theta1). The ratio form (exp(j*N*mu) - 1) / (exp(j*mu) - 1) lost up to
+    # 5e-9 relative next to 0, and next to +-2*pi at N = 7 or 100 about
+    # 5e-15 divided by the distance (5e-6 at 1e-9 rad, 5e-4 at 1e-11 rad)
+    @pytest.mark.parametrize("n_ris", [1, 7, 64, 100])
+    def test_matches_extended_element_sum_next_to_every_turn(self, n_ris):
+        rng = np.random.default_rng(n_ris)
+        geom = dataclasses.replace(GEOM, n_ris=n_ris)
+        for centre in (0.0, 2 * np.pi, -2 * np.pi):
+            for band in (1e-9, 1e-6, 1e-3):
+                step = centre + band * rng.uniform(0.1, 1.0, 32) * rng.choice([-1.0, 1.0], 32)
+                w = step / geom.kd
+                got = coherent_gain_values(w, n_ris, geom.spacing_d, geom.wavelength)
+                want = extended_element_sum(geom.kd * w, n_ris)
+                assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (centre, band)
+                slope = rng.uniform(0, 2 * np.pi, 32)
+                u = (slope - step) / geom.kd
+                got = aggregate_gains(u, slope, geom)
+                want = extended_element_sum(slope - geom.kd * u, n_ris)
+                assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (centre, band)
+        # whole turns are degenerate steps: exactly N
+        turns = np.array([0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi]) / geom.kd
+        got = coherent_gain_values(turns, n_ris, geom.spacing_d, geom.wavelength)
+        assert np.all(got == n_ris + 0j)
+
+
 class TestAggregateGains:
-    # The geometric-series form loses digits for small nonzero per-element
-    # steps slope - kd*u: measured up to 5e-9 relative between 1e-12 and
-    # 1e-7 rad, 6e-10 up to 1e-5 rad (steps below 1e-12 return N exactly).
-    # Random draws stay clear of that band; the engine's first slot after an
-    # alignment sits near 1e-5 rad on the default walk.
+    # random steps over the whole range; TestKernelAccuracy covers the steps
+    # next to whole turns, and degenerate steps return N + 0j exactly
     def test_matches_explicit_element_sum(self):
         rng = np.random.default_rng(41)
         k = np.arange(GEOM.n_ris)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from ristrack import (
     LinkGeometry,
     OraclePolicy,
     ProposedPolicy,
+    RisConfiguration,
     SlotKind,
     SweepSpec,
     Trajectory,
@@ -19,6 +22,7 @@ from ristrack import (
     generate_trajectory,
     instantaneous_rate,
     overhead_report,
+    received_sample,
     run_timeline,
     slot_count,
 )
@@ -376,18 +380,99 @@ class TestScanWindow:
 
     def test_each_slot_evaluated_about_once(self, default_walk, monkeypatch):
         handed = []
-        original = simengine.aggregate_gains
+        original = simengine._received_samples
 
-        def counting(u, slope, geom):
-            handed.append(np.size(u))
-            return original(u, slope, geom)
+        def counting(cols, lo, hi, slope):
+            handed.append(hi - lo)
+            return original(cols, lo, hi, slope)
 
-        monkeypatch.setattr(simengine, "aggregate_gains", counting)
+        monkeypatch.setattr(simengine, "_received_samples", counting)
         n = len(default_walk)
         for policy in WINDOW_POLICIES:
             handed.clear()
             tl = run_timeline(default_walk, policy, WINDOW_GEOM, noise_seed=5)
-            training = int(np.sum(kinds_of(tl) == int(SlotKind.DL_TRAINING)))
+            kinds = kinds_of(tl)
+            training = int(np.sum(kinds == int(SlotKind.DL_TRAINING)))
             # every window but the one holding a trigger is kept whole
             bound = n + (tl.tracking_calls + 1) * simengine._SCAN_WINDOW + training
             assert sum(handed) <= bound, policy.name
+            # and the hook sees every received slot, so it cannot pass by seeing none
+            assert sum(handed) >= np.sum(kinds != int(SlotKind.UL_FEEDBACK)), policy.name
+
+
+def assert_same_timeline(got, want):
+    assert (got.policy_name, got.gamma, got.tracking_calls) == \
+        (want.policy_name, want.gamma, want.tracking_calls)
+    for col in ("kind", "rss", "rss_normalized", "inst_rate", "cum_rate", "config_id",
+                "status_id", "theta2_true"):
+        assert np.array_equal(getattr(got, col), getattr(want, col)), col
+
+
+class TestSlotColumns:
+    def test_every_key_matches_a_fresh_trajectory(self):
+        # one trajectory under interleaved trackers and changing columns keys;
+        # each timeline must equal a run on a freshly generated trajectory
+        walk = generate_trajectory(SPEC, GEOM)
+        peak = (GEOM.beamformer_gain * abs(walk.beta[0]) * GEOM.n_ris) ** 2
+        normal = (ProposedPolicy(), ExhaustivePolicy(sweep=SweepSpec(10.0)), OraclePolicy())
+        absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, SweepSpec(10.0)),
+                    OraclePolicy(0.9 * peak))
+        geom7 = replace(GEOM, snr_linear=20.0, n_ris=7)
+        settings = (
+            (normal, GEOM, dict(noise_seed=5)),
+            (normal, GEOM, dict(noise_seed=6)),
+            (normal, GEOM, dict(noise_seed=5)),
+            (normal, GEOM, dict(noise_seed=5, noise_enabled=False)),
+            (normal, geom7, dict(noise_seed=5)),
+            (absolute, GEOM, dict(noise_seed=5, threshold_mode="absolute")),
+        )
+        for turn in range(len(normal)):
+            for policies, geom, kwargs in settings:
+                policy = policies[turn]
+                got = run_timeline(walk, policy, geom, **kwargs)
+                want = run_timeline(generate_trajectory(SPEC, GEOM), policy, geom, **kwargs)
+                assert_same_timeline(got, want)
+                if policy.name == "proposed":
+                    assert got.tracking_calls > 0, kwargs
+        kept = weakref.ref(simengine._COLUMNS[walk][1])
+        del walk
+        gc.collect()
+        assert kept() is None
+
+    def test_unseeded_noise_is_drawn_per_run(self):
+        walk = generate_trajectory(SPEC, GEOM)
+        a = run_timeline(walk, OraclePolicy(), GEOM)
+        b = run_timeline(walk, OraclePolicy(), GEOM)
+        assert not np.array_equal(a.rss, b.rss)
+        assert walk not in simengine._COLUMNS
+
+
+class TestEngineSamples:
+    @pytest.mark.parametrize("policy", [ProposedPolicy(gamma=0.99),
+                                        ExhaustivePolicy(gamma=0.99, sweep=SweepSpec(10.0))])
+    def test_each_slot_equals_received_sample(self, monkeypatch, policy):
+        # seven elements and theta2 > theta1: every aligned step lies next to
+        # 2*pi, where the closed form used to lose digits
+        geom = LinkGeometry(r1=2.0, n_ris=7, theta1=np.deg2rad(10.0))
+        walk = generate_trajectory(TrajectorySpec(r2_init=0.5, speed_v=0.6, path_length=0.05,
+                                                  rng_seed=11), geom)
+        assert np.all(walk.theta2 > geom.theta1)
+        seen = []
+        original = simengine._received_samples
+
+        def keep(cols, lo, hi, slope):
+            y = original(cols, lo, hi, slope)
+            seen.append((lo, hi, np.broadcast_to(slope, (hi - lo,)), y))
+            return y
+
+        monkeypatch.setattr(simengine, "_received_samples", keep)
+        tl = run_timeline(walk, policy, geom, noise_enabled=False)
+        assert tl.tracking_calls > 1
+        covered = set()
+        for lo, hi, slopes, y in seen:
+            for i in range(lo, hi):
+                cfg = RisConfiguration(slopes[i - lo], geom.n_ris)
+                want = received_sample(walk[i], cfg, geom)
+                assert abs(y[i - lo] - want) <= 1e-12 * abs(want), i
+            covered.update(kinds_of(tl)[lo:hi].tolist())
+        assert {int(SlotKind.DATA), int(SlotKind.DL_TRAINING)} <= covered
