@@ -97,7 +97,9 @@ def _dirichlet(mu, n_ris: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         d = d / den
     if n_ris % 2 == 0 and turns.any():
-        d = np.where(np.fmod(turns, 2.0) != 0.0, -d, d)
+        # halving and flooring a whole number are exact, so this is its parity
+        half_turns = 0.5 * turns
+        d = np.where(half_turns != np.floor(half_turns), -d, d)
     return d, degenerate
 
 

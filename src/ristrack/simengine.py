@@ -49,9 +49,9 @@ import numpy as np
 
 from .baselines import SweepSpec
 from .mobility import Trajectory
-from .ris import RisConfiguration, _dirichlet, optimal_config, update_config
+from .ris import RisConfiguration, _dirichlet, optimal_config
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
-from .wavefield import LinkGeometry
+from .wavefield import LinkGeometry, wrap_two_pi
 
 _SCAN_WINDOW = 1024  # slots per scan window; sets speed, not slot kinds or ids
 
@@ -348,8 +348,9 @@ def run_timeline(
             theta_ref = math.asin(max(-1.0, min(1.0, believed_sin)))
             obs = measure_observables(y_ref, y_t2, believed_r, theta_ref)
             candidates = two_dim_search(obs, policy.grid, geom)
-            slopes = np.array([update_config(config, c.w_cand, geom).slope
-                               for c in candidates])
+            # update_config's law slope - kd*w for every candidate at once
+            w = np.array([c.w_cand for c in candidates])
+            slopes = wrap_two_pi(config.slope - geom.kd * w)
         else:
             slopes = policy.sweep.slopes
         # training slot cursor+i measures candidate i while the user keeps moving

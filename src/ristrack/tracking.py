@@ -14,15 +14,18 @@ believed total distance. On top of the uniform grid, two kinds of exact
 points are evaluated per angle: the calibration distance implied by the
 strength ratio (when it falls inside the window) and the zeros of the wrapped
 phase residual, so candidate ranking is not limited by grid quantisation.
-The whole search is one masked (angle x distance) matrix: one row per angle,
-the grid distances, the phase-residual zeros (padded to the longest row) and
-the calibration distance as columns, and an infinite total on the cells that
-a row does not have. Each row keeps its first minimum; the rows are ranked by
-(total error, |w|, angle).
+Each angle is one row of two blocks. The grid block's distances are shared
+by every row, so its distance ratio and phase ramp are column vectors. The
+exact block holds each row's phase-residual zeros (padded to the longest
+row) and its calibration distance; the cells a row does not have total
+infinity. Each row keeps its first minimum over the grid columns followed by
+the exact ones, exactly as argmin over the joined row would (ties go to the
+grid, a NaN wins), and the rows are ranked by (total error, |w|, angle).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,28 +125,56 @@ def r_from_eta(
     return obs.r_ref * gain_mag / (np.sqrt(obs.eta) * n_ris)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_offsets(grid: SearchGrid, wavelength: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only angle and distance offsets of the search grid around the belief."""
+    r_step = grid.r_step if grid.r_step is not None else wavelength / 50.0
+    n_theta = int(round(2.0 * grid.theta2_halfwidth / grid.theta2_step)) + 1
+    n_r = int(round(2.0 * grid.r_halfwidth / r_step)) + 1
+    theta_off = np.linspace(-grid.theta2_halfwidth, grid.theta2_halfwidth, n_theta)
+    r_off = np.linspace(-grid.r_halfwidth, grid.r_halfwidth, n_r)
+    for arr in (theta_off, r_off):
+        arr.setflags(write=False)
+    return theta_off, r_off
+
+
+def _score(obs: TrackingObservables, r_set, gain_ratio_sq, gain_ang, lam: float):
+    """Strength and phase residuals of distances `r_set` for every angle row.
+
+    `r_set` is one row of distances that every angle shares, or one row per
+    angle; the residuals are (n_theta, n_distances) either way.
+    """
+    # strength residual on squared gain ratios, the relation r_cal inverts
+    ratio_sq = (obs.r_ref / r_set) ** 2
+    error_rss = ratio_sq * gain_ratio_sq[:, None]
+    error_rss -= obs.eta
+    np.abs(error_rss, out=error_rss)
+    phase = (TWO_PI / lam) * (r_set - obs.r_ref) + gain_ang[:, None]
+    phase -= obs.xi
+    error_angle = wrap_principal(phase)
+    np.abs(error_angle, out=error_angle)
+    return error_rss, error_angle
+
+
 def two_dim_search(
     obs: TrackingObservables, grid: SearchGrid, geom: LinkGeometry
 ) -> list[CandidatePair]:
     """Best distinct-angle hypotheses explaining the observables.
 
-    Every candidate angle is one row of a padded distance matrix whose columns
-    are the shared grid distances, the phase-residual zeros inside the window
-    and the calibration distance. Cells past a row's last zero, a calibration
+    Every candidate angle is one row of two blocks. The grid block's columns
+    are the grid distances, which every row shares; the exact block's columns
+    are the row's phase-residual zeros inside the window (padded to the
+    longest row) and its calibration distance. Padding, a calibration
     distance outside the window and non-positive distances are masked with an
     infinite total. Each cell scores errorI (strength-ratio residual) plus
-    errorII (wrapped phase residual); each row keeps its first minimum and
-    the rows are ranked by (total error, |w|, angle). At most n_sol
-    candidates are returned, one per angle. The search is a pure function of
-    its inputs.
+    errorII (wrapped phase residual); each row keeps its first minimum over
+    the grid columns followed by the exact ones, and the rows are ranked by
+    (total error, |w|, angle). At most n_sol candidates are returned, one per
+    angle. The search is a pure function of its inputs.
     """
-    r_step = grid.r_step if grid.r_step is not None else geom.wavelength / 50.0
-    n_theta = int(round(2.0 * grid.theta2_halfwidth / grid.theta2_step)) + 1
-    if n_theta < 1:
-        raise ValueError("empty angle grid")
-    thetas = obs.theta2_ref + np.linspace(
-        -grid.theta2_halfwidth, grid.theta2_halfwidth, n_theta
-    )
+    theta_off, r_off = _grid_offsets(grid, geom.wavelength)
+    n_theta = theta_off.size
+    thetas = obs.theta2_ref + theta_off
     w = np.sin(thetas) - np.sin(obs.theta2_ref)
     gains = coherent_gain_values(w, geom.n_ris, geom.spacing_d, geom.wavelength)
     gain_mag = np.abs(gains)
@@ -153,59 +184,61 @@ def two_dim_search(
     gain_ratio_sq = np.float_power(gain_mag / geom.n_ris, 2.0)
     lam = geom.wavelength
 
-    # columns: grid distances, exact zeros of the wrapped phase residual
-    # inside the window (padded to the longest row), calibration distance
-    n_r = int(round(2.0 * grid.r_halfwidth / r_step)) + 1
-    r_grid = obs.r_ref + np.linspace(-grid.r_halfwidth, grid.r_halfwidth, n_r)
+    # grid block: masked (non-positive) distances are scored at r_ref
+    r_grid = obs.r_ref + r_off
+    masked = ~(r_grid > 0)
+    r_grid[masked] = obs.r_ref
+    grid_rss, grid_angle = _score(obs, r_grid, gain_ratio_sq, gain_ang, lam)
+    grid_total = grid_rss + grid_angle
+    grid_total[:, masked] = np.inf
+
+    # exact block: zeros of the wrapped phase residual inside the window
+    # (padded to the longest row), then the calibration distance
     zero_base = (obs.xi - gain_ang) * lam / TWO_PI
     k_lo = np.ceil((-grid.r_halfwidth - zero_base) / lam)
     k_hi = np.floor((grid.r_halfwidth - zero_base) / lam)
     n_k = int(np.max(k_hi - k_lo)) + 1  # k_hi >= k_lo - 1 on every row
     ks = k_lo[:, None] + np.arange(n_k)
     r_cal = r_from_eta(obs, gain_mag, geom.n_ris)
-    r_set = np.concatenate(
-        [
-            np.broadcast_to(r_grid, (n_theta, n_r)),
-            (obs.r_ref + zero_base)[:, None] + ks * lam,
-            r_cal[:, None],
-        ],
-        axis=1,
-    )
+    r_exact = np.concatenate([(obs.r_ref + zero_base)[:, None] + ks * lam, r_cal[:, None]],
+                             axis=1)
     valid = np.concatenate(
-        [
-            np.ones((n_theta, n_r), dtype=bool),
-            ks <= k_hi[:, None],
-            (np.abs(r_cal - obs.r_ref) <= grid.r_halfwidth)[:, None],
-        ],
-        axis=1,
+        [ks <= k_hi[:, None], (np.abs(r_cal - obs.r_ref) <= grid.r_halfwidth)[:, None]], axis=1
     )
-    valid &= r_set > 0
-    r_set[~valid] = obs.r_ref
+    valid &= r_exact > 0
+    r_exact[~valid] = obs.r_ref
+    exact_rss, exact_angle = _score(obs, r_exact, gain_ratio_sq, gain_ang, lam)
+    exact_total = np.where(valid, exact_rss + exact_angle, np.inf)
 
-    # strength residual on squared gain ratios, the relation r_cal inverts
-    ratio_sq = (obs.r_ref / r_set) ** 2
-    error_rss = np.abs(ratio_sq * gain_ratio_sq[:, None] - obs.eta)
-    error_angle = np.abs(
-        wrap_principal((TWO_PI / lam) * (r_set - obs.r_ref) + gain_ang[:, None] - obs.xi)
-    )
-    total = np.where(valid, error_rss + error_angle, np.inf)
-
-    # the last grid distance r_ref + r_halfwidth is always valid, so every
-    # row has a minimum; argmin keeps the first one
-    cols = np.argmin(total, axis=1)
-    best = total[np.arange(n_theta), cols]
-    rows = np.lexsort((thetas, np.abs(w), best))[: grid.n_sol]
-    return [
-        CandidatePair(
-            theta2_cand=float(thetas[i]),
-            w_cand=float(w[i]),
-            r_cand=float(r_set[i, j]),
-            error_total=float(total[i, j]),
-            error_rss=float(error_rss[i, j]),
-            error_angle=float(error_angle[i, j]),
+    # each row's first minimum over its grid then exact columns: argmin of
+    # the two block minima keeps argmin's rules over the whole row (the first
+    # minimum wins ties, the first NaN wins outright). The last grid distance
+    # r_ref + r_halfwidth is always valid, so every row has a minimum.
+    rows = np.arange(n_theta)
+    grid_col = np.argmin(grid_total, axis=1)
+    exact_col = np.argmin(exact_total, axis=1)
+    block_best = np.stack([grid_total[rows, grid_col], exact_total[rows, exact_col]], axis=1)
+    use_exact = np.argmin(block_best, axis=1)
+    best = block_best[rows, use_exact]
+    candidates = []
+    for i in np.lexsort((thetas, np.abs(w), best))[: grid.n_sol].tolist():
+        if use_exact[i]:
+            j = exact_col[i]
+            r, e_rss, e_ang = r_exact[i, j], exact_rss[i, j], exact_angle[i, j]
+        else:
+            j = grid_col[i]
+            r, e_rss, e_ang = r_grid[j], grid_rss[i, j], grid_angle[i, j]
+        candidates.append(
+            CandidatePair(
+                theta2_cand=float(thetas[i]),
+                w_cand=float(w[i]),
+                r_cand=float(r),
+                error_total=float(best[i]),
+                error_rss=float(e_rss),
+                error_angle=float(e_ang),
+            )
         )
-        for i, j in zip(rows, cols[rows])
-    ]
+    return candidates
 
 
 def select_by_training(candidates: list[CandidatePair], rss) -> int:

@@ -196,6 +196,7 @@ class TestExitCodes:
         ("tracker", "algorithms", "exhaustive:0"),
         ("run", "seeds", "-1"),
         ("run", "seeds", "1, 1"),
+        ("geometry", "n_ris", "1"),
     ])
     def test_bad_value_is_one_from_file_and_vary(self, tmp_path, capsys, section, key, value):
         parser = configparser.ConfigParser()

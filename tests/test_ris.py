@@ -15,7 +15,8 @@ from ristrack import (
     update_config,
     wrap_two_pi,
 )
-from ristrack.ris import aggregate_gains
+from ristrack.ris import _dirichlet, aggregate_gains
+from ristrack.wavefield import TWO_PI
 
 GEOM = LinkGeometry()
 
@@ -209,26 +210,63 @@ class TestKernelAccuracy:
     # theta1). The ratio form (exp(j*N*mu) - 1) / (exp(j*mu) - 1) lost up to
     # 5e-9 relative next to 0, and next to +-2*pi at N = 7 or 100 about
     # 5e-15 divided by the distance (5e-6 at 1e-9 rad, 5e-4 at 1e-11 rad)
+    # a one-element geometry is rejected, so n_ris = 1 checks only the
+    # geometry-free coherent_gain_values
     @pytest.mark.parametrize("n_ris", [1, 7, 64, 100])
     def test_matches_extended_element_sum_next_to_every_turn(self, n_ris):
         rng = np.random.default_rng(n_ris)
-        geom = dataclasses.replace(GEOM, n_ris=n_ris)
+        geom = dataclasses.replace(GEOM, n_ris=n_ris) if n_ris > 1 else None
         for centre in (0.0, 2 * np.pi, -2 * np.pi):
             for band in (1e-9, 1e-6, 1e-3):
                 step = centre + band * rng.uniform(0.1, 1.0, 32) * rng.choice([-1.0, 1.0], 32)
-                w = step / geom.kd
-                got = coherent_gain_values(w, n_ris, geom.spacing_d, geom.wavelength)
-                want = extended_element_sum(geom.kd * w, n_ris)
+                w = step / GEOM.kd
+                got = coherent_gain_values(w, n_ris, GEOM.spacing_d, GEOM.wavelength)
+                want = extended_element_sum(GEOM.kd * w, n_ris)
                 assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (centre, band)
+                if geom is None:
+                    continue
                 slope = rng.uniform(0, 2 * np.pi, 32)
                 u = (slope - step) / geom.kd
                 got = aggregate_gains(u, slope, geom)
                 want = extended_element_sum(slope - geom.kd * u, n_ris)
                 assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (centre, band)
         # whole turns are degenerate steps: exactly N
-        turns = np.array([0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi]) / geom.kd
-        got = coherent_gain_values(turns, n_ris, geom.spacing_d, geom.wavelength)
+        turns = np.array([0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi]) / GEOM.kd
+        got = coherent_gain_values(turns, n_ris, GEOM.spacing_d, GEOM.wavelength)
         assert np.all(got == n_ris + 0j)
+
+
+def fmod_dirichlet(mu, n_ris: int):
+    """_dirichlet with its np.fmod turn-parity fix-up, kept as its bit-level oracle."""
+    mu = np.asarray(mu, dtype=float)
+    turns = np.rint(mu / TWO_PI)
+    half = 0.5 * mu - np.pi * turns
+    den = np.sin(half)
+    d = np.sin(n_ris * half)
+    degenerate = np.abs(den) < 0.5e-12
+    if degenerate.any():
+        d = np.where(degenerate, float(n_ris), d / (den + degenerate))
+    else:
+        d = d / den
+    if n_ris % 2 == 0 and turns.any():
+        d = np.where(np.fmod(turns, 2.0) != 0.0, -d, d)
+    return d, degenerate
+
+
+class TestDirichletParity:
+    @pytest.mark.parametrize("n_ris", [2, 7, 64, 100])
+    def test_equals_fmod_parity_bit_for_bit(self, n_ris):
+        rng = np.random.default_rng(100 + n_ris)
+        turns = np.concatenate([np.arange(-8.0, 9.0), rng.integers(-10**6, 10**6, 256),
+                                [-1e6, -1e6 + 1, 1e6 - 1, 1e6]])
+        for offset in (rng.uniform(-np.pi, np.pi, turns.size), np.zeros(turns.size),
+                       rng.uniform(-1e-9, 1e-9, turns.size)):
+            mu = turns * TWO_PI + offset
+            d, degenerate = _dirichlet(mu, n_ris)
+            want_d, want_degenerate = fmod_dirichlet(mu, n_ris)
+            assert np.array_equal(d, want_d)
+            assert np.array_equal(np.signbit(d), np.signbit(want_d))
+            assert np.array_equal(degenerate, want_degenerate)
 
 
 class TestAggregateGains:

@@ -306,7 +306,7 @@ class TestCumulativeOrdering:
 MATRIX = {
     "snr_minus_40db": (replace(GEOM, snr_linear=1e-4), replace(SPEC, path_length=0.05),
                        (), "normalized"),
-    "n_ris_1": (replace(GEOM, n_ris=1), replace(SPEC, path_length=0.05), (), "normalized"),
+    "n_ris_2": (replace(GEOM, n_ris=2), replace(SPEC, path_length=0.05), (), "normalized"),
     "n_ris_4": (replace(GEOM, n_ris=4), replace(SPEC, path_length=0.2), (), "normalized"),
     "walk_5mps": (GEOM, replace(SPEC, speed_v=5.0, path_length=0.1), (), "normalized"),
     "two_turns_1p8mps": (GEOM, replace(SPEC, speed_v=1.8),

@@ -217,11 +217,19 @@ EDGE_CASES = {
     "five_angles": (
         {}, SearchGrid(theta2_halfwidth=np.deg2rad(0.1), theta2_step=np.deg2rad(0.05)), GEOM,
     ),
-    "one_element": ({}, SearchGrid(), LinkGeometry(r1=4.0, n_ris=1)),
+    "two_elements": ({}, SearchGrid(), LinkGeometry(r1=4.0, n_ris=2)),
     "four_elements": ({}, SearchGrid(), LinkGeometry(r1=4.0, n_ris=4)),
     "xi_pi": (dict(xi=math.pi), SearchGrid(), GEOM),
     "eta_tiny": (dict(eta=1e-6), SearchGrid(), GEOM),
     "eta_large": (dict(eta=50.0), SearchGrid(), GEOM),
+    # the stationary observable: the centre row's phase zero, calibration
+    # distance and centre grid distance coincide at r_ref with a zero total
+    "stationary": (dict(eta=1.0, xi=0.0), SearchGrid(), GEOM),
+    # every cell totals inf, so each row's first grid column wins the tie
+    # against the exact columns at other distances
+    "eta_infinite": (dict(eta=math.inf), SearchGrid(), GEOM),
+    # phase residuals reach +-6*pi, past the comparison wrap's range
+    "r_window_two_wavelengths": ({}, SearchGrid(r_halfwidth=2 * GEOM.wavelength), GEOM),
 }
 
 
@@ -328,6 +336,23 @@ class TestTwoDimSearch:
         for _ in range(100):
             obs = random_observables(rng, **fixed)
             assert two_dim_search(obs, grid, geom) == loop_two_dim_search(obs, grid, geom)
+
+    def test_nan_total_takes_first_grid_cell(self):
+        # a NaN strength ratio makes every unmasked cell NaN; as in argmin
+        # over the whole row, the first NaN (the first positive grid
+        # distance) wins. The loop's sort is undefined on NaN keys, so every
+        # row is returned and rows are matched by angle; repr compares the
+        # NaN totals, which == does not
+        grid = SearchGrid(n_sol=101)
+        rng = np.random.default_rng(11)
+        for fixed in (dict(eta=math.nan), dict(eta=math.nan, r_ref=0.003)):
+            for _ in range(10):
+                obs = random_observables(rng, **fixed)
+                got = two_dim_search(obs, grid, GEOM)
+                want = loop_two_dim_search(obs, grid, GEOM)
+                assert len(got) == 101 and all(math.isnan(c.error_total) for c in got)
+                by_angle = lambda cands: sorted(cands, key=lambda c: c.theta2_cand)
+                assert repr(by_angle(got)) == repr(by_angle(want))
 
     def test_masked_cells_do_not_warn(self):
         # with r_ref below r_halfwidth, non-positive distances are masked

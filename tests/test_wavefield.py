@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ristrack import (
     wrap_principal,
     wrap_two_pi,
 )
+from ristrack.wavefield import PHASE_SNAP, TWO_PI, _mod_two_pi
 
 
 class TestSteeringVector:
@@ -64,6 +66,94 @@ class TestWrapping:
         assert np.allclose(np.exp(1j * w), np.exp(1j * x), atol=1e-12)
 
 
+def mod_wrap_principal(x):
+    """The np.mod form of wrap_principal, kept as its bit-level oracle."""
+    out = -(np.mod(-np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi)
+    return float(out) if out.ndim == 0 else out
+
+
+def mod_wrap_two_pi(phases):
+    """The np.mod form of wrap_two_pi, kept as its bit-level oracle."""
+    out = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    out = np.where((out < PHASE_SNAP) | (out > TWO_PI - PHASE_SNAP), 0.0, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def np_mod_two_pi(y):
+    return np.mod(y, TWO_PI)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def ulp_neighbourhoods(radius=40, ks=range(-8, 9)):
+    """k*pi for k in `ks`, each with its `radius` neighbouring doubles on either side."""
+    out = []
+    for k in ks:
+        below = above = k * np.pi
+        row = [below]
+        for _ in range(radius):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            row += [below, above]
+        out.append(row)
+    return np.array(out)
+
+
+SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300,
+                    TWO_PI, -TWO_PI, 2 * TWO_PI, -2 * TWO_PI, 3 * TWO_PI, 5e-324, -5e-324])
+
+
+class TestWrapBits:
+    # the comparison wraps must equal the np.mod forms bit for bit, inside and
+    # outside the range [-2*TWO_PI, 3*TWO_PI) where they skip fmod
+    CASES = {
+        "inside": np.random.default_rng(1).uniform(-3 * np.pi, 5 * np.pi, (101, 105)),
+        "principal_inside": np.random.default_rng(2).uniform(-5 * np.pi, 3 * np.pi, 4096),
+        "outside": np.random.default_rng(3).uniform(-40.0, 40.0, 4096),
+        # past one end of the range only
+        "past_upper": np.random.default_rng(5).uniform(-1.0, 8 * np.pi, 4096),
+        "past_lower": np.random.default_rng(6).uniform(-6 * np.pi, 1.0, 4096),
+        "ulps": ulp_neighbourhoods(),
+        # every turn threshold of the comparison wrap, with both wraps inside its range
+        "ulps_inside": ulp_neighbourhoods(ks=range(-3, 5)),
+        "special": SPECIAL,
+        # finite, so the comparison wrap takes them: -0 must come out +0
+        "zeros_and_turns": np.array([0.0, -0.0, TWO_PI, -TWO_PI, 2 * TWO_PI, -2 * TWO_PI,
+                                     np.pi, -np.pi, 5e-324, -5e-324]),
+        "empty": np.zeros((0, 3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("wrap,oracle", [(wrap_principal, mod_wrap_principal),
+                                             (wrap_two_pi, mod_wrap_two_pi),
+                                             (_mod_two_pi, np_mod_two_pi)])
+    def test_arrays_equal_mod_form(self, case, wrap, oracle):
+        x = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # np.mod of inf
+            want = oracle(x)
+            got = wrap(x)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("wrap,oracle", [(wrap_principal, mod_wrap_principal),
+                                             (wrap_two_pi, mod_wrap_two_pi)])
+    def test_scalars_equal_mod_form_and_stay_float(self, wrap, oracle):
+        values = np.concatenate([ulp_neighbourhoods(8).ravel(), SPECIAL,
+                                 np.random.default_rng(4).uniform(-30.0, 30.0, 64)])
+        for v in values.tolist():
+            for x in (v, np.float64(v), np.array(v)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # np.mod of inf
+                    want = oracle(v)
+                    got = wrap(x)
+                assert type(got) is float, type(x)
+                assert_same_bits(got, want)
+
+
 class TestLinkGeometry:
     def test_default_spacing_is_half_wavelength(self):
         geom = LinkGeometry(wavelength=0.01)
@@ -76,6 +166,9 @@ class TestLinkGeometry:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             LinkGeometry(n_tx=0)
+        with pytest.raises(ValueError, match="n_ris must be >= 2"):
+            LinkGeometry(n_ris=1)
+        assert LinkGeometry(n_ris=2).n_ris == 2
         with pytest.raises(ValueError):
             LinkGeometry(r1=0.0)
         with pytest.raises(ValueError):
