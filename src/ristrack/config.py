@@ -5,13 +5,15 @@ field it sets and a converter from the file's text. An absent or empty key
 keeps the default of that field, so the reference evaluation setup is the set
 of field defaults of :class:`ScenarioConfig`, :class:`LinkGeometry`,
 :class:`TrajectorySpec` and :class:`SearchGrid`; an empty file loads as
-``ScenarioConfig()``. Converters only convert types; the constructors check
-values. Angles appear in degrees in files and are converted to radians at
-this boundary.
+``ScenarioConfig()``. Converters only convert types, and a converted value
+that is NaN or infinite is rejected where it is converted; the constructors
+check everything else. Angles appear in degrees in files and are converted
+to radians at this boundary.
 """
 
 from __future__ import annotations
 
+import cmath
 import configparser
 from dataclasses import dataclass, field, replace
 
@@ -111,6 +113,13 @@ def _listed(conv):
     return lambda raw: tuple(conv(p.strip()) for p in raw.split(",") if p.strip())
 
 
+def _finite(value) -> bool:
+    """False if a converted float, complex part or list item is NaN or infinite."""
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return not isinstance(value, (float, complex)) or cmath.isfinite(value)
+
+
 # key: (section, target, converter). A target "holder.name" is field `name` of
 # the ScenarioConfig field `holder`; a bare target is a ScenarioConfig field.
 _SCHEMA = {
@@ -151,7 +160,8 @@ def _apply(cfg: ScenarioConfig, raw_values: dict[str, str]) -> ScenarioConfig:
     """`cfg` with each key's raw value converted and set on its target field.
 
     Scenario files and `sweep --vary` both come through here, so a bad value
-    fails the same way from either, naming its section and key.
+    fails the same way from either, naming its section and key. Non-finite
+    values are rejected here once, for every key and its list items.
     """
     top: dict = {}
     nested: dict[str, dict] = {}
@@ -160,8 +170,10 @@ def _apply(cfg: ScenarioConfig, raw_values: dict[str, str]) -> ScenarioConfig:
         section, target, conv = _SCHEMA[key]
         try:
             value = conv(raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"[{section}] {key}: bad value {raw!r} ({exc})") from None
+        if not _finite(value):
+            raise ConfigError(f"[{section}] {key}: value must be finite, got {raw!r}")
         holder, _, name = target.rpartition(".")
         if holder:
             nested.setdefault(holder, {})[name] = value

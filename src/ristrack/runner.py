@@ -5,20 +5,23 @@ rate-vs-position curves come from the ledger's ``theta2_true_deg`` and
 ``cum_rate`` columns. A scenario-level summary aggregates the signaling share
 and tracking-call tables across runs. Floats are serialised with 12
 significant digits so identical configurations and seeds produce byte-equal
-files; :mod:`ristrack.ledger` formats the ledger with numpy, in blocks of
-rows, into the bytes a row-by-row ``%d``/``%.12g`` writer would produce. The
-trajectory noise stream is derived from the run seed (seed for the walk,
-seed+1 for receiver noise).
+files. The ledgers of one seed are written together, block by block of rows
+in lockstep, so the slot index and angle cells the trackers share are
+formatted once; :mod:`ristrack.ledger` formats them with numpy into the bytes
+a row-by-row ``%d``/``%.12g`` writer would produce. The trajectory noise
+stream is derived from the run seed (seed for the walk, seed+1 for receiver
+noise).
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 from dataclasses import dataclass, fields, replace
 
 from .config import ConfigError, ScenarioConfig, override_config
-from .ledger import ledger_text
 from .mobility import generate_path
 from .simengine import RunMetrics, Timeline, overhead_report, run_timeline
 
@@ -41,10 +44,23 @@ class RunResult:
     summary_path: str
 
 
-def write_ledger_csv(path: str, tl: Timeline) -> None:
-    """Write the slot ledger: a header, then one ``%d``/``%.12g`` row per slot."""
-    with open(path, "wb") as fh:
-        fh.writelines(ledger_text(tl))
+def write_ledgers(paths: list[str], timelines: list[Timeline]) -> None:
+    """Write the slot ledgers of one trajectory's timelines, each to its path.
+
+    A ledger is a header, then one ``%d``/``%.12g`` row per slot. The files
+    are written block by block in lockstep, each block as soon as it is
+    formatted.
+    """
+    # imported on first use: runs that write no ledger never load the formatter
+    from .ledger import ledger_chunks
+
+    if len(paths) != len(timelines):
+        raise ValueError(f"{len(paths)} paths for {len(timelines)} timelines")
+    chunks = ledger_chunks(timelines)  # checks the timelines before a file is opened
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh, chunk in zip(itertools.cycle(files), chunks):
+            fh.write(chunk)
 
 
 def write_run_summary(path: str, tl: Timeline, seed: int, metrics: RunMetrics) -> None:
@@ -132,14 +148,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> list[RunRes
 def _write_seed(out: str, seed: int, timelines: list[Timeline]) -> list[RunResult]:
     """Write one seed's ledgers and run summaries; the oracle, if any, is the reference."""
     oracle_tl = next((tl for tl in timelines if tl.policy_name == "oracle"), None)
+    stems = [os.path.join(out, f"{tl.policy_name}_seed{seed}") for tl in timelines]
+    ledgers = [f"{stem}_slots.csv" for stem in stems]
+    write_ledgers(ledgers, timelines)
     results = []
-    for tl in timelines:
+    for tl, stem, ledger in zip(timelines, stems, ledgers):
         reference = oracle_tl if (oracle_tl is not None and tl is not oracle_tl) else None
         metrics = overhead_report(tl, tl.gamma, oracle_records=reference)
-        stem = f"{tl.policy_name}_seed{seed}"
-        ledger = os.path.join(out, f"{stem}_slots.csv")
-        summary = os.path.join(out, f"{stem}_summary.txt")
-        write_ledger_csv(ledger, tl)
+        summary = f"{stem}_summary.txt"
         write_run_summary(summary, tl, seed, metrics)
         results.append(RunResult(tl.policy_name, seed, len(tl), metrics, ledger, summary))
     return results

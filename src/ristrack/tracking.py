@@ -49,14 +49,15 @@ class TrackingObservables:
     theta2_ref: float
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        # written so that NaN fails every check
+        for name in ("eta", "rss_ref", "r_ref"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not -np.pi < self.xi <= np.pi:
             raise ValueError(f"xi must lie in (-pi, pi], got {self.xi}")
-        if self.rss_ref <= 0:
-            raise ValueError("rss_ref must be > 0")
-        if self.r_ref <= 0:
-            raise ValueError("r_ref must be > 0")
+        if not -np.inf < self.theta2_ref < np.inf:
+            raise ValueError(f"theta2_ref must be finite, got {self.theta2_ref}")
 
 
 @dataclass(frozen=True)

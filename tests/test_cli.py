@@ -1,5 +1,6 @@
 import configparser
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ class TestRunCommand:
         assert [len(tl) for tl in timelines] == [1, 1]
         assert_ledgers_match_row_wise(timelines, out)
 
+    def test_ledgers_of_another_trajectory_rejected_before_writing(self, tmp_path, monkeypatch):
+        timelines, _ = run_keeping_timelines(tmp_path, monkeypatch, TINY_SCENARIO)
+        first, second = timelines
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        with pytest.raises(ValueError, match="slots"):
+            runner.write_ledgers(paths, [first, replace(second, kind=second.kind[:-1])])
+        with pytest.raises(ValueError, match="theta2_true differs"):
+            runner.write_ledgers(paths, [first, replace(second, theta2_true=-second.theta2_true)])
+        with pytest.raises(ValueError, match="2 paths for 1 timelines"):
+            runner.write_ledgers(paths, [first])
+        assert not any(os.path.exists(p) for p in paths)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_scenario(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -197,6 +210,15 @@ class TestExitCodes:
         ("run", "seeds", "-1"),
         ("run", "seeds", "1, 1"),
         ("geometry", "n_ris", "1"),
+        # non-finite values, which used to run on or fail at run time
+        ("geometry", "r1_m", "nan"),
+        ("geometry", "snr_db", "nan"),
+        ("geometry", "snr_db", "4000"),
+        ("geometry", "alpha", "1+nanj"),
+        ("trajectory", "speed_mps", "nan"),
+        ("trajectory", "path_length_m", "inf"),
+        ("trajectory", "segments", "70:1.0, -inf:1.0"),
+        ("tracker", "gamma", "nan"),
     ])
     def test_bad_value_is_one_from_file_and_vary(self, tmp_path, capsys, section, key, value):
         parser = configparser.ConfigParser()

@@ -1,9 +1,11 @@
 """Golden artifacts: the sha256 of every file `ristrack run` writes.
 
-Two scenarios are pinned: the default scenario on a 0.3 m walk (seeds 1
-and 2, all five trackers) and the fast two-turn walk of the benchmark's
-tracking_stress workload (seeds 1 and 53; seed 53 fades into an event storm
-of about 1550 proposed and 2337 oracle events). Any change that moves a byte
+Three scenarios are pinned: the default scenario on a 0.3 m walk (seeds 1
+and 2, all five trackers); three trackers in another order on a 0.2 m walk
+(seeds 3 and 4), so a writer that hands one tracker's ledger to another's
+file fails; and the fast two-turn walk of the benchmark's tracking_stress
+workload (seeds 1 and 53; seed 53 fades into an event storm of about 1550
+proposed and 2337 oracle events). Any change that moves a byte
 of a ledger or a summary fails here with the name of the file. A change that
 means to move outputs regenerates the table with ``PYTHONPATH=src python
 tests/test_golden.py`` and says why in CHANGES.md.
@@ -17,6 +19,10 @@ from ristrack.cli import main
 
 SCENARIOS = {
     "default_0p3m": "[trajectory]\npath_length_m = 0.3\n[run]\nseeds = 1, 2\n",
+    "reordered_0p2m": (
+        "[trajectory]\npath_length_m = 0.2\n[tracker]\n"
+        "algorithms = oracle, exhaustive:10, proposed\n[run]\nseeds = 3, 4\n"
+    ),
     "tracking_stress": (
         "[trajectory]\nspeed_mps = 1.8\nsegments = 70:1.0, 150:1.0\n"
         "[tracker]\nalgorithms = proposed, oracle\ngamma = 0.95\n[run]\nseeds = 1, 53\n"
@@ -67,6 +73,34 @@ DIGESTS = {
             "8997000c7876932d96021f624dee6858b0b925abe893db95f925ef672b568dfc",
         "summary.txt":
             "1879c990186050b6ee3236d2b251b9f67b8ba894b91a8bb3dcf7dd7b089e406f",
+    },
+    "reordered_0p2m": {
+        "exhaustive_10deg_seed3_slots.csv":
+            "9f6a90ead7ba8d92e73b544338e81b6211127c85fe2532fd951b7f2c7b762c76",
+        "exhaustive_10deg_seed3_summary.txt":
+            "bdd18c489ffaac377a7ec474e399198613ff518dffc171ac55ea9d0a2de668ca",
+        "exhaustive_10deg_seed4_slots.csv":
+            "6ac8bcabfd7b0d0c64e72d0295fb893f756365b874f4f6b30748658cb323faba",
+        "exhaustive_10deg_seed4_summary.txt":
+            "80b9df3d2248440103441c44368813969e0376efa3b18989c3716c83c2f88e1f",
+        "oracle_seed3_slots.csv":
+            "f7ce538169bda43cc6e883c5bcf736f4b5f7f1f5d035214be3427ac6386c44eb",
+        "oracle_seed3_summary.txt":
+            "b0e4ea140c3506bf26bc2fbc0c325efbc648cfb380fb7670af8d6ec1f16d738f",
+        "oracle_seed4_slots.csv":
+            "e497c1031462250f6af03bf18291c1b6a86889af8a1ea094b8213cce8d5aeb5b",
+        "oracle_seed4_summary.txt":
+            "40ce74830789bf3726885079acb4159ffa48c1fd1b328566c32f6aa453a30ff4",
+        "proposed_seed3_slots.csv":
+            "67897d425f2499c437d3c2a30a888f12da60e62496137949f9bcf12f5569b1aa",
+        "proposed_seed3_summary.txt":
+            "1a05d580e6e35a84ab53967e523e4aefb737a9a229c1385ed997314c8ea3dfd1",
+        "proposed_seed4_slots.csv":
+            "7adf141bcfbc60bdddeb010719c3eea46201feb3f5e519cb90a2d0d6dc3dcc15",
+        "proposed_seed4_summary.txt":
+            "56229b85d5fe24632f12ab7e2fcc0b34400ad1be8568a08694cae3cb3eadf2a6",
+        "summary.txt":
+            "cee1d0ed06d68e60c0ffd56a33b4fceee3b224dffe68d835e9f318c9c98fcd6c",
     },
     "tracking_stress": {
         "oracle_seed1_slots.csv":

@@ -71,6 +71,22 @@ class TestMeasureObservables:
         with pytest.raises(ValueError):
             measure_observables(0.0j, 1.0 + 0.0j, 8.0, 0.3)
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("eta", "rss_ref", "r_ref")
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+    ] + [("theta2_ref", value) for value in (math.nan, math.inf, -math.inf)]
+      + [("xi", value) for value in (math.nan, math.inf, -math.pi)])
+    def test_non_finite_or_out_of_range_field_rejected(self, field, value):
+        values = dict(eta=0.5, xi=0.1, rss_ref=2.0, r_ref=8.0, theta2_ref=-0.3)
+        TrackingObservables(**values)
+        values[field] = value
+        with pytest.raises(ValueError, match=field):
+            TrackingObservables(**values)
+        # numpy scalars, as the engine passes them, are checked the same way
+        values[field] = np.float64(value)
+        with pytest.raises(ValueError, match=field):
+            TrackingObservables(**values)
+
 
 class TestRFromEta:
     def test_no_drop_returns_reference(self):
@@ -198,7 +214,11 @@ def loop_two_dim_search(obs, grid, geom):
 
 
 def random_observables(rng, **fixed):
-    """Seeded random observables; keyword arguments pin single fields."""
+    """Seeded random observables; keyword arguments pin single fields.
+
+    A non-finite pinned value, which the constructor rejects, is set past its
+    checks, so the search's rules for NaN and infinite totals stay pinned.
+    """
     values = dict(
         eta=float(np.exp(rng.uniform(np.log(1e-3), np.log(4.0)))),
         xi=wrap_principal(rng.uniform(-math.pi, math.pi)),
@@ -207,7 +227,12 @@ def random_observables(rng, **fixed):
         theta2_ref=np.deg2rad(rng.uniform(-60.0, 60.0)),
     )
     values.update(fixed)
-    return TrackingObservables(**values)
+    if all(map(math.isfinite, values.values())):
+        return TrackingObservables(**values)
+    obs = object.__new__(TrackingObservables)
+    for name, value in values.items():
+        object.__setattr__(obs, name, value)
+    return obs
 
 
 # (observable pins, grid, geometry) of the matrix search's edge cases
