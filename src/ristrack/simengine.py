@@ -10,14 +10,21 @@ event runs: one uplink feedback slot, the policy's downlink training slots
 new configuration. The user keeps moving during signaling, and the
 instantaneous rate of every non-data slot is zero.
 
-A status is scanned in fixed windows of slots: each window's received samples
-are evaluated under the status configuration in one call, and in the window
-that holds the trigger slot the samples past that slot are discarded, since
-those slots belong to the event and to the next status. So at most one window
-of samples is thrown away per event; the window size sets speed, not the
+A status is scanned in pieces whose size follows the status before it.
+After a short status (or none), each piece is a fixed window of slots whose
+received samples are evaluated under the status configuration in one call.
+After a long status of L slots, each piece is one span of 2L slots (capped),
+since the next status tends to last about as long: a few evenly strided
+slots of the span are probed first, the first probed slot below threshold
+bounds the trigger from above, and the span is then evaluated only up to
+that slot, where the first crossing is found exactly, also one between
+probes. In the piece that holds the trigger slot the samples past that slot
+are discarded, since those slots belong to the event and to the next status.
+A probed sample is that slot's exact sample, and the evaluation up to the
+bound decides the trigger, so the piece sizes and probes set speed, not the
 slot kinds or ids.
 
-Every scan window and training slice is evaluated by one function,
+Every scan window, probe, span and training slice is evaluated by one function,
 `_received_samples`, from three read-only columns of the trajectory that do
 not depend on the tracker: kd*(sin(theta1) - sin(theta2)), the amplitude
 times exp(-j*(N-1)*kd*(sin(theta1) - sin(theta2))/2), and the receiver
@@ -53,7 +60,11 @@ from .ris import RisConfiguration, _dirichlet, optimal_config
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
 from .wavefield import LinkGeometry, wrap_two_pi
 
-_SCAN_WINDOW = 1024  # slots per scan window; sets speed, not slot kinds or ids
+# How a status is scanned; these set speed, not slot kinds or ids.
+_SCAN_WINDOW = 1024  # slots per window after a short status
+_LONG_STATUS = 1024  # a status after one of at least this many slots is scanned in spans
+_SCAN_SPAN = 65536   # most slots in one span
+_PROBE_SLOTS = 128   # most strided slots probed before a span is evaluated
 
 
 class SlotKind(enum.IntEnum):
@@ -227,16 +238,18 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry, noise_seed: int | 
     return cols
 
 
-def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope) -> np.ndarray:
-    """Received samples of slots [lo, hi) under `slope`, one for all or one per slot.
+def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope,
+                      step: int = 1) -> np.ndarray:
+    """Received samples of slots lo, lo + step, ... below hi under `slope`.
 
-    Every scan window and training slice goes through here: the Dirichlet
-    form exp(j*(N-1)*s/2) * phase * D(s - kdu) + noise, where the slope's
-    half of the phase is one scalar for a scan window.
+    `slope` is one for all slots or one per slot. Every scan window, probe,
+    span and training slice goes through here: the Dirichlet form
+    exp(j*(N-1)*s/2) * phase * D(s - kdu) + noise, elementwise, where the
+    slope's half of the phase is one scalar for a scan.
     """
-    d, _ = _dirichlet(slope - cols.kdu[lo:hi], cols.n_ris)
+    d, _ = _dirichlet(slope - cols.kdu[lo:hi:step], cols.n_ris)
     turn = np.exp(0.5j * (cols.n_ris - 1) * np.asarray(slope))
-    return turn * cols.phase[lo:hi] * d + cols.noise[lo:hi]
+    return turn * cols.phase[lo:hi:step] * d + cols.noise[lo:hi:step]
 
 
 def run_timeline(
@@ -252,11 +265,15 @@ def run_timeline(
     `threshold_mode="normalized"` compares strength against the status
     reference (portable thresholds in (0, 1]); `"absolute"` compares raw
     strength. Either way a fresh status re-evaluates from the slot after its
-    reference slot, so at most one event fires per trigger. A status is
-    scanned in fixed windows of `_SCAN_WINDOW` slots; samples past the trigger
-    slot are discarded, and those slots are evaluated again as signaling or
-    under the next configuration. Identical inputs and seeds give
-    bit-identical ledgers.
+    reference slot, so at most one event fires per trigger. A status after
+    one shorter than `_LONG_STATUS` slots (or the first status) is scanned in
+    windows of `_SCAN_WINDOW` slots. A status after one of L >= `_LONG_STATUS`
+    slots is scanned in spans of max(`_SCAN_WINDOW`, min(2L, `_SCAN_SPAN`))
+    slots: at most `_PROBE_SLOTS` evenly strided slots of a span are
+    evaluated first, and the span is evaluated only up to the first probed
+    slot below threshold. Samples past the trigger slot are discarded, and
+    those slots are evaluated again as signaling or under the next
+    configuration. Identical inputs and seeds give bit-identical ledgers.
     """
     n = len(trajectory)
     if n == 0:
@@ -297,16 +314,32 @@ def run_timeline(
         config_col[lo:hi] = cfg_id
         status_col[lo:hi] = status
 
+    # slots [lo, hi) of the current status cut to end just past the first of
+    # its probed slots below threshold; the reference slot is never a trigger
+    def probe_bound(lo: int, hi: int) -> int:
+        step = -(-(hi - lo) // _PROBE_SLOTS)
+        power = np.abs(_received_samples(cols, lo, hi, config.slope, step)) ** 2
+        ref = rss_ref if rss_ref >= 0 else max(float(power[0]), 1e-300)
+        level = power / ref if normalized else power
+        first = int(lo == ref_idx)
+        below = np.nonzero(level[first:] < policy.gamma)[0]
+        return lo + (first + int(below[0])) * step + 1 if below.size else hi
+
     cursor = 0
+    last_len = 0  # slots of the status before, 0 before the first
     while cursor < n:
         ref_idx = cursor
         rss_ref = -1.0
         y_ref = 0j
         t2 = -1
         y_t2 = 0j
+        probed = last_len >= _LONG_STATUS
+        size = max(_SCAN_WINDOW, min(2 * last_len, _SCAN_SPAN)) if probed else _SCAN_WINDOW
         scan = cursor
         while scan < n:
-            hi = min(n, scan + _SCAN_WINDOW)
+            hi = min(n, scan + size)
+            if probed:
+                hi = probe_bound(scan, hi)
             y = _received_samples(cols, scan, hi, config.slope)
             power = np.abs(y) ** 2
             if rss_ref < 0:
@@ -322,12 +355,15 @@ def run_timeline(
                     y_t2 = complex(y[t2 - scan])
                     break
             scan = hi
+        # a span's samples are not kept through the event and the next scan
+        y = power = level = None
 
         if t2 < 0:
             break
 
         events += 1
         status += 1
+        last_len = t2 + 1 - ref_idx
         kind[t2] = int(SlotKind.DATA_BELOW_THRESHOLD)
         status_col[t2] = status
         cursor = t2 + 1

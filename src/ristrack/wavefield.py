@@ -62,6 +62,10 @@ class LinkGeometry:
             # one element has no beam to track: every event would be spent on
             # single noisy samples crossing the threshold
             raise ValueError(f"n_ris must be >= 2, got {self.n_ris}")
+        if self.alpha == 0:
+            # no signal reaches the user: every event would be noise crossing
+            # the threshold
+            raise ValueError(f"alpha must be nonzero, got {self.alpha}")
         if self.wavelength <= 0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
         if self.spacing_d <= 0:

@@ -210,6 +210,7 @@ class TestExitCodes:
         ("run", "seeds", "-1"),
         ("run", "seeds", "1, 1"),
         ("geometry", "n_ris", "1"),
+        ("geometry", "alpha", "0"),
         # non-finite values, which used to run on or fail at run time
         ("geometry", "r1_m", "nan"),
         ("geometry", "snr_db", "nan"),

@@ -119,6 +119,8 @@ class TestSchema:
             load_config(write(tmp_path, "[trajectory]\nspeed_mps = 0\n"))
         with pytest.raises(ConfigError, match=r"\[trajectory\] speed_mps: speed_v"):
             override_config(ScenarioConfig(), "speed_mps", "0")
+        with pytest.raises(ConfigError, match=r"\[geometry\] alpha: alpha must be nonzero"):
+            load_config(write(tmp_path, "[geometry]\nalpha = 0\n"))
 
     def test_readme_scenario_block_loads(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -353,6 +353,19 @@ class TestLedgerInvariantMatrix:
 # thousand slots each, several windows long
 WINDOW_GEOM = LinkGeometry()
 WINDOW_POLICIES = (ProposedPolicy(), ExhaustivePolicy(sweep=SweepSpec(10.0)), OraclePolicy())
+# -10 dB: statuses still last thousands of slots, and noise dips below the
+# threshold at slots that the probes step over
+LOW_SNR_GEOM = replace(WINDOW_GEOM, snr_linear=0.1)
+
+# scan constants set against the defaults; a window size is named by its value
+SCAN_SETTINGS = {
+    "7": dict(_SCAN_WINDOW=7),
+    "1000000000": dict(_SCAN_WINDOW=10**9),
+    "probing_off": dict(_LONG_STATUS=10**9),
+    "probing_every_span": dict(_LONG_STATUS=0),
+    "stride_1": dict(_LONG_STATUS=0, _PROBE_SLOTS=10**9),
+    "two_probes_per_span": dict(_LONG_STATUS=0, _PROBE_SLOTS=2),
+}
 
 
 @pytest.fixture(scope="module")
@@ -360,14 +373,46 @@ def default_walk():
     return generate_trajectory(TrajectorySpec(path_length=0.3, rng_seed=4), WINDOW_GEOM)
 
 
+def scan_runs(walk):
+    """(geometry, policy, threshold mode) of every run the scan settings are checked on."""
+    # absolute thresholds sit at fixed shares of the first slot's aligned peak
+    peak = (WINDOW_GEOM.beamformer_gain * abs(walk.beta[0]) * WINDOW_GEOM.n_ris) ** 2
+    absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, SweepSpec(10.0)),
+                OraclePolicy(0.9 * peak))
+    return ([(WINDOW_GEOM, p, "normalized") for p in WINDOW_POLICIES]
+            + [(WINDOW_GEOM, p, "absolute") for p in absolute]
+            + [(LOW_SNR_GEOM, p, "normalized") for p in WINDOW_POLICIES])
+
+
+@pytest.fixture(scope="module")
+def default_scans(default_walk):
+    return [run_timeline(default_walk, policy, geom, noise_seed=5, threshold_mode=mode)
+            for geom, policy, mode in scan_runs(default_walk)]
+
+
+def probe_missed_trigger(calls, tl) -> bool:
+    """Whether a probed slot after some trigger stayed above threshold.
+
+    Each probe is followed by the evaluation of its span up to the probe's
+    bound; the trigger then lies a full stride or more before that bound.
+    """
+    triggers = np.nonzero(kinds_of(tl) == int(SlotKind.DATA_BELOW_THRESHOLD))[0]
+    for probe, span in zip(calls, calls[1:]):
+        if probe.step > 1:
+            inside = triggers[(triggers >= span.lo) & (triggers < span.hi)]
+            if inside.size and span.hi - 1 - inside[0] >= probe.step:
+                return True
+    return False
+
+
 class TestScanWindow:
-    @pytest.mark.parametrize("window", [7, 10**9])
-    def test_window_changes_no_result(self, default_walk, monkeypatch, window):
-        base = [run_timeline(default_walk, p, WINDOW_GEOM, noise_seed=5)
-                for p in WINDOW_POLICIES]
-        monkeypatch.setattr(simengine, "_SCAN_WINDOW", window)
-        for policy, want in zip(WINDOW_POLICIES, base):
-            got = run_timeline(default_walk, policy, WINDOW_GEOM, noise_seed=5)
+    @pytest.mark.parametrize("setting", sorted(SCAN_SETTINGS))
+    def test_window_changes_no_result(self, default_walk, default_scans, monkeypatch,
+                                      setting):
+        for name, value in SCAN_SETTINGS[setting].items():
+            monkeypatch.setattr(simengine, name, value)
+        for (geom, policy, mode), want in zip(scan_runs(default_walk), default_scans):
+            got = run_timeline(default_walk, policy, geom, noise_seed=5, threshold_mode=mode)
             assert want.tracking_calls > 0, policy.name
             assert got.tracking_calls == want.tracking_calls
             for col in ("kind", "status_id", "config_id"):
@@ -378,26 +423,37 @@ class TestScanWindow:
                 np.testing.assert_allclose(getattr(got, col), getattr(want, col),
                                            rtol=1e-12, atol=0, err_msg=col)
 
-    def test_each_slot_evaluated_about_once(self, default_walk, monkeypatch):
-        handed = []
-        original = simengine._received_samples
+    def test_probes_step_over_noise_crossings(self, default_walk, engine_calls):
+        # the case the exact evaluation up to the probe's bound exists for
+        missed = []
+        for policy in WINDOW_POLICIES:
+            engine_calls.clear()
+            tl = run_timeline(default_walk, policy, LOW_SNR_GEOM, noise_seed=5)
+            missed.append(probe_missed_trigger(engine_calls, tl))
+        assert any(missed)
 
-        def counting(cols, lo, hi, slope):
-            handed.append(hi - lo)
-            return original(cols, lo, hi, slope)
-
-        monkeypatch.setattr(simengine, "_received_samples", counting)
+    def test_each_slot_evaluated_about_once(self, default_walk, engine_calls):
         n = len(default_walk)
         for policy in WINDOW_POLICIES:
-            handed.clear()
+            engine_calls.clear()
             tl = run_timeline(default_walk, policy, WINDOW_GEOM, noise_seed=5)
             kinds = kinds_of(tl)
             training = int(np.sum(kinds == int(SlotKind.DL_TRAINING)))
-            # every window but the one holding a trigger is kept whole
+            kept = int(np.sum(kinds != int(SlotKind.UL_FEEDBACK)))
+            evaluated = sum(len(c.slots) for c in engine_calls)
+            scans = sum(c.scan for c in engine_calls)
+            statuses = tl.tracking_calls + 1
+            # every window but the one holding a trigger is kept whole, and a
+            # span wastes its probes and less than one stride past the trigger
             bound = n + (tl.tracking_calls + 1) * simengine._SCAN_WINDOW + training
-            assert sum(handed) <= bound, policy.name
+            assert evaluated <= bound, policy.name
+            # fixed 1024-slot windows evaluate 1.107/1.082/1.111 slots per kept
+            # slot in 2.92/4.86/2.92 scan calls per status; spans sized from the
+            # status before take 1.071/1.057/1.068 slots in 2.08/2.71/2.08 calls
+            assert evaluated <= 1.08 * kept, policy.name
+            assert scans <= 2.75 * statuses, policy.name
             # and the hook sees every received slot, so it cannot pass by seeing none
-            assert sum(handed) >= np.sum(kinds != int(SlotKind.UL_FEEDBACK)), policy.name
+            assert evaluated >= kept, policy.name
 
 
 def assert_same_timeline(got, want):
@@ -450,29 +506,24 @@ class TestSlotColumns:
 class TestEngineSamples:
     @pytest.mark.parametrize("policy", [ProposedPolicy(gamma=0.99),
                                         ExhaustivePolicy(gamma=0.99, sweep=SweepSpec(10.0))])
-    def test_each_slot_equals_received_sample(self, monkeypatch, policy):
+    def test_each_slot_equals_received_sample(self, monkeypatch, engine_calls, policy):
         # seven elements and theta2 > theta1: every aligned step lies next to
         # 2*pi, where the closed form used to lose digits
         geom = LinkGeometry(r1=2.0, n_ris=7, theta1=np.deg2rad(10.0))
         walk = generate_trajectory(TrajectorySpec(r2_init=0.5, speed_v=0.6, path_length=0.05,
                                                   rng_seed=11), geom)
         assert np.all(walk.theta2 > geom.theta1)
-        seen = []
-        original = simengine._received_samples
-
-        def keep(cols, lo, hi, slope):
-            y = original(cols, lo, hi, slope)
-            seen.append((lo, hi, np.broadcast_to(slope, (hi - lo,)), y))
-            return y
-
-        monkeypatch.setattr(simengine, "_received_samples", keep)
+        # the walk's statuses are short, so spans and probes start at shorter ones
+        monkeypatch.setattr(simengine, "_LONG_STATUS", 64)
+        monkeypatch.setattr(simengine, "_PROBE_SLOTS", 8)
         tl = run_timeline(walk, policy, geom, noise_enabled=False)
         assert tl.tracking_calls > 1
+        assert any(c.step > 1 for c in engine_calls)
         covered = set()
-        for lo, hi, slopes, y in seen:
-            for i in range(lo, hi):
-                cfg = RisConfiguration(slopes[i - lo], geom.n_ris)
+        for call in engine_calls:
+            for j, i in enumerate(call.slots):
+                cfg = RisConfiguration(call.slopes[j], geom.n_ris)
                 want = received_sample(walk[i], cfg, geom)
-                assert abs(y[i - lo] - want) <= 1e-12 * abs(want), i
-            covered.update(kinds_of(tl)[lo:hi].tolist())
+                assert abs(call.samples[j] - want) <= 1e-12 * abs(want), i
+            covered.update(kinds_of(tl)[call.lo:call.hi].tolist())
         assert {int(SlotKind.DATA), int(SlotKind.DL_TRAINING)} <= covered

@@ -163,6 +163,12 @@ class TestLinkGeometry:
         geom = LinkGeometry(n_tx=16, snr_linear=10.0)
         assert geom.beamformer_gain == pytest.approx(math.sqrt(160.0))
 
+    @pytest.mark.parametrize("alpha", [0, 0j, -0.0, complex(-0.0, -0.0)])
+    def test_zero_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be nonzero"):
+            LinkGeometry(alpha=alpha)
+        assert LinkGeometry(alpha=1e-3j).alpha == 1e-3j
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             LinkGeometry(n_tx=0)
