@@ -43,15 +43,17 @@ for policy in policies:
     timelines[tl.policy_name] = tl
     print(f"{tl.policy_name:18s} events={m.tracking_calls:3d} "
           f"below-threshold={m.pct_below_threshold:6.3f}%  "
-          f"final rate={tl.cum_rate[-1]:.4f} bit/s/Hz")
+          f"final rate={m.final_cum_rate:.4f} bit/s/Hz")
 
 stride = max(1, len(traj) // 4000)
 names = list(timelines)
+# each running mean derived once
+cum_rates = {name: timelines[name].cum_rate for name in names}
 with open("rate_comparison.csv", "w", encoding="utf-8") as fh:
     fh.write("slot_index,theta2_true_deg," + ",".join(names) + "\n")
     theta_deg = np.rad2deg(traj.theta2)
     for i in range(0, len(traj), stride):
-        row = ",".join(f"{timelines[n].cum_rate[i]:.6g}" for n in names)
+        row = ",".join(f"{cum_rates[n][i]:.6g}" for n in names)
         fh.write(f"{i + 1},{theta_deg[i]:.5g},{row}\n")
 print("\nwrote rate_comparison.csv")
 
@@ -64,7 +66,7 @@ try:
     fig, ax = plt.subplots(figsize=(8, 5))
     theta_deg = np.rad2deg(traj.theta2)
     for name in names:
-        ax.plot(theta_deg[::stride], timelines[name].cum_rate[::stride], label=name)
+        ax.plot(theta_deg[::stride], cum_rates[name][::stride], label=name)
     ax.set_xlabel("user position as departure angle [deg]")
     ax.set_ylabel("cumulative average rate [bit/s/Hz]")
     ax.grid(True, linestyle=":")

@@ -33,6 +33,7 @@ from .simengine import (
     ProposedPolicy,
     RunMetrics,
     SlotKind,
+    StatusTimeline,
     Timeline,
     cumulative_rate,
     instantaneous_rate,
@@ -71,6 +72,7 @@ __all__ = [
     "ScenarioConfig",
     "SearchGrid",
     "SlotKind",
+    "StatusTimeline",
     "SweepSpec",
     "Timeline",
     "TrackingObservables",

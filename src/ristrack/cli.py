@@ -45,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{r.policy_name} seed={r.seed}: {r.n_slots} slots, "
                       f"{r.metrics.tracking_calls} tracking calls, "
                       f"{r.metrics.pct_below_threshold:.4g}% below threshold, "
-                      f"final rate {r.metrics.cumulative_rate_series[-1]:.6g}")
+                      f"final rate {r.metrics.final_cum_rate:.6g}")
             return 0
         param, _, values = args.vary.partition("=")
         if not values:

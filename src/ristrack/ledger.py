@@ -1,8 +1,11 @@
 """Slot-ledger CSV text, formatted by numpy with the bytes of ``%d`` and ``%.12g``.
 
 The ledgers of one trajectory are formatted together, block by block of
-rows. The slot index and the true angle are the same for every tracker of a
-seed, so their cells are formatted once per block and shared.
+rows. Each timeline hands out a block's columns from its ``block`` method, a
+simulated run deriving them from its status table and carrying its running
+rate sum on to the next block. The slot index and the true angle are the
+same for every tracker of a seed, so their cells are formatted once per
+block and shared.
 
 Each cell of a block is a few rows of indices into a table of uint32 words,
 pieces of four ASCII bytes: a separator (which also carries a minus sign),
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simengine import SlotKind, Timeline
+from .simengine import SlotKind, StatusTimeline, Timeline
 
 LEDGER_HEADER = ("slot_index,kind,rss,rss_normalized,inst_rate,cum_rate,"
                  "status_id,config_id,theta2_true_deg")
@@ -233,7 +236,7 @@ def _shared(cell: _Cell) -> _Cell:
     return cell._replace(rows=[np.asarray(row, np.intp) for row in cell.rows])
 
 
-def ledger_chunks(timelines: Sequence[Timeline]) -> Iterator[bytes]:
+def ledger_chunks(timelines: Sequence[StatusTimeline | Timeline]) -> Iterator[bytes]:
     """The ledger CSV of each timeline of one trajectory, in lockstep.
 
     Yields a chunk of each timeline in turn: the headers, then the rows of
@@ -256,23 +259,24 @@ def ledger_chunks(timelines: Sequence[Timeline]) -> Iterator[bytes]:
     return _lockstep(timelines)
 
 
-def _lockstep(timelines: Sequence[Timeline]) -> Iterator[bytes]:
+def _lockstep(timelines: Sequence[StatusTimeline | Timeline]) -> Iterator[bytes]:
     for _ in timelines:
         yield LEDGER_HEADER.encode()
     if timelines:
         block_rows = LEDGER_BLOCK_ROWS
         theta = timelines[0].theta2_true
+        carries = [None] * len(timelines)  # each timeline's running inst_rate sum
         for start in range(0, len(theta), block_rows):
             stop = min(start + block_rows, len(theta))
             # each cell starts with its separator, so each row starts with a newline
             index = _shared(_int_cell(np.arange(start + 1, stop + 1), _NEWLINE))
             angle = _shared(_float_cell(np.rad2deg(theta[start:stop])))
-            for tl in timelines:
+            for i, tl in enumerate(timelines):
+                block, carries[i] = tl.block(start, stop, carries[i])
                 yield _block_text((
-                    index, _kind_cell(tl.kind[start:stop]),
-                    _float_cell(tl.rss[start:stop]), _float_cell(tl.rss_normalized[start:stop]),
-                    _float_cell(tl.inst_rate[start:stop]), _float_cell(tl.cum_rate[start:stop]),
-                    _int_cell(tl.status_id[start:stop]), _int_cell(tl.config_id[start:stop]),
-                    angle))
+                    index, _kind_cell(block.kind), _float_cell(block.rss),
+                    _float_cell(block.rss_normalized), _float_cell(block.inst_rate),
+                    _float_cell(block.cum_rate), _int_cell(block.status_id),
+                    _int_cell(block.config_id), angle))
     for _ in timelines:
         yield b"\n"

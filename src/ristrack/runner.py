@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 from .config import ConfigError, ScenarioConfig, override_config
 from .mobility import generate_path
-from .simengine import RunMetrics, Timeline, overhead_report, run_timeline
+from .simengine import RunMetrics, StatusTimeline, Timeline, overhead_report, run_timeline
 
 OUTPUT_DIR_ENV = "RISTRACK_OUTDIR"
 
@@ -44,7 +44,7 @@ class RunResult:
     summary_path: str
 
 
-def write_ledgers(paths: list[str], timelines: list[Timeline]) -> None:
+def write_ledgers(paths: list[str], timelines: list[StatusTimeline | Timeline]) -> None:
     """Write the slot ledgers of one trajectory's timelines, each to its path.
 
     A ledger is a header, then one ``%d``/``%.12g`` row per slot. The files
@@ -63,7 +63,7 @@ def write_ledgers(paths: list[str], timelines: list[Timeline]) -> None:
             fh.write(chunk)
 
 
-def write_run_summary(path: str, tl: Timeline, seed: int, metrics: RunMetrics) -> None:
+def write_run_summary(path: str, tl: StatusTimeline, seed: int, metrics: RunMetrics) -> None:
     lines = [
         f"tracker: {tl.policy_name}",
         f"seed: {seed}",
@@ -71,7 +71,7 @@ def write_run_summary(path: str, tl: Timeline, seed: int, metrics: RunMetrics) -
         f"gamma: {_fmt(tl.gamma)}",
         f"tracking_calls: {metrics.tracking_calls}",
         f"pct_below_threshold: {_fmt(metrics.pct_below_threshold)}",
-        f"final_cum_rate: {_fmt(tl.cum_rate[-1])}",
+        f"final_cum_rate: {_fmt(metrics.final_cum_rate)}",
     ]
     if not math.isnan(metrics.avg_error_vs_oracle):
         lines.append(f"avg_error_vs_oracle: {_fmt(metrics.avg_error_vs_oracle)}")
@@ -106,7 +106,7 @@ def _aggregate_summary(path: str, results: list[RunResult]) -> None:
                    lambda r: str(r.metrics.tracking_calls))
     lines.append("")
     lines += table("Final cumulative average rate (bit/s/Hz)",
-                   lambda r: f"{r.metrics.cumulative_rate_series[-1]:.6g}")
+                   lambda r: f"{r.metrics.final_cum_rate:.6g}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -117,7 +117,7 @@ def resolve_output_dir(cfg: ScenarioConfig, out_dir: str | None = None) -> str:
     return os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
 
 
-def _simulate_seed(cfg: ScenarioConfig, seed: int) -> list[Timeline]:
+def _simulate_seed(cfg: ScenarioConfig, seed: int) -> list[StatusTimeline]:
     """Every configured tracker's timeline on one seed's trajectory.
 
     The trajectory, and the slot columns the engine keeps for it, are freed
@@ -145,7 +145,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> list[RunRes
     return results
 
 
-def _write_seed(out: str, seed: int, timelines: list[Timeline]) -> list[RunResult]:
+def _write_seed(out: str, seed: int, timelines: list[StatusTimeline]) -> list[RunResult]:
     """Write one seed's ledgers and run summaries; the oracle, if any, is the reference."""
     oracle_tl = next((tl for tl in timelines if tl.policy_name == "oracle"), None)
     stems = [os.path.join(out, f"{tl.policy_name}_seed{seed}") for tl in timelines]
@@ -199,7 +199,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, raw_values: list[str],
             fh.write(
                 f"{name},{raw},{r.policy_name},{r.seed},{r.n_slots},"
                 f"{r.metrics.tracking_calls},{_fmt(r.metrics.pct_below_threshold)},"
-                f"{_fmt(r.metrics.cumulative_rate_series[-1])},"
+                f"{_fmt(r.metrics.final_cum_rate)},"
                 f"{'' if math.isnan(err) else _fmt(err)}\n"
             )
     return sweep_path

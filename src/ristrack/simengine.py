@@ -43,6 +43,16 @@ of them in one evaluation; candidate i takes the i-th configuration id after
 the last one used, and the strongest candidate is installed under its id.
 When the trajectory ends mid-training the event stays counted but open: no
 closing feedback slot and no new configuration.
+
+A run keeps two per-slot columns, `rss` and `inst_rate`, and a status table
+with one row per run of slots that share a kind, a status id, a config id
+(stepped by one per slot of a training slice) and a normalisation reference:
+about five rows per event. The other ledger columns (`kind`,
+`rss_normalized`, `cum_rate`, `config_id`, `status_id`) are derived from
+these over any range of slots, row by row, whenever they are read; the
+ledger writer derives them one block of rows at a time, continuing the
+running rate sum from block to block. `inst_rate` stays kept because the
+rate-gap metric reads it whole for every tracker and its oracle.
 """
 
 from __future__ import annotations
@@ -111,7 +121,11 @@ class ExhaustivePolicy:
 
 @dataclass(frozen=True, eq=False)  # identity equality: arrays have no single truth value
 class Timeline:
-    """Column-oriented slot ledger: one read-only array per ledger column."""
+    """Ledger columns of a run of slots, one array per column.
+
+    A `StatusTimeline` hands out its columns as one of these per block of
+    slots; one can also be built from explicit columns.
+    """
 
     kind: np.ndarray
     rss: np.ndarray
@@ -128,6 +142,138 @@ class Timeline:
     def __len__(self) -> int:
         return self.kind.shape[0]
 
+    def block(self, lo: int, hi: int, carry: float | None = None) -> tuple[Timeline, float | None]:
+        """Slots [lo, hi) of every column; `cum_rate` is given, so `carry` passes through."""
+        return Timeline(self.kind[lo:hi], self.rss[lo:hi], self.rss_normalized[lo:hi],
+                        self.inst_rate[lo:hi], self.cum_rate[lo:hi], self.config_id[lo:hi],
+                        self.status_id[lo:hi], self.theta2_true[lo:hi], self.policy_name,
+                        self.gamma, self.tracking_calls), carry
+
+
+@dataclass(frozen=True, eq=False)
+class StatusTable:
+    """A timeline's slots as runs that share a kind, a status id, a config id and a reference.
+
+    Row i covers slots first[i] <= slot < first[i + 1]; the last entry of
+    `first` is the slot count. Each slot of a row takes the row's kind and
+    status id and is normalised to the row's `rss_ref`. A DL_TRAINING row's
+    first slot takes the row's config id and each later slot the next one;
+    every other slot takes the row's. A status gives one DATA row from its
+    reference slot, and its event the rows of the trigger slot, the feedback
+    slots and the training slice; these already take the next status id but
+    are still normalised to the ended status's reference. A trajectory that
+    ends on an event's opening feedback slot leaves its training row empty.
+    """
+
+    first: np.ndarray      # int64, one entry per row and the slot count
+    kind: np.ndarray       # int8
+    status_id: np.ndarray  # int32
+    config_id: np.ndarray  # int32
+    rss_ref: np.ndarray    # float64
+
+    def span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
+        """The rows that hold slots [lo, hi), and how many of those slots each holds."""
+        first = self.first
+        i = int(np.searchsorted(first, lo, "right")) - 1
+        j = int(np.searchsorted(first, hi, "left"))
+        lengths = np.diff(first[i:j + 1])
+        if j > i:
+            lengths[0] -= lo - first[i]
+            lengths[-1] -= first[j] - hi
+        return slice(i, j), lengths
+
+    def spread(self, column: str, lo: int, hi: int,
+               span: tuple[slice, np.ndarray] | None = None) -> np.ndarray:
+        """The per-slot values of row column `column` over slots [lo, hi), row by row.
+
+        `span` is ``self.span(lo, hi)``, handed in when columns share it.
+        """
+        rows, lengths = self.span(lo, hi) if span is None else span
+        values = np.repeat(getattr(self, column)[rows], lengths)
+        if column == "config_id":
+            # a training row's slot s takes id + s - first
+            for r in np.flatnonzero(self.kind[rows] == SlotKind.DL_TRAINING).tolist():
+                start = int(self.first[rows.start + r])
+                a, b = max(start, lo), min(int(self.first[rows.start + r + 1]), hi)
+                values[a - lo:b - lo] += np.arange(a - start, b - start, dtype=np.int32)
+        return values
+
+
+def _running_mean(inst: np.ndarray, lo: int, hi: int,
+                  carry: float | None) -> tuple[np.ndarray, float]:
+    """`cum_rate` over slots [lo, hi), and the running sum of `inst` through hi.
+
+    The slots are accumulated behind `carry`, the running sum through lo, so
+    a block continues the one sequential np.cumsum of `cumulative_rate` bit
+    for bit; adding the carry to the block's own sums would round
+    differently. A carry of None is summed here from slot 0.
+    """
+    if carry is None:
+        carry = float(np.cumsum(inst[:lo])[-1]) if lo else 0.0
+    sums = np.cumsum(np.concatenate(([carry], inst[lo:hi])))
+    total = float(sums[-1])
+    cum = sums[1:]
+    cum /= np.arange(lo + 1, hi + 1, dtype=float)  # exact slot counts
+    return cum, total
+
+
+@dataclass(frozen=True, eq=False)
+class StatusTimeline:
+    """A simulated run: its `rss` and `inst_rate` columns and its status table.
+
+    The other ledger columns follow from these. `block` derives them over a
+    range of slots, and the properties of the same names over every slot.
+    None of them is kept: each access computes its column afresh, so read a
+    column into a local before indexing it in a loop.
+    """
+
+    rss: np.ndarray
+    inst_rate: np.ndarray
+    statuses: StatusTable
+    theta2_true: np.ndarray
+    policy_name: str
+    gamma: float
+    tracking_calls: int
+
+    def __len__(self) -> int:
+        return self.rss.shape[0]
+
+    def block(self, lo: int, hi: int, carry: float | None = None) -> tuple[Timeline, float]:
+        """The ledger columns of slots [lo, hi), and the running `inst_rate` sum through hi.
+
+        `carry` is the running sum through lo, as the block before returned
+        it; None sums it here from slot 0.
+        """
+        table = self.statuses
+        span = table.span(lo, hi)
+        rss = self.rss[lo:hi]
+        cum, carry = _running_mean(self.inst_rate, lo, hi, carry)
+        return Timeline(table.spread("kind", lo, hi, span), rss,
+                        rss / table.spread("rss_ref", lo, hi, span), self.inst_rate[lo:hi], cum,
+                        table.spread("config_id", lo, hi, span),
+                        table.spread("status_id", lo, hi, span), self.theta2_true[lo:hi],
+                        self.policy_name, self.gamma, self.tracking_calls), carry
+
+    @property
+    def kind(self) -> np.ndarray:
+        return self.statuses.spread("kind", 0, len(self))
+
+    @property
+    def rss_normalized(self) -> np.ndarray:
+        return self.rss / self.statuses.spread("rss_ref", 0, len(self))
+
+    @property
+    def cum_rate(self) -> np.ndarray:
+        return _running_mean(self.inst_rate, 0, len(self), 0.0)[0]
+
+    @property
+    def config_id(self) -> np.ndarray:
+        return self.statuses.spread("config_id", 0, len(self))
+
+    @property
+    def status_id(self) -> np.ndarray:
+        return self.statuses.spread("status_id", 0, len(self))
+
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -140,10 +286,15 @@ class RunMetrics:
     falling behind it), so for the proposed tracker it is about twice that gap.
     """
 
-    cumulative_rate_series: np.ndarray
+    final_cum_rate: float
     pct_below_threshold: float
     tracking_calls: int
     avg_error_vs_oracle: float = math.nan
+
+    @property
+    def cumulative_rate_series(self) -> np.ndarray:
+        """The final rate alone, as the last entry of a one-slot series."""
+        return np.array([self.final_cum_rate])
 
 
 def instantaneous_rate(rss, noise_var: float):
@@ -165,24 +316,28 @@ def cumulative_rate(rates) -> np.ndarray:
     return np.cumsum(rates) / np.arange(1, rates.size + 1)
 
 
-def overhead_report(records: Timeline, gamma: float,
-                    oracle_records: Timeline | None = None) -> RunMetrics:
+def overhead_report(records: StatusTimeline, gamma: float,
+                    oracle_records: StatusTimeline | None = None) -> RunMetrics:
     """Signaling accounting: share of non-data slots and tracking-call count.
 
-    Below-threshold, training and feedback slots all count as non-data. The
-    slot kinds were fixed against the run's threshold when it was simulated,
-    so `gamma` is not read here. When an oracle run over the same trajectory
-    is supplied, the mean absolute instantaneous-rate gap is included.
+    Below-threshold, training and feedback slots all count as non-data; the
+    status table counts them. The slot kinds were fixed against the run's
+    threshold when it was simulated, so `gamma` is not read here. When an
+    oracle run over the same trajectory is supplied, the mean absolute
+    instantaneous-rate gap is included.
     """
-    pct = 100.0 * float(np.mean(records.kind != int(SlotKind.DATA)))
+    n = len(records)
+    table = records.statuses
+    nondata = int(np.diff(table.first)[table.kind != SlotKind.DATA].sum())
     err = math.nan
     if oracle_records is not None:
         if oracle_records.inst_rate.shape != records.inst_rate.shape:
             raise ValueError("oracle run must cover the same slots")
         err = float(np.mean(np.abs(records.inst_rate - oracle_records.inst_rate)))
     return RunMetrics(
-        cumulative_rate_series=records.cum_rate,
-        pct_below_threshold=pct,
+        # cum_rate's last entry: the sequential running sum over all n slots, over n
+        final_cum_rate=float(np.cumsum(records.inst_rate)[-1]) / n,
+        pct_below_threshold=100.0 * (nondata / n),
         tracking_calls=records.tracking_calls,
         avg_error_vs_oracle=err,
     )
@@ -259,8 +414,8 @@ def run_timeline(
     noise_seed: int | None = None,
     noise_enabled: bool = True,
     threshold_mode: str = "normalized",
-) -> Timeline:
-    """Drive one policy over a trajectory and return the slot ledger.
+) -> StatusTimeline:
+    """Drive one policy over a trajectory and return its run: `rss`, `inst_rate`, statuses.
 
     `threshold_mode="normalized"` compares strength against the status
     reference (portable thresholds in (0, 1]); `"absolute"` compares raw
@@ -273,7 +428,10 @@ def run_timeline(
     evaluated first, and the span is evaluated only up to the first probed
     slot below threshold. Samples past the trigger slot are discarded, and
     those slots are evaluated again as signaling or under the next
-    configuration. Identical inputs and seeds give bit-identical ledgers.
+    configuration. Only `rss` and the status table are written while the
+    timeline runs; `inst_rate` follows from them at the end, and the other
+    ledger columns are derived when read. Identical inputs and seeds give
+    bit-identical ledgers.
     """
     n = len(trajectory)
     if n == 0:
@@ -289,11 +447,8 @@ def run_timeline(
     theta2 = trajectory.theta2
     cols = _slot_columns(trajectory, geom, noise_seed, noise_enabled)
 
-    kind = np.zeros(n, dtype=np.int8)
     rss = np.zeros(n, dtype=float)
-    rss_norm = np.zeros(n, dtype=float)
-    config_col = np.zeros(n, dtype=np.int32)
-    status_col = np.zeros(n, dtype=np.int32)
+    rows: list[tuple] = []  # the status table, row by row in slot order
 
     is_oracle = isinstance(policy, OraclePolicy)
     is_proposed = isinstance(policy, ProposedPolicy)
@@ -306,13 +461,9 @@ def run_timeline(
     believed_sin = math.sin(float(theta2[0]))
     believed_r = geom.r1 + float(trajectory.r2[0])
 
-    # slots [lo, hi) of the current status, normalised to its reference
-    def write(lo: int, hi: int, k: SlotKind, power, cfg_id) -> None:
-        kind[lo:hi] = int(k)
-        rss[lo:hi] = power
-        rss_norm[lo:hi] = power / rss_ref
-        config_col[lo:hi] = cfg_id
-        status_col[lo:hi] = status
+    # a row from slot lo to the next row, in the current status and reference
+    def row(lo: int, k: SlotKind, cfg_id: int) -> None:
+        rows.append((lo, k, status, cfg_id, rss_ref))
 
     # slots [lo, hi) of the current status cut to end just past the first of
     # its probed slots below threshold; the reference slot is never a trigger
@@ -345,11 +496,13 @@ def run_timeline(
             if rss_ref < 0:
                 rss_ref = max(float(power[0]), 1e-300)
                 y_ref = complex(y[0])
-            write(scan, hi, SlotKind.DATA, power, config.config_id)
+            rss[scan:hi] = power
             start = max(scan, ref_idx + 1)
             if start < hi:
-                level = rss_norm[scan:hi] if normalized else power
-                below = np.nonzero(level[start - scan :] < policy.gamma)[0]
+                level = power[start - scan :]
+                if normalized:
+                    level = level / rss_ref
+                below = np.nonzero(level < policy.gamma)[0]
                 if below.size:
                     t2 = start + int(below[0])
                     y_t2 = complex(y[t2 - scan])
@@ -358,14 +511,14 @@ def run_timeline(
         # a span's samples are not kept through the event and the next scan
         y = power = level = None
 
+        row(ref_idx, SlotKind.DATA, config.config_id)
         if t2 < 0:
             break
 
         events += 1
         status += 1
         last_len = t2 + 1 - ref_idx
-        kind[t2] = int(SlotKind.DATA_BELOW_THRESHOLD)
-        status_col[t2] = status
+        row(t2, SlotKind.DATA_BELOW_THRESHOLD, config.config_id)
         cursor = t2 + 1
 
         if is_oracle:
@@ -377,7 +530,9 @@ def run_timeline(
 
         if cursor >= n:
             break
-        write(cursor, cursor + 1, SlotKind.UL_FEEDBACK, 0.0, config.config_id)
+        # a feedback slot receives nothing; a discarded scan sample may sit there
+        row(cursor, SlotKind.UL_FEEDBACK, config.config_id)
+        rss[cursor] = 0.0
         cursor += 1
 
         if is_proposed:
@@ -392,7 +547,8 @@ def run_timeline(
         # training slot cursor+i measures candidate i while the user keeps moving
         hi = min(n, cursor + slopes.size)
         power = np.abs(_received_samples(cols, cursor, hi, slopes[: hi - cursor])) ** 2
-        write(cursor, hi, SlotKind.DL_TRAINING, power, next_config_id + np.arange(hi - cursor))
+        row(cursor, SlotKind.DL_TRAINING, next_config_id)
+        rss[cursor:hi] = power
         if hi - cursor < slopes.size:
             break
         cursor = hi
@@ -406,12 +562,22 @@ def run_timeline(
         next_config_id += slopes.size
 
         if cursor < n:
-            write(cursor, cursor + 1, SlotKind.UL_FEEDBACK, 0.0, config.config_id)
+            row(cursor, SlotKind.UL_FEEDBACK, config.config_id)
+            rss[cursor] = 0.0
             cursor += 1
 
-    inst = np.where(kind == int(SlotKind.DATA), instantaneous_rate(rss, geom.noise_var), 0.0)
-    cum = cumulative_rate(inst)
-    for arr in (kind, rss, rss_norm, inst, cum, config_col, status_col):
+    firsts, kinds, statuses, configs, refs = zip(*rows)
+    table = StatusTable(np.array(firsts + (n,), np.int64), np.array(kinds, np.int8),
+                        np.array(statuses, np.int32), np.array(configs, np.int32),
+                        np.array(refs, float))
+    # instantaneous_rate of the data slots, the rest 0, built in place: a
+    # temporary column here sits at the run's memory peak (5 MB of peak RSS
+    # over the default scenario's five trackers)
+    inst = rss / geom.noise_var
+    inst += 1.0
+    np.log2(inst, out=inst)
+    inst[table.spread("kind", 0, n) != SlotKind.DATA] = 0.0
+    for arr in (rss, inst, *vars(table).values()):
         arr.setflags(write=False)
-    return Timeline(kind, rss, rss_norm, inst, cum, config_col, status_col,
-                    trajectory.theta2, policy.name, policy.gamma, events)
+    return StatusTimeline(rss, inst, table, trajectory.theta2, policy.name, policy.gamma,
+                          events)

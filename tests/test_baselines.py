@@ -87,16 +87,17 @@ class TestExhaustiveSweep:
         tl = run_timeline(traj, ExhaustivePolicy(sweep=SweepSpec(10.0)), geom,
                           noise_enabled=False)
         assert tl.tracking_calls > 1
-        train = np.nonzero(tl.kind == int(SlotKind.DL_TRAINING))[0]
-        ids = tl.config_id[train]
+        kind, config = tl.kind, tl.config_id
+        train = np.nonzero(kind == int(SlotKind.DL_TRAINING))[0]
+        ids = config[train]
         assert np.array_equal(ids, np.arange(1, 1 + 36 * tl.tracking_calls))
         for event in range(tl.tracking_calls):
             slots = train[36 * event : 36 * (event + 1)]
             assert np.all(np.diff(slots) == 1)
-            installed = tl.config_id[slots[-1] + 1]
-            assert installed == tl.config_id[slots[0]] + int(np.argmax(tl.rss[slots]))
-            assert tl.kind[slots[-1] + 1] == int(SlotKind.UL_FEEDBACK)
-            assert tl.config_id[slots[-1] + 2] == installed
+            installed = config[slots[-1] + 1]
+            assert installed == config[slots[0]] + int(np.argmax(tl.rss[slots]))
+            assert kind[slots[-1] + 1] == int(SlotKind.UL_FEEDBACK)
+            assert config[slots[-1] + 2] == installed
 
 
 class TestOracleConfig:

@@ -1,12 +1,13 @@
 import configparser
 import os
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from ristrack import ledger, runner
 from ristrack.cli import main
+from ristrack.config import load_config
 from ristrack.ledger import LEDGER_HEADER
 from ristrack.simengine import SlotKind
 
@@ -32,12 +33,15 @@ def write_scenario(tmp_path, text=TINY_SCENARIO, name="scenario.ini"):
 def row_wise_ledger(tl):
     """Reference ledger text: one f-string per row on numpy scalars."""
     theta_deg = np.rad2deg(tl.theta2_true)
+    # each derived column read once, over every slot
+    kind, rss_norm, cum, status, config = (tl.kind, tl.rss_normalized, tl.cum_rate,
+                                           tl.status_id, tl.config_id)
     lines = [LEDGER_HEADER]
     for i in range(len(tl)):
         lines.append(
-            f"{i + 1},{SlotKind(int(tl.kind[i])).name},{tl.rss[i]:.12g},"
-            f"{tl.rss_normalized[i]:.12g},{tl.inst_rate[i]:.12g},{tl.cum_rate[i]:.12g},"
-            f"{int(tl.status_id[i])},{int(tl.config_id[i])},{theta_deg[i]:.12g}"
+            f"{i + 1},{SlotKind(int(kind[i])).name},{tl.rss[i]:.12g},"
+            f"{rss_norm[i]:.12g},{tl.inst_rate[i]:.12g},{cum[i]:.12g},"
+            f"{int(status[i])},{int(config[i])},{theta_deg[i]:.12g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -121,12 +125,30 @@ class TestRunCommand:
         first, second = timelines
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
         with pytest.raises(ValueError, match="slots"):
-            runner.write_ledgers(paths, [first, replace(second, kind=second.kind[:-1])])
+            runner.write_ledgers(paths, [first, second.block(0, len(second) - 1)[0]])
         with pytest.raises(ValueError, match="theta2_true differs"):
             runner.write_ledgers(paths, [first, replace(second, theta2_true=-second.theta2_true)])
         with pytest.raises(ValueError, match="2 paths for 1 timelines"):
             runner.write_ledgers(paths, [first])
         assert not any(os.path.exists(p) for p in paths)
+
+    def test_results_keep_no_columns(self, tmp_path):
+        cfg = load_config(write_scenario(tmp_path))
+        results = runner.run_scenario(cfg, out_dir=str(tmp_path / "out"))
+        assert len(results) == 2
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif is_dataclass(value):
+                for f in fields(value):
+                    yield from arrays(getattr(value, f.name))
+
+        for r in results:
+            assert all(a.size <= 1 for a in arrays(r)), r.policy_name
+            assert r.metrics.cumulative_rate_series[-1] == r.metrics.final_cum_rate
+            summary = (tmp_path / "out" / f"{r.policy_name}_seed1_summary.txt").read_text()
+            assert f"final_cum_rate: {r.metrics.final_cum_rate:.12g}\n" in summary
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_scenario(tmp_path)

@@ -1,7 +1,7 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -165,11 +165,11 @@ class TestExhaustiveTimeline:
                           GEOM, noise_enabled=False)
         assert tl.tracking_calls > 1
         train = np.nonzero(kinds_of(tl) == int(SlotKind.DL_TRAINING))[0]
-        first_id = {s: tl.config_id[train][tl.status_id[train] == s].min()
-                    for s in np.unique(tl.status_id[train])}
+        config, status = tl.config_id, tl.status_id
+        first_id = {s: config[train][status[train] == s].min() for s in np.unique(status[train])}
         k = np.arange(GEOM.n_ris)
         for t in train:
-            slope = np.deg2rad(10.0 * (tl.config_id[t] - first_id[tl.status_id[t]]))
+            slope = np.deg2rad(10.0 * (config[t] - first_id[status[t]]))
             u = np.sin(GEOM.theta1) - np.sin(walk.theta2[t])
             gain = np.exp(1j * k * (slope - GEOM.kd * u)).sum()
             want = abs(GEOM.beamformer_gain * GEOM.alpha * walk.beta[t] * gain) ** 2
@@ -280,6 +280,14 @@ class TestOverheadReport:
         assert m.pct_below_threshold == pytest.approx(want)
         assert m.tracking_calls == tl.tracking_calls
         assert m.cumulative_rate_series[-1] == pytest.approx(tl.cum_rate[-1])
+
+    def test_counts_read_off_the_status_table_bit_for_bit(self, default_scans):
+        for tl in default_scans:
+            m = overhead_report(tl, tl.gamma)
+            assert m.pct_below_threshold == 100.0 * float(np.mean(tl.kind != SlotKind.DATA))
+            assert m.final_cum_rate == tl.cum_rate[-1] == cumulative_rate(tl.inst_rate)[-1]
+            assert m.cumulative_rate_series.shape == (1,)
+            assert m.cumulative_rate_series[-1] == m.final_cum_rate
 
     def test_error_vs_oracle(self, traj):
         prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
@@ -520,10 +528,111 @@ class TestEngineSamples:
         assert tl.tracking_calls > 1
         assert any(c.step > 1 for c in engine_calls)
         covered = set()
+        kinds = kinds_of(tl)
         for call in engine_calls:
             for j, i in enumerate(call.slots):
                 cfg = RisConfiguration(call.slopes[j], geom.n_ris)
                 want = received_sample(walk[i], cfg, geom)
                 assert abs(call.samples[j] - want) <= 1e-12 * abs(want), i
-            covered.update(kinds_of(tl)[call.lo:call.hi].tolist())
+            covered.update(kinds[call.lo:call.hi].tolist())
         assert {int(SlotKind.DATA), int(SlotKind.DL_TRAINING)} <= covered
+
+
+DERIVED = ("kind", "rss_normalized", "cum_rate", "config_id", "status_id")
+
+
+def assert_same_bits(got, want, col):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), col
+
+
+def boundaries(tl) -> list[int]:
+    """Slot 0 and n, a trigger, a status's first slot and a slot inside a training slice."""
+    table = tl.statuses
+    first = table.first[:-1]
+    triggers = first[table.kind == SlotKind.DATA_BELOW_THRESHOLD]
+    starts = first[(table.kind == SlotKind.DATA) & (first > 0)]
+    training = first[table.kind == SlotKind.DL_TRAINING] + 2
+    picks = [0, len(tl)] + [int(a[len(a) // 2]) for a in (triggers, starts, training) if a.size]
+    return sorted(set(min(p, len(tl)) for p in picks))
+
+
+def assert_blocks_match_full_range(tl, bounds):
+    """Blocks between the bounds, carried and alone, equal the full-range columns bit for bit."""
+    full = {col: getattr(tl, col) for col in DERIVED}
+    carry = None
+    for lo, hi in zip(bounds, bounds[1:]):
+        block, carry = tl.block(lo, hi, carry)
+        alone, alone_carry = tl.block(lo, hi)
+        assert alone_carry == carry
+        for col in DERIVED:
+            assert_same_bits(getattr(block, col), full[col][lo:hi], col)
+            assert_same_bits(getattr(alone, col), full[col][lo:hi], col)
+        for col in ("rss", "inst_rate", "theta2_true"):
+            assert_same_bits(getattr(block, col), getattr(tl, col)[lo:hi], col)
+        assert len(block) == hi - lo
+
+
+class TestDerivedColumns:
+    def test_blocks_equal_the_full_range_at_every_kind_of_boundary(self, default_walk,
+                                                                   default_scans):
+        modes = set()
+        for (_, policy, mode), tl in zip(scan_runs(default_walk), default_scans):
+            bounds = boundaries(tl)
+            # 0, n, a trigger and a status start; a training slot unless genie
+            assert len(bounds) == 4 + (policy.name != "oracle"), policy.name
+            assert_blocks_match_full_range(tl, bounds)
+            modes.add((policy.name, mode))
+        assert len(modes) == 6
+
+    def test_full_range_columns_follow_the_ledger_rules(self, default_walk, default_scans):
+        for (geom, _, _), tl in zip(scan_runs(default_walk), default_scans):
+            assert_same_bits(tl.cum_rate, cumulative_rate(tl.inst_rate), "cum_rate")
+            data = tl.kind == SlotKind.DATA
+            rates = np.where(data, instantaneous_rate(tl.rss, geom.noise_var), 0.0)
+            assert_same_bits(tl.inst_rate, rates, "inst_rate")
+            # a status's data row starts at its reference slot, normalised to one
+            table = tl.statuses
+            refs = table.first[:-1][table.kind == SlotKind.DATA]
+            assert np.all(tl.rss_normalized[refs] == 1.0)
+            assert np.all(tl.rss[refs] == table.rss_ref[table.kind == SlotKind.DATA])
+
+    def test_cut_training_slice(self, traj):
+        for policy in (ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(1.0)), ProposedPolicy()):
+            full = run_timeline(traj, policy, GEOM, noise_enabled=False)
+            t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
+            # cut three slots into the training slice, and before its first slot
+            for end, bounds in ((t2 + 5, [0, t2, t2 + 1, t2 + 3, t2 + 5]), (t2 + 2, [0, t2 + 2])):
+                cut = Trajectory(traj.anchor, traj.theta2[:end], traj.r2[:end], traj.beta[:end])
+                tl = run_timeline(cut, policy, GEOM, noise_enabled=False)
+                assert tl.tracking_calls == 1
+                assert_blocks_match_full_range(tl, bounds)
+                assert_blocks_match_full_range(tl, [0, end - 1, end, end])
+                assert np.array_equal(tl.kind[t2:], [1, 3, 2, 2, 2][: end - t2])
+                assert np.array_equal(tl.config_id[t2 + 2:], [1, 2, 3][: end - t2 - 2])
+
+    def test_block_accumulates_behind_the_carry(self, default_scans):
+        # the carry added after the block's own running sums rounds differently
+        tl = default_scans[0]
+        lo = 8192
+        _, carry = tl.block(0, lo)
+        block, _ = tl.block(lo, len(tl), carry)
+        slots = np.arange(lo + 1, len(tl) + 1)
+        added_after = (carry + np.cumsum(tl.inst_rate[lo:])) / slots
+        assert not np.array_equal(added_after, tl.cum_rate[lo:])
+        assert_same_bits(block.cum_rate, tl.cum_rate[lo:], "cum_rate")
+
+    def test_a_run_holds_16_bytes_per_slot_and_its_status_table(self, default_scans):
+        for tl in default_scans:
+            columns = table = 0
+            for f in fields(tl):
+                value = getattr(tl, f.name)
+                if isinstance(value, np.ndarray) and f.name != "theta2_true":
+                    columns += value.nbytes
+                elif is_dataclass(value):
+                    table += sum(getattr(value, g.name).nbytes for g in fields(value))
+            # 16 bytes per slot plus the status table, which stays small: a
+            # status gives at most five rows (data, trigger, two feedbacks,
+            # training) of 25 bytes
+            assert columns <= 16 * len(tl), tl.policy_name
+            assert tl.statuses.kind.size <= 5 * tl.tracking_calls + 1
+            assert table <= 25 * (5 * tl.tracking_calls + 2)
