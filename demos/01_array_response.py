@@ -25,8 +25,8 @@ v = steering_vector(np.deg2rad(20.0), geom.n_ris, geom.spacing_d, geom.wavelengt
 print(f"\nsteering vector at 20 deg: first entries {np.round(v[:3], 4)}")
 print(f"all unit magnitude: {np.allclose(np.abs(v), 1.0)}")
 
-cfg = optimal_config(geom.theta1, np.deg2rad(20.0), geom)
-print(f"\naligned configuration phase slope: {cfg.slope:.4f} rad per element")
+slope = optimal_config(geom.theta1, np.deg2rad(20.0), geom)
+print(f"\naligned configuration phase slope: {slope:.4f} rad per element")
 
 # sweep the departure-angle mismatch around perfect alignment
 theta_ref = np.deg2rad(20.0)

@@ -32,8 +32,8 @@ traj = generate_trajectory(spec, geom)
 
 # reference slot: aligned configuration, full coherent gain
 ref = traj[0]
-config = optimal_config(geom.theta1, ref.theta2, geom)
-y_ref = received_sample(ref, config, geom)
+slope = optimal_config(geom.theta1, ref.theta2, geom)
+y_ref = received_sample(ref, slope, geom)
 rss_ref = abs(y_ref) ** 2
 print(f"reference slot: angle {np.rad2deg(ref.theta2):.3f} deg, "
       f"strength {rss_ref:.1f}")
@@ -42,7 +42,7 @@ print(f"reference slot: angle {np.rad2deg(ref.theta2):.3f} deg, "
 gamma = 0.9
 t2 = None
 for i in range(1, len(traj)):
-    y = received_sample(traj[i], config, geom)
+    y = received_sample(traj[i], slope, geom)
     if abs(y) ** 2 / rss_ref < gamma:
         t2 = i
         y_now = y
@@ -64,13 +64,13 @@ for rank, c in enumerate(candidates, 1):
     marker = " <-- true" if abs(c.w_cand - w_true) <= 8.6e-4 else ""
     print(f"  {rank}. w = {c.w_cand:+.6f}  (residual {c.error_total:.3e}){marker}")
 
-# one training slot per candidate, each under its updated configuration
-candidate_cfgs = [update_config(config, c.w_cand, geom) for c in candidates]
-probes = [abs(received_sample(state_now, cfg, geom)) ** 2 for cfg in candidate_cfgs]
+# one training slot per candidate, each under its updated slope
+candidate_slopes = update_config(slope, [c.w_cand for c in candidates], geom)
+probes = [abs(received_sample(state_now, s, geom)) ** 2 for s in candidate_slopes]
 best = select_by_training(candidates, probes)
-chosen, chosen_cfg = candidates[best], candidate_cfgs[best]
+chosen, chosen_slope = candidates[best], candidate_slopes[best]
 print(f"\n{len(probes)} training probes; strongest candidate: w = {chosen.w_cand:+.6f}")
 
-y_after = received_sample(state_now, chosen_cfg, geom)
+y_after = received_sample(state_now, chosen_slope, geom)
 print(f"strength recovered: {abs(y_after) ** 2 / rss_ref:.4f} of the reference "
       f"(was {obs.eta:.4f} at the crossing)")

@@ -16,7 +16,6 @@ from ristrack import (
     LinkGeometry,
     OraclePolicy,
     ProposedPolicy,
-    SweepSpec,
     TrajectorySpec,
     generate_trajectory,
     overhead_report,
@@ -31,9 +30,9 @@ print(f"walk of {spec.path_length} m -> {len(traj)} slots\n")
 policies = [
     OraclePolicy(gamma=0.9),
     ProposedPolicy(gamma=0.9),
-    ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(1.0)),
-    ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(5.0)),
-    ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(10.0)),
+    ExhaustivePolicy(gamma=0.5, resolution_deg=1.0),
+    ExhaustivePolicy(gamma=0.5, resolution_deg=5.0),
+    ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
 ]
 
 timelines = {}

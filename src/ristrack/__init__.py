@@ -4,11 +4,10 @@ A deterministic slot-level simulator of a blocked-LOS downlink where an
 access point reaches a walking single-antenna user through a passive
 reconfigurable surface. It implements a fast tracker that updates the
 surface phases from two feedback observables (strength ratio and received
-phase difference), alongside an exhaustive-sweep configurator and a
-zero-cost genie used as baselines.
+phase difference), alongside the two configurators it is judged against:
+an exhaustive sweep and a zero-cost genie.
 """
 
-from .baselines import SweepSpec
 from .config import ConfigError, ScenarioConfig, load_config
 from .mobility import (
     ChannelState,
@@ -20,7 +19,6 @@ from .mobility import (
     slot_count,
 )
 from .ris import (
-    RisConfiguration,
     coherent_gain_values,
     optimal_config,
     received_sample,
@@ -66,14 +64,12 @@ __all__ = [
     "LinkGeometry",
     "OraclePolicy",
     "ProposedPolicy",
-    "RisConfiguration",
     "RunMetrics",
     "RunResult",
     "ScenarioConfig",
     "SearchGrid",
     "SlotKind",
     "StatusTimeline",
-    "SweepSpec",
     "Timeline",
     "TrackingObservables",
     "Trajectory",

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import SweepSpec
 from .mobility import TrajectorySpec
 from .simengine import ExhaustivePolicy, OraclePolicy, ProposedPolicy
 from .tracking import SearchGrid
@@ -60,6 +59,9 @@ class ScenarioConfig:
                 raise _invalid(key, f"threshold must be > 0, got {value}")
             if self.threshold_mode == "normalized" and value > 1.0:
                 raise _invalid(key, f"normalized threshold is a fraction <= 1, got {value}")
+        for _, length in self.continuations:
+            if length <= 0:
+                raise _invalid("segments", f"segment length must be > 0, got {length:g}")
         if not self.algorithms:
             raise _invalid("algorithms", "empty algorithm list")
         try:
@@ -87,8 +89,8 @@ class ScenarioConfig:
             elif name == "proposed":
                 out.append(ProposedPolicy(gamma=self.gamma, grid=self.grid))
             elif name.startswith("exhaustive:"):
-                sweep = SweepSpec(float(name.split(":", 1)[1]))
-                out.append(ExhaustivePolicy(gamma=self.gamma_exh, sweep=sweep))
+                out.append(ExhaustivePolicy(gamma=self.gamma_exh,
+                                            resolution_deg=float(name.split(":", 1)[1])))
             else:
                 raise ValueError(f"unknown algorithm {name!r} "
                                  "(use proposed, oracle or exhaustive:<resolution_deg>)")

@@ -1,8 +1,8 @@
-"""RIS phase configurations, the aligned-configuration law and signal synthesis.
+"""The aligned-configuration law, its differential update and signal synthesis.
 
 Every configuration the simulator installs has linear phase phi_k = k*slope:
 the aligned law, its differential update and the exhaustive sweep all move
-only the per-element slope, so a configuration stores that slope wrapped to
+only the per-element slope, so a configuration is that slope, wrapped to
 [0, 2*pi). The received downlink sample reduces, under the fixed AP
 beamformer, to c*alpha*beta * sum_k exp(j*k*(slope - kd*(sin(theta1) -
 sin(theta2)))) with c = sqrt(SNR*n_tx). That geometric series in the
@@ -17,61 +17,34 @@ test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mobility import ChannelState
 from .wavefield import TWO_PI, LinkGeometry, wrap_two_pi
 
 
-@dataclass(frozen=True)
-class RisConfiguration:
-    """Linear-phase configuration phi_k = k*slope over n_ris elements, plus an id."""
-
-    slope: float
-    n_ris: int
-    config_id: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "slope", wrap_two_pi(float(self.slope)))
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Read-only element phases k*slope wrapped to [0, 2*pi)."""
-        phases = wrap_two_pi(np.arange(self.n_ris) * self.slope)
-        phases.setflags(write=False)
-        return phases
-
-
-def optimal_config(
-    theta1: float, theta2: float, geom: LinkGeometry, config_id: int = 0
-) -> RisConfiguration:
-    """Phase-aligned configuration with slope kd * (sin(theta1) - sin(theta2)).
+def optimal_config(theta1: float, theta2: float, geom: LinkGeometry) -> float:
+    """Phase-aligned slope kd * (sin(theta1) - sin(theta2)), wrapped to [0, 2*pi).
 
     Applying it to a channel at exactly `theta2` makes all N element
     contributions add in phase, so the noiseless received magnitude is
     |c*alpha*beta|*N.
     """
-    slope = geom.kd * (np.sin(theta1) - np.sin(theta2))
-    return RisConfiguration(slope=slope, n_ris=geom.n_ris, config_id=config_id)
+    return wrap_two_pi(geom.kd * (np.sin(theta1) - np.sin(theta2)))
 
 
-def update_config(
-    current: RisConfiguration, w: float, geom: LinkGeometry, config_id: int | None = None
-) -> RisConfiguration:
+def update_config(slope, w, geom: LinkGeometry):
     """Differential update phi_k <- phi_k - kd * k * w, i.e. slope <- slope - kd*w.
 
-    Starting from the aligned configuration for some reference angle and
-    applying w = sin(theta_new) - sin(theta_ref) lands exactly on the aligned
-    configuration for theta_new; successive updates add.
+    `w` is one mismatch or an array of them, one updated slope each.
+    Starting from the aligned slope for some reference angle and applying
+    w = sin(theta_new) - sin(theta_ref) lands exactly on the aligned slope
+    for theta_new; successive updates add.
     """
-    if abs(w) > 2.0:
+    w = np.asarray(w, dtype=float)
+    if np.any(np.abs(w) > 2.0):
         raise ValueError(f"|w| must be <= 2, got {w}")
-    if config_id is None:
-        config_id = current.config_id + 1
-    return RisConfiguration(slope=current.slope - geom.kd * w, n_ris=current.n_ris,
-                            config_id=config_id)
+    return wrap_two_pi(slope - geom.kd * w)
 
 
 def _dirichlet(mu, n_ris: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,32 +92,15 @@ def coherent_gain_values(w, n_ris: int, spacing_d: float, wavelength: float) -> 
     return _geometric_sum(mu, n_ris)
 
 
-def aggregate_gains(u: np.ndarray, slope, geom: LinkGeometry) -> np.ndarray:
-    """Per-slot sums sum_k exp(j*k*(slope - kd*u)) over the geometry's n_ris elements.
-
-    `slope` is one configuration's slope for every slot, or a per-slot array
-    with the shape of `u`: slot i is then received under slope i, which is
-    how the timeline engine evaluates a batch of training slots in one call.
-    """
-    return _geometric_sum(slope - geom.kd * np.asarray(u, dtype=float), geom.n_ris)
-
-
 def received_sample(
-    channel: ChannelState,
-    config: RisConfiguration,
-    geom: LinkGeometry,
-    noise: complex = 0.0j,
+    channel: ChannelState, slope: float, geom: LinkGeometry, noise: complex = 0.0j
 ) -> complex:
-    """One downlink baseband sample for a unit-power symbol.
+    """One downlink baseband sample for a unit-power symbol under the surface `slope`.
 
     The timeline engine computes the same Dirichlet form for whole slot
     ranges, from per-trajectory columns that hold kd*(sin(theta1) -
     sin(theta2)) and the amplitude times the slope-free half of the phase.
     """
-    if config.n_ris != geom.n_ris:
-        raise ValueError(
-            f"configuration has {config.n_ris} elements, geometry expects {geom.n_ris}"
-        )
     u = np.sin(geom.theta1) - np.sin(channel.theta2)
-    gain = aggregate_gains(u, config.slope, geom)
+    gain = _geometric_sum(slope - geom.kd * u, geom.n_ris)
     return complex(geom.beamformer_gain * geom.alpha * channel.beta * gain) + complex(noise)

@@ -64,11 +64,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import SweepSpec
 from .mobility import Trajectory
-from .ris import RisConfiguration, _dirichlet, optimal_config
+from .ris import _dirichlet, optimal_config, update_config
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
-from .wavefield import LinkGeometry, wrap_two_pi
+from .wavefield import LinkGeometry
 
 # How a status is scanned; these set speed, not slot kinds or ids.
 _SCAN_WINDOW = 1024  # slots per window after a short status
@@ -112,11 +111,20 @@ class ExhaustivePolicy:
     """Sweep-everything baseline; gamma here is the sweep trigger threshold."""
 
     gamma: float = 0.5
-    sweep: SweepSpec = field(default_factory=SweepSpec)
+    resolution_deg: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.resolution_deg <= 360.0:
+            raise ValueError(f"resolution must be in (0, 360], got {self.resolution_deg}")
 
     @property
     def name(self) -> str:
-        return f"exhaustive_{self.sweep.resolution_deg:g}deg"
+        return f"exhaustive_{self.resolution_deg:g}deg"
+
+    @property
+    def slopes(self) -> np.ndarray:
+        """Swept slopes 0, res, 2*res, ... below 360 degrees in radians, so already wrapped."""
+        return np.deg2rad(np.arange(0.0, 360.0, self.resolution_deg))
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: arrays have no single truth value
@@ -454,7 +462,8 @@ def run_timeline(
     is_proposed = isinstance(policy, ProposedPolicy)
 
     # initial access leaves the surface aligned to the first slot's channel
-    config = optimal_config(geom.theta1, float(theta2[0]), geom, config_id=0)
+    slope = optimal_config(geom.theta1, float(theta2[0]), geom)
+    config_id = 0
     next_config_id = 1
     status = 1
     events = 0
@@ -469,7 +478,7 @@ def run_timeline(
     # its probed slots below threshold; the reference slot is never a trigger
     def probe_bound(lo: int, hi: int) -> int:
         step = -(-(hi - lo) // _PROBE_SLOTS)
-        power = np.abs(_received_samples(cols, lo, hi, config.slope, step)) ** 2
+        power = np.abs(_received_samples(cols, lo, hi, slope, step)) ** 2
         ref = rss_ref if rss_ref >= 0 else max(float(power[0]), 1e-300)
         level = power / ref if normalized else power
         first = int(lo == ref_idx)
@@ -491,7 +500,7 @@ def run_timeline(
             hi = min(n, scan + size)
             if probed:
                 hi = probe_bound(scan, hi)
-            y = _received_samples(cols, scan, hi, config.slope)
+            y = _received_samples(cols, scan, hi, slope)
             power = np.abs(y) ** 2
             if rss_ref < 0:
                 rss_ref = max(float(power[0]), 1e-300)
@@ -511,27 +520,27 @@ def run_timeline(
         # a span's samples are not kept through the event and the next scan
         y = power = level = None
 
-        row(ref_idx, SlotKind.DATA, config.config_id)
+        row(ref_idx, SlotKind.DATA, config_id)
         if t2 < 0:
             break
 
         events += 1
         status += 1
         last_len = t2 + 1 - ref_idx
-        row(t2, SlotKind.DATA_BELOW_THRESHOLD, config.config_id)
+        row(t2, SlotKind.DATA_BELOW_THRESHOLD, config_id)
         cursor = t2 + 1
 
         if is_oracle:
             if cursor < n:
-                config = optimal_config(geom.theta1, float(theta2[cursor]), geom,
-                                        config_id=next_config_id)
+                slope = optimal_config(geom.theta1, float(theta2[cursor]), geom)
+                config_id = next_config_id
                 next_config_id += 1
             continue
 
         if cursor >= n:
             break
         # a feedback slot receives nothing; a discarded scan sample may sit there
-        row(cursor, SlotKind.UL_FEEDBACK, config.config_id)
+        row(cursor, SlotKind.UL_FEEDBACK, config_id)
         rss[cursor] = 0.0
         cursor += 1
 
@@ -539,11 +548,9 @@ def run_timeline(
             theta_ref = math.asin(max(-1.0, min(1.0, believed_sin)))
             obs = measure_observables(y_ref, y_t2, believed_r, theta_ref)
             candidates = two_dim_search(obs, policy.grid, geom)
-            # update_config's law slope - kd*w for every candidate at once
-            w = np.array([c.w_cand for c in candidates])
-            slopes = wrap_two_pi(config.slope - geom.kd * w)
+            slopes = update_config(slope, [c.w_cand for c in candidates], geom)
         else:
-            slopes = policy.sweep.slopes
+            slopes = policy.slopes
         # training slot cursor+i measures candidate i while the user keeps moving
         hi = min(n, cursor + slopes.size)
         power = np.abs(_received_samples(cols, cursor, hi, slopes[: hi - cursor])) ** 2
@@ -558,11 +565,12 @@ def run_timeline(
             believed_r = candidates[best].r_cand
         else:
             best = int(np.argmax(power))
-        config = RisConfiguration(slopes[best], geom.n_ris, next_config_id + best)
+        slope = slopes[best]
+        config_id = next_config_id + best
         next_config_id += slopes.size
 
         if cursor < n:
-            row(cursor, SlotKind.UL_FEEDBACK, config.config_id)
+            row(cursor, SlotKind.UL_FEEDBACK, config_id)
             rss[cursor] = 0.0
             cursor += 1
 

@@ -19,9 +19,7 @@ from ristrack import (
     LinkGeometry,
     OraclePolicy,
     ProposedPolicy,
-    RisConfiguration,
     SearchGrid,
-    SweepSpec,
     TrajectorySpec,
     coherent_gain_values,
     cumulative_rate,
@@ -34,6 +32,7 @@ from ristrack import (
     run_timeline,
     two_dim_search,
     update_config,
+    wrap_two_pi,
 )
 from ristrack.config import load_config
 
@@ -75,8 +74,8 @@ def test_c2_aligned_configuration_law():
         if abs(beta) < 1e-3:
             beta = 1.0 + 0.0j
         state = ChannelState(beta=beta, theta2=theta2, r2=4.0)
-        cfg = optimal_config(geom.theta1, theta2, geom)
-        y = received_sample(state, cfg, geom)
+        slope = optimal_config(geom.theta1, theta2, geom)
+        y = received_sample(state, slope, geom)
         want_mag = geom.beamformer_gain * abs(geom.alpha) * abs(beta) * geom.n_ris
         assert abs(abs(y) - want_mag) <= 1e-9 * want_mag
 
@@ -89,7 +88,8 @@ def test_c2_aligned_configuration_law():
         a_ap = np.exp(-1j * kd * k_ap * math.sin(phi_ap))
         big_g = geom.alpha * np.outer(a1, a_ap.conj())
         f = math.sqrt(geom.snr_linear) * a_ap / np.linalg.norm(a_ap)
-        y_matrix = (beta * a2.conj()) @ np.diag(np.exp(1j * cfg.phases)) @ big_g @ f
+        phases = wrap_two_pi(k_ris * slope)
+        y_matrix = (beta * a2.conj()) @ np.diag(np.exp(1j * phases)) @ big_g @ f
         assert abs(y - y_matrix) <= 1e-9 * abs(y_matrix)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -105,7 +105,8 @@ def test_c3_update_rule_consistency():
         w = math.sin(th_b) - math.sin(th_a)
         stepped = update_config(optimal_config(geom.theta1, th_a, geom), w, geom)
         direct = optimal_config(geom.theta1, th_b, geom)
-        delta = np.abs(stepped.phases - direct.phases)
+        k_ris = np.arange(geom.n_ris)
+        delta = np.abs(wrap_two_pi(k_ris * stepped) - wrap_two_pi(k_ris * direct))
         assert np.max(np.minimum(delta, 2 * np.pi - delta)) < 1e-10
     report(3, "100 random angle pairs, phase-wise agreement mod 2*pi")
 
@@ -152,13 +153,13 @@ def test_c5_noiseless_search_recovery():
         d_r = rng.uniform(-0.004, 0.004)
         r2_ref = 4.0
         beta_ref = 0.75 + 0.31j
-        cfg = optimal_config(geom.theta1, theta_ref, geom)
+        slope = optimal_config(geom.theta1, theta_ref, geom)
         ref_state = ChannelState(beta=beta_ref, theta2=theta_ref, r2=r2_ref)
         rho = (geom.r1 + r2_ref) / (geom.r1 + r2_ref + d_r)
         beta_now = rho * beta_ref * cmath.exp(2j * math.pi * d_r / geom.wavelength)
         now_state = ChannelState(beta=beta_now, theta2=theta_ref + d_theta, r2=r2_ref + d_r)
-        y_ref = received_sample(ref_state, cfg, geom)
-        y_now = received_sample(now_state, cfg, geom)
+        y_ref = received_sample(ref_state, slope, geom)
+        y_now = received_sample(now_state, slope, geom)
         obs = measure_observables(y_ref, y_now, geom.r1 + r2_ref, theta_ref)
         top = two_dim_search(obs, grid, geom)
         w_true = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
@@ -179,7 +180,7 @@ def test_c6_signaling_overhead_reproduction():
     for seed in range(1, 11):
         traj = generate_trajectory(replace(base, rng_seed=seed), geom)
         prop = run_timeline(traj, ProposedPolicy(gamma=0.9), geom, noise_seed=seed + 1)
-        exh = run_timeline(traj, ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(1.0)),
+        exh = run_timeline(traj, ExhaustivePolicy(gamma=0.5, resolution_deg=1.0),
                            geom, noise_seed=seed + 1)
         prop_pcts.append(overhead_report(prop, 0.9).pct_below_threshold)
         exh_pcts.append(overhead_report(exh, 0.5).pct_below_threshold)
@@ -213,7 +214,7 @@ def test_c7_rate_orderings():
         add("prop_g05", run_timeline(traj, ProposedPolicy(0.5), geom, noise_seed=seed + 1))
         for res in (1.0, 5.0, 10.0):
             add(f"exh{res:g}", run_timeline(
-                traj, ExhaustivePolicy(0.5, SweepSpec(res)), geom, noise_seed=seed + 1))
+                traj, ExhaustivePolicy(0.5, res), geom, noise_seed=seed + 1))
         for v in (1.2, 1.8):
             traj_v = generate_trajectory(replace(base, speed_v=v, rng_seed=seed), geom)
             add(f"v{v}", run_timeline(traj_v, ProposedPolicy(0.9), geom, noise_seed=seed + 1))

@@ -229,6 +229,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("section,key,value", [
         ("tracker", "gamma_exh", "-1"),
         ("tracker", "algorithms", "exhaustive:0"),
+        ("tracker", "algorithms", "exhaustive:nan"),
         ("run", "seeds", "-1"),
         ("run", "seeds", "1, 1"),
         ("geometry", "n_ris", "1"),
@@ -241,6 +242,9 @@ class TestExitCodes:
         ("trajectory", "speed_mps", "nan"),
         ("trajectory", "path_length_m", "inf"),
         ("trajectory", "segments", "70:1.0, -inf:1.0"),
+        # a non-positive segment length is a configuration error, not a runtime one
+        ("trajectory", "segments", "70:0"),
+        ("trajectory", "segments", "70:1.0, 110:-1"),
         ("tracker", "gamma", "nan"),
     ])
     def test_bad_value_is_one_from_file_and_vary(self, tmp_path, capsys, section, key, value):

@@ -245,7 +245,7 @@ gamma_exh = 0.4
         assert isinstance(policies[1], ProposedPolicy) and policies[1].gamma == 0.8
         assert isinstance(policies[2], ExhaustivePolicy)
         assert policies[2].gamma == 0.4
-        assert policies[2].sweep.resolution_deg == 5.0
+        assert policies[2].resolution_deg == 5.0
         assert policies[2].name == "exhaustive_5deg"
 
 

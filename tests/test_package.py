@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +8,9 @@ import ristrack
 
 REMOVED = (
     "CoherentGain",
+    "RisConfiguration",
     "SlotRecord",
+    "SweepSpec",
     "ap_ris_channel",
     "coherent_gain",
     "evolve_channel",
@@ -35,5 +39,14 @@ def test_removed_record_views_and_selftest_module():
     assert not hasattr(ristrack.Timeline, "__getitem__")
     assert not hasattr(ristrack.Timeline, "__iter__")
     assert "__iter__" not in vars(ristrack.Trajectory)
-    with pytest.raises(ImportError):
-        importlib.import_module("ristrack.selftest")
+    for module in ("ristrack.selftest", "ristrack.baselines"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    calls, pct_below, final_rate = capsys.readouterr().out.split()
+    assert int(calls) > 0 and 0.0 < float(pct_below) < 1.0 and float(final_rate) > 0.0

@@ -8,14 +8,13 @@ import pytest
 from ristrack import (
     ChannelState,
     LinkGeometry,
-    RisConfiguration,
     coherent_gain_values,
     optimal_config,
     received_sample,
     update_config,
     wrap_two_pi,
 )
-from ristrack.ris import _dirichlet, aggregate_gains
+from ristrack.ris import _dirichlet, _geometric_sum
 from ristrack.wavefield import TWO_PI
 
 GEOM = LinkGeometry()
@@ -34,7 +33,12 @@ def brute_force_gain(w: float, n: int, spacing_d: float, wavelength: float) -> c
     return acc
 
 
-def matrix_pipeline_sample(beta, theta2, config, geom, phi_ap):
+def element_phases(slope: float, n_ris: int) -> np.ndarray:
+    """Phases k*slope of a linear-phase surface, wrapped to [0, 2*pi)."""
+    return wrap_two_pi(np.arange(n_ris) * slope)
+
+
+def matrix_pipeline_sample(beta, theta2, slope, geom, phi_ap):
     """Explicit h^H Theta G f product, built independently of the library."""
     kd = 2 * math.pi * geom.spacing_d / geom.wavelength
     k_ris = np.arange(geom.n_ris)
@@ -43,7 +47,7 @@ def matrix_pipeline_sample(beta, theta2, config, geom, phi_ap):
     a_ris_2 = np.exp(-1j * kd * k_ris * math.sin(theta2))
     a_ap = np.exp(-1j * kd * k_ap * math.sin(phi_ap))
     big_g = geom.alpha * np.outer(a_ris_1, a_ap.conj())
-    big_theta = np.diag(np.exp(1j * config.phases))
+    big_theta = np.diag(np.exp(1j * element_phases(slope, geom.n_ris)))
     f = math.sqrt(geom.snr_linear) * a_ap / np.linalg.norm(a_ap)
     h_h = beta * a_ris_2.conj()
     return complex(h_h @ big_theta @ big_g @ f)
@@ -51,24 +55,28 @@ def matrix_pipeline_sample(beta, theta2, config, geom, phi_ap):
 
 class TestOptimalConfig:
     def test_equal_angles_all_zero(self):
-        cfg = optimal_config(0.3, 0.3, GEOM)
-        assert np.all(cfg.phases == 0.0)
+        slope = optimal_config(0.3, 0.3, GEOM)
+        assert slope == 0.0
+        assert np.all(element_phases(slope, GEOM.n_ris) == 0.0)
 
     def test_hand_value_45_20(self):
-        cfg = optimal_config(np.deg2rad(45.0), np.deg2rad(20.0), GEOM)
-        assert cfg.phases[1] == pytest.approx(1.1470, abs=1e-4)
+        phases = element_phases(optimal_config(np.deg2rad(45.0), np.deg2rad(20.0), GEOM),
+                                GEOM.n_ris)
+        assert phases[1] == pytest.approx(1.1470, abs=1e-4)
         for k in range(GEOM.n_ris):
-            assert cfg.phases[k] == pytest.approx(wrap_two_pi(k * cfg.phases[1]), abs=1e-9)
+            assert phases[k] == pytest.approx(wrap_two_pi(k * phases[1]), abs=1e-9)
 
     def test_first_phase_zero_and_wrapped(self):
-        cfg = optimal_config(np.deg2rad(45.0), np.deg2rad(-37.0), GEOM)
-        assert cfg.phases[0] == 0.0
-        assert np.all((cfg.phases >= 0) & (cfg.phases < 2 * np.pi))
+        slope = optimal_config(np.deg2rad(45.0), np.deg2rad(-37.0), GEOM)
+        assert 0.0 <= slope < 2 * np.pi
+        phases = element_phases(slope, GEOM.n_ris)
+        assert phases[0] == 0.0
+        assert np.all((phases >= 0) & (phases < 2 * np.pi))
 
     def test_aligned_magnitude_reaches_n(self):
         state = ChannelState(beta=0.8 * np.exp(0.3j), theta2=np.deg2rad(20.0), r2=4.0)
-        cfg = optimal_config(GEOM.theta1, state.theta2, GEOM)
-        y = received_sample(state, cfg, GEOM)
+        slope = optimal_config(GEOM.theta1, state.theta2, GEOM)
+        y = received_sample(state, slope, GEOM)
         want = GEOM.beamformer_gain * abs(GEOM.alpha) * abs(state.beta) * GEOM.n_ris
         assert abs(y) == pytest.approx(want, rel=1e-9)
 
@@ -83,34 +91,54 @@ class TestOptimalConfig:
                 assert abs(received_sample(state, cand, GEOM)) <= best * (1 + 1e-12)
 
 
+def phase_distance(a, b) -> float:
+    """Largest distance around the circle between two element-phase vectors."""
+    delta = np.abs(a - b)
+    return float(np.max(np.minimum(delta, 2 * np.pi - delta)))
+
+
 class TestUpdateConfig:
-    def test_zero_update_same_phases_fresh_id(self):
-        cfg = optimal_config(0.5, 0.1, GEOM, config_id=4)
-        upd = update_config(cfg, 0.0, GEOM)
-        assert np.array_equal(upd.phases, cfg.phases)
-        assert upd.config_id == 5
+    def test_zero_update_keeps_slope_wrapped(self):
+        slope = optimal_config(0.5, 0.1, GEOM)
+        assert update_config(slope, 0.0, GEOM) == slope
+        # any slope comes back wrapped to [0, 2*pi), whole turns to exactly 0
+        for raw, want in ((7.0, 7.0 - 2 * np.pi), (-1.0, 2 * np.pi - 1.0), (2 * np.pi, 0.0)):
+            got = update_config(raw, 0.0, GEOM)
+            assert got == pytest.approx(want, abs=1e-15)
+            phases = element_phases(got, 3)
+            assert np.all((phases >= 0) & (phases < 2 * np.pi))
 
     def test_matches_direct_optimal(self):
         rng = np.random.default_rng(11)
+        ws = []
         for _ in range(100):
             th_a, th_b = rng.uniform(-1.2, 1.2, size=2)
             w = math.sin(th_b) - math.sin(th_a)
             stepped = update_config(optimal_config(GEOM.theta1, th_a, GEOM), w, GEOM)
             direct = optimal_config(GEOM.theta1, th_b, GEOM)
-            delta = np.abs(stepped.phases - direct.phases)
-            assert np.max(np.minimum(delta, 2 * np.pi - delta)) < 1e-10
+            assert phase_distance(element_phases(stepped, GEOM.n_ris),
+                                  element_phases(direct, GEOM.n_ris)) < 1e-10
+            ws.append(w)
+        # an array of mismatches updates one slope into one slope each, bit
+        # for bit as one update at a time
+        slope = optimal_config(GEOM.theta1, 0.2, GEOM)
+        many = update_config(slope, ws, GEOM)
+        assert many.shape == (100,)
+        assert np.array_equal(many, [update_config(slope, w, GEOM) for w in ws])
 
     def test_updates_add(self):
-        cfg = optimal_config(0.5, 0.1, GEOM)
-        once = update_config(update_config(cfg, 0.01, GEOM), 0.02, GEOM)
-        twice = update_config(cfg, 0.03, GEOM)
-        delta = np.abs(once.phases - twice.phases)
-        assert np.max(np.minimum(delta, 2 * np.pi - delta)) < 1e-10
+        slope = optimal_config(0.5, 0.1, GEOM)
+        once = update_config(update_config(slope, 0.01, GEOM), 0.02, GEOM)
+        twice = update_config(slope, 0.03, GEOM)
+        assert phase_distance(element_phases(once, GEOM.n_ris),
+                              element_phases(twice, GEOM.n_ris)) < 1e-10
 
     def test_rejects_large_w(self):
-        cfg = optimal_config(0.5, 0.1, GEOM)
+        slope = optimal_config(0.5, 0.1, GEOM)
         with pytest.raises(ValueError):
-            update_config(cfg, 2.5, GEOM)
+            update_config(slope, 2.5, GEOM)
+        with pytest.raises(ValueError):
+            update_config(slope, [0.1, -2.5], GEOM)
 
 
 class TestCoherentGain:
@@ -163,36 +191,31 @@ class TestReceivedSample:
             phi_ap = rng.uniform(-1.2, 1.2)  # the AP's steering angle must cancel
             theta2 = rng.uniform(-1.2, 1.2)
             beta = complex(rng.normal(), rng.normal()) or 1.0
-            cfg = RisConfiguration(slope=rng.uniform(0, 2 * np.pi), n_ris=geom.n_ris)
+            slope = rng.uniform(0, 2 * np.pi)
             state = ChannelState(beta=beta, theta2=theta2, r2=4.0)
-            got = received_sample(state, cfg, geom)
-            want = matrix_pipeline_sample(beta, theta2, cfg, geom, phi_ap)
+            got = received_sample(state, slope, geom)
+            want = matrix_pipeline_sample(beta, theta2, slope, geom, phi_ap)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_noise_is_added(self):
         state = ChannelState(beta=1.0 + 0.0j, theta2=0.3, r2=4.0)
-        cfg = optimal_config(GEOM.theta1, 0.3, GEOM)
-        clean = received_sample(state, cfg, GEOM)
-        noisy = received_sample(state, cfg, GEOM, noise=0.5 - 0.25j)
+        slope = optimal_config(GEOM.theta1, 0.3, GEOM)
+        clean = received_sample(state, slope, GEOM)
+        noisy = received_sample(state, slope, GEOM, noise=0.5 - 0.25j)
         assert noisy - clean == pytest.approx(0.5 - 0.25j)
-
-    def test_dimension_mismatch_rejected(self):
-        state = ChannelState(beta=1.0 + 0.0j, theta2=0.3, r2=4.0)
-        bad = RisConfiguration(slope=0.0, n_ris=5)
-        with pytest.raises(ValueError, match="elements"):
-            received_sample(state, bad, GEOM)
 
     def test_vector_form_matches_scalar(self):
         rng = np.random.default_rng(29)
         betas = rng.normal(size=8) + 1j * rng.normal(size=8)
         thetas = rng.uniform(-1.0, 1.0, size=8)
-        cfg = optimal_config(GEOM.theta1, 0.2, GEOM)
-        # the timeline engine's column form: amplitude times aggregate_gains
+        slope = optimal_config(GEOM.theta1, 0.2, GEOM)
+        # column form: amplitude times the element sum of each slot's step
         u = np.sin(GEOM.theta1) - np.sin(thetas)
-        ys = GEOM.beamformer_gain * GEOM.alpha * betas * aggregate_gains(u, cfg.slope, GEOM)
+        gains = _geometric_sum(slope - GEOM.kd * u, GEOM.n_ris)
+        ys = GEOM.beamformer_gain * GEOM.alpha * betas * gains
         for i in range(8):
             one = received_sample(
-                ChannelState(beta=betas[i], theta2=thetas[i], r2=4.0), cfg, GEOM
+                ChannelState(beta=betas[i], theta2=thetas[i], r2=4.0), slope, GEOM
             )
             assert ys[i] == pytest.approx(one, rel=1e-12)
 
@@ -227,7 +250,7 @@ class TestKernelAccuracy:
                     continue
                 slope = rng.uniform(0, 2 * np.pi, 32)
                 u = (slope - step) / geom.kd
-                got = aggregate_gains(u, slope, geom)
+                got = _geometric_sum(slope - geom.kd * u, n_ris)
                 want = extended_element_sum(slope - geom.kd * u, n_ris)
                 assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (centre, band)
         # whole turns are degenerate steps: exactly N
@@ -269,7 +292,7 @@ class TestDirichletParity:
             assert np.array_equal(degenerate, want_degenerate)
 
 
-class TestAggregateGains:
+class TestGeometricSum:
     # random steps over the whole range; TestKernelAccuracy covers the steps
     # next to whole turns, and degenerate steps return N + 0j exactly
     def test_matches_explicit_element_sum(self):
@@ -278,29 +301,19 @@ class TestAggregateGains:
         for _ in range(200):
             slope = rng.uniform(0, 2 * np.pi)
             u = rng.uniform(-2, 2, size=16)
-            got = aggregate_gains(u, slope, GEOM)
+            got = _geometric_sum(slope - GEOM.kd * u, GEOM.n_ris)
             want = np.exp(1j * np.outer(slope - GEOM.kd * u, k)).sum(axis=1)
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
         # a per-slot slope array: slot i is received under slope i
         slopes = rng.uniform(0, 2 * np.pi, size=64)
         u = rng.uniform(-2, 2, size=64)
         want = np.exp(1j * (slopes - GEOM.kd * u)[:, None] * k).sum(axis=1)
-        got = aggregate_gains(u, slopes, GEOM)
+        got = _geometric_sum(slopes - GEOM.kd * u, GEOM.n_ris)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
         for th2_deg in (20.0, 45.0, 70.0, -37.0):
             theta2 = np.deg2rad(th2_deg)
             aligned = optimal_config(GEOM.theta1, theta2, GEOM)
             u = np.sin(GEOM.theta1) - np.sin(theta2)
-            assert aggregate_gains(np.array([u]), aligned.slope, GEOM)[0] == GEOM.n_ris + 0j
+            step = aligned - GEOM.kd * np.array([u])
+            assert _geometric_sum(step, GEOM.n_ris)[0] == GEOM.n_ris + 0j
 
-
-class TestRisConfiguration:
-    def test_phases_wrapped_and_frozen(self):
-        for slope, want in ((7.0, 7.0 - 2 * np.pi), (-1.0, 2 * np.pi - 1.0), (2 * np.pi, 0.0)):
-            cfg = RisConfiguration(slope=slope, n_ris=3)
-            assert cfg.slope == pytest.approx(want, abs=1e-15)
-            assert np.all((cfg.phases >= 0) & (cfg.phases < 2 * np.pi))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.slope = 1.0
-        with pytest.raises(ValueError):
-            cfg.phases[0] = 1.0

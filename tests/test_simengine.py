@@ -12,9 +12,7 @@ from ristrack import (
     LinkGeometry,
     OraclePolicy,
     ProposedPolicy,
-    RisConfiguration,
     SlotKind,
-    SweepSpec,
     Trajectory,
     TrajectorySpec,
     cumulative_rate,
@@ -142,7 +140,7 @@ class TestProposedTimeline:
 
 class TestExhaustiveTimeline:
     def test_event_slot_accounting(self, traj):
-        tl = run_timeline(traj, ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(10.0)),
+        tl = run_timeline(traj, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
                           GEOM, noise_enabled=False)
         kinds = kinds_of(tl)
         events = tl.tracking_calls
@@ -151,7 +149,7 @@ class TestExhaustiveTimeline:
         assert np.sum(kinds == int(SlotKind.UL_FEEDBACK)) == 2 * events
 
     def test_channel_keeps_moving_during_sweep(self, traj):
-        tl = run_timeline(traj, ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(10.0)),
+        tl = run_timeline(traj, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
                           GEOM, noise_enabled=False)
         kinds = kinds_of(tl)
         train = np.nonzero(kinds == int(SlotKind.DL_TRAINING))[0]
@@ -161,7 +159,7 @@ class TestExhaustiveTimeline:
         # slot cursor+i of an event is received under swept slope i, with the
         # channel of that slot: explicit element sum at the slot's own angle
         walk = generate_trajectory(replace(SPEC, path_length=0.2), GEOM)
-        tl = run_timeline(walk, ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(10.0)),
+        tl = run_timeline(walk, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
                           GEOM, noise_enabled=False)
         assert tl.tracking_calls > 1
         train = np.nonzero(kinds_of(tl) == int(SlotKind.DL_TRAINING))[0]
@@ -177,7 +175,7 @@ class TestExhaustiveTimeline:
 
 
 class TestTrajectoryEndsMidTraining:
-    @pytest.mark.parametrize("policy", [ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(1.0)),
+    @pytest.mark.parametrize("policy", [ExhaustivePolicy(gamma=0.5, resolution_deg=1.0),
                                         ProposedPolicy(gamma=0.9)])
     def test_cut_event_is_counted_and_left_open(self, traj, policy):
         full = run_timeline(traj, policy, GEOM, noise_enabled=False)
@@ -331,9 +329,9 @@ class TestLedgerInvariantMatrix:
         # absolute thresholds sit at fixed shares of the first slot's aligned peak
         scale = (geom.beamformer_gain * abs(walk.beta[0]) * geom.n_ris) ** 2
         scale = scale if mode == "absolute" else 1.0
-        sweep = SweepSpec(10.0)
+        sweep = ExhaustivePolicy(0.5 * scale, 10.0)
         runs = ((ProposedPolicy(0.9 * scale), ProposedPolicy().grid.n_sol),
-                (ExhaustivePolicy(0.5 * scale, sweep), sweep.slopes.size),
+                (sweep, sweep.slopes.size),
                 (OraclePolicy(0.9 * scale), 0))
         for policy, cost in runs:
             tl = run_timeline(walk, policy, geom, noise_seed=8, threshold_mode=mode)
@@ -360,7 +358,7 @@ class TestLedgerInvariantMatrix:
 # default geometry and walk, cut to 0.3 m: about 32k slots with statuses of a few
 # thousand slots each, several windows long
 WINDOW_GEOM = LinkGeometry()
-WINDOW_POLICIES = (ProposedPolicy(), ExhaustivePolicy(sweep=SweepSpec(10.0)), OraclePolicy())
+WINDOW_POLICIES = (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0), OraclePolicy())
 # -10 dB: statuses still last thousands of slots, and noise dips below the
 # threshold at slots that the probes step over
 LOW_SNR_GEOM = replace(WINDOW_GEOM, snr_linear=0.1)
@@ -385,7 +383,7 @@ def scan_runs(walk):
     """(geometry, policy, threshold mode) of every run the scan settings are checked on."""
     # absolute thresholds sit at fixed shares of the first slot's aligned peak
     peak = (WINDOW_GEOM.beamformer_gain * abs(walk.beta[0]) * WINDOW_GEOM.n_ris) ** 2
-    absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, SweepSpec(10.0)),
+    absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, 10.0),
                 OraclePolicy(0.9 * peak))
     return ([(WINDOW_GEOM, p, "normalized") for p in WINDOW_POLICIES]
             + [(WINDOW_GEOM, p, "absolute") for p in absolute]
@@ -478,8 +476,8 @@ class TestSlotColumns:
         # each timeline must equal a run on a freshly generated trajectory
         walk = generate_trajectory(SPEC, GEOM)
         peak = (GEOM.beamformer_gain * abs(walk.beta[0]) * GEOM.n_ris) ** 2
-        normal = (ProposedPolicy(), ExhaustivePolicy(sweep=SweepSpec(10.0)), OraclePolicy())
-        absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, SweepSpec(10.0)),
+        normal = (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0), OraclePolicy())
+        absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, 10.0),
                     OraclePolicy(0.9 * peak))
         geom7 = replace(GEOM, snr_linear=20.0, n_ris=7)
         settings = (
@@ -513,7 +511,7 @@ class TestSlotColumns:
 
 class TestEngineSamples:
     @pytest.mark.parametrize("policy", [ProposedPolicy(gamma=0.99),
-                                        ExhaustivePolicy(gamma=0.99, sweep=SweepSpec(10.0))])
+                                        ExhaustivePolicy(gamma=0.99, resolution_deg=10.0)])
     def test_each_slot_equals_received_sample(self, monkeypatch, engine_calls, policy):
         # seven elements and theta2 > theta1: every aligned step lies next to
         # 2*pi, where the closed form used to lose digits
@@ -531,8 +529,7 @@ class TestEngineSamples:
         kinds = kinds_of(tl)
         for call in engine_calls:
             for j, i in enumerate(call.slots):
-                cfg = RisConfiguration(call.slopes[j], geom.n_ris)
-                want = received_sample(walk[i], cfg, geom)
+                want = received_sample(walk[i], call.slopes[j], geom)
                 assert abs(call.samples[j] - want) <= 1e-12 * abs(want), i
             covered.update(kinds[call.lo:call.hi].tolist())
         assert {int(SlotKind.DATA), int(SlotKind.DL_TRAINING)} <= covered
@@ -597,7 +594,7 @@ class TestDerivedColumns:
             assert np.all(tl.rss[refs] == table.rss_ref[table.kind == SlotKind.DATA])
 
     def test_cut_training_slice(self, traj):
-        for policy in (ExhaustivePolicy(gamma=0.5, sweep=SweepSpec(1.0)), ProposedPolicy()):
+        for policy in (ExhaustivePolicy(gamma=0.5, resolution_deg=1.0), ProposedPolicy()):
             full = run_timeline(traj, policy, GEOM, noise_enabled=False)
             t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
             # cut three slots into the training slice, and before its first slot

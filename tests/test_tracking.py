@@ -33,14 +33,14 @@ def synthetic_transition(theta_ref, d_theta, d_r, r2_ref=4.0, beta_ref=0.8 + 0.3
     The reference slot uses the aligned configuration; the transition slot
     keeps that stale configuration while the channel moves by (d_theta, d_r).
     """
-    cfg = optimal_config(geom.theta1, theta_ref, geom)
+    slope = optimal_config(geom.theta1, theta_ref, geom)
     ref_state = ChannelState(beta=beta_ref, theta2=theta_ref, r2=r2_ref)
     rho = (geom.r1 + r2_ref) / (geom.r1 + r2_ref + d_r)
     beta_now = rho * beta_ref * cmath.exp(2j * math.pi * d_r / geom.wavelength)
     now_state = ChannelState(beta=beta_now, theta2=theta_ref + d_theta, r2=r2_ref + d_r)
-    y_ref = received_sample(ref_state, cfg, geom)
-    y_now = received_sample(now_state, cfg, geom)
-    return y_ref, y_now, cfg
+    y_ref = received_sample(ref_state, slope, geom)
+    y_now = received_sample(now_state, slope, geom)
+    return y_ref, y_now, slope
 
 
 class TestMeasureObservables:
@@ -399,12 +399,12 @@ class TestSelectByTraining:
     def test_true_candidate_wins_under_noiseless_probe(self):
         theta_ref = np.deg2rad(25.0)
         d_theta = np.deg2rad(0.87)
-        y_ref, y_now, cfg_ref = synthetic_transition(theta_ref, d_theta, 0.001)
+        y_ref, y_now, slope_ref = synthetic_transition(theta_ref, d_theta, 0.001)
         obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
         cands = two_dim_search(obs, SearchGrid(), GEOM)
         truth = ChannelState(beta=0.8 + 0.3j, theta2=theta_ref + d_theta, r2=4.0)
-        rss = [abs(received_sample(truth, update_config(cfg_ref, c.w_cand, GEOM), GEOM)) ** 2
-               for c in cands]
+        slopes = update_config(slope_ref, [c.w_cand for c in cands], GEOM)
+        rss = [abs(received_sample(truth, s, GEOM)) ** 2 for s in slopes]
         chosen = cands[select_by_training(cands, rss)]
         w_true = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
         step_w = math.sin(theta_ref + np.deg2rad(0.05)) - math.sin(theta_ref)
