@@ -57,6 +57,7 @@ rate-gap metric reads it whole for every tracker and its oracle.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import weakref
@@ -411,7 +412,9 @@ def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope,
     slope's half of the phase is one scalar for a scan.
     """
     d, _ = _dirichlet(slope - cols.kdu[lo:hi:step], cols.n_ris)
-    turn = np.exp(0.5j * (cols.n_ris - 1) * np.asarray(slope))
+    # on one slope cmath.exp gives np.exp's value without numpy's call cost
+    exp = np.exp if isinstance(slope, np.ndarray) else cmath.exp
+    turn = exp(0.5j * (cols.n_ris - 1) * slope)
     return turn * cols.phase[lo:hi:step] * d + cols.noise[lo:hi:step]
 
 

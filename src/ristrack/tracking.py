@@ -21,11 +21,27 @@ row) and its calibration distance; the cells a row does not have total
 infinity. Each row keeps its first minimum over the grid columns followed by
 the exact ones, exactly as argmin over the joined row would (ties go to the
 grid, a NaN wins), and the rows are ranked by (total error, |w|, angle).
+
+The exact block is scored on every row, the grid block only on the rows that
+can still rank among the first n_sol. Let cut be the n_sol-th smallest
+exact-block best. The grid distances ascend, so a row's signed strength
+residual x = (r_ref/r)**2 * g - eta does not increase along the row
+(correctly rounded division, squaring, scaling and subtraction are all
+monotone), and no grid total rounds below its own |x|: max(x_last, -x_first,
+0) bounds every grid total of the row from below. A row whose bound and
+exact best both exceed cut has its best above cut, while at least n_sol rows
+have theirs at or below it, so it cannot rank among the first n_sol under
+any tie rule and its grid is not scored. Every row is scored when a grid
+distance is masked (its residual breaks the order), when n_sol is at least
+the number of angles, and when cut is not finite (an infinite or NaN
+strength ratio). On the tracking_stress benchmark's searches the rule keeps
+a median of 8 of 101 rows, at most 10.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +125,10 @@ def measure_observables(
     if rss_ref == 0:
         raise ValueError("reference sample must be nonzero")
     eta = abs(y_now) ** 2 / rss_ref
-    xi = wrap_principal(np.angle(y_now) - np.angle(y_ref))
+    # numpy's arctan2, as np.angle of each sample, in one call: libm's atan2
+    # (cmath.phase) can differ from it in the last ulp
+    phase_now, phase_ref = np.angle([y_now, y_ref]).tolist()
+    xi = wrap_principal(phase_now - phase_ref)
     return TrackingObservables(
         eta=eta, xi=xi, rss_ref=rss_ref, r_ref=r_ref, theta2_ref=theta2_ref
     )
@@ -171,7 +190,9 @@ def two_dim_search(
     errorII (wrapped phase residual); each row keeps its first minimum over
     the grid columns followed by the exact ones, and the rows are ranked by
     (total error, |w|, angle). At most n_sol candidates are returned, one per
-    angle. The search is a pure function of its inputs.
+    angle. The grid block is scored only on the rows that can still rank
+    among the first n_sol (see the module docstring). The search is a pure
+    function of its inputs.
     """
     theta_off, r_off = _grid_offsets(grid, geom.wavelength)
     n_theta = theta_off.size
@@ -185,20 +206,12 @@ def two_dim_search(
     gain_ratio_sq = np.float_power(gain_mag / geom.n_ris, 2.0)
     lam = geom.wavelength
 
-    # grid block: masked (non-positive) distances are scored at r_ref
-    r_grid = obs.r_ref + r_off
-    masked = ~(r_grid > 0)
-    r_grid[masked] = obs.r_ref
-    grid_rss, grid_angle = _score(obs, r_grid, gain_ratio_sq, gain_ang, lam)
-    grid_total = grid_rss + grid_angle
-    grid_total[:, masked] = np.inf
-
-    # exact block: zeros of the wrapped phase residual inside the window
-    # (padded to the longest row), then the calibration distance
+    # exact block, every row: zeros of the wrapped phase residual inside the
+    # window (padded to the longest row), then the calibration distance
     zero_base = (obs.xi - gain_ang) * lam / TWO_PI
     k_lo = np.ceil((-grid.r_halfwidth - zero_base) / lam)
     k_hi = np.floor((grid.r_halfwidth - zero_base) / lam)
-    n_k = int(np.max(k_hi - k_lo)) + 1  # k_hi >= k_lo - 1 on every row
+    n_k = int((k_hi - k_lo).max()) + 1  # k_hi >= k_lo - 1 on every row
     ks = k_lo[:, None] + np.arange(n_k)
     r_cal = r_from_eta(obs, gain_mag, geom.n_ris)
     r_exact = np.concatenate([(obs.r_ref + zero_base)[:, None] + ks * lam, r_cal[:, None]],
@@ -210,36 +223,48 @@ def two_dim_search(
     r_exact[~valid] = obs.r_ref
     exact_rss, exact_angle = _score(obs, r_exact, gain_ratio_sq, gain_ang, lam)
     exact_total = np.where(valid, exact_rss + exact_angle, np.inf)
+    exact_col = exact_total.argmin(1)
+    exact_best = exact_total[np.arange(n_theta), exact_col]
 
-    # each row's first minimum over its grid then exact columns: argmin of
-    # the two block minima keeps argmin's rules over the whole row (the first
-    # minimum wins ties, the first NaN wins outright). The last grid distance
-    # r_ref + r_halfwidth is always valid, so every row has a minimum.
+    # grid block: masked (non-positive) distances are scored at r_ref; every
+    # row is scored unless the row bound skips some
+    r_grid = obs.r_ref + r_off
+    masked = ~(r_grid > 0)
+    any_masked = masked.any()
+    r_grid[masked] = obs.r_ref
     rows = np.arange(n_theta)
-    grid_col = np.argmin(grid_total, axis=1)
-    exact_col = np.argmin(exact_total, axis=1)
-    block_best = np.stack([grid_total[rows, grid_col], exact_total[rows, exact_col]], axis=1)
-    use_exact = np.argmin(block_best, axis=1)
-    best = block_best[rows, use_exact]
-    candidates = []
-    for i in np.lexsort((thetas, np.abs(w), best))[: grid.n_sol].tolist():
-        if use_exact[i]:
-            j = exact_col[i]
-            r, e_rss, e_ang = r_exact[i, j], exact_rss[i, j], exact_angle[i, j]
-        else:
-            j = grid_col[i]
-            r, e_rss, e_ang = r_grid[j], grid_rss[i, j], grid_angle[i, j]
-        candidates.append(
-            CandidatePair(
-                theta2_cand=float(thetas[i]),
-                w_cand=float(w[i]),
-                r_cand=float(r),
-                error_total=float(best[i]),
-                error_rss=float(e_rss),
-                error_angle=float(e_ang),
-            )
-        )
-    return candidates
+    if grid.n_sol < n_theta and not any_masked:
+        cut = float(np.partition(exact_best, grid.n_sol - 1)[grid.n_sol - 1])
+        if math.isfinite(cut):
+            # signed strength residuals at the first and last grid distance,
+            # by _score's operations: the largest and smallest of each row
+            ends = (obs.r_ref / r_grid[[0, -1]]) ** 2
+            x_first, x_last = ends[:, None] * gain_ratio_sq - obs.eta
+            rows = (((x_last <= cut) & (x_first >= -cut)) | (exact_best <= cut)).nonzero()[0]
+    grid_rss, grid_angle = _score(obs, r_grid, gain_ratio_sq[rows], gain_ang[rows], lam)
+    grid_total = grid_rss + grid_angle
+    if any_masked:
+        grid_total[:, masked] = np.inf
+
+    # each scored row's first minimum over its grid then exact columns, as
+    # argmin over the joined row: the exact block wins with a smaller total
+    # or a NaN against a grid number; ties and a grid NaN stay with the grid.
+    # The last grid distance r_ref + r_halfwidth is always valid, so every
+    # row has a minimum.
+    grid_col = grid_total.argmin(1)
+    grid_best = grid_total[np.arange(rows.size), grid_col]
+    exact_kept = exact_best[rows]
+    use_exact = ~(grid_best <= exact_kept) & (grid_best == grid_best)
+    best = np.where(use_exact, exact_kept, grid_best)
+    win = np.lexsort((thetas[rows], np.abs(w[rows]), best))[: grid.n_sol]
+    i, gc, ex = rows[win], grid_col[win], use_exact[win]
+    ec = exact_col[i]
+    fields = np.array([
+        thetas[i], w[i], np.where(ex, r_exact[i, ec], r_grid[gc]), best[win],
+        np.where(ex, exact_rss[i, ec], grid_rss[win, gc]),
+        np.where(ex, exact_angle[i, ec], grid_angle[win, gc]),
+    ])
+    return [CandidatePair(*f) for f in zip(*fields.tolist())]
 
 
 def select_by_training(candidates: list[CandidatePair], rss) -> int:
@@ -256,4 +281,5 @@ def select_by_training(candidates: list[CandidatePair], rss) -> int:
     if rss.shape != (len(candidates),):
         raise ValueError(f"need one strength per candidate ({len(candidates)}), "
                          f"got shape {rss.shape}")
-    return min(range(len(candidates)), key=lambda i: (-rss[i], abs(candidates[i].w_cand)))
+    power = rss.tolist()
+    return min(range(len(candidates)), key=lambda i: (-power[i], abs(candidates[i].w_cand)))

@@ -6,15 +6,9 @@ steering phase written with an (n-1) exponent elsewhere becomes index k here.
 
 Both wraps reduce modulo the double TWO_PI exactly as ``np.mod`` does:
 ``fmod``, which is exact, then TWO_PI added once to a negative remainder (one
-rounding) and a zero remainder made +0. An array whose values y all lie in
-[-2*TWO_PI, 3*TWO_PI) skips ``fmod``: its whole turns m are read off by
-comparing y with the exact doubles 0, +-TWO_PI and 2*TWO_PI, and y + m*TWO_PI
-is one operation. For y >= 0 that subtraction is exact by Sterbenz's lemma,
-so it equals ``fmod``; for y < 0 it is the exact ``fmod`` remainder plus one
-TWO_PI rounded once, as ``np.mod`` computes it; and m = 0 turns -0 into +0.
-Other arrays, and NaN or infinite values, go through ``np.mod``. Scalars
-(Python or numpy floats, 0-d arrays) use the float ``%``, which runs the
-same ``fmod`` and fix-up.
+rounding) and a zero remainder made +0. Arrays go through ``np.mod``; scalars
+(Python or numpy floats, 0-d arrays) use the float ``%``, which runs the same
+``fmod`` and fix-up and still returns ``float``.
 """
 
 from __future__ import annotations
@@ -29,9 +23,6 @@ TWO_PI = 2.0 * np.pi
 # Phases closer to 0 (mod 2*pi) than this snap to exactly 0 so that equality
 # tests across different update paths are deterministic.
 PHASE_SNAP = 1e-12
-
-_FAST_LO = -2.0 * TWO_PI
-_FAST_HI = 3.0 * TWO_PI
 
 
 @dataclass(frozen=True)
@@ -115,21 +106,13 @@ def steering_vector(angle: float, count: int, spacing_d: float, wavelength: floa
 
 
 def _mod_two_pi(y: np.ndarray) -> np.ndarray:
-    """``np.mod(y, TWO_PI)`` of a float array, bit for bit; a fast-range array skips ``fmod``."""
-    if y.size == 0 or not (_FAST_LO <= y.min() and y.max() < _FAST_HI):
-        return np.mod(y, TWO_PI)
-    turns = (y < 0.0).view(np.int8) + (y < -TWO_PI).view(np.int8)
-    turns -= (y >= TWO_PI).view(np.int8)
-    turns -= (y >= 2.0 * TWO_PI).view(np.int8)
-    out = turns.astype(float)
-    out *= TWO_PI
-    out += y
-    return out
+    """``np.mod(y, TWO_PI)`` of a float array."""
+    return np.mod(y, TWO_PI)
 
 
 def wrap_two_pi(phases):
     """Wrap phases to [0, 2*pi), snapping values within 1e-12 of the seam to 0."""
-    if np.ndim(phases) == 0:
+    if isinstance(phases, float) or np.ndim(phases) == 0:  # float covers np.float64
         out = float(phases) % TWO_PI
         return 0.0 if out < PHASE_SNAP or out > TWO_PI - PHASE_SNAP else out
     out = _mod_two_pi(np.asarray(phases, dtype=float))
@@ -138,7 +121,7 @@ def wrap_two_pi(phases):
 
 def wrap_principal(x):
     """Wrap angles to the principal interval (-pi, pi]."""
-    if np.ndim(x) == 0:
+    if isinstance(x, float) or np.ndim(x) == 0:
         return -((-float(x) + math.pi) % TWO_PI - math.pi)
     y = np.negative(np.asarray(x, dtype=float))
     y += np.pi

@@ -139,6 +139,33 @@ class TestUpdateConfig:
             update_config(slope, 2.5, GEOM)
         with pytest.raises(ValueError):
             update_config(slope, [0.1, -2.5], GEOM)
+        with pytest.raises(ValueError):
+            update_config(slope, np.array([[0.1, 0.2], [2.0000000001, 0.0]]), GEOM)
+
+    def test_sequence_equals_array_law_bit_for_bit(self):
+        # each candidate is updated as a scalar; the result must be the array
+        # law wrap_two_pi(slope - kd*w) bit for bit, also for mismatches that
+        # land next to a whole turn, at signed zeros and at |w| = 2
+        rng = np.random.default_rng(12)
+        kd = GEOM.kd
+        for slope in (0.0, 1.3, np.float64(6.2), TWO_PI - 1e-13):
+            ws = [0.0, -0.0, 2.0, -2.0]
+            for k in (-1, 0, 1):
+                seam = (slope - k * TWO_PI) / kd
+                ws += [np.nextafter(seam, -np.inf), seam, np.nextafter(seam, np.inf)]
+            ws = [w for w in ws if abs(w) <= 2.0] + rng.uniform(-2.0, 2.0, 20).tolist()
+            # a long array as well
+            long = rng.uniform(-2.0, 2.0, 1500)
+            for w in (ws, np.array(ws), long, np.array(ws[:6]).reshape(2, 3)):
+                got = update_config(slope, w, GEOM)
+                want = wrap_two_pi(slope - kd * np.asarray(w, dtype=float))
+                assert isinstance(got, np.ndarray) and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            for w in ws[:8]:
+                for one in (w, np.float64(w), np.array(w)):
+                    got = update_config(slope, one, GEOM)
+                    assert type(got) is float
+                    assert repr(got) == repr(float(wrap_two_pi(slope - kd * np.asarray(w))))
 
 
 class TestCoherentGain:

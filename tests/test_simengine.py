@@ -1,3 +1,4 @@
+import cmath
 import gc
 import math
 import weakref
@@ -24,6 +25,8 @@ from ristrack import (
     run_timeline,
     slot_count,
 )
+from ristrack.ris import _dirichlet
+from ristrack.wavefield import TWO_PI
 
 GEOM = LinkGeometry(r1=2.0)
 SPEC = TrajectorySpec(r2_init=2.0, speed_v=0.6, path_length=0.05, rng_seed=11)
@@ -533,6 +536,27 @@ class TestEngineSamples:
                 assert abs(call.samples[j] - want) <= 1e-12 * abs(want), i
             covered.update(kinds[call.lo:call.hi].tolist())
         assert {int(SlotKind.DATA), int(SlotKind.DL_TRAINING)} <= covered
+
+    def test_scalar_slope_turn_is_the_np_exp_form(self, traj):
+        # a scan's one slope turns its window by cmath.exp, which must give
+        # np.exp's value bit for bit, so slopes as numpy values and edge values
+        # are checked as well as random ones
+        cols = simengine._slot_columns(traj, GEOM, 3, True)
+        lo, hi = 5, 300
+        rng = np.random.default_rng(21)
+        values = [0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.pi, -1.0, 1e6, -1e300,
+                  *rng.uniform(0.0, TWO_PI, 40).tolist()]
+        for value in values:
+            for slope in (value, np.float64(value)):
+                d, _ = _dirichlet(slope - cols.kdu[lo:hi], cols.n_ris)
+                turn = np.exp(0.5j * (cols.n_ris - 1) * np.asarray(slope))
+                want = turn * cols.phase[lo:hi] * d + cols.noise[lo:hi]
+                got = simengine._received_samples(cols, lo, hi, slope)
+                assert_same_bits(got, want, value)
+        for n_ris in (2, 3, 7, 64, 100):
+            for value in values:
+                assert complex(np.exp(0.5j * (n_ris - 1) * np.asarray(value))) == \
+                    cmath.exp(0.5j * (n_ris - 1) * value), (n_ris, value)
 
 
 DERIVED = ("kind", "rss_normalized", "cum_rate", "config_id", "status_id")

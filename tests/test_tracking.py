@@ -1,21 +1,28 @@
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ristrack.simengine as simengine
+import ristrack.tracking as tracking
 from ristrack import (
     CandidatePair,
     ChannelState,
     LinkGeometry,
+    ProposedPolicy,
     SearchGrid,
     TrackingObservables,
+    TrajectorySpec,
     coherent_gain_values,
+    generate_path,
     measure_observables,
     optimal_config,
     r_from_eta,
     received_sample,
+    run_timeline,
     select_by_training,
     two_dim_search,
     update_config,
@@ -66,6 +73,21 @@ class TestMeasureObservables:
         assert obs.eta == pytest.approx(rho**2 * abs(gain)**2 / GEOM.n_ris**2, rel=1e-9)
         want_xi = wrap_principal(2 * math.pi * d_r / GEOM.wavelength + cmath.phase(gain))
         assert obs.xi == pytest.approx(want_xi, abs=1e-9)
+
+    def test_xi_is_the_np_angle_form_bit_for_bit(self):
+        # both phases come from numpy's arctan2 in one call; libm's atan2
+        # (cmath.phase) differs from it in the last ulp on some hosts
+        rng = np.random.default_rng(5)
+        axes = [complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, 0.0), complex(-1.0, -0.0),
+                complex(0.0, 1.0), complex(-0.0, 1.0), complex(0.0, -1.0), complex(-0.0, -1.0)]
+        draws = ((rng.standard_normal(400) + 1j * rng.standard_normal(400))
+                 * np.exp(rng.uniform(-10.0, 10.0, 400))).tolist()
+        pairs = ([(a, b) for a in axes for b in axes + draws[:10]]
+                 + [(b, a) for a in axes for b in draws[:10]] + list(zip(draws[::2], draws[1::2])))
+        for y_ref, y_now in pairs:
+            obs = measure_observables(y_ref, y_now, 8.0, 0.3)
+            want = wrap_principal(np.angle(y_now) - np.angle(y_ref))
+            assert repr(obs.xi) == repr(want), (y_ref, y_now)
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -253,8 +275,49 @@ EDGE_CASES = {
     # every cell totals inf, so each row's first grid column wins the tie
     # against the exact columns at other distances
     "eta_infinite": (dict(eta=math.inf), SearchGrid(), GEOM),
-    # phase residuals reach +-6*pi, past the comparison wrap's range
+    # phase residuals reach +-6*pi, more than two turns from zero
     "r_window_two_wavelengths": ({}, SearchGrid(r_halfwidth=2 * GEOM.wavelength), GEOM),
+    # a window narrower than a wavelength leaves many rows without a phase
+    # zero, so grid cells win rows that would otherwise not be ranked
+    "narrow_r_window": ({}, SearchGrid(r_halfwidth=0.001), GEOM),
+    # ... and with masked grid distances
+    "narrow_r_window_tiny_r_ref": (dict(r_ref=0.0008), SearchGrid(r_halfwidth=0.001), GEOM),
+}
+
+
+@pytest.fixture(scope="module")
+def recorded_searches():
+    """Inputs of every search in short proposed runs of a fast two-turn walk.
+
+    A fast walk with a high threshold puts eta near gamma, where the search's
+    row bound skips most grid rows; uniformly drawn observables seldom do.
+    """
+    geom = LinkGeometry()
+    policy = ProposedPolicy(gamma=0.95)
+    turns = ((np.deg2rad(70.0), 0.1), (np.deg2rad(150.0), 0.1))
+    seen = []
+    real = simengine.two_dim_search
+
+    def record(obs, grid, g):
+        seen.append((obs, grid, g))
+        return real(obs, grid, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine, "two_dim_search", record)
+        for seed in (14, 15):
+            walk = generate_path(TrajectorySpec(speed_v=1.8, path_length=0.1, rng_seed=seed),
+                                 turns, geom)
+            run_timeline(walk, policy, geom, noise_seed=seed + 1)
+    return seen
+
+
+# pins and grids for the pruning checks: random observables, a NaN strength
+# ratio (which the per-angle loop cannot rank) and edge cases of the bound
+PRUNING_CASES = {
+    "random": ({}, SearchGrid(), GEOM),
+    "eta_nan": (dict(eta=math.nan), SearchGrid(), GEOM),
+    **{case: EDGE_CASES[case] for case in ("eta_infinite", "tiny_r_ref", "narrow_r_window",
+                                           "narrow_r_window_tiny_r_ref")},
 }
 
 
@@ -361,6 +424,44 @@ class TestTwoDimSearch:
         for _ in range(100):
             obs = random_observables(rng, **fixed)
             assert two_dim_search(obs, grid, geom) == loop_two_dim_search(obs, grid, geom)
+
+    def test_equals_per_angle_loop_on_recorded_observables(self, recorded_searches, monkeypatch):
+        grid_rows = []
+        real = tracking._score
+
+        def spy(obs, r_set, gain_ratio_sq, gain_ang, lam):
+            if r_set.ndim == 1:  # the grid block's shared distances
+                grid_rows.append(gain_ratio_sq.size)
+            return real(obs, r_set, gain_ratio_sq, gain_ang, lam)
+
+        monkeypatch.setattr(tracking, "_score", spy)
+        assert len(recorded_searches) >= 20
+        for obs, grid, geom in recorded_searches:
+            assert two_dim_search(obs, grid, geom) == loop_two_dim_search(obs, grid, geom)
+        # the recorded searches exercise the row bound, not only its fallbacks
+        assert len(grid_rows) == len(recorded_searches)
+        assert sum(n < 101 for n in grid_rows) >= 0.9 * len(grid_rows)
+
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_pruning_cannot_change_the_ranking(self, case):
+        # whatever n_sol, the grid rows the bound skips cannot rank among the
+        # first n_sol: every result is a prefix of the full ranking. repr
+        # compares NaN totals, which == does not
+        fixed, grid, geom = PRUNING_CASES[case]
+        rng = np.random.default_rng(31)
+        n_theta = 101
+        for _ in range(40):
+            obs = random_observables(rng, **fixed)
+            full = two_dim_search(obs, replace(grid, n_sol=n_theta), geom)
+            assert len(full) == n_theta
+            for k in (1, 2, 7, 100, 101, 200):
+                assert repr(two_dim_search(obs, replace(grid, n_sol=k), geom)) == repr(full[:k])
+
+    def test_pruning_cannot_change_the_ranking_on_recorded_observables(self, recorded_searches):
+        for obs, grid, geom in recorded_searches:
+            full = two_dim_search(obs, SearchGrid(n_sol=101), geom)
+            for k in (1, 2, 7, 100):
+                assert two_dim_search(obs, SearchGrid(n_sol=k), geom) == full[:k]
 
     def test_nan_total_takes_first_grid_cell(self):
         # a NaN strength ratio makes every unmasked cell NaN; as in argmin

@@ -107,24 +107,38 @@ SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300,
                     TWO_PI, -TWO_PI, 2 * TWO_PI, -2 * TWO_PI, 3 * TWO_PI, 5e-324, -5e-324])
 
 
+def seam_values():
+    """+-0 and each seam of the wraps with one double either side.
+
+    The seams are k*TWO_PI for the reduction itself and pi + k*TWO_PI, where
+    wrap_principal reduces -x + pi across a whole turn.
+    """
+    out = [0.0, -0.0]
+    for k in range(-3, 4):
+        for seam in (k * TWO_PI, math.pi + k * TWO_PI):
+            out += [np.nextafter(seam, -np.inf), seam, np.nextafter(seam, np.inf)]
+    return np.array(out)
+
+
 class TestWrapBits:
-    # the comparison wraps must equal the np.mod forms bit for bit, inside and
-    # outside the range [-2*TWO_PI, 3*TWO_PI) where they skip fmod
+    # the wraps must equal the np.mod forms bit for bit, values and signs
     CASES = {
         "inside": np.random.default_rng(1).uniform(-3 * np.pi, 5 * np.pi, (101, 105)),
         "principal_inside": np.random.default_rng(2).uniform(-5 * np.pi, 3 * np.pi, 4096),
         "outside": np.random.default_rng(3).uniform(-40.0, 40.0, 4096),
-        # past one end of the range only
+        # past two turns of zero on one side only
         "past_upper": np.random.default_rng(5).uniform(-1.0, 8 * np.pi, 4096),
         "past_lower": np.random.default_rng(6).uniform(-6 * np.pi, 1.0, 4096),
         "ulps": ulp_neighbourhoods(),
-        # every turn threshold of the comparison wrap, with both wraps inside its range
+        # k*pi neighbourhoods within two turns of zero
         "ulps_inside": ulp_neighbourhoods(ks=range(-3, 5)),
         "special": SPECIAL,
-        # finite, so the comparison wrap takes them: -0 must come out +0
+        # -0 must come out +0
         "zeros_and_turns": np.array([0.0, -0.0, TWO_PI, -TWO_PI, 2 * TWO_PI, -2 * TWO_PI,
                                      np.pi, -np.pi, 5e-324, -5e-324]),
         "empty": np.zeros((0, 3)),
+        "seams": seam_values(),
+        "seams_and_non_finite": np.concatenate([[40.0, -1e300, np.inf, np.nan], seam_values()]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
