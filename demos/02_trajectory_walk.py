@@ -11,7 +11,7 @@ Writes trajectory_walk.csv.
 
 import numpy as np
 
-from ristrack import LinkGeometry, TrajectorySpec, generate_path, generate_trajectory
+from ristrack import LinkGeometry, TrajectorySpec, generate_path
 
 geom = LinkGeometry(r1=4.0)
 spec = TrajectorySpec(
@@ -23,7 +23,7 @@ spec = TrajectorySpec(
     rng_seed=7,
 )
 
-traj = generate_trajectory(spec, geom)
+traj = generate_path(spec, (), geom)
 print(f"slots: {len(traj)} ({spec.path_length} m at {spec.speed_v} m/s, "
       f"{spec.slot_duration_t0 * 1e6:.1f} us slots)")
 print(f"departure angle: {np.rad2deg(traj.theta2[0]):.2f} deg -> "

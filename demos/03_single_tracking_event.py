@@ -17,7 +17,7 @@ from ristrack import (
     LinkGeometry,
     SearchGrid,
     TrajectorySpec,
-    generate_trajectory,
+    generate_path,
     measure_observables,
     optimal_config,
     received_sample,
@@ -28,7 +28,7 @@ from ristrack import (
 
 geom = LinkGeometry(r1=4.0)
 spec = TrajectorySpec(r2_init=4.0, path_length=0.05, rng_seed=3)
-traj = generate_trajectory(spec, geom)
+traj = generate_path(spec, (), geom)
 
 # reference slot: aligned configuration, full coherent gain
 ref = traj[0]

@@ -17,14 +17,14 @@ from ristrack import (
     OraclePolicy,
     ProposedPolicy,
     TrajectorySpec,
-    generate_trajectory,
+    generate_path,
     overhead_report,
     run_timeline,
 )
 
 geom = LinkGeometry(r1=4.0)
 spec = TrajectorySpec(r2_init=4.0, speed_v=0.6, path_length=0.5, rng_seed=21)
-traj = generate_trajectory(spec, geom)
+traj = generate_path(spec, (), geom)
 print(f"walk of {spec.path_length} m -> {len(traj)} slots\n")
 
 policies = [

@@ -17,14 +17,14 @@ from ristrack import (
     ProposedPolicy,
     SearchGrid,
     TrajectorySpec,
-    generate_trajectory,
+    generate_path,
     overhead_report,
     run_timeline,
 )
 
 geom = LinkGeometry(r1=4.0)
 spec = TrajectorySpec(r2_init=4.0, speed_v=0.6, path_length=0.4, rng_seed=13)
-traj = generate_trajectory(spec, geom)
+traj = generate_path(spec, (), geom)
 oracle = run_timeline(traj, OraclePolicy(gamma=0.9), geom, noise_seed=14)
 genie = overhead_report(oracle, 0.9)
 print(f"{len(traj)} slots; genie final rate {genie.final_cum_rate:.4f} bit/s/Hz\n")

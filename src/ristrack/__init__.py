@@ -13,9 +13,7 @@ from .mobility import (
     ChannelState,
     Trajectory,
     TrajectorySpec,
-    follow_on_spec,
     generate_path,
-    generate_trajectory,
     slot_count,
 )
 from .ris import (
@@ -76,9 +74,7 @@ __all__ = [
     "TrajectorySpec",
     "coherent_gain_values",
     "cumulative_rate",
-    "follow_on_spec",
     "generate_path",
-    "generate_trajectory",
     "instantaneous_rate",
     "load_config",
     "measure_observables",

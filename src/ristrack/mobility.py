@@ -4,13 +4,15 @@ A walk segment is anchored at point A, described by the initial departure
 angle theta2, the initial RIS-UE distance r2, the walking-direction angle
 psi_a (measured at A between the A->RIS ray and the walking direction) and a
 length. Slot t (t = 1..n) corresponds to displacement s = v*t*t0 along the
-segment, so the anchor itself is the state just before the first slot.
+segment, so the anchor itself is the state just before the first slot. A walk
+is a chain of segments, each anchored at the previous one's last slot, and
+must keep theta2 inside the front half-plane (-pi/2, pi/2) at every slot.
 
 The per-element geometry follows the triangle RIS-A-user: distances come from
 the law of cosines about A, the departure angle from the law of cosines about
 the RIS with the sign of the increment set by the side the user walks to
 (positive for sin(psi_a) >= 0). Both are cross-checked against a planar
-Cartesian oracle in the test suite.
+Cartesian polyline in the test suite.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ class ChannelState:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """One straight walk segment plus the initial channel anchor.
+    """The first straight walk segment plus the initial channel anchor.
 
-    ``beta_init=None`` draws the initial gain with Rayleigh magnitude
-    (scale ``rayleigh_scale``) and uniform phase from ``rng_seed``.
+    The initial gain has Rayleigh magnitude (scale ``rayleigh_scale``) and
+    uniform phase, drawn from ``rng_seed``.
     """
 
     theta2_init: float = np.deg2rad(20.0)
@@ -55,7 +57,6 @@ class TrajectorySpec:
     speed_v: float = 0.6
     slot_duration_t0: float = 15.6e-6
     path_length: float = 3.0
-    beta_init: complex | None = None
     rng_seed: int | None = None
     rayleigh_scale: float = 1.0 / math.sqrt(2.0)  # unit mean-square magnitude
 
@@ -79,24 +80,18 @@ def slot_count(spec: TrajectorySpec) -> int:
     return int(math.ceil(spec.path_length / (spec.speed_v * spec.slot_duration_t0)))
 
 
-def _r2_of_displacement(spec: TrajectorySpec, s):
-    return np.sqrt(
-        spec.r2_init**2 + np.square(s) - 2.0 * spec.r2_init * s * np.cos(spec.psi_a)
-    )
-
-
-def _theta2_of(spec: TrajectorySpec, s, r2t):
-    arg = (spec.r2_init**2 + np.square(r2t) - np.square(s)) / (2.0 * spec.r2_init * r2t)
+def _walk_geometry(theta0: float, r0: float, psi: float, s):
+    """theta2 and r2 after walking a straight line `s` metres from (theta0, r0)."""
+    r2 = np.sqrt(r0**2 + np.square(s) - 2.0 * r0 * s * np.cos(psi))
+    arg = (r0**2 + np.square(r2) - np.square(s)) / (2.0 * r0 * r2)
     if np.any(np.abs(arg) > 1.0 + _ACOS_CLAMP_TOL):
         raise ValueError("degenerate triangle: acos argument outside [-1, 1]")
     arg = np.clip(arg, -1.0, 1.0)
-    sign = 1.0 if math.sin(spec.psi_a) >= 0.0 else -1.0
-    return spec.theta2_init + sign * np.arccos(arg)
+    sign = 1.0 if math.sin(psi) >= 0.0 else -1.0
+    return theta0 + sign * np.arccos(arg), r2
 
 
 def _draw_beta(spec: TrajectorySpec) -> complex:
-    if spec.beta_init is not None:
-        return complex(spec.beta_init)
     rng = np.random.default_rng(spec.rng_seed)
     mag = rng.rayleigh(spec.rayleigh_scale)
     phase = rng.uniform(0.0, TWO_PI)
@@ -104,7 +99,7 @@ def _draw_beta(spec: TrajectorySpec) -> complex:
 
 
 class Trajectory:
-    """Per-slot channel states of one or more chained segments.
+    """Per-slot channel states of a walk of one or more straight segments.
 
     ``traj[i]`` is slot i+1's :class:`ChannelState`; the underlying
     ``theta2``, ``r2`` and ``beta`` arrays are exposed for vectorised
@@ -135,65 +130,43 @@ class Trajectory:
             slot_index=i + 1,
         )
 
-    def final_state(self) -> ChannelState:
-        return self[len(self) - 1]
-
-
-def generate_trajectory(spec: TrajectorySpec, geom: LinkGeometry) -> Trajectory:
-    """Ground-truth channel for one segment, slots 1..slot_count.
-
-    The gain chain telescopes: |beta|*(r1+r2) is invariant along the walk and
-    the phase advances by 2*pi*(r2(t)-r2(1))/lambda relative to the anchor.
-    Equal seeds give identical trajectories.
-    """
-    n = slot_count(spec)
-    beta0 = _draw_beta(spec)
-    t = np.arange(1, n + 1, dtype=float)
-    s = spec.speed_v * spec.slot_duration_t0 * t
-    r2 = _r2_of_displacement(spec, s)
-    theta2 = _theta2_of(spec, s, r2)
-    # closed form of the one-slot law: beta scales by (r1+r2_prev)/(r1+r2_next)
-    # and rotates by the extra travel phase 2*pi*(r2_next-r2_prev)/lambda
-    rho_prod = (geom.r1 + spec.r2_init) / (geom.r1 + r2)
-    beta = beta0 * rho_prod * np.exp(1j * TWO_PI * (r2 - spec.r2_init) / geom.wavelength)
-    anchor = ChannelState(beta=beta0, theta2=spec.theta2_init, r2=spec.r2_init, slot_index=0)
-    return Trajectory(anchor, theta2, r2, beta)
-
-
-def follow_on_spec(base: TrajectorySpec, traj: Trajectory, psi_a: float, path_length: float) -> TrajectorySpec:
-    """Spec for the next straight segment, anchored at the final state of `traj`."""
-    last = traj.final_state()
-    return replace(
-        base,
-        theta2_init=last.theta2,
-        r2_init=last.r2,
-        psi_a=psi_a,
-        path_length=path_length,
-        beta_init=last.beta,
-        rng_seed=None,
-    )
-
 
 def generate_path(
     spec: TrajectorySpec,
     continuations: tuple[tuple[float, float], ...],
     geom: LinkGeometry,
 ) -> Trajectory:
-    """Chain the primary segment with (psi_a, length) continuations.
+    """Ground-truth channel of `spec`'s segment chained with (psi_a, length) continuations.
 
-    Each continuation starts exactly at the previous segment's final state, so
-    the concatenated arrays are continuous by construction.
+    Each segment starts at the previous segment's last slot, so the arrays
+    are continuous by construction. Within a segment the gain chain
+    telescopes: |beta|*(r1+r2) is invariant and the phase advances by
+    2*pi*(r2(t)-r2_start)/lambda. Equal seeds give identical trajectories.
+
+    Raises ValueError for a segment length that is not finite and > 0, and
+    when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.
     """
-    parts = [generate_trajectory(spec, geom)]
-    prev_spec = spec
-    for psi_a, length in continuations:
-        prev_spec = follow_on_spec(prev_spec, parts[-1], psi_a, length)
-        parts.append(generate_trajectory(prev_spec, geom))
-    if len(parts) == 1:
-        return parts[0]
-    return Trajectory(
-        parts[0].anchor,
-        np.concatenate([p.theta2 for p in parts]),
-        np.concatenate([p.r2 for p in parts]),
-        np.concatenate([p.beta for p in parts]),
-    )
+    anchor = ChannelState(beta=_draw_beta(spec), theta2=spec.theta2_init, r2=spec.r2_init)
+    theta0, r0, b0 = anchor.theta2, anchor.r2, anchor.beta
+    parts = []
+    for k, (psi, length) in enumerate(((spec.psi_a, spec.path_length), *continuations), 1):
+        if not (math.isfinite(length) and length > 0):
+            raise ValueError(f"segment {k} of the walk: length must be finite and > 0, "
+                             f"got {length}")
+        t = np.arange(1, slot_count(replace(spec, path_length=length)) + 1, dtype=float)
+        s = spec.speed_v * spec.slot_duration_t0 * t
+        theta2, r2 = _walk_geometry(theta0, r0, psi, s)
+        if not -np.pi / 2 < theta2.min() <= theta2.max() < np.pi / 2:  # also on NaN
+            i = int(np.argmax(~(np.abs(theta2) < np.pi / 2)))
+            slot = sum(len(part[0]) for part in parts) + i + 1
+            raise ValueError(f"theta2 leaves the front half-plane (-90, 90) deg at slot {slot}: "
+                             f"{np.rad2deg(theta2[i]):.9g} deg")
+        # closed form of the one-slot law: beta scales by (r1+r2_prev)/(r1+r2_next)
+        # and rotates by the extra travel phase 2*pi*(r2_next-r2_prev)/lambda
+        rho_prod = (geom.r1 + r0) / (geom.r1 + r2)
+        beta = b0 * rho_prod * np.exp(1j * TWO_PI * (r2 - r0) / geom.wavelength)
+        parts.append((theta2, r2, beta))
+        theta0, r0, b0 = float(theta2[-1]), float(r2[-1]), complex(beta[-1])
+    # a straight walk keeps its arrays rather than copying them
+    theta2, r2, beta = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return Trajectory(anchor, theta2, r2, beta)

@@ -105,17 +105,12 @@ def steering_vector(angle: float, count: int, spacing_d: float, wavelength: floa
     return np.exp(-1j * (TWO_PI * spacing_d / wavelength) * k * np.sin(angle))
 
 
-def _mod_two_pi(y: np.ndarray) -> np.ndarray:
-    """``np.mod(y, TWO_PI)`` of a float array."""
-    return np.mod(y, TWO_PI)
-
-
 def wrap_two_pi(phases):
     """Wrap phases to [0, 2*pi), snapping values within 1e-12 of the seam to 0."""
     if isinstance(phases, float) or np.ndim(phases) == 0:  # float covers np.float64
         out = float(phases) % TWO_PI
         return 0.0 if out < PHASE_SNAP or out > TWO_PI - PHASE_SNAP else out
-    out = _mod_two_pi(np.asarray(phases, dtype=float))
+    out = np.mod(np.asarray(phases, dtype=float), TWO_PI)
     return np.where((out < PHASE_SNAP) | (out > TWO_PI - PHASE_SNAP), 0.0, out)
 
 
@@ -125,6 +120,6 @@ def wrap_principal(x):
         return -((-float(x) + math.pi) % TWO_PI - math.pi)
     y = np.negative(np.asarray(x, dtype=float))
     y += np.pi
-    out = _mod_two_pi(y)
+    out = np.mod(y, TWO_PI)
     out -= np.pi
     return np.negative(out, out=out)

@@ -23,7 +23,7 @@ from ristrack import (
     TrajectorySpec,
     coherent_gain_values,
     cumulative_rate,
-    generate_trajectory,
+    generate_path,
     measure_observables,
     optimal_config,
     overhead_report,
@@ -118,7 +118,7 @@ def test_c4_trajectory_oracle():
         theta2_init=np.deg2rad(20.0), r2_init=4.0, psi_a=np.deg2rad(110.0),
         speed_v=0.6, slot_duration_t0=15.6e-6, path_length=1.0, rng_seed=77,
     )
-    traj = generate_trajectory(spec, geom)
+    traj = generate_path(spec, (), geom)
     n = len(traj)
     assert n >= 100_000
 
@@ -178,7 +178,7 @@ def test_c6_signaling_overhead_reproduction():
     start = time.perf_counter()
     prop_pcts, exh_pcts = [], []
     for seed in range(1, 11):
-        traj = generate_trajectory(replace(base, rng_seed=seed), geom)
+        traj = generate_path(replace(base, rng_seed=seed), (), geom)
         prop = run_timeline(traj, ProposedPolicy(gamma=0.9), geom, noise_seed=seed + 1)
         exh = run_timeline(traj, ExhaustivePolicy(gamma=0.5, resolution_deg=1.0),
                            geom, noise_seed=seed + 1)
@@ -207,7 +207,7 @@ def test_c7_rate_orderings():
         finals.setdefault(key, []).append(float(tl.cum_rate[-1]))
 
     for seed in seeds:
-        traj = generate_trajectory(replace(base, rng_seed=seed), geom)
+        traj = generate_path(replace(base, rng_seed=seed), (), geom)
         add("oracle", run_timeline(traj, OraclePolicy(0.9), geom, noise_seed=seed + 1))
         add("proposed", run_timeline(traj, ProposedPolicy(0.9), geom, noise_seed=seed + 1))
         add("prop_g08", run_timeline(traj, ProposedPolicy(0.8), geom, noise_seed=seed + 1))
@@ -216,7 +216,7 @@ def test_c7_rate_orderings():
             add(f"exh{res:g}", run_timeline(
                 traj, ExhaustivePolicy(0.5, res), geom, noise_seed=seed + 1))
         for v in (1.2, 1.8):
-            traj_v = generate_trajectory(replace(base, speed_v=v, rng_seed=seed), geom)
+            traj_v = generate_path(replace(base, speed_v=v, rng_seed=seed), (), geom)
             add(f"v{v}", run_timeline(traj_v, ProposedPolicy(0.9), geom, noise_seed=seed + 1))
     mean = {k: float(np.mean(v)) for k, v in finals.items()}
     elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ from ristrack import (
     LinkGeometry,
     SlotKind,
     TrajectorySpec,
-    generate_trajectory,
+    generate_path,
     optimal_config,
     received_sample,
     run_timeline,
@@ -52,8 +52,8 @@ class TestSweepSpec:
 class TestExhaustiveSweep:
     def test_slots_used_matches_grid(self):
         geom = LinkGeometry(r1=2.0)
-        traj = generate_trajectory(
-            TrajectorySpec(r2_init=2.0, path_length=0.05, rng_seed=11), geom)
+        traj = generate_path(
+            TrajectorySpec(r2_init=2.0, path_length=0.05, rng_seed=11), (), geom)
         for res, want in ((1.0, 360), (5.0, 72), (10.0, 36)):
             slopes = sweep(res).slopes
             assert slopes.size == want
@@ -90,8 +90,8 @@ class TestExhaustiveSweep:
         # every event numbers its 36 candidates consecutively after the last id
         # used, and installs the first strongest one
         geom = LinkGeometry(r1=2.0)
-        traj = generate_trajectory(
-            TrajectorySpec(r2_init=2.0, path_length=0.2, rng_seed=11), geom)
+        traj = generate_path(
+            TrajectorySpec(r2_init=2.0, path_length=0.2, rng_seed=11), (), geom)
         tl = run_timeline(traj, sweep(10.0), geom,
                           noise_enabled=False)
         assert tl.tracking_calls > 1

@@ -290,6 +290,19 @@ class TestExitCodes:
         blocker.write_text("a file, not a directory")
         assert main(["run", cfg, "--out", str(blocker)]) == 2
 
+    def test_walk_behind_the_surface_is_two_in_one_segment_or_two(self, tmp_path, capsys):
+        walk = "[trajectory]\ntheta2_init_deg = 80\nr2_init_m = 1\npsi_a_deg = 150\n"
+        one = write_scenario(tmp_path, walk + "path_length_m = 3\n", "one.ini")
+        two = write_scenario(tmp_path, walk + "path_length_m = 1.5\nsegments = 150:1.5\n",
+                             "two.ini")
+        errors = []
+        for cfg in (one, two):
+            assert main(["run", cfg, "--out", str(tmp_path / "run")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "front half-plane (-90, 90) deg at slot 54243" in errors[0]
+        assert "theta2_init" not in errors[0]
+
     def test_help_lists_run_and_sweep_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -8,9 +8,7 @@ from ristrack import (
     ChannelState,
     LinkGeometry,
     TrajectorySpec,
-    follow_on_spec,
     generate_path,
-    generate_trajectory,
     slot_count,
 )
 
@@ -19,12 +17,12 @@ GEOM = LinkGeometry()
 
 
 def walk(spec: TrajectorySpec):
-    return generate_trajectory(spec, GEOM)
+    return generate_path(spec, (), GEOM)
 
 
 def evolve_channel(prev: ChannelState, next_r2: float, next_theta2: float,
                    wavelength: float, r1: float) -> ChannelState:
-    """Per-slot oracle of the gain chain that generate_trajectory telescopes.
+    """Per-slot oracle of the gain chain that generate_path telescopes.
 
     beta scales by rho = (r1 + r2_prev)/(r1 + r2_next) and rotates by
     2*pi*(r2_next - r2_prev)/lambda, the extra travel phase.
@@ -36,24 +34,29 @@ def evolve_channel(prev: ChannelState, next_r2: float, next_theta2: float,
     )
 
 
-def cartesian_states(spec: TrajectorySpec, n: int):
-    """Independent planar-coordinates oracle.
+def cartesian_states(spec: TrajectorySpec, continuations=()):
+    """Independent planar-coordinates oracle of a polyline walk.
 
     RIS at the origin, broadside along +y, position (r*sin(theta), r*cos(theta)).
-    The walking direction is the A->RIS unit vector rotated counterclockwise
-    by psi_a, which reproduces the sign convention of the angle increment.
+    Each segment's walking direction is the unit vector from its start point
+    to the RIS rotated counterclockwise by its psi_a, which reproduces the
+    sign convention of the angle increment. A segment starts at the previous
+    segment's last slot and covers slot_count of its length.
     """
-    a = np.array(
+    start = np.array(
         [spec.r2_init * math.sin(spec.theta2_init), spec.r2_init * math.cos(spec.theta2_init)]
     )
-    to_ris = -a / np.hypot(*a)
-    c, s = math.cos(spec.psi_a), math.sin(spec.psi_a)
-    walk = np.array([c * to_ris[0] - s * to_ris[1], s * to_ris[0] + c * to_ris[1]])
-    disp = spec.speed_v * spec.slot_duration_t0 * np.arange(1, n + 1)
-    pos = a[None, :] + disp[:, None] * walk[None, :]
-    r2 = np.hypot(pos[:, 0], pos[:, 1])
-    theta2 = np.arctan2(pos[:, 0], pos[:, 1])
-    return r2, theta2
+    legs = []
+    for psi, length in ((spec.psi_a, spec.path_length), *continuations):
+        to_ris = -start / np.hypot(*start)
+        c, s = math.cos(psi), math.sin(psi)
+        heading = np.array([c * to_ris[0] - s * to_ris[1], s * to_ris[0] + c * to_ris[1]])
+        n = slot_count(replace(spec, path_length=length))
+        disp = spec.speed_v * spec.slot_duration_t0 * np.arange(1, n + 1)
+        legs.append(start[None, :] + disp[:, None] * heading[None, :])
+        start = legs[-1][-1]
+    pos = np.concatenate(legs)
+    return np.hypot(pos[:, 0], pos[:, 1]), np.arctan2(pos[:, 0], pos[:, 1])
 
 
 class TestSlotCount:
@@ -101,7 +104,7 @@ class TestTheta2At:
             speed_v=0.5, slot_duration_t0=0.001, path_length=1.0,
         )
         traj = walk(spec)
-        r2_o, th_o = cartesian_states(spec, slot_count(spec))
+        r2_o, th_o = cartesian_states(spec)
         assert np.max(np.abs(traj.r2 - r2_o)) <= 1e-9
         assert np.max(np.abs(traj.theta2 - th_o)) <= 1e-9
 
@@ -137,32 +140,32 @@ class TestGenerateTrajectory:
 
     def test_equal_seeds_identical(self):
         spec = TrajectorySpec(path_length=0.01, rng_seed=42)
-        a = generate_trajectory(spec, self.geom)
-        b = generate_trajectory(spec, self.geom)
+        a = generate_path(spec, (), self.geom)
+        b = generate_path(spec, (), self.geom)
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.theta2, b.theta2)
 
     def test_different_seeds_differ(self):
-        a = generate_trajectory(TrajectorySpec(path_length=0.01, rng_seed=1), self.geom)
-        b = generate_trajectory(TrajectorySpec(path_length=0.01, rng_seed=2), self.geom)
+        a = generate_path(TrajectorySpec(path_length=0.01, rng_seed=1), (), self.geom)
+        b = generate_path(TrajectorySpec(path_length=0.01, rng_seed=2), (), self.geom)
         assert a.beta[0] != b.beta[0]
 
     def test_gain_distance_product_invariant(self):
         spec = TrajectorySpec(path_length=0.5, rng_seed=5)
-        traj = generate_trajectory(spec, self.geom)
+        traj = generate_path(spec, (), self.geom)
         product = np.abs(traj.beta) * (self.geom.r1 + traj.r2)
         assert np.max(np.abs(product / product[0] - 1.0)) < 1e-9
 
     def test_phase_telescopes_with_distance(self):
         spec = TrajectorySpec(path_length=0.2, rng_seed=5)
-        traj = generate_trajectory(spec, self.geom)
+        traj = generate_path(spec, (), self.geom)
         expect = np.angle(traj.anchor.beta) + 2 * np.pi * (traj.r2 - spec.r2_init) / self.geom.wavelength
         assert np.allclose(np.exp(1j * expect), np.exp(1j * np.angle(traj.beta)), atol=1e-9)
 
     def test_matches_slotwise_evolve_chain(self):
         # dual route: the vectorised closed form against the per-slot chain
         spec = TrajectorySpec(path_length=0.005, rng_seed=9)
-        traj = generate_trajectory(spec, self.geom)
+        traj = generate_path(spec, (), self.geom)
         state = traj.anchor
         for t in range(1, len(traj) + 1):
             state = evolve_channel(state, traj.r2[t - 1], traj.theta2[t - 1],
@@ -171,13 +174,8 @@ class TestGenerateTrajectory:
             assert got.slot_index == state.slot_index
             assert got.beta == pytest.approx(state.beta, rel=1e-12)
 
-    def test_given_beta_skips_draw(self):
-        spec = TrajectorySpec(path_length=0.01, beta_init=0.5 + 0.5j)
-        traj = generate_trajectory(spec, self.geom)
-        assert traj.anchor.beta == 0.5 + 0.5j
-
     def test_sequence_protocol(self):
-        traj = generate_trajectory(TrajectorySpec(path_length=0.001, rng_seed=3), self.geom)
+        traj = generate_path(TrajectorySpec(path_length=0.001, rng_seed=3), (), self.geom)
         assert len(traj) == slot_count(TrajectorySpec(path_length=0.001, rng_seed=3))
         first = traj[0]
         assert first.slot_index == 1
@@ -189,15 +187,6 @@ class TestGenerateTrajectory:
 class TestMultiSegment:
     geom = LinkGeometry(r1=4.0)
 
-    def test_follow_on_starts_at_final_state(self):
-        spec = TrajectorySpec(path_length=0.02, rng_seed=8)
-        first = generate_trajectory(spec, self.geom)
-        second_spec = follow_on_spec(spec, first, np.deg2rad(70.0), 0.02)
-        last = first.final_state()
-        assert second_spec.theta2_init == last.theta2
-        assert second_spec.r2_init == last.r2
-        assert second_spec.beta_init == last.beta
-
     def test_chained_path_is_continuous(self):
         spec = TrajectorySpec(path_length=0.02, rng_seed=8)
         path = generate_path(spec, ((np.deg2rad(70.0), 0.02),), self.geom)
@@ -208,6 +197,44 @@ class TestMultiSegment:
         assert np.max(np.abs(product / product[0] - 1.0)) < 1e-9
         jump = abs(path.r2[n1] - path.r2[n1 - 1])
         assert jump <= spec.speed_v * spec.slot_duration_t0 * 1.0001
+
+    def test_turns_match_cartesian_polyline(self):
+        # the benchmark's tracking_stress walk: 3 m, then two 1 m legs after turns
+        spec = TrajectorySpec(speed_v=1.8, rng_seed=1)
+        turns = ((np.deg2rad(70.0), 1.0), (np.deg2rad(150.0), 1.0))
+        path = generate_path(spec, turns, self.geom)
+        r2_o, th_o = cartesian_states(spec, turns)
+        assert len(path) == len(r2_o) == 178_064
+        assert np.max(np.abs(path.r2 - r2_o)) <= 1e-9
+        assert np.max(np.abs(path.theta2 - th_o)) <= 1e-9
+
+    @pytest.mark.parametrize("length", [0.0, math.nan])
+    def test_rejects_bad_continuation_length(self, length):
+        spec = TrajectorySpec(path_length=0.01, rng_seed=1)
+        turns = ((np.deg2rad(70.0), 0.01), (np.deg2rad(150.0), length))
+        with pytest.raises(ValueError, match=r"segment 3 of the walk: length must be finite"):
+            generate_path(spec, turns, self.geom)
+
+
+class TestFrontHalfPlane:
+    geom = LinkGeometry(r1=4.0)
+    # walks from 80 deg toward and past the surface's plane
+    spec = TrajectorySpec(theta2_init=np.deg2rad(80.0), r2_init=1.0, psi_a=np.deg2rad(150.0),
+                          path_length=3.0, rng_seed=1)
+
+    def test_first_slot_past_the_plane_is_named(self):
+        with pytest.raises(ValueError, match=r"\(-90, 90\) deg at slot 54243: 90\.0000"):
+            generate_path(self.spec, (), self.geom)
+        inside = generate_path(replace(self.spec, path_length=54_242 * 0.6 * 15.6e-6), (),
+                               self.geom)
+        assert len(inside) == 54_242
+        assert np.max(np.abs(inside.theta2)) < np.pi / 2
+
+    def test_nan_angle_is_outside(self):
+        first = replace(self.spec, theta2_init=0.0, path_length=0.01)
+        # a NaN walking angle makes every slot of the turn NaN
+        with pytest.raises(ValueError, match=rf"at slot {slot_count(first) + 1}: nan deg"):
+            generate_path(first, ((math.nan, 0.01),), self.geom)
 
 
 class TestSpecValidation:

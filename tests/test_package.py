@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -14,6 +15,8 @@ REMOVED = (
     "ap_ris_channel",
     "coherent_gain",
     "evolve_channel",
+    "follow_on_spec",
+    "generate_trajectory",
     "path_loss_linear",
     "r2_at",
     "received_samples",
@@ -42,6 +45,11 @@ def test_removed_record_views_and_selftest_module():
     for module in ("ristrack.selftest", "ristrack.baselines"):
         with pytest.raises(ImportError):
             importlib.import_module(module)
+
+
+def test_removed_chaining_field_and_method():
+    assert "beta_init" not in {f.name for f in dataclasses.fields(ristrack.TrajectorySpec)}
+    assert not hasattr(ristrack.Trajectory, "final_state")
 
 
 def test_readme_quick_start_runs(capsys):

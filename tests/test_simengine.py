@@ -18,7 +18,6 @@ from ristrack import (
     TrajectorySpec,
     cumulative_rate,
     generate_path,
-    generate_trajectory,
     instantaneous_rate,
     overhead_report,
     received_sample,
@@ -34,7 +33,7 @@ SPEC = TrajectorySpec(r2_init=2.0, speed_v=0.6, path_length=0.05, rng_seed=11)
 
 @pytest.fixture(scope="module")
 def traj():
-    return generate_trajectory(SPEC, GEOM)
+    return generate_path(SPEC, (), GEOM)
 
 
 def kinds_of(tl):
@@ -161,7 +160,7 @@ class TestExhaustiveTimeline:
     def test_training_slot_i_measures_candidate_i(self):
         # slot cursor+i of an event is received under swept slope i, with the
         # channel of that slot: explicit element sum at the slot's own angle
-        walk = generate_trajectory(replace(SPEC, path_length=0.2), GEOM)
+        walk = generate_path(replace(SPEC, path_length=0.2), (), GEOM)
         tl = run_timeline(walk, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
                           GEOM, noise_enabled=False)
         assert tl.tracking_calls > 1
@@ -215,7 +214,7 @@ class TestTimelineStructure:
     def test_near_stationary_user_never_triggers(self):
         quiet = TrajectorySpec(r2_init=2.0, speed_v=1e-4, slot_duration_t0=15.6e-6,
                                path_length=1e-6, rng_seed=2)
-        tl = run_timeline(generate_trajectory(quiet, GEOM), ProposedPolicy(gamma=0.9),
+        tl = run_timeline(generate_path(quiet, (), GEOM), ProposedPolicy(gamma=0.9),
                           GEOM, noise_enabled=False)
         assert tl.tracking_calls == 0
         assert np.all(kinds_of(tl) == int(SlotKind.DATA))
@@ -266,7 +265,7 @@ class TestOverheadReport:
     def test_all_data_run_is_zero_percent(self):
         quiet = TrajectorySpec(r2_init=2.0, speed_v=1e-4, slot_duration_t0=15.6e-6,
                                path_length=1e-6, rng_seed=2)
-        tl = run_timeline(generate_trajectory(quiet, GEOM), OraclePolicy(gamma=0.9),
+        tl = run_timeline(generate_path(quiet, (), GEOM), OraclePolicy(gamma=0.9),
                           GEOM, noise_enabled=False)
         m = overhead_report(tl, 0.9)
         assert m.pct_below_threshold == 0.0
@@ -379,7 +378,7 @@ SCAN_SETTINGS = {
 
 @pytest.fixture(scope="module")
 def default_walk():
-    return generate_trajectory(TrajectorySpec(path_length=0.3, rng_seed=4), WINDOW_GEOM)
+    return generate_path(TrajectorySpec(path_length=0.3, rng_seed=4), (), WINDOW_GEOM)
 
 
 def scan_runs(walk):
@@ -477,7 +476,7 @@ class TestSlotColumns:
     def test_every_key_matches_a_fresh_trajectory(self):
         # one trajectory under interleaved trackers and changing columns keys;
         # each timeline must equal a run on a freshly generated trajectory
-        walk = generate_trajectory(SPEC, GEOM)
+        walk = generate_path(SPEC, (), GEOM)
         peak = (GEOM.beamformer_gain * abs(walk.beta[0]) * GEOM.n_ris) ** 2
         normal = (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0), OraclePolicy())
         absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, 10.0),
@@ -495,7 +494,7 @@ class TestSlotColumns:
             for policies, geom, kwargs in settings:
                 policy = policies[turn]
                 got = run_timeline(walk, policy, geom, **kwargs)
-                want = run_timeline(generate_trajectory(SPEC, GEOM), policy, geom, **kwargs)
+                want = run_timeline(generate_path(SPEC, (), GEOM), policy, geom, **kwargs)
                 assert_same_timeline(got, want)
                 if policy.name == "proposed":
                     assert got.tracking_calls > 0, kwargs
@@ -505,7 +504,7 @@ class TestSlotColumns:
         assert kept() is None
 
     def test_unseeded_noise_is_drawn_per_run(self):
-        walk = generate_trajectory(SPEC, GEOM)
+        walk = generate_path(SPEC, (), GEOM)
         a = run_timeline(walk, OraclePolicy(), GEOM)
         b = run_timeline(walk, OraclePolicy(), GEOM)
         assert not np.array_equal(a.rss, b.rss)
@@ -519,8 +518,8 @@ class TestEngineSamples:
         # seven elements and theta2 > theta1: every aligned step lies next to
         # 2*pi, where the closed form used to lose digits
         geom = LinkGeometry(r1=2.0, n_ris=7, theta1=np.deg2rad(10.0))
-        walk = generate_trajectory(TrajectorySpec(r2_init=0.5, speed_v=0.6, path_length=0.05,
-                                                  rng_seed=11), geom)
+        walk = generate_path(TrajectorySpec(r2_init=0.5, speed_v=0.6, path_length=0.05,
+                                            rng_seed=11), (), geom)
         assert np.all(walk.theta2 > geom.theta1)
         # the walk's statuses are short, so spans and probes start at shorter ones
         monkeypatch.setattr(simengine, "_LONG_STATUS", 64)
