@@ -137,7 +137,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> list[RunRes
     per-run rate-gap metric of the other trackers on the same seed.
     """
     out = resolve_output_dir(cfg, out_dir)
-    os.makedirs(out, exist_ok=True)
     results: list[RunResult] = []
     for seed in cfg.seeds:
         results += _write_seed(out, seed, _simulate_seed(cfg, seed))
@@ -147,6 +146,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> list[RunRes
 
 def _write_seed(out: str, seed: int, timelines: list[StatusTimeline]) -> list[RunResult]:
     """Write one seed's ledgers and run summaries; the oracle, if any, is the reference."""
+    # made once a walk is simulated: a walk that fails leaves no empty directory
+    os.makedirs(out, exist_ok=True)
     oracle_tl = next((tl for tl in timelines if tl.policy_name == "oracle"), None)
     stems = [os.path.join(out, f"{tl.policy_name}_seed{seed}") for tl in timelines]
     ledgers = [f"{stem}_slots.csv" for stem in stems]
@@ -183,7 +184,6 @@ def run_sweep(cfg: ScenarioConfig, param: str, raw_values: list[str],
             raise ConfigError(f"{param}: values {first!r} and {raw_values[i]!r} give the "
                               "same scenario; each value must be distinct")
     out = resolve_output_dir(cfg, out_dir)
-    os.makedirs(out, exist_ok=True)
     name = param.split(".")[-1].lower()
     rows = []
     for raw, sub_cfg in zip(raw_values, sub_cfgs):
@@ -191,6 +191,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, raw_values: list[str],
         for result in run_scenario(sub_cfg, out_dir=sub_dir):
             rows.append((raw, result))
     sweep_path = os.path.join(out, f"sweep_{name}.csv")
+    os.makedirs(out, exist_ok=True)
     with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("param,value,tracker,seed,slots,tracking_calls,"
                  "pct_below_threshold,final_cum_rate,avg_error_vs_oracle\n")

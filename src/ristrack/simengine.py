@@ -10,25 +10,26 @@ event runs: one uplink feedback slot, the policy's downlink training slots
 new configuration. The user keeps moving during signaling, and the
 instantaneous rate of every non-data slot is zero.
 
-A status is scanned in pieces whose size follows the status before it.
-After a short status (or none), each piece is a fixed window of slots whose
-received samples are evaluated under the status configuration in one call.
-After a long status of L slots, each piece is one span of 2L slots (capped),
-since the next status tends to last about as long: a few evenly strided
-slots of the span are probed first, the first probed slot below threshold
-bounds the trigger from above, and the span is then evaluated only up to
-that slot, where the first crossing is found exactly, also one between
-probes. In the piece that holds the trigger slot the samples past that slot
-are discarded, since those slots belong to the event and to the next status.
-A probed sample is that slot's exact sample, and the evaluation up to the
-bound decides the trigger, so the piece sizes and probes set speed, not the
-slot kinds or ids.
+A status is scanned in pieces whose size follows the status before it: a
+window of `_SCAN_WINDOW` slots after a shorter status (or none), and after
+one of L >= `_SCAN_WINDOW` slots a span of 2L slots (capped), since the next
+status tends to last about as long. Each piece is evaluated under the
+status configuration and its first slot below threshold is the trigger. A
+span is first evaluated at a stride, a coarse pass of the same test, and
+its first strided slot below threshold only cuts the span to end there; the
+full pass then finds the first crossing exactly, also one between the
+strided slots. In the piece that holds the trigger slot the samples past
+that slot are discarded, since those slots belong to the event and to the
+next status. A strided sample is that slot's exact sample, and the full pass
+decides the trigger, so the piece sizes and strides set speed, not the slot
+kinds or ids.
 
-Every scan window, probe, span and training slice is evaluated by one function,
-`_received_samples`, from three read-only columns of the trajectory that do
-not depend on the tracker: kd*(sin(theta1) - sin(theta2)), the amplitude
-times exp(-j*(N-1)*kd*(sin(theta1) - sin(theta2))/2), and the receiver
-noise. They are built once per (trajectory, geometry, noise seed) and kept
+Every scan window, coarse pass, span and training slice is evaluated by one
+function, `_received_samples`, from three read-only columns of the
+trajectory that do not depend on the tracker: kd*(sin(theta1) -
+sin(theta2)), the amplitude times exp(-j*(N-1)*kd*(sin(theta1) -
+sin(theta2))/2), and the receiver noise, which is zero when the noise seed
+is None. They are built once per (trajectory, geometry, noise seed) and kept
 while the trajectory lives, so all trackers of a seed share them. A sample
 is then exp(j*(N-1)*slope/2) * phase * D(slope - kd*u) + noise, with the
 real Dirichlet kernel D of :mod:`ristrack.ris`; a scan window computes one
@@ -71,10 +72,9 @@ from .tracking import SearchGrid, measure_observables, select_by_training, two_d
 from .wavefield import LinkGeometry
 
 # How a status is scanned; these set speed, not slot kinds or ids.
-_SCAN_WINDOW = 1024  # slots per window after a short status
-_LONG_STATUS = 1024  # a status after one of at least this many slots is scanned in spans
+_SCAN_WINDOW = 1024  # slots per window; a status after one this long or longer gets spans
 _SCAN_SPAN = 65536   # most slots in one span
-_PROBE_SLOTS = 128   # most strided slots probed before a span is evaluated
+_PROBE_SLOTS = 128   # most strided slots in a span's coarse pass
 
 
 class SlotKind(enum.IntEnum):
@@ -313,8 +313,12 @@ def instantaneous_rate(rss, noise_var: float):
         raise ValueError("rss must be >= 0")
     if noise_var <= 0:
         raise ValueError("noise_var must be > 0")
-    out = np.log2(1.0 + rss / noise_var)
-    return float(out) if out.ndim == 0 else out
+    # one output column, built in place: a temporary column of a whole run
+    # would sit at the run's memory peak
+    out = np.atleast_1d(rss / noise_var)
+    out += 1.0
+    np.log2(out, out=out)
+    return float(out[0]) if rss.ndim == 0 else out
 
 
 def cumulative_rate(rates) -> np.ndarray:
@@ -354,7 +358,7 @@ def overhead_report(records: StatusTimeline, gamma: float,
 
 @dataclass(frozen=True, eq=False)
 class _SlotColumns:
-    """Tracker-independent columns of one (trajectory, geometry, noise) triple.
+    """Tracker-independent columns of one (trajectory, geometry, noise seed) triple.
 
     `kdu` is kd * (sin(theta1) - sin(theta2)), so a slot's per-element step
     under slope s is s - kdu; `phase` is the slot's amplitude times
@@ -368,19 +372,19 @@ class _SlotColumns:
     n_ris: int
 
 
-# one entry per live trajectory: (geometry, noise seed, noise on) and its columns
+# one entry per live trajectory: (geometry, noise seed) and its columns
 _COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _slot_columns(trajectory: Trajectory, geom: LinkGeometry, noise_seed: int | None,
-                  noise_enabled: bool) -> _SlotColumns:
-    """The trajectory's columns, built once per (geometry, noise seed, noise on).
+def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
+                  noise_seed: int | None) -> _SlotColumns:
+    """The trajectory's columns, built once per (geometry, noise seed).
 
     They are kept as long as the trajectory lives, so every tracker of a seed
-    shares one evaluation of its channel and noise. An unseeded noise draw is
-    fresh on every call and never kept.
+    shares one evaluation of its channel and noise. A noise seed of None
+    gives zero noise.
     """
-    key = (geom, noise_seed, noise_enabled)
+    key = (geom, noise_seed)
     kept = _COLUMNS.get(trajectory)
     if kept is not None and kept[0] == key:
         return kept[1]
@@ -388,17 +392,16 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry, noise_seed: int | 
     kdu = geom.kd * (np.sin(geom.theta1) - np.sin(trajectory.theta2))
     amp = geom.beamformer_gain * geom.alpha * trajectory.beta
     phase = amp * np.exp(-0.5j * (geom.n_ris - 1) * kdu)
-    if noise_enabled:
+    if noise_seed is None:
+        noise = np.zeros(n, dtype=complex)
+    else:
         rng = np.random.default_rng(noise_seed)
         scale = math.sqrt(geom.noise_var / 2.0)
         noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    else:
-        noise = np.zeros(n, dtype=complex)
     for arr in (kdu, phase, noise):
         arr.setflags(write=False)
     cols = _SlotColumns(kdu, phase, noise, geom.n_ris)
-    if noise_seed is not None or not noise_enabled:
-        _COLUMNS[trajectory] = (key, cols)
+    _COLUMNS[trajectory] = (key, cols)
     return cols
 
 
@@ -406,8 +409,8 @@ def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope,
                       step: int = 1) -> np.ndarray:
     """Received samples of slots lo, lo + step, ... below hi under `slope`.
 
-    `slope` is one for all slots or one per slot. Every scan window, probe,
-    span and training slice goes through here: the Dirichlet form
+    `slope` is one for all slots or one per slot. Every scan window, coarse
+    pass, span and training slice goes through here: the Dirichlet form
     exp(j*(N-1)*s/2) * phase * D(s - kdu) + noise, elementwise, where the
     slope's half of the phase is one scalar for a scan.
     """
@@ -422,27 +425,26 @@ def run_timeline(
     trajectory: Trajectory,
     policy,
     geom: LinkGeometry,
-    noise_seed: int | None = None,
-    noise_enabled: bool = True,
+    noise_seed: int | None,
     threshold_mode: str = "normalized",
 ) -> StatusTimeline:
     """Drive one policy over a trajectory and return its run: `rss`, `inst_rate`, statuses.
 
+    `noise_seed` seeds the receiver noise; None runs without receiver noise.
     `threshold_mode="normalized"` compares strength against the status
     reference (portable thresholds in (0, 1]); `"absolute"` compares raw
-    strength. Either way a fresh status re-evaluates from the slot after its
-    reference slot, so at most one event fires per trigger. A status after
-    one shorter than `_LONG_STATUS` slots (or the first status) is scanned in
-    windows of `_SCAN_WINDOW` slots. A status after one of L >= `_LONG_STATUS`
-    slots is scanned in spans of max(`_SCAN_WINDOW`, min(2L, `_SCAN_SPAN`))
-    slots: at most `_PROBE_SLOTS` evenly strided slots of a span are
-    evaluated first, and the span is evaluated only up to the first probed
-    slot below threshold. Samples past the trigger slot are discarded, and
-    those slots are evaluated again as signaling or under the next
-    configuration. Only `rss` and the status table are written while the
-    timeline runs; `inst_rate` follows from them at the end, and the other
-    ledger columns are derived when read. Identical inputs and seeds give
-    bit-identical ledgers.
+    strength against a finite gamma > 0. Either way a fresh status
+    re-evaluates from the slot after its reference slot, so at most one
+    event fires per trigger. A status is scanned in windows of
+    `_SCAN_WINDOW` slots, or, after a status of L >= `_SCAN_WINDOW` slots,
+    in spans of min(2L, `_SCAN_SPAN`) slots whose coarse pass at a stride
+    of at most `_PROBE_SLOTS` slots cuts the span to end at its first
+    strided slot below threshold. Samples past the trigger slot are
+    discarded, and those slots are evaluated again as signaling or under the
+    next configuration. Only `rss` and the status table are written while
+    the timeline runs; `inst_rate` follows from them at the end, and the
+    other ledger columns are derived when read. Identical inputs and seeds
+    give bit-identical ledgers.
     """
     n = len(trajectory)
     if n == 0:
@@ -452,11 +454,11 @@ def run_timeline(
     normalized = threshold_mode == "normalized"
     if normalized and not 0.0 < policy.gamma <= 1.0:
         raise ValueError("normalized mode needs gamma in (0, 1]")
-    if not normalized and policy.gamma <= 0:
-        raise ValueError("absolute mode needs gamma > 0")
+    if not normalized and not 0.0 < policy.gamma < math.inf:
+        raise ValueError("absolute mode needs a finite gamma > 0")
 
     theta2 = trajectory.theta2
-    cols = _slot_columns(trajectory, geom, noise_seed, noise_enabled)
+    cols = _slot_columns(trajectory, geom, noise_seed)
 
     rss = np.zeros(n, dtype=float)
     rows: list[tuple] = []  # the status table, row by row in slot order
@@ -477,51 +479,47 @@ def run_timeline(
     def row(lo: int, k: SlotKind, cfg_id: int) -> None:
         rows.append((lo, k, status, cfg_id, rss_ref))
 
-    # slots [lo, hi) of the current status cut to end just past the first of
-    # its probed slots below threshold; the reference slot is never a trigger
-    def probe_bound(lo: int, hi: int) -> int:
-        step = -(-(hi - lo) // _PROBE_SLOTS)
-        power = np.abs(_received_samples(cols, lo, hi, slope, step)) ** 2
-        ref = rss_ref if rss_ref >= 0 else max(float(power[0]), 1e-300)
-        level = power / ref if normalized else power
-        first = int(lo == ref_idx)
-        below = np.nonzero(level[first:] < policy.gamma)[0]
-        return lo + (first + int(below[0])) * step + 1 if below.size else hi
+    # a feedback slot receives nothing; a discarded scan sample may sit there
+    def feedback(slot: int, cfg_id: int) -> int:
+        row(slot, SlotKind.UL_FEEDBACK, cfg_id)
+        rss[slot] = 0.0
+        return slot + 1
+
+    # the first of slots lo, lo + step, ... whose power is below threshold, or
+    # -1; the status's reference slot is never a trigger
+    def first_below(power: np.ndarray, lo: int, step: int) -> int:
+        skip = int(lo == ref_idx)
+        level = power[skip:] / rss_ref if normalized else power[skip:]
+        below = np.nonzero(level < policy.gamma)[0]
+        return lo + (skip + int(below[0])) * step if below.size else -1
 
     cursor = 0
     last_len = 0  # slots of the status before, 0 before the first
     while cursor < n:
         ref_idx = cursor
         rss_ref = -1.0
-        y_ref = 0j
         t2 = -1
-        y_t2 = 0j
-        probed = last_len >= _LONG_STATUS
-        size = max(_SCAN_WINDOW, min(2 * last_len, _SCAN_SPAN)) if probed else _SCAN_WINDOW
+        spans = last_len >= _SCAN_WINDOW
+        size = min(2 * last_len, _SCAN_SPAN) if spans else _SCAN_WINDOW
         scan = cursor
-        while scan < n:
+        while t2 < 0 and scan < n:
             hi = min(n, scan + size)
-            if probed:
-                hi = probe_bound(scan, hi)
-            y = _received_samples(cols, scan, hi, slope)
-            power = np.abs(y) ** 2
-            if rss_ref < 0:
-                rss_ref = max(float(power[0]), 1e-300)
-                y_ref = complex(y[0])
-            rss[scan:hi] = power
-            start = max(scan, ref_idx + 1)
-            if start < hi:
-                level = power[start - scan :]
-                if normalized:
-                    level = level / rss_ref
-                below = np.nonzero(level < policy.gamma)[0]
-                if below.size:
-                    t2 = start + int(below[0])
-                    y_t2 = complex(y[t2 - scan])
-                    break
+            # a span's coarse pass, then every slot up to its first cut
+            for step in ((-(-(hi - scan) // _PROBE_SLOTS), 1) if spans else (1,)):
+                y = _received_samples(cols, scan, hi, slope, step)
+                power = np.abs(y) ** 2
+                if rss_ref < 0:
+                    rss_ref = max(float(power[0]), 1e-300)
+                    y_ref = complex(y[0])
+                t = first_below(power, scan, step)
+                if t >= 0:
+                    hi = t + 1
+            rss[scan:scan + power.size] = power
+            if t >= 0:
+                t2, y_t2 = t, complex(y[t - scan])
             scan = hi
         # a span's samples are not kept through the event and the next scan
-        y = power = level = None
+        y = power = None
 
         row(ref_idx, SlotKind.DATA, config_id)
         if t2 < 0:
@@ -532,21 +530,16 @@ def run_timeline(
         last_len = t2 + 1 - ref_idx
         row(t2, SlotKind.DATA_BELOW_THRESHOLD, config_id)
         cursor = t2 + 1
-
-        if is_oracle:
-            if cursor < n:
-                slope = optimal_config(geom.theta1, float(theta2[cursor]), geom)
-                config_id = next_config_id
-                next_config_id += 1
-            continue
-
         if cursor >= n:
             break
-        # a feedback slot receives nothing; a discarded scan sample may sit there
-        row(cursor, SlotKind.UL_FEEDBACK, config_id)
-        rss[cursor] = 0.0
-        cursor += 1
 
+        if is_oracle:
+            slope = optimal_config(geom.theta1, float(theta2[cursor]), geom)
+            config_id = next_config_id
+            next_config_id += 1
+            continue
+
+        cursor = feedback(cursor, config_id)
         if is_proposed:
             theta_ref = math.asin(max(-1.0, min(1.0, believed_sin)))
             obs = measure_observables(y_ref, y_t2, believed_r, theta_ref)
@@ -571,22 +564,14 @@ def run_timeline(
         slope = slopes[best]
         config_id = next_config_id + best
         next_config_id += slopes.size
-
         if cursor < n:
-            row(cursor, SlotKind.UL_FEEDBACK, config_id)
-            rss[cursor] = 0.0
-            cursor += 1
+            cursor = feedback(cursor, config_id)
 
     firsts, kinds, statuses, configs, refs = zip(*rows)
     table = StatusTable(np.array(firsts + (n,), np.int64), np.array(kinds, np.int8),
                         np.array(statuses, np.int32), np.array(configs, np.int32),
                         np.array(refs, float))
-    # instantaneous_rate of the data slots, the rest 0, built in place: a
-    # temporary column here sits at the run's memory peak (5 MB of peak RSS
-    # over the default scenario's five trackers)
-    inst = rss / geom.noise_var
-    inst += 1.0
-    np.log2(inst, out=inst)
+    inst = instantaneous_rate(rss, geom.noise_var)
     inst[table.spread("kind", 0, n) != SlotKind.DATA] = 0.0
     for arr in (rss, inst, *vars(table).values()):
         arr.setflags(write=False)

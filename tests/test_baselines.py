@@ -60,7 +60,7 @@ class TestExhaustiveSweep:
             assert np.allclose(np.diff(slopes), np.deg2rad(res), rtol=0, atol=1e-12)
             assert slopes[0] == 0.0 and slopes[-1] < 2 * np.pi
             tl = run_timeline(traj, sweep(res), geom,
-                              noise_enabled=False)
+                              noise_seed=None)
             assert tl.tracking_calls > 0
             assert np.sum(tl.kind == int(SlotKind.DL_TRAINING)) == want * tl.tracking_calls
 
@@ -93,7 +93,7 @@ class TestExhaustiveSweep:
         traj = generate_path(
             TrajectorySpec(r2_init=2.0, path_length=0.2, rng_seed=11), (), geom)
         tl = run_timeline(traj, sweep(10.0), geom,
-                          noise_enabled=False)
+                          noise_seed=None)
         assert tl.tracking_calls > 1
         kind, config = tl.kind, tl.config_id
         train = np.nonzero(kind == int(SlotKind.DL_TRAINING))[0]

@@ -303,6 +303,14 @@ class TestExitCodes:
         assert "front half-plane (-90, 90) deg at slot 54243" in errors[0]
         assert "theta2_init" not in errors[0]
 
+    def test_walk_behind_the_surface_leaves_no_output_directory(self, tmp_path):
+        cfg = write_scenario(tmp_path, "[trajectory]\ntheta2_init_deg = 80\nr2_init_m = 1\n"
+                             "psi_a_deg = 150\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "out_one")]) == 2
+        assert main(["sweep", cfg, "--vary", "gamma=0.9,0.8",
+                     "--out", str(tmp_path / "sweep_one")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
+
     def test_help_lists_run_and_sweep_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

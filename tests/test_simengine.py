@@ -1,5 +1,6 @@
 import cmath
 import gc
+import inspect
 import math
 import weakref
 from dataclasses import fields, is_dataclass, replace
@@ -80,7 +81,7 @@ class TestCumulativeRate:
 
 class TestOracleTimeline:
     def test_zero_training_and_feedback(self, traj):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         assert np.sum(kinds == int(SlotKind.DL_TRAINING)) == 0
         assert np.sum(kinds == int(SlotKind.UL_FEEDBACK)) == 0
@@ -88,7 +89,7 @@ class TestOracleTimeline:
         assert np.sum(kinds == int(SlotKind.DATA_BELOW_THRESHOLD)) == tl.tracking_calls
 
     def test_peak_rss_at_status_reference(self, traj):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         # first slot of each status is exactly the aligned peak |c*alpha*beta*N|^2
         starts = [0] + [i + 1 for i in np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0]
@@ -98,7 +99,7 @@ class TestOracleTimeline:
             assert tl.rss[i] == pytest.approx(peak[i], rel=1e-9)
 
     def test_data_slots_stay_at_or_above_threshold(self, traj):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         data = kinds == int(SlotKind.DATA)
         assert np.all(tl.rss_normalized[data] >= 0.9 - 1e-12)
@@ -106,7 +107,7 @@ class TestOracleTimeline:
 
 class TestProposedTimeline:
     def test_event_slot_accounting(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         events = tl.tracking_calls
         assert events > 0
@@ -115,7 +116,7 @@ class TestProposedTimeline:
         assert np.sum(kinds == int(SlotKind.DL_TRAINING)) == 7 * events
 
     def test_event_slot_sequence(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         t2 = int(np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
         assert kinds[t2 + 1] == int(SlotKind.UL_FEEDBACK)
@@ -124,7 +125,7 @@ class TestProposedTimeline:
         assert kinds[t2 + 10] == int(SlotKind.DATA)
 
     def test_recovers_after_event(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         t2 = int(np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
         peak = (GEOM.beamformer_gain * np.abs(traj.beta) * GEOM.n_ris) ** 2
@@ -135,7 +136,7 @@ class TestProposedTimeline:
         from ristrack import SearchGrid
 
         tl = run_timeline(traj, ProposedPolicy(gamma=0.9, grid=SearchGrid(n_sol=4)),
-                          GEOM, noise_enabled=False)
+                          GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         assert np.sum(kinds == int(SlotKind.DL_TRAINING)) == 4 * tl.tracking_calls
 
@@ -143,7 +144,7 @@ class TestProposedTimeline:
 class TestExhaustiveTimeline:
     def test_event_slot_accounting(self, traj):
         tl = run_timeline(traj, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
-                          GEOM, noise_enabled=False)
+                          GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         events = tl.tracking_calls
         assert events > 0
@@ -152,7 +153,7 @@ class TestExhaustiveTimeline:
 
     def test_channel_keeps_moving_during_sweep(self, traj):
         tl = run_timeline(traj, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
-                          GEOM, noise_enabled=False)
+                          GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         train = np.nonzero(kinds == int(SlotKind.DL_TRAINING))[0]
         assert tl.theta2_true[train[-1]] != tl.theta2_true[train[0]]
@@ -162,7 +163,7 @@ class TestExhaustiveTimeline:
         # channel of that slot: explicit element sum at the slot's own angle
         walk = generate_path(replace(SPEC, path_length=0.2), (), GEOM)
         tl = run_timeline(walk, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
-                          GEOM, noise_enabled=False)
+                          GEOM, noise_seed=None)
         assert tl.tracking_calls > 1
         train = np.nonzero(kinds_of(tl) == int(SlotKind.DL_TRAINING))[0]
         config, status = tl.config_id, tl.status_id
@@ -180,12 +181,12 @@ class TestTrajectoryEndsMidTraining:
     @pytest.mark.parametrize("policy", [ExhaustivePolicy(gamma=0.5, resolution_deg=1.0),
                                         ProposedPolicy(gamma=0.9)])
     def test_cut_event_is_counted_and_left_open(self, traj, policy):
-        full = run_timeline(traj, policy, GEOM, noise_enabled=False)
+        full = run_timeline(traj, policy, GEOM, noise_seed=None)
         t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
         # trigger, opening feedback, then three of the event's training slots
         end = t2 + 5
         cut = Trajectory(traj.anchor, traj.theta2[:end], traj.r2[:end], traj.beta[:end])
-        tl = run_timeline(cut, policy, GEOM, noise_enabled=False)
+        tl = run_timeline(cut, policy, GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         assert len(tl) == end
         assert kinds[t2] == int(SlotKind.DATA_BELOW_THRESHOLD)
@@ -198,14 +199,14 @@ class TestTrajectoryEndsMidTraining:
 
 class TestTimelineStructure:
     def test_every_slot_exactly_one_kind(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         assert len(tl) == len(traj)
         kinds = kinds_of(tl)
         counts = sum(int(np.sum(kinds == int(k))) for k in SlotKind)
         assert counts == len(tl)
 
     def test_signaling_slots_have_zero_rate(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         nondata = kinds != int(SlotKind.DATA)
         assert np.all(tl.inst_rate[nondata] == 0.0)
@@ -215,12 +216,12 @@ class TestTimelineStructure:
         quiet = TrajectorySpec(r2_init=2.0, speed_v=1e-4, slot_duration_t0=15.6e-6,
                                path_length=1e-6, rng_seed=2)
         tl = run_timeline(generate_path(quiet, (), GEOM), ProposedPolicy(gamma=0.9),
-                          GEOM, noise_enabled=False)
+                          GEOM, noise_seed=None)
         assert tl.tracking_calls == 0
         assert np.all(kinds_of(tl) == int(SlotKind.DATA))
 
     def test_reference_slot_normalised_to_one(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         assert tl.rss_normalized[0] == pytest.approx(1.0)
 
     def test_bit_reproducible_with_noise(self, traj):
@@ -236,14 +237,14 @@ class TestTimelineStructure:
         assert not np.array_equal(a.rss, b.rss)
 
     def test_status_ids_monotone_and_count_events(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         status = np.asarray(tl.status_id, dtype=int)
         assert np.all(np.diff(status) >= 0)
         assert status[0] == 1
         assert status[-1] - status[0] == tl.tracking_calls
 
     def test_record_materialisation(self, traj):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
         assert tl.kind[0] == SlotKind.DATA
         assert tl.rss_normalized[0] == pytest.approx(1.0)
         assert len(tl) == len(traj)
@@ -251,14 +252,24 @@ class TestTimelineStructure:
     def test_absolute_threshold_mode(self, traj):
         peak = (GEOM.beamformer_gain * np.abs(traj.beta[0]) * GEOM.n_ris) ** 2
         tl = run_timeline(traj, ProposedPolicy(gamma=float(0.9 * peak)), GEOM,
-                          noise_enabled=False, threshold_mode="absolute")
+                          noise_seed=None, threshold_mode="absolute")
         assert tl.tracking_calls > 0
 
     def test_gamma_validated_per_mode(self, traj):
         with pytest.raises(ValueError):
-            run_timeline(traj, ProposedPolicy(gamma=1.5), GEOM)
+            run_timeline(traj, ProposedPolicy(gamma=1.5), GEOM, noise_seed=None)
         with pytest.raises(ValueError):
-            run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, threshold_mode="sideways")
+            run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None,
+                         threshold_mode="sideways")
+        # an absolute threshold must be finite and positive; NaN compares false
+        for gamma in (0.0, -1.0, math.nan, math.inf):
+            for policy in (ProposedPolicy(gamma=gamma), OraclePolicy(gamma=gamma)):
+                with pytest.raises(ValueError, match="finite gamma > 0"):
+                    run_timeline(traj, policy, GEOM, noise_seed=None,
+                                 threshold_mode="absolute")
+        for gamma in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"gamma in \(0, 1\]"):
+                run_timeline(traj, ProposedPolicy(gamma=gamma), GEOM, noise_seed=None)
 
 
 class TestOverheadReport:
@@ -266,14 +277,14 @@ class TestOverheadReport:
         quiet = TrajectorySpec(r2_init=2.0, speed_v=1e-4, slot_duration_t0=15.6e-6,
                                path_length=1e-6, rng_seed=2)
         tl = run_timeline(generate_path(quiet, (), GEOM), OraclePolicy(gamma=0.9),
-                          GEOM, noise_enabled=False)
+                          GEOM, noise_seed=None)
         m = overhead_report(tl, 0.9)
         assert m.pct_below_threshold == 0.0
         assert m.tracking_calls == 0
         assert math.isnan(m.avg_error_vs_oracle)
 
     def test_counts_all_nondata_kinds(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         m = overhead_report(tl, 0.9)
         kinds = kinds_of(tl)
         want = 100.0 * np.sum(kinds != int(SlotKind.DATA)) / len(tl)
@@ -290,8 +301,8 @@ class TestOverheadReport:
             assert m.cumulative_rate_series[-1] == m.final_cum_rate
 
     def test_error_vs_oracle(self, traj):
-        prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
-        orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_enabled=False)
+        prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
+        orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
         m = overhead_report(prop, 0.9, oracle_records=orc)
         want = float(np.mean(np.abs(prop.inst_rate - orc.inst_rate)))
         assert m.avg_error_vs_oracle == pytest.approx(want)
@@ -304,8 +315,8 @@ class TestCumulativeOrdering:
         # the genie pays no signaling slots, so its running mean wins even
         # though a freshly retrained tracker can transiently beat an aged
         # genie configuration on single slots
-        orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_enabled=False)
-        prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_enabled=False)
+        orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
+        prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         assert orc.cum_rate[-1] >= prop.cum_rate[-1]
 
 
@@ -367,12 +378,12 @@ LOW_SNR_GEOM = replace(WINDOW_GEOM, snr_linear=0.1)
 
 # scan constants set against the defaults; a window size is named by its value
 SCAN_SETTINGS = {
-    "7": dict(_SCAN_WINDOW=7),
-    "1000000000": dict(_SCAN_WINDOW=10**9),
-    "probing_off": dict(_LONG_STATUS=10**9),
-    "probing_every_span": dict(_LONG_STATUS=0),
-    "stride_1": dict(_LONG_STATUS=0, _PROBE_SLOTS=10**9),
-    "two_probes_per_span": dict(_LONG_STATUS=0, _PROBE_SLOTS=2),
+    "7": dict(_SCAN_WINDOW=7),  # spans after nearly every status
+    "1000000000": dict(_SCAN_WINDOW=10**9),  # one window, never a span
+    "probing_off": dict(_PROBE_SLOTS=10**9),  # spans at the default window, evaluated at stride 1
+    "probing_every_span": dict(_SCAN_WINDOW=1),  # the first status slot by slot, then spans
+    "stride_1": dict(_SCAN_WINDOW=7, _PROBE_SLOTS=10**9),
+    "two_probes_per_span": dict(_SCAN_WINDOW=7, _PROBE_SLOTS=2),
 }
 
 
@@ -486,7 +497,7 @@ class TestSlotColumns:
             (normal, GEOM, dict(noise_seed=5)),
             (normal, GEOM, dict(noise_seed=6)),
             (normal, GEOM, dict(noise_seed=5)),
-            (normal, GEOM, dict(noise_seed=5, noise_enabled=False)),
+            (normal, GEOM, dict(noise_seed=None)),
             (normal, geom7, dict(noise_seed=5)),
             (absolute, GEOM, dict(noise_seed=5, threshold_mode="absolute")),
         )
@@ -503,12 +514,25 @@ class TestSlotColumns:
         gc.collect()
         assert kept() is None
 
-    def test_unseeded_noise_is_drawn_per_run(self):
+    def test_noiseless_columns_are_kept_and_shared(self):
         walk = generate_path(SPEC, (), GEOM)
-        a = run_timeline(walk, OraclePolicy(), GEOM)
-        b = run_timeline(walk, OraclePolicy(), GEOM)
-        assert not np.array_equal(a.rss, b.rss)
-        assert walk not in simengine._COLUMNS
+        run_timeline(walk, OraclePolicy(), GEOM, noise_seed=None)
+        kept = simengine._COLUMNS[walk]
+        tl = run_timeline(walk, ProposedPolicy(), GEOM, noise_seed=None)
+        assert tl.tracking_calls > 0
+        # the second tracker found the first one's columns under (geometry, None)
+        assert simengine._COLUMNS[walk] is kept
+        key, cols = kept
+        assert key == (GEOM, None)
+        assert cols.noise.dtype == complex and cols.noise.shape == (len(walk),)
+        assert not np.any(cols.noise)
+
+    def test_noise_seed_is_the_one_required_noise_argument(self, traj):
+        params = inspect.signature(run_timeline).parameters
+        assert "noise_enabled" not in params
+        assert params["noise_seed"].default is inspect.Parameter.empty
+        with pytest.raises(TypeError):
+            run_timeline(traj, OraclePolicy(), GEOM)
 
 
 class TestEngineSamples:
@@ -521,10 +545,10 @@ class TestEngineSamples:
         walk = generate_path(TrajectorySpec(r2_init=0.5, speed_v=0.6, path_length=0.05,
                                             rng_seed=11), (), geom)
         assert np.all(walk.theta2 > geom.theta1)
-        # the walk's statuses are short, so spans and probes start at shorter ones
-        monkeypatch.setattr(simengine, "_LONG_STATUS", 64)
+        # the walk's statuses are short, so spans start after shorter ones
+        monkeypatch.setattr(simengine, "_SCAN_WINDOW", 64)
         monkeypatch.setattr(simengine, "_PROBE_SLOTS", 8)
-        tl = run_timeline(walk, policy, geom, noise_enabled=False)
+        tl = run_timeline(walk, policy, geom, noise_seed=None)
         assert tl.tracking_calls > 1
         assert any(c.step > 1 for c in engine_calls)
         covered = set()
@@ -540,7 +564,7 @@ class TestEngineSamples:
         # a scan's one slope turns its window by cmath.exp, which must give
         # np.exp's value bit for bit, so slopes as numpy values and edge values
         # are checked as well as random ones
-        cols = simengine._slot_columns(traj, GEOM, 3, True)
+        cols = simengine._slot_columns(traj, GEOM, 3)
         lo, hi = 5, 300
         rng = np.random.default_rng(21)
         values = [0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.pi, -1.0, 1e6, -1e300,
@@ -618,12 +642,12 @@ class TestDerivedColumns:
 
     def test_cut_training_slice(self, traj):
         for policy in (ExhaustivePolicy(gamma=0.5, resolution_deg=1.0), ProposedPolicy()):
-            full = run_timeline(traj, policy, GEOM, noise_enabled=False)
+            full = run_timeline(traj, policy, GEOM, noise_seed=None)
             t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
             # cut three slots into the training slice, and before its first slot
             for end, bounds in ((t2 + 5, [0, t2, t2 + 1, t2 + 3, t2 + 5]), (t2 + 2, [0, t2 + 2])):
                 cut = Trajectory(traj.anchor, traj.theta2[:end], traj.r2[:end], traj.beta[:end])
-                tl = run_timeline(cut, policy, GEOM, noise_enabled=False)
+                tl = run_timeline(cut, policy, GEOM, noise_seed=None)
                 assert tl.tracking_calls == 1
                 assert_blocks_match_full_range(tl, bounds)
                 assert_blocks_match_full_range(tl, [0, end - 1, end, end])
