@@ -41,7 +41,6 @@ from .tracking import (
     SearchGrid,
     TrackingObservables,
     measure_observables,
-    r_from_eta,
     select_by_training,
     two_dim_search,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "measure_observables",
     "optimal_config",
     "overhead_report",
-    "r_from_eta",
     "received_sample",
     "run_scenario",
     "run_sweep",

@@ -150,7 +150,6 @@ _SCHEMA = {
     "theta2_halfwidth_deg": ("tracker", "grid.theta2_halfwidth", _radians),
     "theta2_step_deg": ("tracker", "grid.theta2_step", _radians),
     "r_halfwidth_m": ("tracker", "grid.r_halfwidth", float),
-    "r_step_m": ("tracker", "grid.r_step", float),
     "seeds": ("run", "seeds", _listed(int)),
     "output_dir": ("run", "output_dir", str),
 }

@@ -4,44 +4,34 @@ A tracking call sees only two complex samples: the reference sample captured
 when the current configuration was installed and the sample at the slot where
 the received strength dropped below threshold. The strength ratio eta and the
 wrapped phase difference xi of those two samples are fitted against the
-closed-form model over a (departure angle, total distance) grid. The best few
-distinct-angle hypotheses become candidate configurations through the
+closed-form model over (departure angle, total distance) hypotheses. The best
+few distinct-angle hypotheses become candidate configurations through the
 differential update law; the timeline engine probes them over the air, one
 training slot each, and the strongest one wins.
 
-The distance dimension sweeps the physically reachable window around the
-believed total distance. On top of the uniform grid, two kinds of exact
-points are evaluated per angle: the calibration distance implied by the
-strength ratio (when it falls inside the window) and the zeros of the wrapped
-phase residual, so candidate ranking is not limited by grid quantisation.
-Each angle is one row of two blocks. The grid block's distances are shared
-by every row, so its distance ratio and phase ramp are column vectors. The
-exact block holds each row's phase-residual zeros (padded to the longest
-row) and its calibration distance; the cells a row does not have total
-infinity. Each row keeps its first minimum over the grid columns followed by
-the exact ones, exactly as argmin over the joined row would (ties go to the
-grid, a NaN wins), and the rows are ranked by (total error, |w|, angle).
+The angles are a uniform grid around the believed angle. The distances are
+the window of half-width h around the believed total distance r_ref, and each
+angle row is scored at a few of them only: the lower window edge, the upper
+window edge, then the row's phase-residual zeros inside the window (padded
+to the longest row; padding totals infinity). Each row keeps its first
+minimum over those columns (ties go to the earlier column, a NaN wins), and
+the rows are ranked by (total error, |w|, angle).
 
-The exact block is scored on every row, the grid block only on the rows that
-can still rank among the first n_sol. Let cut be the n_sol-th smallest
-exact-block best. The grid distances ascend, so a row's signed strength
-residual x = (r_ref/r)**2 * g - eta does not increase along the row
-(correctly rounded division, squaring, scaling and subtraction are all
-monotone), and no grid total rounds below its own |x|: max(x_last, -x_first,
-0) bounds every grid total of the row from below. A row whose bound and
-exact best both exceed cut has its best above cut, while at least n_sol rows
-have theirs at or below it, so it cannot rank among the first n_sol under
-any tie rule and its grid is not scored. Every row is scored when a grid
-distance is masked (its residual breaks the order), when n_sol is at least
-the number of angles, and when cut is not finite (an infinite or NaN
-strength ratio). On the tracking_stress benchmark's searches the rule keeps
-a median of 8 of 101 rows, at most 10.
+These points hold each row's minimum over the whole window. A row's total is
+|x(r)| + |p(r)|. The strength residual x = (r_ref/r)**2 * g - eta has a slope
+of at most 2 * r_ref**2 / (r_ref - h)**3 in the window, since the normalised
+gain g is at most 1. The wrapped phase residual p has slope 2*pi/lambda, so
+|p| falls at that rate toward each zero of p and rises at it away from one.
+When the phase slope is the larger, the total falls only toward a zero of p,
+and its minimum over the window lies at a zero or at an edge, never only at
+the distance where x vanishes. two_dim_search checks that precondition,
+(r_ref - h)**3 * 2*pi/lambda > 2 * r_ref**2, on every call; on the default
+grid it holds for any r_ref above 1.066 cm.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,31 +80,23 @@ class CandidatePair:
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Search ranges and steps for the two-dimensional candidate search.
-
-    ``r_step=None`` resolves to wavelength/50 at call time.
-    """
+    """Angle range and step, distance half-width and candidate count of the search."""
 
     theta2_halfwidth: float = np.deg2rad(2.5)
     theta2_step: float = np.deg2rad(0.05)
     r_halfwidth: float = 0.005
-    r_step: float | None = None
     n_sol: int = 7
 
     def __post_init__(self):
-        if self.theta2_halfwidth <= 0 or self.theta2_step <= 0:
-            raise ValueError("theta2 halfwidth and step must be > 0")
+        # written so that NaN fails every check
+        for name in ("theta2_halfwidth", "theta2_step", "r_halfwidth"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.theta2_step > self.theta2_halfwidth:
             raise ValueError("theta2_step must not exceed theta2_halfwidth")
-        if self.r_halfwidth <= 0:
-            raise ValueError("r_halfwidth must be > 0")
-        if self.r_step is not None:
-            if self.r_step <= 0:
-                raise ValueError("r_step must be > 0")
-            if self.r_step > self.r_halfwidth:
-                raise ValueError("r_step must not exceed r_halfwidth")
-        if self.n_sol < 1:
-            raise ValueError("n_sol must be >= 1")
+        if not isinstance(self.n_sol, (int, np.integer)) or self.n_sol < 1:
+            raise ValueError(f"n_sol must be an integer >= 1, got {self.n_sol!r}")
 
 
 def measure_observables(
@@ -134,46 +116,13 @@ def measure_observables(
     )
 
 
-def r_from_eta(
-    obs: TrackingObservables, gain_mag: float | np.ndarray, n_ris: int
-) -> float | np.ndarray:
-    """Calibration distance implied by the strength ratio for a gain hypothesis.
-
-    Inverts eta = (r_ref/r)^2 * (gain_mag/N)^2 for r. `gain_mag` is a scalar
-    or an array of gain magnitudes; the result has the same shape.
-    """
-    return obs.r_ref * gain_mag / (np.sqrt(obs.eta) * n_ris)
-
-
 @functools.lru_cache(maxsize=8)
-def _grid_offsets(grid: SearchGrid, wavelength: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only angle and distance offsets of the search grid around the belief."""
-    r_step = grid.r_step if grid.r_step is not None else wavelength / 50.0
+def _angle_offsets(grid: SearchGrid) -> np.ndarray:
+    """Read-only angle offsets of the search grid around the believed angle."""
     n_theta = int(round(2.0 * grid.theta2_halfwidth / grid.theta2_step)) + 1
-    n_r = int(round(2.0 * grid.r_halfwidth / r_step)) + 1
     theta_off = np.linspace(-grid.theta2_halfwidth, grid.theta2_halfwidth, n_theta)
-    r_off = np.linspace(-grid.r_halfwidth, grid.r_halfwidth, n_r)
-    for arr in (theta_off, r_off):
-        arr.setflags(write=False)
-    return theta_off, r_off
-
-
-def _score(obs: TrackingObservables, r_set, gain_ratio_sq, gain_ang, lam: float):
-    """Strength and phase residuals of distances `r_set` for every angle row.
-
-    `r_set` is one row of distances that every angle shares, or one row per
-    angle; the residuals are (n_theta, n_distances) either way.
-    """
-    # strength residual on squared gain ratios, the relation r_cal inverts
-    ratio_sq = (obs.r_ref / r_set) ** 2
-    error_rss = ratio_sq * gain_ratio_sq[:, None]
-    error_rss -= obs.eta
-    np.abs(error_rss, out=error_rss)
-    phase = (TWO_PI / lam) * (r_set - obs.r_ref) + gain_ang[:, None]
-    phase -= obs.xi
-    error_angle = wrap_principal(phase)
-    np.abs(error_angle, out=error_angle)
-    return error_rss, error_angle
+    theta_off.setflags(write=False)
+    return theta_off
 
 
 def two_dim_search(
@@ -181,88 +130,63 @@ def two_dim_search(
 ) -> list[CandidatePair]:
     """Best distinct-angle hypotheses explaining the observables.
 
-    Every candidate angle is one row of two blocks. The grid block's columns
-    are the grid distances, which every row shares; the exact block's columns
-    are the row's phase-residual zeros inside the window (padded to the
-    longest row) and its calibration distance. Padding, a calibration
-    distance outside the window and non-positive distances are masked with an
-    infinite total. Each cell scores errorI (strength-ratio residual) plus
-    errorII (wrapped phase residual); each row keeps its first minimum over
-    the grid columns followed by the exact ones, and the rows are ranked by
-    (total error, |w|, angle). At most n_sol candidates are returned, one per
-    angle. The grid block is scored only on the rows that can still rank
-    among the first n_sol (see the module docstring). The search is a pure
-    function of its inputs.
+    Every candidate angle is one row whose columns are the lower and upper
+    window edges r_ref -/+ r_halfwidth, then the row's phase-residual zeros
+    inside the window (padded to the longest row with an infinite total).
+    Each cell scores errorI (strength-ratio residual) plus errorII (wrapped
+    phase residual); each row keeps its first minimum, and the rows are
+    ranked by (total error, |w|, angle). At most n_sol candidates are
+    returned, one per angle. The columns hold each row's minimum over the
+    whole window when (r_ref - r_halfwidth)**3 * 2*pi/wavelength exceeds
+    2 * r_ref**2 (see the module docstring); otherwise ValueError is raised.
+    The search is a pure function of its inputs.
     """
-    theta_off, r_off = _grid_offsets(grid, geom.wavelength)
-    n_theta = theta_off.size
-    thetas = obs.theta2_ref + theta_off
+    lam = geom.wavelength
+    h = grid.r_halfwidth
+    # written so that NaN fails it; it also implies r_ref > h, so every
+    # distance scored below is positive
+    if not (obs.r_ref - h) ** 3 * TWO_PI / lam > 2.0 * obs.r_ref ** 2:
+        raise ValueError(
+            f"distance window too close to the surface for the search: need "
+            f"(r_ref - r_halfwidth)**3 * 2*pi/wavelength > 2 * r_ref**2, got "
+            f"r_ref={obs.r_ref}, r_halfwidth={h}, wavelength={lam}"
+        )
+    thetas = obs.theta2_ref + _angle_offsets(grid)
     w = np.sin(thetas) - np.sin(obs.theta2_ref)
-    gains = coherent_gain_values(w, geom.n_ris, geom.spacing_d, geom.wavelength)
-    gain_mag = np.abs(gains)
+    gains = coherent_gain_values(w, geom.n_ris, geom.spacing_d, lam)
     gain_ang = np.angle(gains)
     # float_power squares as the scalar pow does; an array ** 2 is x*x and
     # can differ in the last ulp
-    gain_ratio_sq = np.float_power(gain_mag / geom.n_ris, 2.0)
-    lam = geom.wavelength
+    gain_ratio_sq = np.float_power(np.abs(gains) / geom.n_ris, 2.0)
 
-    # exact block, every row: zeros of the wrapped phase residual inside the
-    # window (padded to the longest row), then the calibration distance
+    # the window edges, then the zeros of the wrapped phase residual inside
+    # the window, padded to the longest row
     zero_base = (obs.xi - gain_ang) * lam / TWO_PI
-    k_lo = np.ceil((-grid.r_halfwidth - zero_base) / lam)
-    k_hi = np.floor((grid.r_halfwidth - zero_base) / lam)
+    k_lo = np.ceil((-h - zero_base) / lam)
+    k_hi = np.floor((h - zero_base) / lam)
     n_k = int((k_hi - k_lo).max()) + 1  # k_hi >= k_lo - 1 on every row
     ks = k_lo[:, None] + np.arange(n_k)
-    r_cal = r_from_eta(obs, gain_mag, geom.n_ris)
-    r_exact = np.concatenate([(obs.r_ref + zero_base)[:, None] + ks * lam, r_cal[:, None]],
-                             axis=1)
-    valid = np.concatenate(
-        [ks <= k_hi[:, None], (np.abs(r_cal - obs.r_ref) <= grid.r_halfwidth)[:, None]], axis=1
-    )
-    valid &= r_exact > 0
-    r_exact[~valid] = obs.r_ref
-    exact_rss, exact_angle = _score(obs, r_exact, gain_ratio_sq, gain_ang, lam)
-    exact_total = np.where(valid, exact_rss + exact_angle, np.inf)
-    exact_col = exact_total.argmin(1)
-    exact_best = exact_total[np.arange(n_theta), exact_col]
+    edges = np.broadcast_to([obs.r_ref - h, obs.r_ref + h], (thetas.size, 2))
+    r_set = np.concatenate([edges, (obs.r_ref + zero_base)[:, None] + ks * lam], axis=1)
 
-    # grid block: masked (non-positive) distances are scored at r_ref; every
-    # row is scored unless the row bound skips some
-    r_grid = obs.r_ref + r_off
-    masked = ~(r_grid > 0)
-    any_masked = masked.any()
-    r_grid[masked] = obs.r_ref
-    rows = np.arange(n_theta)
-    if grid.n_sol < n_theta and not any_masked:
-        cut = float(np.partition(exact_best, grid.n_sol - 1)[grid.n_sol - 1])
-        if math.isfinite(cut):
-            # signed strength residuals at the first and last grid distance,
-            # by _score's operations: the largest and smallest of each row
-            ends = (obs.r_ref / r_grid[[0, -1]]) ** 2
-            x_first, x_last = ends[:, None] * gain_ratio_sq - obs.eta
-            rows = (((x_last <= cut) & (x_first >= -cut)) | (exact_best <= cut)).nonzero()[0]
-    grid_rss, grid_angle = _score(obs, r_grid, gain_ratio_sq[rows], gain_ang[rows], lam)
-    grid_total = grid_rss + grid_angle
-    if any_masked:
-        grid_total[:, masked] = np.inf
+    error_rss = (obs.r_ref / r_set) ** 2 * gain_ratio_sq[:, None]
+    error_rss -= obs.eta
+    np.abs(error_rss, out=error_rss)
+    phase = (TWO_PI / lam) * (r_set - obs.r_ref) + gain_ang[:, None]
+    phase -= obs.xi
+    error_angle = wrap_principal(phase)
+    np.abs(error_angle, out=error_angle)
+    total = error_rss + error_angle
+    total[:, 2:][ks > k_hi[:, None]] = np.inf
 
-    # each scored row's first minimum over its grid then exact columns, as
-    # argmin over the joined row: the exact block wins with a smaller total
-    # or a NaN against a grid number; ties and a grid NaN stay with the grid.
-    # The last grid distance r_ref + r_halfwidth is always valid, so every
-    # row has a minimum.
-    grid_col = grid_total.argmin(1)
-    grid_best = grid_total[np.arange(rows.size), grid_col]
-    exact_kept = exact_best[rows]
-    use_exact = ~(grid_best <= exact_kept) & (grid_best == grid_best)
-    best = np.where(use_exact, exact_kept, grid_best)
-    win = np.lexsort((thetas[rows], np.abs(w[rows]), best))[: grid.n_sol]
-    i, gc, ex = rows[win], grid_col[win], use_exact[win]
-    ec = exact_col[i]
+    # each row's first minimum (argmin: ties go to the earlier column, the
+    # first NaN wins), then the rows ranked by (total, |w|, angle)
+    col = total.argmin(1)
+    best = total[np.arange(thetas.size), col]
+    i = np.lexsort((thetas, np.abs(w), best))[: grid.n_sol]
+    c = col[i]
     fields = np.array([
-        thetas[i], w[i], np.where(ex, r_exact[i, ec], r_grid[gc]), best[win],
-        np.where(ex, exact_rss[i, ec], grid_rss[win, gc]),
-        np.where(ex, exact_angle[i, ec], grid_angle[win, gc]),
+        thetas[i], w[i], r_set[i, c], best[i], error_rss[i, c], error_angle[i, c],
     ])
     return [CandidatePair(*f) for f in zip(*fields.tolist())]
 

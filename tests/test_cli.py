@@ -303,6 +303,15 @@ class TestExitCodes:
         assert "front half-plane (-90, 90) deg at slot 54243" in errors[0]
         assert "theta2_init" not in errors[0]
 
+    def test_search_window_wider_than_the_distance_is_two(self, tmp_path, capsys):
+        # the search's precondition fails on the first tracking event
+        cfg = write_scenario(tmp_path, TINY_SCENARIO.replace(
+            "[tracker]\n", "[tracker]\nr_halfwidth_m = 5\n"))
+        assert main(["run", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "runtime error: distance window too close to the surface" in err
+        assert "r_halfwidth=5.0, wavelength=0.005" in err and "r_ref=4.0" in err
+
     def test_walk_behind_the_surface_leaves_no_output_directory(self, tmp_path):
         cfg = write_scenario(tmp_path, "[trajectory]\ntheta2_init_deg = 80\nr2_init_m = 1\n"
                              "psi_a_deg = 150\n")

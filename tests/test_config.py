@@ -84,7 +84,6 @@ NON_DEFAULT = {
     "theta2_halfwidth_deg": ("3", "grid.theta2_halfwidth"),
     "theta2_step_deg": ("0.1", "grid.theta2_step"),
     "r_halfwidth_m": ("0.01", "grid.r_halfwidth"),
-    "r_step_m": ("0.001", "grid.r_step"),
     "seeds": ("2", "seeds"),
     "output_dir": ("elsewhere", "output_dir"),
 }
@@ -188,6 +187,9 @@ class TestValidation:
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="n_trx"):
             load_config(write(tmp_path, "[geometry]\nn_trx = 16\n"))
+        # the search scores no distance grid, so it has no distance step
+        with pytest.raises(ConfigError, match=r"\[tracker\] unknown key 'r_step_m'"):
+            load_config(write(tmp_path, "[tracker]\nr_step_m = 0.001\n"))
 
     def test_semantic_error_names_invariant(self, tmp_path):
         with pytest.raises(ConfigError, match="speed_v"):

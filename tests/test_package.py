@@ -19,6 +19,7 @@ REMOVED = (
     "generate_trajectory",
     "path_loss_linear",
     "r2_at",
+    "r_from_eta",
     "received_samples",
     "theta2_at",
 )

@@ -1,13 +1,12 @@
 import cmath
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import ristrack.simengine as simengine
-import ristrack.tracking as tracking
 from ristrack import (
     CandidatePair,
     ChannelState,
@@ -20,7 +19,6 @@ from ristrack import (
     generate_path,
     measure_observables,
     optimal_config,
-    r_from_eta,
     received_sample,
     run_timeline,
     select_by_training,
@@ -110,79 +108,98 @@ class TestMeasureObservables:
             TrackingObservables(**values)
 
 
-class TestRFromEta:
-    def test_no_drop_returns_reference(self):
-        obs = measure_observables(1.0 + 0.0j, 1.0 + 0.0j, r_ref=8.0, theta2_ref=0.3)
-        assert r_from_eta(obs, gain_mag=64.0, n_ris=64) == pytest.approx(8.0)
-
-    def test_pure_pathloss_reading(self):
-        obs = measure_observables(2.0 + 0.0j, 1.0 + 0.0j, r_ref=8.0, theta2_ref=0.3)
-        assert obs.eta == pytest.approx(0.25)
-        assert r_from_eta(obs, gain_mag=64.0, n_ris=64) == pytest.approx(16.0)
-
-    def test_inverts_rho_with_true_gain(self):
-        theta_ref, d_theta, d_r = np.deg2rad(25.0), np.deg2rad(0.5), 0.002
-        y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r)
-        obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
-        w = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
-        gain = complex(coherent_gain_values(w, GEOM.n_ris, GEOM.spacing_d, GEOM.wavelength))
-        rho = 8.0 / (8.0 + d_r)
-        assert r_from_eta(obs, abs(gain), GEOM.n_ris) == pytest.approx(8.0 / rho, rel=1e-9)
-
-
 class TestSearchGrid:
     def test_defaults(self):
         grid = SearchGrid()
         assert grid.theta2_halfwidth == pytest.approx(np.deg2rad(2.5))
         assert grid.theta2_step == pytest.approx(np.deg2rad(0.05))
         assert grid.r_halfwidth == pytest.approx(0.005)
-        assert grid.r_step is None
         assert grid.n_sol == 7
+        # the search scores no distance grid, so it has no distance step
+        assert [f.name for f in fields(SearchGrid)] == [
+            "theta2_halfwidth", "theta2_step", "r_halfwidth", "n_sol"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchGrid(n_sol=0)
         with pytest.raises(ValueError):
             SearchGrid(theta2_step=np.deg2rad(3.0))
-        with pytest.raises(ValueError):
-            SearchGrid(r_step=0.01)
+        # non-finite values fail at construction, not at the first search
+        for name in ("theta2_halfwidth", "theta2_step", "r_halfwidth"):
+            for value in (math.nan, math.inf, 0.0, -1.0):
+                with pytest.raises(ValueError, match=name):
+                    SearchGrid(**{name: value})
+        for n_sol in (2.5, 7.0, "7"):
+            with pytest.raises(ValueError, match="n_sol must be an integer"):
+                SearchGrid(n_sol=n_sol)
+        assert SearchGrid(n_sol=np.int64(3)).n_sol == 3
+
+
+def fit_totals(obs, geom, w, r):
+    """Search objective at every (w, r) pair, as a (w.size, r.size) array.
+
+    Each angle's gain is the explicit element sum sum_k exp(j*kd*k*w), not
+    coherent_gain_values.
+    """
+    kd = 2 * math.pi * geom.spacing_d / geom.wavelength
+    acc = np.exp(1j * kd * np.arange(geom.n_ris)[None, :] * w[:, None]).sum(axis=1)
+    gm = np.abs(acc) / geom.n_ris
+    ga = np.angle(acc)
+    e1 = np.abs((obs.r_ref / r)[None, :] ** 2 * (gm**2)[:, None] - obs.eta)
+    e2 = np.abs(wrap_principal(
+        (2 * math.pi * (r - obs.r_ref) / geom.wavelength)[None, :] + ga[:, None] - obs.xi
+    ))
+    return e1 + e2
 
 
 def brute_force_minimum(obs, geom, theta_halfwidth, theta_step, r_halfwidth, r_step):
     """Fine-grid reimplementation of the search objective (direct-sum gains).
 
-    Every (angle, distance) grid point is scored; each angle's gain is the
-    explicit element sum sum_k exp(j*kd*k*w). Returns (theta, |w|,
-    total_error) of the first global grid minimiser in angle-major order. The
-    observables determine |w| only up to sign, so comparisons use |w|.
+    Every (angle, distance) grid point is scored by fit_totals. Returns
+    (theta, |w|, total_error) of the first global grid minimiser in
+    angle-major order. The observables determine |w| only up to sign, so
+    comparisons use |w|.
     """
-    kd = 2 * math.pi * geom.spacing_d / geom.wavelength
     n_th = int(round(2 * theta_halfwidth / theta_step)) + 1
     n_r = int(round(2 * r_halfwidth / r_step)) + 1
     theta = obs.theta2_ref - theta_halfwidth + np.arange(n_th) * theta_step
     w = np.sin(theta) - math.sin(obs.theta2_ref)
-    acc = np.exp(1j * kd * np.arange(geom.n_ris)[None, :] * w[:, None]).sum(axis=1)
-    gm = np.abs(acc) / geom.n_ris
-    ga = np.angle(acc)
     r = obs.r_ref - r_halfwidth + np.arange(n_r) * r_step
-    e1 = np.abs((obs.r_ref / r)[None, :] ** 2 * (gm**2)[:, None] - obs.eta)
-    e2 = np.abs(wrap_principal(
-        (2 * math.pi * (r - obs.r_ref) / geom.wavelength)[None, :] + ga[:, None] - obs.xi
-    ))
-    total = e1 + e2
+    total = fit_totals(obs, geom, w, r)
     best = int(np.argmin(total))
     i = best // n_r
     return theta[i], abs(w[i]), total.flat[best]
 
 
+def assert_no_finer_distance_wins(obs, grid, geom):
+    """No distance of a 10x finer grid than the loop's beats a candidate on its row.
+
+    Each candidate's total must be at most the minimum of fit_totals over its
+    own angle row on a lambda/500 distance grid spanning the window edges,
+    within rounding: one ulp of its distance on the phase residual, plus a
+    few ulps of the strength terms, which the direct-sum gains round
+    differently.
+    """
+    candidates = two_dim_search(obs, grid, geom)
+    n_r = int(round(2 * grid.r_halfwidth / (geom.wavelength / 500))) + 1
+    r = np.linspace(obs.r_ref - grid.r_halfwidth, obs.r_ref + grid.r_halfwidth, n_r)
+    finer = fit_totals(obs, geom, np.array([c.w_cand for c in candidates]), r).min(axis=1)
+    for c, row_min in zip(candidates, finer.tolist()):
+        slack = (TWO_PI / geom.wavelength * math.ulp(c.r_cand)
+                 + 8 * math.ulp(obs.eta + (obs.r_ref / c.r_cand) ** 2))
+        assert c.error_total <= row_min + slack, (obs, c, row_min)
+
+
 def loop_two_dim_search(obs, grid, geom):
     """Per-angle reference implementation of two_dim_search.
 
-    Builds each angle's distance set (grid distances, phase-residual zeros
-    inside the window, calibration distance when inside the window, all
-    positive), keeps its first minimum and sorts by (total, |w|, angle).
+    Builds each angle's distance set (a lambda/50 grid over the window, the
+    phase-residual zeros inside the window, the calibration distance when
+    inside the window, all positive), keeps its first minimum and sorts by
+    (total, |w|, angle). The search itself scores no grid: on its
+    precondition the window edges and the zeros hold each row's minimum.
     """
-    r_step = grid.r_step if grid.r_step is not None else geom.wavelength / 50.0
+    r_step = geom.wavelength / 50.0
     n_theta = int(round(2.0 * grid.theta2_halfwidth / grid.theta2_step)) + 1
     thetas = obs.theta2_ref + np.linspace(
         -grid.theta2_halfwidth, grid.theta2_halfwidth, n_theta
@@ -259,7 +276,9 @@ def random_observables(rng, **fixed):
 
 # (observable pins, grid, geometry) of the matrix search's edge cases
 EDGE_CASES = {
-    "tiny_r_ref": (dict(r_ref=0.003), SearchGrid(), GEOM),
+    # just above the smallest r_ref the search accepts on this grid (1.066 cm);
+    # the 3 mm of earlier versions is now refused (TOO_CLOSE["r_ref_3_mm"])
+    "tiny_r_ref": (dict(r_ref=0.012), SearchGrid(), GEOM),
     "wide_r_window": ({}, SearchGrid(r_halfwidth=0.02), GEOM),
     "five_angles": (
         {}, SearchGrid(theta2_halfwidth=np.deg2rad(0.1), theta2_step=np.deg2rad(0.05)), GEOM,
@@ -272,16 +291,23 @@ EDGE_CASES = {
     # the stationary observable: the centre row's phase zero, calibration
     # distance and centre grid distance coincide at r_ref with a zero total
     "stationary": (dict(eta=1.0, xi=0.0), SearchGrid(), GEOM),
-    # every cell totals inf, so each row's first grid column wins the tie
-    # against the exact columns at other distances
+    # every cell totals inf, so each row's lower window edge wins the tie, as
+    # the loop's first grid distance does
     "eta_infinite": (dict(eta=math.inf), SearchGrid(), GEOM),
     # phase residuals reach +-6*pi, more than two turns from zero
     "r_window_two_wavelengths": ({}, SearchGrid(r_halfwidth=2 * GEOM.wavelength), GEOM),
     # a window narrower than a wavelength leaves many rows without a phase
-    # zero, so grid cells win rows that would otherwise not be ranked
+    # zero, so only the window edges can win them
     "narrow_r_window": ({}, SearchGrid(r_halfwidth=0.001), GEOM),
-    # ... and with masked grid distances
+}
+
+# observables too close to the surface for the search's precondition
+TOO_CLOSE = {
+    "r_ref_3_mm": (dict(r_ref=0.003), SearchGrid(), GEOM),
+    "below_the_bound": (dict(r_ref=0.0106), SearchGrid(), GEOM),
     "narrow_r_window_tiny_r_ref": (dict(r_ref=0.0008), SearchGrid(r_halfwidth=0.001), GEOM),
+    "window_wider_than_r_ref": (dict(r_ref=4.0), SearchGrid(r_halfwidth=5.0), GEOM),
+    "r_ref_nan": (dict(r_ref=math.nan), SearchGrid(), GEOM),
 }
 
 
@@ -289,8 +315,8 @@ EDGE_CASES = {
 def recorded_searches():
     """Inputs of every search in short proposed runs of a fast two-turn walk.
 
-    A fast walk with a high threshold puts eta near gamma, where the search's
-    row bound skips most grid rows; uniformly drawn observables seldom do.
+    A fast walk with a high threshold puts eta near gamma, where many rows
+    score close totals; uniformly drawn observables seldom do.
     """
     geom = LinkGeometry()
     policy = ProposedPolicy(gamma=0.95)
@@ -311,13 +337,12 @@ def recorded_searches():
     return seen
 
 
-# pins and grids for the pruning checks: random observables, a NaN strength
-# ratio (which the per-angle loop cannot rank) and edge cases of the bound
+# pins and grids for the n_sol prefix checks: random observables, a NaN
+# strength ratio (which the per-angle loop cannot rank) and edge cases
 PRUNING_CASES = {
     "random": ({}, SearchGrid(), GEOM),
     "eta_nan": (dict(eta=math.nan), SearchGrid(), GEOM),
-    **{case: EDGE_CASES[case] for case in ("eta_infinite", "tiny_r_ref", "narrow_r_window",
-                                           "narrow_r_window_tiny_r_ref")},
+    **{case: EDGE_CASES[case] for case in ("eta_infinite", "tiny_r_ref", "narrow_r_window")},
 }
 
 
@@ -423,29 +448,42 @@ class TestTwoDimSearch:
         rng = np.random.default_rng(sorted(EDGE_CASES).index(case))
         for _ in range(100):
             obs = random_observables(rng, **fixed)
-            assert two_dim_search(obs, grid, geom) == loop_two_dim_search(obs, grid, geom)
+            got = two_dim_search(obs, grid, geom)
+            want = loop_two_dim_search(obs, grid, geom)
+            if case != "xi_pi":
+                assert got == want
+                continue
+            # a phase zero can fall exactly on a grid distance of the loop,
+            # whose rounding then gives a residual one ulp smaller: the
+            # ranking stays exact, the distance and errors may move by an ulp
+            assert [(c.theta2_cand, c.w_cand) for c in got] == [
+                (c.theta2_cand, c.w_cand) for c in want]
+            for a, b in zip(got, want):
+                ulp = math.ulp(b.r_cand)
+                assert a.r_cand == pytest.approx(b.r_cand, rel=0, abs=ulp)
+                for name in ("error_total", "error_rss", "error_angle"):
+                    assert getattr(a, name) == pytest.approx(
+                        getattr(b, name), rel=0, abs=TWO_PI / geom.wavelength * ulp)
 
-    def test_equals_per_angle_loop_on_recorded_observables(self, recorded_searches, monkeypatch):
-        grid_rows = []
-        real = tracking._score
-
-        def spy(obs, r_set, gain_ratio_sq, gain_ang, lam):
-            if r_set.ndim == 1:  # the grid block's shared distances
-                grid_rows.append(gain_ratio_sq.size)
-            return real(obs, r_set, gain_ratio_sq, gain_ang, lam)
-
-        monkeypatch.setattr(tracking, "_score", spy)
+    def test_equals_per_angle_loop_on_recorded_observables(self, recorded_searches):
         assert len(recorded_searches) >= 20
         for obs, grid, geom in recorded_searches:
             assert two_dim_search(obs, grid, geom) == loop_two_dim_search(obs, grid, geom)
-        # the recorded searches exercise the row bound, not only its fallbacks
-        assert len(grid_rows) == len(recorded_searches)
-        assert sum(n < 101 for n in grid_rows) >= 0.9 * len(grid_rows)
+
+    @pytest.mark.parametrize("case", sorted({"random", *EDGE_CASES}))
+    def test_no_finer_distance_wins(self, case):
+        fixed, grid, geom = EDGE_CASES.get(case, PRUNING_CASES["random"])
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            assert_no_finer_distance_wins(random_observables(rng, **fixed), grid, geom)
+
+    def test_no_finer_distance_wins_on_recorded_observables(self, recorded_searches):
+        for obs, grid, geom in recorded_searches:
+            assert_no_finer_distance_wins(obs, grid, geom)
 
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_pruning_cannot_change_the_ranking(self, case):
-        # whatever n_sol, the grid rows the bound skips cannot rank among the
-        # first n_sol: every result is a prefix of the full ranking. repr
+        # whatever n_sol, every result is a prefix of the full ranking. repr
         # compares NaN totals, which == does not
         fixed, grid, geom = PRUNING_CASES[case]
         rng = np.random.default_rng(31)
@@ -464,31 +502,45 @@ class TestTwoDimSearch:
                 assert two_dim_search(obs, SearchGrid(n_sol=k), geom) == full[:k]
 
     def test_nan_total_takes_first_grid_cell(self):
-        # a NaN strength ratio makes every unmasked cell NaN; as in argmin
-        # over the whole row, the first NaN (the first positive grid
-        # distance) wins. The loop's sort is undefined on NaN keys, so every
-        # row is returned and rows are matched by angle; repr compares the
-        # NaN totals, which == does not
+        # a NaN strength ratio makes every cell NaN; as in argmin over the
+        # whole row, the first NaN wins: the lower window edge, which is also
+        # the loop's first grid distance. The loop's sort is undefined on NaN
+        # keys, so every row is returned and rows are matched by angle; repr
+        # compares the NaN totals, which == does not
         grid = SearchGrid(n_sol=101)
         rng = np.random.default_rng(11)
-        for fixed in (dict(eta=math.nan), dict(eta=math.nan, r_ref=0.003)):
-            for _ in range(10):
-                obs = random_observables(rng, **fixed)
-                got = two_dim_search(obs, grid, GEOM)
-                want = loop_two_dim_search(obs, grid, GEOM)
-                assert len(got) == 101 and all(math.isnan(c.error_total) for c in got)
-                by_angle = lambda cands: sorted(cands, key=lambda c: c.theta2_cand)
-                assert repr(by_angle(got)) == repr(by_angle(want))
+        for _ in range(10):
+            obs = random_observables(rng, eta=math.nan)
+            got = two_dim_search(obs, grid, GEOM)
+            want = loop_two_dim_search(obs, grid, GEOM)
+            assert len(got) == 101 and all(math.isnan(c.error_total) for c in got)
+            by_angle = lambda cands: sorted(cands, key=lambda c: c.theta2_cand)
+            assert repr(by_angle(got)) == repr(by_angle(want))
 
     def test_masked_cells_do_not_warn(self):
-        # with r_ref below r_halfwidth, non-positive distances are masked
-        # before the division by r
-        fixed, grid, geom = EDGE_CASES["tiny_r_ref"]
+        # no distance is masked any more: near the surface the search either
+        # scores every column without a numpy warning or, below its
+        # precondition, raises before any arithmetic
         rng = np.random.default_rng(7)
+        fixed, grid, geom = EDGE_CASES["tiny_r_ref"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(50):
                 assert two_dim_search(random_observables(rng, **fixed), grid, geom)
+            for fixed, grid, geom in TOO_CLOSE.values():
+                with pytest.raises(ValueError, match="r_ref="):
+                    two_dim_search(random_observables(rng, **fixed), grid, geom)
+
+    @pytest.mark.parametrize("case", sorted(TOO_CLOSE))
+    def test_window_too_close_to_the_surface_is_rejected(self, case):
+        # below the precondition the edges and zeros need not hold a row's
+        # minimum, so the search refuses rather than rank on a guess
+        fixed, grid, geom = TOO_CLOSE[case]
+        obs = random_observables(np.random.default_rng(7), **fixed)
+        with pytest.raises(ValueError, match=(
+                rf"r_ref={obs.r_ref}, r_halfwidth={grid.r_halfwidth}, "
+                rf"wavelength={geom.wavelength}$")):
+            two_dim_search(obs, grid, geom)
 
 
 class TestSelectByTraining:
