@@ -61,18 +61,15 @@ class TrajectorySpec:
     rayleigh_scale: float = 1.0 / math.sqrt(2.0)  # unit mean-square magnitude
 
     def __post_init__(self):
-        if self.speed_v <= 0:
-            raise ValueError(f"speed_v must be > 0, got {self.speed_v}")
-        if self.slot_duration_t0 <= 0:
-            raise ValueError(f"slot_duration_t0 must be > 0, got {self.slot_duration_t0}")
-        if self.path_length <= 0:
-            raise ValueError(f"path_length must be > 0, got {self.path_length}")
-        if self.r2_init <= 0:
-            raise ValueError(f"r2_init must be > 0, got {self.r2_init}")
+        # written so that NaN fails every check
+        for name in ("speed_v", "slot_duration_t0", "path_length", "r2_init", "rayleigh_scale"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not -np.pi / 2 < self.theta2_init < np.pi / 2:
             raise ValueError("theta2_init must lie in (-pi/2, pi/2)")
-        if self.rayleigh_scale <= 0:
-            raise ValueError("rayleigh_scale must be > 0")
+        if not -np.inf < self.psi_a < np.inf:
+            raise ValueError(f"psi_a must be finite, got {self.psi_a}")
 
 
 def slot_count(spec: TrajectorySpec) -> int:

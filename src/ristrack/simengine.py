@@ -45,15 +45,17 @@ the last one used, and the strongest candidate is installed under its id.
 When the trajectory ends mid-training the event stays counted but open: no
 closing feedback slot and no new configuration.
 
-A run keeps two per-slot columns, `rss` and `inst_rate`, and a status table
-with one row per run of slots that share a kind, a status id, a config id
-(stepped by one per slot of a training slice) and a normalisation reference:
-about five rows per event. The other ledger columns (`kind`,
-`rss_normalized`, `cum_rate`, `config_id`, `status_id`) are derived from
-these over any range of slots, row by row, whenever they are read; the
-ledger writer derives them one block of rows at a time, continuing the
-running rate sum from block to block. `inst_rate` stays kept because the
-rate-gap metric reads it whole for every tracker and its oracle.
+A run keeps one per-slot column, `rss`, and a status table with one row per
+run of slots that share a kind, a status id, a config id (stepped by one per
+slot of a training slice) and a normalisation reference: about five rows per
+event. Every other ledger column (`kind`, `rss_normalized`, `inst_rate`,
+`cum_rate`, `config_id`, `status_id`) is derived from these over any range of
+slots, row by row, whenever it is read; the ledger writer derives them one
+block of rows at a time, continuing the running rate sum from block to block.
+A slot's `inst_rate` is log2(1 + rss/noise_var) on a data slot and zero on
+any other, elementwise, so a block's rates have the bits of the whole run's.
+The rate-gap metric reads the oracle's rates once for every other tracker of
+a seed, so they are kept while the oracle run lives.
 """
 
 from __future__ import annotations
@@ -208,27 +210,24 @@ class StatusTable:
         return values
 
 
-def _running_mean(inst: np.ndarray, lo: int, hi: int,
-                  carry: float | None) -> tuple[np.ndarray, float]:
-    """`cum_rate` over slots [lo, hi), and the running sum of `inst` through hi.
+def _running_mean(inst: np.ndarray, lo: int, carry: float) -> tuple[np.ndarray, float]:
+    """`cum_rate` of the slots from lo whose rates are `inst`, and the running sum through them.
 
     The slots are accumulated behind `carry`, the running sum through lo, so
     a block continues the one sequential np.cumsum of `cumulative_rate` bit
     for bit; adding the carry to the block's own sums would round
-    differently. A carry of None is summed here from slot 0.
+    differently.
     """
-    if carry is None:
-        carry = float(np.cumsum(inst[:lo])[-1]) if lo else 0.0
-    sums = np.cumsum(np.concatenate(([carry], inst[lo:hi])))
+    sums = np.cumsum(np.concatenate(([carry], inst)))
     total = float(sums[-1])
     cum = sums[1:]
-    cum /= np.arange(lo + 1, hi + 1, dtype=float)  # exact slot counts
+    cum /= np.arange(lo + 1, lo + inst.size + 1, dtype=float)  # exact slot counts
     return cum, total
 
 
 @dataclass(frozen=True, eq=False)
 class StatusTimeline:
-    """A simulated run: its `rss` and `inst_rate` columns and its status table.
+    """A simulated run: its `rss` column, its status table and its noise variance.
 
     The other ledger columns follow from these. `block` derives them over a
     range of slots, and the properties of the same names over every slot.
@@ -237,7 +236,7 @@ class StatusTimeline:
     """
 
     rss: np.ndarray
-    inst_rate: np.ndarray
+    noise_var: float
     statuses: StatusTable
     theta2_true: np.ndarray
     policy_name: str
@@ -247,6 +246,12 @@ class StatusTimeline:
     def __len__(self) -> int:
         return self.rss.shape[0]
 
+    def _rates(self, lo: int, hi: int, kind: np.ndarray) -> np.ndarray:
+        """`inst_rate` of slots [lo, hi), whose kinds are `kind`: zero off the data slots."""
+        rates = instantaneous_rate(self.rss[lo:hi], self.noise_var)
+        rates[kind != SlotKind.DATA] = 0.0
+        return rates
+
     def block(self, lo: int, hi: int, carry: float | None = None) -> tuple[Timeline, float]:
         """The ledger columns of slots [lo, hi), and the running `inst_rate` sum through hi.
 
@@ -254,11 +259,15 @@ class StatusTimeline:
         it; None sums it here from slot 0.
         """
         table = self.statuses
+        if carry is None:
+            carry = (float(np.cumsum(self._rates(0, lo, table.spread("kind", 0, lo)))[-1])
+                     if lo else 0.0)
         span = table.span(lo, hi)
+        kind = table.spread("kind", lo, hi, span)
         rss = self.rss[lo:hi]
-        cum, carry = _running_mean(self.inst_rate, lo, hi, carry)
-        return Timeline(table.spread("kind", lo, hi, span), rss,
-                        rss / table.spread("rss_ref", lo, hi, span), self.inst_rate[lo:hi], cum,
+        inst = self._rates(lo, hi, kind)
+        cum, carry = _running_mean(inst, lo, carry)
+        return Timeline(kind, rss, rss / table.spread("rss_ref", lo, hi, span), inst, cum,
                         table.spread("config_id", lo, hi, span),
                         table.spread("status_id", lo, hi, span), self.theta2_true[lo:hi],
                         self.policy_name, self.gamma, self.tracking_calls), carry
@@ -272,8 +281,12 @@ class StatusTimeline:
         return self.rss / self.statuses.spread("rss_ref", 0, len(self))
 
     @property
+    def inst_rate(self) -> np.ndarray:
+        return self._rates(0, len(self), self.kind)
+
+    @property
     def cum_rate(self) -> np.ndarray:
-        return _running_mean(self.inst_rate, 0, len(self), 0.0)[0]
+        return _running_mean(self.inst_rate, 0, 0.0)[0]
 
     @property
     def config_id(self) -> np.ndarray:
@@ -329,6 +342,11 @@ def cumulative_rate(rates) -> np.ndarray:
     return np.cumsum(rates) / np.arange(1, rates.size + 1)
 
 
+# one entry per live oracle run: its inst_rate column, which the reports of
+# every other tracker of its seed read
+_ORACLE_RATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def overhead_report(records: StatusTimeline, gamma: float,
                     oracle_records: StatusTimeline | None = None) -> RunMetrics:
     """Signaling accounting: share of non-data slots and tracking-call count.
@@ -337,19 +355,25 @@ def overhead_report(records: StatusTimeline, gamma: float,
     status table counts them. The slot kinds were fixed against the run's
     threshold when it was simulated, so `gamma` is not read here. When an
     oracle run over the same trajectory is supplied, the mean absolute
-    instantaneous-rate gap is included.
+    instantaneous-rate gap is included; the oracle's rates are derived once
+    for all the reports that read them.
     """
     n = len(records)
     table = records.statuses
     nondata = int(np.diff(table.first)[table.kind != SlotKind.DATA].sum())
+    rates = records.inst_rate
     err = math.nan
     if oracle_records is not None:
-        if oracle_records.inst_rate.shape != records.inst_rate.shape:
+        if len(oracle_records) != n:
             raise ValueError("oracle run must cover the same slots")
-        err = float(np.mean(np.abs(records.inst_rate - oracle_records.inst_rate)))
+        oracle = _ORACLE_RATES.get(oracle_records)
+        if oracle is None:
+            oracle = _ORACLE_RATES[oracle_records] = oracle_records.inst_rate
+        gap = np.subtract(rates, oracle)
+        err = float(np.mean(np.abs(gap, out=gap)))
     return RunMetrics(
         # cum_rate's last entry: the sequential running sum over all n slots, over n
-        final_cum_rate=float(np.cumsum(records.inst_rate)[-1]) / n,
+        final_cum_rate=float(np.cumsum(rates)[-1]) / n,
         pct_below_threshold=100.0 * (nondata / n),
         tracking_calls=records.tracking_calls,
         avg_error_vs_oracle=err,
@@ -395,9 +419,16 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
     if noise_seed is None:
         noise = np.zeros(n, dtype=complex)
     else:
+        # built in place, real parts drawn first: the bits of
+        # scale * (standard_normal(n) + 1j * standard_normal(n))
         rng = np.random.default_rng(noise_seed)
         scale = math.sqrt(geom.noise_var / 2.0)
-        noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        noise = np.empty(n, dtype=complex)
+        part = np.empty(n)
+        for view in (noise.real, noise.imag):
+            rng.standard_normal(out=part)
+            part *= scale
+            view[...] = part
     for arr in (kdu, phase, noise):
         arr.setflags(write=False)
     cols = _SlotColumns(kdu, phase, noise, geom.n_ris)
@@ -428,7 +459,7 @@ def run_timeline(
     noise_seed: int | None,
     threshold_mode: str = "normalized",
 ) -> StatusTimeline:
-    """Drive one policy over a trajectory and return its run: `rss`, `inst_rate`, statuses.
+    """Drive one policy over a trajectory and return its run: `rss` and its statuses.
 
     `noise_seed` seeds the receiver noise; None runs without receiver noise.
     `threshold_mode="normalized"` compares strength against the status
@@ -441,10 +472,9 @@ def run_timeline(
     of at most `_PROBE_SLOTS` slots cuts the span to end at its first
     strided slot below threshold. Samples past the trigger slot are
     discarded, and those slots are evaluated again as signaling or under the
-    next configuration. Only `rss` and the status table are written while
-    the timeline runs; `inst_rate` follows from them at the end, and the
-    other ledger columns are derived when read. Identical inputs and seeds
-    give bit-identical ledgers.
+    next configuration. Only `rss` and the status table are written; every
+    other ledger column, `inst_rate` too, is derived from them when read.
+    Identical inputs and seeds give bit-identical ledgers.
     """
     n = len(trajectory)
     if n == 0:
@@ -571,9 +601,7 @@ def run_timeline(
     table = StatusTable(np.array(firsts + (n,), np.int64), np.array(kinds, np.int8),
                         np.array(statuses, np.int32), np.array(configs, np.int32),
                         np.array(refs, float))
-    inst = instantaneous_rate(rss, geom.noise_var)
-    inst[table.spread("kind", 0, n) != SlotKind.DATA] = 0.0
-    for arr in (rss, inst, *vars(table).values()):
+    for arr in (rss, *vars(table).values()):
         arr.setflags(write=False)
-    return StatusTimeline(rss, inst, table, trajectory.theta2, policy.name, policy.gamma,
-                          events)
+    return StatusTimeline(rss, geom.noise_var, table, trajectory.theta2, policy.name,
+                          policy.gamma, events)

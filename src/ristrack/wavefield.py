@@ -57,19 +57,15 @@ class LinkGeometry:
             # no signal reaches the user: every event would be noise crossing
             # the threshold
             raise ValueError(f"alpha must be nonzero, got {self.alpha}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.spacing_d <= 0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing_d}")
-        if self.r1 <= 0:
-            raise ValueError(f"r1 must be > 0, got {self.r1}")
+        # written so that NaN fails every check
+        for name, value in (("wavelength", self.wavelength), ("spacing", self.spacing_d),
+                            ("r1", self.r1), ("snr_linear", self.snr_linear),
+                            ("noise_var", self.noise_var)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         half_pi = np.pi / 2
         if not -half_pi < self.theta1 < half_pi:
             raise ValueError("theta1 must lie in (-pi/2, pi/2)")
-        if self.snr_linear <= 0:
-            raise ValueError("snr_linear must be > 0")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be > 0")
 
     @property
     def spacing_d(self) -> float:

@@ -34,13 +34,13 @@ def row_wise_ledger(tl):
     """Reference ledger text: one f-string per row on numpy scalars."""
     theta_deg = np.rad2deg(tl.theta2_true)
     # each derived column read once, over every slot
-    kind, rss_norm, cum, status, config = (tl.kind, tl.rss_normalized, tl.cum_rate,
-                                           tl.status_id, tl.config_id)
+    kind, rss_norm, inst, cum, status, config = (tl.kind, tl.rss_normalized, tl.inst_rate,
+                                                 tl.cum_rate, tl.status_id, tl.config_id)
     lines = [LEDGER_HEADER]
     for i in range(len(tl)):
         lines.append(
             f"{i + 1},{SlotKind(int(kind[i])).name},{tl.rss[i]:.12g},"
-            f"{rss_norm[i]:.12g},{tl.inst_rate[i]:.12g},{cum[i]:.12g},"
+            f"{rss_norm[i]:.12g},{inst[i]:.12g},{cum[i]:.12g},"
             f"{int(status[i])},{int(config[i])},{theta_deg[i]:.12g}"
         )
     return "\n".join(lines) + "\n"

@@ -238,6 +238,20 @@ class TestFrontHalfPlane:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("field", ["speed_v", "slot_duration_t0", "path_length",
+                                       "r2_init", "rayleigh_scale"])
+    def test_scales_must_be_finite_and_positive(self, field):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=rf"^{field} must be finite and > 0"):
+                TrajectorySpec(**{field: bad})
+        assert getattr(TrajectorySpec(**{field: 0.5}), field) == 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_walking_angle_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=r"^psi_a must be finite"):
+            TrajectorySpec(psi_a=bad)
+        assert TrajectorySpec(psi_a=-4.0).psi_a == -4.0
+
     def test_rejects_zero_speed(self):
         with pytest.raises(ValueError):
             TrajectorySpec(speed_v=0.0)

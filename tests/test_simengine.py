@@ -2,6 +2,7 @@ import cmath
 import gc
 import inspect
 import math
+import tracemalloc
 import weakref
 from dataclasses import fields, is_dataclass, replace
 
@@ -25,6 +26,8 @@ from ristrack import (
     run_timeline,
     slot_count,
 )
+from ristrack import runner
+from ristrack.config import ScenarioConfig
 from ristrack.ris import _dirichlet
 from ristrack.wavefield import TWO_PI
 
@@ -300,6 +303,30 @@ class TestOverheadReport:
             assert m.cumulative_rate_series.shape == (1,)
             assert m.cumulative_rate_series[-1] == m.final_cum_rate
 
+    def test_reports_of_one_seed_derive_the_oracle_rates_once(self, traj, monkeypatch):
+        timelines = [run_timeline(traj, policy, GEOM, noise_seed=3)
+                     for policy in (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0),
+                                    ExhaustivePolicy(resolution_deg=5.0), OraclePolicy())]
+        oracle = timelines[-1]
+        want = [overhead_report(tl, tl.gamma, oracle) for tl in timelines[:-1]]
+        del simengine._ORACLE_RATES[oracle]
+        derived = []  # whether each derivation read the oracle's rss
+
+        def spy(rss, noise_var):
+            derived.append(np.shares_memory(rss, oracle.rss))
+            return instantaneous_rate(rss, noise_var)
+
+        monkeypatch.setattr(simengine, "instantaneous_rate", spy)
+        got = [overhead_report(tl, tl.gamma, None if tl is oracle else oracle)
+               for tl in timelines]
+        assert got[:-1] == want
+        # each report derives its own rates; the oracle's reference rates once for all
+        assert derived == [False, True, False, False, True]
+        kept = weakref.ref(simengine._ORACLE_RATES[oracle])
+        del oracle, timelines
+        gc.collect()
+        assert kept() is None
+
     def test_error_vs_oracle(self, traj):
         prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
@@ -527,6 +554,14 @@ class TestSlotColumns:
         assert cols.noise.dtype == complex and cols.noise.shape == (len(walk),)
         assert not np.any(cols.noise)
 
+    def test_noise_is_the_scaled_pair_of_draws(self, traj):
+        geom = replace(GEOM, noise_var=3.0)
+        cols = simengine._slot_columns(traj, geom, 9)
+        rng = np.random.default_rng(9)
+        n = len(traj)
+        want = math.sqrt(1.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert np.array_equal(cols.noise.view(np.uint64), want.view(np.uint64))
+
     def test_noise_seed_is_the_one_required_noise_argument(self, traj):
         params = inspect.signature(run_timeline).parameters
         assert "noise_enabled" not in params
@@ -665,7 +700,7 @@ class TestDerivedColumns:
         assert not np.array_equal(added_after, tl.cum_rate[lo:])
         assert_same_bits(block.cum_rate, tl.cum_rate[lo:], "cum_rate")
 
-    def test_a_run_holds_16_bytes_per_slot_and_its_status_table(self, default_scans):
+    def test_a_run_holds_8_bytes_per_slot_and_its_status_table(self, default_scans):
         for tl in default_scans:
             columns = table = 0
             for f in fields(tl):
@@ -674,9 +709,31 @@ class TestDerivedColumns:
                     columns += value.nbytes
                 elif is_dataclass(value):
                     table += sum(getattr(value, g.name).nbytes for g in fields(value))
-            # 16 bytes per slot plus the status table, which stays small: a
-            # status gives at most five rows (data, trigger, two feedbacks,
+            # rss, 8 bytes per slot, plus the status table, which stays small:
+            # a status gives at most five rows (data, trigger, two feedbacks,
             # training) of 25 bytes
-            assert columns <= 16 * len(tl), tl.policy_name
+            assert columns <= 8 * len(tl), tl.policy_name
             assert tl.statuses.kind.size <= 5 * tl.tracking_calls + 1
             assert table <= 25 * (5 * tl.tracking_calls + 2)
+
+    def test_simulating_a_seed_peaks_at_its_columns_and_one_scan(self):
+        cfg = ScenarioConfig(trajectory=TrajectorySpec(path_length=1.0))
+        # a first short walk loads what the engine imports on first use
+        runner._simulate_seed(replace(cfg, trajectory=TrajectorySpec(path_length=0.01)), 1)
+        tracemalloc.start()
+        try:
+            timelines = runner._simulate_seed(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(timelines[0])
+        # per slot: the walk (theta2, r2: 8 bytes; beta: 16), the slot columns
+        # (kdu: 8; phase, noise: 16) and each tracker's rss (8)
+        columns = (32 + 40 + 8 * len(timelines)) * n
+        # one evaluation holds at most ten 8-byte values per slot it evaluates;
+        # a window, a training slice, or a span's full pass, which ends at the
+        # first coarse slot past its trigger: a status plus one stride
+        longest = max(int(np.diff(tl.statuses.first).max()) for tl in timelines) + 1
+        scan = 80 * max(simengine._SCAN_WINDOW,
+                        longest + simengine._SCAN_SPAN // simengine._PROBE_SLOTS)
+        assert peak <= columns + scan, (peak / n, (columns + scan) / n)

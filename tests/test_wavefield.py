@@ -178,6 +178,14 @@ class TestLinkGeometry:
             LinkGeometry(alpha=alpha)
         assert LinkGeometry(alpha=1e-3j).alpha == 1e-3j
 
+    @pytest.mark.parametrize("field", ["wavelength", "spacing", "r1", "snr_linear",
+                                       "noise_var"])
+    def test_lengths_and_powers_must_be_finite_and_positive(self, field):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=rf"^{field} must be finite and > 0"):
+                LinkGeometry(**{field: bad})
+        assert getattr(LinkGeometry(**{field: 1e-3}), field) == 1e-3
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             LinkGeometry(n_tx=0)
