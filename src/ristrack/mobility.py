@@ -17,12 +17,13 @@ Cartesian polyline in the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .wavefield import TWO_PI, LinkGeometry
+from .wavefield import TWO_PI, LinkGeometry, unit_phasors
 
 _ACOS_CLAMP_TOL = 1e-9
 
@@ -37,10 +38,13 @@ class ChannelState:
     slot_index: int = 0
 
     def __post_init__(self):
-        if self.r2 <= 0:
-            raise ValueError(f"r2 must be > 0, got {self.r2}")
-        if abs(self.beta) == 0:
-            raise ValueError("beta must be nonzero")
+        # written so that NaN fails every check
+        if not 0 < self.r2 < np.inf:
+            raise ValueError(f"r2 must be finite and > 0, got {self.r2}")
+        if not -np.inf < self.theta2 < np.inf:
+            raise ValueError(f"theta2 must be finite, got {self.theta2}")
+        if not (cmath.isfinite(self.beta) and self.beta != 0):
+            raise ValueError(f"beta must be nonzero and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,8 @@ class Trajectory:
     """Per-slot channel states of a walk of one or more straight segments.
 
     ``traj[i]`` is slot i+1's :class:`ChannelState`; the underlying
-    ``theta2``, ``r2`` and ``beta`` arrays are exposed for vectorised
-    consumers. ``anchor`` is the state just before slot 1.
+    ``theta2``, ``r2`` and ``beta`` arrays are exposed, read-only, for
+    vectorised consumers. ``anchor`` is the state just before slot 1.
     """
 
     def __init__(self, anchor: ChannelState, theta2, r2, beta):
@@ -128,6 +132,49 @@ class Trajectory:
         )
 
 
+# the last walk's seed-free columns: (spec without its seed, continuations) and
+# (theta2, r2, first slot of each segment and the slot count)
+_WALK: tuple | None = None
+
+
+def _walk(spec: TrajectorySpec, continuations) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """theta2 and r2 at every slot of the walk, read-only, and where each segment starts.
+
+    None of these depends on the seed, so they are kept for the last walk and
+    every seed of a scenario reads the same arrays. A walk that fails a check
+    raises on every call and is not kept.
+    """
+    global _WALK
+    key = (replace(spec, rng_seed=None), tuple(map(tuple, continuations)))
+    if _WALK is not None and _WALK[0] == key:
+        return _WALK[1]
+    _WALK = None  # the old walk is not held while the new one is built
+    theta0, r0 = spec.theta2_init, spec.r2_init
+    parts = []
+    bounds = [0]
+    for k, (psi, length) in enumerate(((spec.psi_a, spec.path_length), *continuations), 1):
+        if not (math.isfinite(length) and length > 0):
+            raise ValueError(f"segment {k} of the walk: length must be finite and > 0, "
+                             f"got {length}")
+        t = np.arange(1, slot_count(replace(spec, path_length=length)) + 1, dtype=float)
+        s = spec.speed_v * spec.slot_duration_t0 * t
+        theta2, r2 = _walk_geometry(theta0, r0, psi, s)
+        if not -np.pi / 2 < theta2.min() <= theta2.max() < np.pi / 2:  # also on NaN
+            i = int(np.argmax(~(np.abs(theta2) < np.pi / 2)))
+            raise ValueError(f"theta2 leaves the front half-plane (-90, 90) deg at slot "
+                             f"{bounds[-1] + i + 1}: {np.rad2deg(theta2[i]):.9g} deg")
+        parts.append((theta2, r2))
+        bounds.append(bounds[-1] + t.size)
+        theta0, r0 = float(theta2[-1]), float(r2[-1])
+    # a straight walk keeps its arrays rather than copying them
+    theta2, r2 = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    for arr in (theta2, r2):
+        arr.setflags(write=False)
+    walk = theta2, r2, tuple(bounds)
+    _WALK = key, walk
+    return walk
+
+
 def generate_path(
     spec: TrajectorySpec,
     continuations: tuple[tuple[float, float], ...],
@@ -140,30 +187,26 @@ def generate_path(
     telescopes: |beta|*(r1+r2) is invariant and the phase advances by
     2*pi*(r2(t)-r2_start)/lambda. Equal seeds give identical trajectories.
 
+    The seed only draws the initial gain, so theta2 and r2 are computed
+    once for the last walk generated and shared, read-only, by the
+    trajectories of all its seeds; each call draws its gain and builds
+    `beta` segment by segment.
+
     Raises ValueError for a segment length that is not finite and > 0, and
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.
     """
     anchor = ChannelState(beta=_draw_beta(spec), theta2=spec.theta2_init, r2=spec.r2_init)
-    theta0, r0, b0 = anchor.theta2, anchor.r2, anchor.beta
+    theta2, r2, bounds = _walk(spec, continuations)
     parts = []
-    for k, (psi, length) in enumerate(((spec.psi_a, spec.path_length), *continuations), 1):
-        if not (math.isfinite(length) and length > 0):
-            raise ValueError(f"segment {k} of the walk: length must be finite and > 0, "
-                             f"got {length}")
-        t = np.arange(1, slot_count(replace(spec, path_length=length)) + 1, dtype=float)
-        s = spec.speed_v * spec.slot_duration_t0 * t
-        theta2, r2 = _walk_geometry(theta0, r0, psi, s)
-        if not -np.pi / 2 < theta2.min() <= theta2.max() < np.pi / 2:  # also on NaN
-            i = int(np.argmax(~(np.abs(theta2) < np.pi / 2)))
-            slot = sum(len(part[0]) for part in parts) + i + 1
-            raise ValueError(f"theta2 leaves the front half-plane (-90, 90) deg at slot {slot}: "
-                             f"{np.rad2deg(theta2[i]):.9g} deg")
+    r0, b0 = anchor.r2, anchor.beta
+    for lo, hi in zip(bounds, bounds[1:]):
         # closed form of the one-slot law: beta scales by (r1+r2_prev)/(r1+r2_next)
-        # and rotates by the extra travel phase 2*pi*(r2_next-r2_prev)/lambda
-        rho_prod = (geom.r1 + r0) / (geom.r1 + r2)
-        beta = b0 * rho_prod * np.exp(1j * TWO_PI * (r2 - r0) / geom.wavelength)
-        parts.append((theta2, r2, beta))
-        theta0, r0, b0 = float(theta2[-1]), float(r2[-1]), complex(beta[-1])
-    # a straight walk keeps its arrays rather than copying them
-    theta2, r2, beta = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        # and rotates by the extra travel phase 2*pi*(r2_next-r2_prev)/lambda,
+        # whose unit phasors have the bits of np.exp(1j * 2*pi*(r2 - r0) / lambda)
+        rho_prod = (geom.r1 + r0) / (geom.r1 + r2[lo:hi])
+        beta = b0 * rho_prod * unit_phasors(TWO_PI * (r2[lo:hi] - r0) * (1.0 / geom.wavelength))
+        parts.append(beta)
+        r0, b0 = float(r2[hi - 1]), complex(beta[-1])
+    # a straight walk keeps its array rather than copying it
+    beta = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return Trajectory(anchor, theta2, r2, beta)

@@ -64,10 +64,19 @@ def _dirichlet(mu, n_ris: int) -> tuple[np.ndarray, np.ndarray]:
     2*|sin(mu/2)| < 1e-12 is degenerate: D is then +-N exactly.
     """
     mu = np.asarray(mu, dtype=float)
-    turns = np.rint(mu / TWO_PI)
-    half = 0.5 * mu - np.pi * turns
+    # most passes write in place into two columns (0-d ones for one step):
+    # every scan calls this on a long range
+    turns = np.divide(mu, TWO_PI, out=np.empty_like(mu))
+    np.rint(turns, out=turns)
+    wraps = bool(turns.any())
+    half = np.multiply(mu, 0.5, out=np.empty_like(mu))
+    # with no wrap, subtracting the zero turns could only flip the sign of a
+    # zero half step, which is degenerate and gives N either way
+    if wraps:
+        half -= np.pi * turns
     den = np.sin(half)
-    d = np.sin(n_ris * half)
+    d = np.multiply(half, n_ris, out=half)
+    np.sin(d, out=d)
     degenerate = np.abs(den) < 0.5e-12
     # the fix-ups below cost as much as a sine, so they run only when needed
     if degenerate.any():
@@ -75,11 +84,11 @@ def _dirichlet(mu, n_ris: int) -> tuple[np.ndarray, np.ndarray]:
         # the others bit-for-bit unchanged; their ratios are replaced by N
         d = np.where(degenerate, float(n_ris), d / (den + degenerate))
     else:
-        d = d / den
-    if n_ris % 2 == 0 and turns.any():
+        d /= den
+    if n_ris % 2 == 0 and wraps:
         # halving and flooring a whole number are exact, so this is its parity
-        half_turns = 0.5 * turns
-        d = np.where(half_turns != np.floor(half_turns), -d, d)
+        turns *= 0.5
+        np.negative(d, out=d, where=turns != np.floor(turns))
     return d, degenerate
 
 

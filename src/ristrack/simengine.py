@@ -26,14 +26,18 @@ kinds or ids.
 
 Every scan window, coarse pass, span and training slice is evaluated by one
 function, `_received_samples`, from three read-only columns of the
-trajectory that do not depend on the tracker: kd*(sin(theta1) -
-sin(theta2)), the amplitude times exp(-j*(N-1)*kd*(sin(theta1) -
-sin(theta2))/2), and the receiver noise, which is zero when the noise seed
-is None. They are built once per (trajectory, geometry, noise seed) and kept
-while the trajectory lives, so all trackers of a seed share them. A sample
-is then exp(j*(N-1)*slope/2) * phase * D(slope - kd*u) + noise, with the
-real Dirichlet kernel D of :mod:`ristrack.ris`; a scan window computes one
-complex exponential, not one per slot.
+trajectory that do not depend on the tracker: kdu = kd*(sin(theta1) -
+sin(theta2)), the phase, exp(-j*(N-1)*kdu/2) times the amplitude, and the
+receiver noise, which is zero when the noise seed is None. They are built
+once per (trajectory, geometry, noise seed) and kept while the trajectory
+lives, so all trackers of a seed share them. kdu and the exponential do not
+depend on the seed either: they are kept for the last (theta2 array,
+geometry) pair, and since the seeds of a walk share its theta2 array, a
+seed after the first only multiplies its amplitude by the kept exponential
+and draws its noise. A sample is then exp(j*(N-1)*slope/2) * phase *
+D(slope - kdu) + noise, with the real Dirichlet kernel D of
+:mod:`ristrack.ris`; a scan window computes one complex exponential, not one
+per slot.
 
 Training is one slice of slots. The policy supplies the slopes of its
 candidate configurations: the proposed tracker one per candidate of the
@@ -54,8 +58,10 @@ slots, row by row, whenever it is read; the ledger writer derives them one
 block of rows at a time, continuing the running rate sum from block to block.
 A slot's `inst_rate` is log2(1 + rss/noise_var) on a data slot and zero on
 any other, elementwise, so a block's rates have the bits of the whole run's.
-The rate-gap metric reads the oracle's rates once for every other tracker of
-a seed, so they are kept while the oracle run lives.
+Running sums over a whole run are taken block by block behind a carry too,
+so no full-length cumulative column is held. The rate-gap metric reads the
+oracle's rates for every tracker of a seed, the oracle's own report too, so
+the last oracle's are kept while its run lives.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ import numpy as np
 from .mobility import Trajectory
 from .ris import _dirichlet, optimal_config, update_config
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
-from .wavefield import LinkGeometry
+from .wavefield import LinkGeometry, unit_phasors
 
 # How a status is scanned; these set speed, not slot kinds or ids.
 _SCAN_WINDOW = 1024  # slots per window; a status after one this long or longer gets spans
@@ -210,6 +216,11 @@ class StatusTable:
         return values
 
 
+# slots summed per block by the running sums of a whole run: a full-length
+# np.cumsum would hold a second column of the run
+_SUM_BLOCK = 65536
+
+
 def _running_mean(inst: np.ndarray, lo: int, carry: float) -> tuple[np.ndarray, float]:
     """`cum_rate` of the slots from lo whose rates are `inst`, and the running sum through them.
 
@@ -223,6 +234,14 @@ def _running_mean(inst: np.ndarray, lo: int, carry: float) -> tuple[np.ndarray, 
     cum = sums[1:]
     cum /= np.arange(lo + 1, lo + inst.size + 1, dtype=float)  # exact slot counts
     return cum, total
+
+
+def _running_sum(inst: np.ndarray) -> float:
+    """The last entry of np.cumsum(inst), bit for bit, summed block by block behind a carry."""
+    carry = 0.0
+    for lo in range(0, inst.size, _SUM_BLOCK):
+        carry = float(np.cumsum(np.concatenate(([carry], inst[lo:lo + _SUM_BLOCK])))[-1])
+    return carry
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +279,7 @@ class StatusTimeline:
         """
         table = self.statuses
         if carry is None:
-            carry = (float(np.cumsum(self._rates(0, lo, table.spread("kind", 0, lo)))[-1])
-                     if lo else 0.0)
+            carry = _running_sum(self._rates(0, lo, table.spread("kind", 0, lo)))
         span = table.span(lo, hi)
         kind = table.spread("kind", lo, hi, span)
         rss = self.rss[lo:hi]
@@ -286,7 +304,13 @@ class StatusTimeline:
 
     @property
     def cum_rate(self) -> np.ndarray:
-        return _running_mean(self.inst_rate, 0, 0.0)[0]
+        # written over the rates block by block, so no second full-length column
+        cum = self.inst_rate
+        carry = 0.0
+        for lo in range(0, cum.size, _SUM_BLOCK):
+            block = cum[lo:lo + _SUM_BLOCK]
+            block[...], carry = _running_mean(block, lo, carry)
+        return cum
 
     @property
     def config_id(self) -> np.ndarray:
@@ -342,8 +366,9 @@ def cumulative_rate(rates) -> np.ndarray:
     return np.cumsum(rates) / np.arange(1, rates.size + 1)
 
 
-# one entry per live oracle run: its inst_rate column, which the reports of
-# every other tracker of its seed read
+# at most one entry, the last oracle run read as a reference while it lives:
+# its inst_rate column, read-only, which the reports of every tracker of its
+# seed read, its own too
 _ORACLE_RATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -356,24 +381,30 @@ def overhead_report(records: StatusTimeline, gamma: float,
     threshold when it was simulated, so `gamma` is not read here. When an
     oracle run over the same trajectory is supplied, the mean absolute
     instantaneous-rate gap is included; the oracle's rates are derived once
-    for all the reports that read them.
+    for all the reports that read them, the oracle's own report included.
     """
     n = len(records)
     table = records.statuses
     nondata = int(np.diff(table.first)[table.kind != SlotKind.DATA].sum())
-    rates = records.inst_rate
+    rates = _ORACLE_RATES.get(records)
+    if rates is None:
+        rates = records.inst_rate
+    # cum_rate's last entry: the sequential running sum over all n slots, over n
+    final = _running_sum(rates) / n
     err = math.nan
     if oracle_records is not None:
         if len(oracle_records) != n:
             raise ValueError("oracle run must cover the same slots")
         oracle = _ORACLE_RATES.get(oracle_records)
         if oracle is None:
+            _ORACLE_RATES.clear()
             oracle = _ORACLE_RATES[oracle_records] = oracle_records.inst_rate
-        gap = np.subtract(rates, oracle)
+            oracle.setflags(write=False)
+        # the gap overwrites the rates unless they are the memo's
+        gap = np.subtract(rates, oracle, out=rates if rates.flags.writeable else None)
         err = float(np.mean(np.abs(gap, out=gap)))
     return RunMetrics(
-        # cum_rate's last entry: the sequential running sum over all n slots, over n
-        final_cum_rate=float(np.cumsum(rates)[-1]) / n,
+        final_cum_rate=final,
         pct_below_threshold=100.0 * (nondata / n),
         tracking_calls=records.tracking_calls,
         avg_error_vs_oracle=err,
@@ -399,23 +430,55 @@ class _SlotColumns:
 # one entry per live trajectory: (geometry, noise seed) and its columns
 _COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+# the last walk's seed-free columns: its theta2 array, the geometry, kdu and,
+# once a second trajectory of the walk asks, exp(-j*(N-1)*kdu/2)
+_WALK_COLUMNS: tuple | None = None
+
+
+def _walk_columns(theta2: np.ndarray, geom: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """kdu and exp(-j*(N-1)*kdu/2) of a walk's `theta2` under `geom`, both read-only.
+
+    Neither depends on the seed. Both are kept for the last (theta2 array,
+    geometry) pair, which the trajectories of a walk's seeds share; the
+    exponential only from the second request on, so a walk simulated once
+    holds no more than its slot columns do.
+    """
+    global _WALK_COLUMNS
+    kept = _WALK_COLUMNS
+    again = kept is not None and kept[0] is theta2 and kept[1] == geom
+    if again:
+        kdu, pexp = kept[2], kept[3]
+        if pexp is not None:
+            return kdu, pexp
+    else:
+        _WALK_COLUMNS = None  # the old walk's columns are not held while these are built
+        kdu = geom.kd * (np.sin(geom.theta1) - np.sin(theta2))
+        kdu.setflags(write=False)
+    pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu)
+    pexp.setflags(write=False)
+    _WALK_COLUMNS = (theta2, geom, kdu, pexp if again else None)
+    return kdu, pexp
+
 
 def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
                   noise_seed: int | None) -> _SlotColumns:
     """The trajectory's columns, built once per (geometry, noise seed).
 
     They are kept as long as the trajectory lives, so every tracker of a seed
-    shares one evaluation of its channel and noise. A noise seed of None
-    gives zero noise.
+    shares one evaluation of its channel and noise; `kdu` and the phase
+    exponential come from `_walk_columns`, shared by the seeds of a walk. A
+    noise seed of None gives zero noise.
     """
     key = (geom, noise_seed)
     kept = _COLUMNS.get(trajectory)
     if kept is not None and kept[0] == key:
         return kept[1]
     n = len(trajectory)
-    kdu = geom.kd * (np.sin(geom.theta1) - np.sin(trajectory.theta2))
+    kdu, pexp = _walk_columns(trajectory.theta2, geom)
+    # exp * amp in this one order at every length: complex products round by
+    # FMA, so amp * exp would differ in the last bit
     amp = geom.beamformer_gain * geom.alpha * trajectory.beta
-    phase = amp * np.exp(-0.5j * (geom.n_ris - 1) * kdu)
+    phase = np.multiply(pexp, amp, out=amp)
     if noise_seed is None:
         noise = np.zeros(n, dtype=complex)
     else:
@@ -429,7 +492,7 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
             rng.standard_normal(out=part)
             part *= scale
             view[...] = part
-    for arr in (kdu, phase, noise):
+    for arr in (phase, noise):
         arr.setflags(write=False)
     cols = _SlotColumns(kdu, phase, noise, geom.n_ris)
     _COLUMNS[trajectory] = (key, cols)
@@ -449,7 +512,10 @@ def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope,
     # on one slope cmath.exp gives np.exp's value without numpy's call cost
     exp = np.exp if isinstance(slope, np.ndarray) else cmath.exp
     turn = exp(0.5j * (cols.n_ris - 1) * slope)
-    return turn * cols.phase[lo:hi:step] * d + cols.noise[lo:hi:step]
+    y = turn * cols.phase[lo:hi:step]
+    y *= d
+    y += cols.noise[lo:hi:step]
+    return y
 
 
 def run_timeline(

@@ -13,6 +13,7 @@ rounding) and a zero remainder made +0. Arrays go through ``np.mod``; scalars
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,10 +54,10 @@ class LinkGeometry:
             # one element has no beam to track: every event would be spent on
             # single noisy samples crossing the threshold
             raise ValueError(f"n_ris must be >= 2, got {self.n_ris}")
-        if self.alpha == 0:
-            # no signal reaches the user: every event would be noise crossing
-            # the threshold
-            raise ValueError(f"alpha must be nonzero, got {self.alpha}")
+        if not (cmath.isfinite(self.alpha) and self.alpha != 0):
+            # at zero no signal reaches the user: every event would be noise
+            # crossing the threshold
+            raise ValueError(f"alpha must be nonzero and finite, got {self.alpha}")
         # written so that NaN fails every check
         for name, value in (("wavelength", self.wavelength), ("spacing", self.spacing_d),
                             ("r1", self.r1), ("snr_linear", self.snr_linear),
@@ -99,6 +100,17 @@ def steering_vector(angle: float, count: int, spacing_d: float, wavelength: floa
         raise ValueError("spacing_d and wavelength must be > 0")
     k = np.arange(count)
     return np.exp(-1j * (TWO_PI * spacing_d / wavelength) * k * np.sin(angle))
+
+
+def unit_phasors(y: np.ndarray) -> np.ndarray:
+    """cos(y) + 1j*sin(y) for real phases `y`.
+
+    These are the bits of np.exp(1j * y), without its complex pass.
+    """
+    out = np.empty(y.shape, dtype=complex)
+    np.cos(y, out=out.real)
+    np.sin(y, out=out.imag)
+    return out
 
 
 def wrap_two_pi(phases):

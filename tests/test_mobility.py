@@ -135,6 +135,29 @@ class TestEvolveChannel:
         assert np.angle(nxt.beta) == pytest.approx(0.7, abs=1e-9)
 
 
+class TestChannelStateValidation:
+    @pytest.mark.parametrize("r2", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_r2_must_be_finite_and_positive(self, r2):
+        with pytest.raises(ValueError, match=r"^r2 must be finite and > 0"):
+            ChannelState(beta=1.0, theta2=0.2, r2=r2)
+
+    @pytest.mark.parametrize("theta2", [math.nan, math.inf, -math.inf])
+    def test_theta2_must_be_finite(self, theta2):
+        with pytest.raises(ValueError, match=r"^theta2 must be finite"):
+            ChannelState(beta=1.0, theta2=theta2, r2=4.0)
+
+    @pytest.mark.parametrize("beta", [0, 0j, complex(-0.0, 0.0), complex(math.nan, 0.0),
+                                      complex(1.0, math.nan), complex(math.inf, 1.0),
+                                      complex(0.0, -math.inf), math.nan])
+    def test_beta_must_be_finite_and_nonzero(self, beta):
+        with pytest.raises(ValueError, match=r"^beta must be nonzero and finite"):
+            ChannelState(beta=beta, theta2=0.2, r2=4.0)
+
+    def test_finite_values_construct(self):
+        state = ChannelState(beta=1e-300j, theta2=-3.0, r2=1e-9)
+        assert (state.beta, state.theta2, state.r2) == (1e-300j, -3.0, 1e-9)
+
+
 class TestGenerateTrajectory:
     geom = LinkGeometry(r1=4.0)
 

@@ -9,6 +9,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+import ristrack.mobility as mobility
 import ristrack.simengine as simengine
 from ristrack import (
     ExhaustivePolicy,
@@ -29,7 +30,7 @@ from ristrack import (
 from ristrack import runner
 from ristrack.config import ScenarioConfig
 from ristrack.ris import _dirichlet
-from ristrack.wavefield import TWO_PI
+from ristrack.wavefield import TWO_PI, unit_phasors
 
 GEOM = LinkGeometry(r1=2.0)
 SPEC = TrajectorySpec(r2_init=2.0, speed_v=0.6, path_length=0.05, rng_seed=11)
@@ -310,6 +311,7 @@ class TestOverheadReport:
         oracle = timelines[-1]
         want = [overhead_report(tl, tl.gamma, oracle) for tl in timelines[:-1]]
         del simengine._ORACLE_RATES[oracle]
+        want.append(overhead_report(oracle, oracle.gamma))  # rates derived afresh
         derived = []  # whether each derivation read the oracle's rss
 
         def spy(rss, noise_var):
@@ -319,9 +321,10 @@ class TestOverheadReport:
         monkeypatch.setattr(simengine, "instantaneous_rate", spy)
         got = [overhead_report(tl, tl.gamma, None if tl is oracle else oracle)
                for tl in timelines]
-        assert got[:-1] == want
-        # each report derives its own rates; the oracle's reference rates once for all
-        assert derived == [False, True, False, False, True]
+        assert got == want
+        # each report derives its own rates; the oracle's once for all, its own report too
+        assert derived == [False, True, False, False]
+        assert not simengine._ORACLE_RATES[oracle].flags.writeable
         kept = weakref.ref(simengine._ORACLE_RATES[oracle])
         del oracle, timelines
         gc.collect()
@@ -570,6 +573,169 @@ class TestSlotColumns:
             run_timeline(traj, OraclePolicy(), GEOM)
 
 
+# the default walk and the fast two-turn walk of the tracking_stress benchmark
+CACHE_WALKS = {
+    "default": (TrajectorySpec(), ()),
+    "two_turns": (TrajectorySpec(speed_v=1.8),
+                  ((np.deg2rad(70.0), 1.0), (np.deg2rad(150.0), 1.0))),
+}
+CACHE_POLICIES = (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0), OraclePolicy())
+
+
+def simulate_seed(spec, continuations, seed, noise_seed):
+    """A seed's trajectory, its slot columns and a run of every cache-test tracker."""
+    walk = generate_path(replace(spec, rng_seed=seed), continuations, WINDOW_GEOM)
+    cols = simengine._slot_columns(walk, WINDOW_GEOM, noise_seed)
+    return walk, cols, [run_timeline(walk, p, WINDOW_GEOM, noise_seed=noise_seed)
+                        for p in CACHE_POLICIES]
+
+
+def clear_walk_caches(monkeypatch):
+    monkeypatch.setattr(mobility, "_WALK", None)
+    monkeypatch.setattr(simengine, "_WALK_COLUMNS", None)
+
+
+class TestWalkCache:
+    @pytest.mark.parametrize("noise_seed", [4, None])
+    @pytest.mark.parametrize("walk", sorted(CACHE_WALKS))
+    def test_warm_and_cold_caches_give_the_same_bits(self, monkeypatch, walk, noise_seed):
+        spec, continuations = CACHE_WALKS[walk]
+        clear_walk_caches(monkeypatch)
+        cold = simulate_seed(spec, continuations, 3, noise_seed)
+        clear_walk_caches(monkeypatch)
+        # the first seed keeps theta2, r2 and kdu, the second the phase exponential
+        first = simulate_seed(spec, continuations, 1, noise_seed)
+        simulate_seed(spec, continuations, 2, noise_seed)
+        warm = simulate_seed(spec, continuations, 3, noise_seed)
+        assert warm[0].theta2 is first[0].theta2 and warm[1].kdu is first[1].kdu
+        assert warm[1].kdu is simengine._WALK_COLUMNS[2]
+        (cold_walk, cold_cols, cold_runs), (warm_walk, warm_cols, warm_runs) = cold, warm
+        for col in ("theta2", "r2", "beta"):
+            assert_same_bits(getattr(warm_walk, col), getattr(cold_walk, col), col)
+        for col in ("kdu", "phase", "noise"):
+            assert_same_bits(getattr(warm_cols, col), getattr(cold_cols, col), col)
+        for got, want in zip(warm_runs, cold_runs):
+            assert want.tracking_calls > 0, want.policy_name
+            assert_same_bits(got.rss, want.rss, "rss")
+            for f in fields(want.statuses):
+                assert_same_bits(getattr(got.statuses, f.name), getattr(want.statuses, f.name),
+                                 f.name)
+
+    def test_trajectories_of_one_walk_share_theta2_and_r2(self):
+        a = generate_path(replace(SPEC, rng_seed=1), (), GEOM)
+        b = generate_path(replace(SPEC, rng_seed=2), (), GEOM)
+        assert a.theta2 is b.theta2 and a.r2 is b.r2
+        assert a.beta[0] != b.beta[0]
+        cols = simengine._slot_columns(a, GEOM, None)
+        for arr in (a.theta2, a.r2, cols.kdu, simengine._walk_columns(a.theta2, GEOM)[1]):
+            assert not arr.flags.writeable
+
+    def test_any_change_of_walk_or_geometry_misses(self, monkeypatch):
+        turn = ((np.deg2rad(70.0), 0.01),)
+        spec = replace(SPEC, path_length=0.01)
+        geom = LinkGeometry()
+
+        def generate(spec, continuations, geom):
+            got = generate_path(spec, continuations, geom)
+            cols = simengine._slot_columns(got, geom, 1)
+            clear_walk_caches(monkeypatch)
+            want = generate_path(spec, continuations, geom)
+            for col in ("theta2", "r2", "beta"):
+                assert_same_bits(getattr(got, col), getattr(want, col), col)
+            assert_same_bits(cols.kdu, simengine._slot_columns(want, geom, 1).kdu, "kdu")
+            return got, cols
+
+        walks = [replace(spec, **{name: getattr(spec, name) * 1.01})
+                 for name in ("theta2_init", "r2_init", "psi_a", "speed_v",
+                              "slot_duration_t0", "path_length", "rayleigh_scale")]
+        for other_spec, continuations in ([(w, turn) for w in walks]
+                                          + [(spec, ()), (spec, ((np.deg2rad(71.0), 0.01),)),
+                                             (spec, ((np.deg2rad(70.0), 0.02),)),
+                                             (spec, turn * 2)]):
+            kept = generate_path(spec, turn, geom)
+            got, _ = generate(other_spec, continuations, geom)
+            assert got.theta2 is not kept.theta2, (other_spec, continuations)
+        # a geometry moves the gain, not the walk, and misses the columns
+        for change in (dict(n_ris=8), dict(wavelength=0.004), dict(spacing=0.002),
+                       dict(theta1=0.5), dict(r1=3.0), dict(alpha=0.5j), dict(snr_linear=2.0),
+                       dict(noise_var=2.0), dict(n_tx=4)):
+            kept = generate_path(spec, turn, geom)
+            kdu = simengine._slot_columns(kept, geom, 1).kdu
+            got, cols = generate(spec, turn, replace(geom, **change))
+            assert got.theta2 is kept.theta2 and cols.kdu is not kdu, change
+
+    def test_a_walk_past_the_plane_raises_every_time_and_is_not_kept(self, monkeypatch):
+        spec = TrajectorySpec(theta2_init=np.deg2rad(80.0), r2_init=1.0,
+                              psi_a=np.deg2rad(150.0), path_length=3.0)
+        generate_path(SPEC, (), GEOM)
+        calls = []
+        original = mobility._walk_geometry
+        monkeypatch.setattr(mobility, "_walk_geometry",
+                            lambda *args: calls.append(args) or original(*args))
+        for seed in (1, 2, 3):
+            with pytest.raises(ValueError, match="at slot 54243"):
+                generate_path(replace(spec, rng_seed=seed), (), GEOM)
+            assert mobility._WALK is None
+            assert len(calls) == seed
+
+    def test_a_second_seed_walks_and_builds_no_column_again(self, monkeypatch):
+        spec, continuations = CACHE_WALKS["two_turns"]
+        spec = replace(spec, path_length=0.05)
+        clear_walk_caches(monkeypatch)
+        walks, phasors = [], []
+        original_walk = mobility._walk_geometry
+        monkeypatch.setattr(mobility, "_walk_geometry",
+                            lambda *args: walks.append(1) or original_walk(*args))
+        original_phasors = simengine.unit_phasors
+        monkeypatch.setattr(simengine, "unit_phasors",
+                            lambda y: phasors.append(y.size) or original_phasors(y))
+        first = simulate_seed(spec, continuations, 1, 5)
+        n = len(first[0])
+        # one geometry per segment; the phase exponential built and not kept
+        assert (len(walks), phasors) == (3, [n])
+        second = simulate_seed(spec, continuations, 2, 6)
+        # no walk and no kdu again, and the exponential built once more, to keep
+        assert (len(walks), phasors) == (3, [n, n])
+        assert second[1].kdu is first[1].kdu
+        third = simulate_seed(spec, continuations, 3, 7)
+        assert (len(walks), phasors) == (3, [n, n])
+        assert third[1].kdu is first[1].kdu
+
+
+class TestPhasors:
+    def test_unit_phasors_are_np_exp_bit_for_bit(self, monkeypatch):
+        # both exponents of the default walk: a numpy whose float64 sin or cos
+        # rounds unlike its complex exp fails here before any golden digest
+        clear_walk_caches(monkeypatch)
+        geom = WINDOW_GEOM
+        spec = replace(TrajectorySpec(), rng_seed=1)
+        walk = generate_path(spec, (), geom)
+        r0 = spec.r2_init
+        y = TWO_PI * (walk.r2 - r0) * (1.0 / geom.wavelength)
+        assert_same_bits(unit_phasors(y), np.exp(1j * y), "travel")
+        assert_same_bits(unit_phasors(y), np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength),
+                         "travel as written")
+        b0 = walk.anchor.beta
+        rho_prod = (geom.r1 + r0) / (geom.r1 + walk.r2)
+        want = b0 * rho_prod * np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength)
+        assert_same_bits(walk.beta, want, "beta")
+        kdu, pexp = simengine._walk_columns(walk.theta2, geom)
+        y = (-0.5 * (geom.n_ris - 1)) * kdu
+        assert_same_bits(pexp, np.exp(1j * y), "phase turn")
+        assert_same_bits(pexp, np.exp(-0.5j * (geom.n_ris - 1) * kdu), "phase turn as written")
+
+    @pytest.mark.parametrize("length", [0.1, 0.3])
+    def test_phase_is_the_turn_times_the_amplitude_at_every_length(self, length):
+        # complex products round by FMA, so the order shows in the last bit;
+        # 10684 and 32052 slots sit on either side of numpy's 256 KiB reuse
+        # of temporaries, which once swapped the factors
+        walk = generate_path(TrajectorySpec(path_length=length, rng_seed=2), (), WINDOW_GEOM)
+        cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
+        turn = np.exp(-0.5j * (WINDOW_GEOM.n_ris - 1) * cols.kdu)
+        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * walk.beta
+        assert_same_bits(cols.phase, np.multiply(turn, amp), length)
+
+
 class TestEngineSamples:
     @pytest.mark.parametrize("policy", [ProposedPolicy(gamma=0.99),
                                         ExhaustivePolicy(gamma=0.99, resolution_deg=10.0)])
@@ -720,20 +886,35 @@ class TestDerivedColumns:
         cfg = ScenarioConfig(trajectory=TrajectorySpec(path_length=1.0))
         # a first short walk loads what the engine imports on first use
         runner._simulate_seed(replace(cfg, trajectory=TrajectorySpec(path_length=0.01)), 1)
-        tracemalloc.start()
-        try:
-            timelines = runner._simulate_seed(cfg, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        n = len(timelines[0])
-        # per slot: the walk (theta2, r2: 8 bytes; beta: 16), the slot columns
-        # (kdu: 8; phase, noise: 16) and each tracker's rss (8)
-        columns = (32 + 40 + 8 * len(timelines)) * n
-        # one evaluation holds at most ten 8-byte values per slot it evaluates;
-        # a window, a training slice, or a span's full pass, which ends at the
-        # first coarse slot past its trigger: a status plus one stride
-        longest = max(int(np.diff(tl.statuses.first).max()) for tl in timelines) + 1
-        scan = 80 * max(simengine._SCAN_WINDOW,
-                        longest + simengine._SCAN_SPAN // simengine._PROBE_SLOTS)
-        assert peak <= columns + scan, (peak / n, (columns + scan) / n)
+        assert_seed_peak_within_bound(cfg, 1)
+
+    def test_simulating_a_second_seed_peaks_under_the_same_bound(self, monkeypatch):
+        # the walk's columns are kept from the first seed, and the second one
+        # adds the phase exponential to them
+        monkeypatch.setattr(simengine, "_WALK_COLUMNS", None)
+        cfg = ScenarioConfig(trajectory=TrajectorySpec(path_length=1.0))
+        runner._simulate_seed(cfg, 1)
+        assert simengine._WALK_COLUMNS[3] is None
+        assert_seed_peak_within_bound(cfg, 2)
+        assert simengine._WALK_COLUMNS[3] is not None
+
+
+def assert_seed_peak_within_bound(cfg, seed):
+    """Simulating `seed` peaks, as traced, at its columns and one scan."""
+    tracemalloc.start()
+    try:
+        timelines = runner._simulate_seed(cfg, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(timelines[0])
+    # per slot: the walk (theta2, r2: 8 bytes; beta: 16), the slot columns
+    # (kdu: 8; phase, noise: 16) and each tracker's rss (8)
+    columns = (32 + 40 + 8 * len(timelines)) * n
+    # one evaluation holds at most ten 8-byte values per slot it evaluates;
+    # a window, a training slice, or a span's full pass, which ends at the
+    # first coarse slot past its trigger: a status plus one stride
+    longest = max(int(np.diff(tl.statuses.first).max()) for tl in timelines) + 1
+    scan = 80 * max(simengine._SCAN_WINDOW,
+                    longest + simengine._SCAN_SPAN // simengine._PROBE_SLOTS)
+    assert peak <= columns + scan, (peak / n, (columns + scan) / n)

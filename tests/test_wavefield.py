@@ -178,6 +178,13 @@ class TestLinkGeometry:
             LinkGeometry(alpha=alpha)
         assert LinkGeometry(alpha=1e-3j).alpha == 1e-3j
 
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                       complex(math.inf, 1.0), complex(1.0, -math.inf),
+                                       math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be nonzero and finite"):
+            LinkGeometry(alpha=alpha)
+
     @pytest.mark.parametrize("field", ["wavelength", "spacing", "r1", "snr_linear",
                                        "noise_var"])
     def test_lengths_and_powers_must_be_finite_and_positive(self, field):
