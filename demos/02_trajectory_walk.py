@@ -30,10 +30,12 @@ print(f"departure angle: {np.rad2deg(traj.theta2[0]):.2f} deg -> "
       f"{np.rad2deg(traj.theta2[-1]):.2f} deg")
 print(f"surface-user distance: {traj.r2[0]:.3f} m -> {traj.r2[-1]:.3f} m")
 
-product = np.abs(traj.beta) * (geom.r1 + traj.r2)
+# the gain is evaluated from the walk on each read of traj.beta: read it once
+beta = traj.beta
+product = np.abs(beta) * (geom.r1 + traj.r2)
 print(f"\n|gain|*(r1+r2) spread: {product.max() - product.min():.2e} "
       "(invariant along the walk)")
-phase_advance = np.angle(traj.beta[-1] / traj.anchor.beta)
+phase_advance = np.angle(beta[-1] / traj.anchor.beta)
 travel = traj.r2[-1] - traj.anchor.r2
 print(f"gain phase advance: {phase_advance:+.4f} rad for {travel * 1000:+.1f} mm of "
       f"extra travel ({travel / geom.wavelength:.1f} wavelengths)")
@@ -48,5 +50,5 @@ with open("trajectory_walk.csv", "w", encoding="utf-8") as fh:
     fh.write("slot_index,theta2_deg,r2_m,beta_magnitude,beta_phase_rad\n")
     for i in range(0, len(traj), stride):
         fh.write(f"{i + 1},{np.rad2deg(traj.theta2[i]):.6g},{traj.r2[i]:.6g},"
-                 f"{np.abs(traj.beta[i]):.6g},{np.angle(traj.beta[i]):.6g}\n")
+                 f"{np.abs(beta[i]):.6g},{np.angle(beta[i]):.6g}\n")
 print("wrote trajectory_walk.csv")

@@ -13,6 +13,12 @@ the law of cosines about A, the departure angle from the law of cosines about
 the RIS with the sign of the increment set by the side the user walks to
 (positive for sin(psi_a) >= 0). Both are cross-checked against a planar
 Cartesian polyline in the test suite.
+
+What a seed adds to a walk is its draw, the initial gain: along a segment
+the gain has a closed form in r2, so a :class:`Trajectory` holds the walk's
+theta2 and r2 (8 bytes per slot each, shared read-only by every seed of the
+last walk generated), where each segment starts and each segment's initial
+gain, and evaluates the gain whenever it is read.
 """
 
 from __future__ import annotations
@@ -99,33 +105,111 @@ def _draw_beta(spec: TrajectorySpec) -> complex:
     return complex(mag * np.exp(1j * phase))
 
 
+def _owned(values) -> np.ndarray:
+    """`values` as a read-only float array that no other holder can write.
+
+    An array that is writable, or a view of one, is copied before it is
+    frozen; a read-only array of read-only memory passes through.
+    """
+    arr = np.asarray(values, dtype=float)
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            arr = arr.copy()
+            break
+        base = base.base
+    arr.setflags(write=False)
+    return arr
+
+
+def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """beta at the distances `r2` of a segment that starts from gain b0 at r0, into `out`.
+
+    The closed form of the one-slot law: beta scales by (r1+r0)/(r1+r2) and
+    rotates by the extra travel phase 2*pi*(r2-r0)/lambda. These are the bits
+    of (b0 * rho_prod) * np.exp(1j * 2*pi*(r2 - r0) / lambda), elementwise,
+    so one slot evaluated alone has the bits it has in a whole column. The
+    product is not taken in place: numpy rounds a one-element complex product
+    written over one of its operands differently.
+    """
+    rho_prod = (geom.r1 + r0) / (geom.r1 + r2)
+    return np.multiply(b0 * rho_prod, unit_phasors(TWO_PI * (r2 - r0) * (1.0 / geom.wavelength)),
+                       out=out)
+
+
 class Trajectory:
     """Per-slot channel states of a walk of one or more straight segments.
 
-    ``traj[i]`` is slot i+1's :class:`ChannelState`; the underlying
-    ``theta2``, ``r2`` and ``beta`` arrays are exposed, read-only, for
-    vectorised consumers. ``anchor`` is the state just before slot 1.
+    ``traj[i]`` is slot i+1's :class:`ChannelState` and ``traj[:end]`` the
+    walk's first `end` slots. The ``theta2`` and ``r2`` arrays are exposed,
+    read-only, for vectorised consumers; ``anchor`` is the state just before
+    slot 1 and ``starts`` the first slot of each segment. An array that
+    another holder could write is copied, so a trajectory keeps the values
+    it was built with.
+
+    The gain is not stored: ``beta`` evaluates it at every slot whenever it
+    is read and keeps nothing, so read it into a local before indexing it in
+    a loop. Within a segment it follows the closed form of `_segment_gain`
+    under `geom` from the segment's initial gain, ``segment_gains``: the
+    anchor's for the first segment, and for each later one the closed form
+    of the segment before at its last slot. ``traj[i]`` evaluates slot i
+    alone, with the bits it has in ``beta``.
     """
 
-    def __init__(self, anchor: ChannelState, theta2, r2, beta):
+    def __init__(self, anchor: ChannelState, theta2, r2, geom: LinkGeometry,
+                 starts: tuple[int, ...] = (0,)):
         self.anchor = anchor
-        self.theta2 = np.asarray(theta2, dtype=float)
-        self.r2 = np.asarray(r2, dtype=float)
-        self.beta = np.asarray(beta, dtype=complex)
-        for arr in (self.theta2, self.r2, self.beta):
-            arr.setflags(write=False)
+        self.theta2 = _owned(theta2)
+        self.r2 = _owned(r2)
+        self.geom = geom
+        self.starts = starts = tuple(map(int, starts))
+        n = len(self)
+        if self.theta2.ndim != 1 or self.r2.shape != (n,):
+            raise ValueError("theta2 and r2 must be 1-d columns of one length")
+        if starts[:1] != (0,) or list(starts) != sorted(set(starts)) or starts[-1] >= max(n, 1):
+            raise ValueError(f"segment starts must rise from 0 below {n} slots, got {starts}")
+        # each segment's initial gain and the distance just before its first slot
+        gains, refs = [anchor.beta], [anchor.r2]
+        for lo in starts[1:]:
+            gains.append(complex(_segment_gain(gains[-1], refs[-1], self.r2[lo - 1:lo], geom)[0]))
+            refs.append(float(self.r2[lo - 1]))
+        self.segment_gains = tuple(gains)
+        self._refs = tuple(refs)
 
     def __len__(self) -> int:
         return self.theta2.shape[0]
 
-    def __getitem__(self, i: int) -> ChannelState:
+    def beta_range(self, lo: int, hi: int) -> np.ndarray:
+        """beta at slots [lo, hi), segment by segment, in one new column."""
+        out = np.empty(hi - lo, dtype=complex)
+        bounds = self.starts + (len(self),)
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            a, b = max(a, lo), min(b, hi)
+            if a < b:
+                _segment_gain(self.segment_gains[k], self._refs[k], self.r2[a:b], self.geom,
+                              out[a - lo:b - lo])
+        return out
+
+    @property
+    def beta(self) -> np.ndarray:
+        """The complex gain at every slot, a new writable column on each read."""
+        return self.beta_range(0, len(self))
+
+    def __getitem__(self, i):
         n = len(self)
+        if isinstance(i, slice):
+            if i.start not in (None, 0) or i.step not in (None, 1):
+                raise ValueError("a trajectory is cut only by a prefix slice traj[:end]")
+            end = i.indices(n)[1]
+            return Trajectory(self.anchor, self.theta2[:end], self.r2[:end], self.geom,
+                              tuple(s for s in self.starts if s < end) or (0,))
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError(i)
         return ChannelState(
-            beta=complex(self.beta[i]),
+            beta=complex(self.beta_range(i, i + 1)[0]),
             theta2=float(self.theta2[i]),
             r2=float(self.r2[i]),
             slot_index=i + 1,
@@ -189,24 +273,13 @@ def generate_path(
 
     The seed only draws the initial gain, so theta2 and r2 are computed
     once for the last walk generated and shared, read-only, by the
-    trajectories of all its seeds; each call draws its gain and builds
-    `beta` segment by segment.
+    trajectories of all its seeds. Each call draws its gain and chains the
+    segments' initial gains, one slot per segment; no gain column is built
+    (see :class:`Trajectory`).
 
     Raises ValueError for a segment length that is not finite and > 0, and
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.
     """
     anchor = ChannelState(beta=_draw_beta(spec), theta2=spec.theta2_init, r2=spec.r2_init)
     theta2, r2, bounds = _walk(spec, continuations)
-    parts = []
-    r0, b0 = anchor.r2, anchor.beta
-    for lo, hi in zip(bounds, bounds[1:]):
-        # closed form of the one-slot law: beta scales by (r1+r2_prev)/(r1+r2_next)
-        # and rotates by the extra travel phase 2*pi*(r2_next-r2_prev)/lambda,
-        # whose unit phasors have the bits of np.exp(1j * 2*pi*(r2 - r0) / lambda)
-        rho_prod = (geom.r1 + r0) / (geom.r1 + r2[lo:hi])
-        beta = b0 * rho_prod * unit_phasors(TWO_PI * (r2[lo:hi] - r0) * (1.0 / geom.wavelength))
-        parts.append(beta)
-        r0, b0 = float(r2[hi - 1]), complex(beta[-1])
-    # a straight walk keeps its array rather than copying it
-    beta = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return Trajectory(anchor, theta2, r2, beta)
+    return Trajectory(anchor, theta2, r2, geom, bounds[:-1])

@@ -30,14 +30,16 @@ trajectory that do not depend on the tracker: kdu = kd*(sin(theta1) -
 sin(theta2)), the phase, exp(-j*(N-1)*kdu/2) times the amplitude, and the
 receiver noise, which is zero when the noise seed is None. They are built
 once per (trajectory, geometry, noise seed) and kept while the trajectory
-lives, so all trackers of a seed share them. kdu and the exponential do not
-depend on the seed either: they are kept for the last (theta2 array,
-geometry) pair, and since the seeds of a walk share its theta2 array, a
-seed after the first only multiplies its amplitude by the kept exponential
-and draws its noise. A sample is then exp(j*(N-1)*slope/2) * phase *
-D(slope - kdu) + noise, with the real Dirichlet kernel D of
-:mod:`ristrack.ris`; a scan window computes one complex exponential, not one
-per slot.
+lives, so all trackers of a seed share them. The amplitude is the
+trajectory's gain, which it does not store: it is evaluated block by block
+into the phase column and scaled there, so no gain column outlives the
+build. kdu and the exponential do not depend on the seed: they are kept for
+the last (theta2 array, geometry) pair, and since the seeds of a walk share
+its theta2 array, a seed after the first only evaluates its amplitude,
+multiplies it by the kept exponential and draws its noise. A sample is then
+exp(j*(N-1)*slope/2) * phase * D(slope - kdu) + noise, with the real
+Dirichlet kernel D of :mod:`ristrack.ris`; a scan window computes one
+complex exponential, not one per slot.
 
 Training is one slice of slots. The policy supplies the slopes of its
 candidate configurations: the proposed tracker one per candidate of the
@@ -216,9 +218,9 @@ class StatusTable:
         return values
 
 
-# slots summed per block by the running sums of a whole run: a full-length
-# np.cumsum would hold a second column of the run
-_SUM_BLOCK = 65536
+# slots per block of a pass over a whole run, a running sum or the gain: a
+# full-length temporary would hold another column of the run
+_BLOCK = 65536
 
 
 def _running_mean(inst: np.ndarray, lo: int, carry: float) -> tuple[np.ndarray, float]:
@@ -239,8 +241,8 @@ def _running_mean(inst: np.ndarray, lo: int, carry: float) -> tuple[np.ndarray, 
 def _running_sum(inst: np.ndarray) -> float:
     """The last entry of np.cumsum(inst), bit for bit, summed block by block behind a carry."""
     carry = 0.0
-    for lo in range(0, inst.size, _SUM_BLOCK):
-        carry = float(np.cumsum(np.concatenate(([carry], inst[lo:lo + _SUM_BLOCK])))[-1])
+    for lo in range(0, inst.size, _BLOCK):
+        carry = float(np.cumsum(np.concatenate(([carry], inst[lo:lo + _BLOCK])))[-1])
     return carry
 
 
@@ -307,8 +309,8 @@ class StatusTimeline:
         # written over the rates block by block, so no second full-length column
         cum = self.inst_rate
         carry = 0.0
-        for lo in range(0, cum.size, _SUM_BLOCK):
-            block = cum[lo:lo + _SUM_BLOCK]
+        for lo in range(0, cum.size, _BLOCK):
+            block = cum[lo:lo + _BLOCK]
             block[...], carry = _running_mean(block, lo, carry)
         return cum
 
@@ -475,9 +477,14 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
         return kept[1]
     n = len(trajectory)
     kdu, pexp = _walk_columns(trajectory.theta2, geom)
-    # exp * amp in this one order at every length: complex products round by
-    # FMA, so amp * exp would differ in the last bit
-    amp = geom.beamformer_gain * geom.alpha * trajectory.beta
+    # the gain is evaluated block by block into one column, as (c*alpha) *
+    # beta and then exp * amp in these orders at every length: complex
+    # products round by FMA, so amp * exp would differ in the last bit
+    c_alpha = geom.beamformer_gain * geom.alpha
+    amp = np.empty(n, dtype=complex)
+    for lo in range(0, n, _BLOCK):
+        hi = min(n, lo + _BLOCK)
+        np.multiply(c_alpha, trajectory.beta_range(lo, hi), out=amp[lo:hi])
     phase = np.multiply(pexp, amp, out=amp)
     if noise_seed is None:
         noise = np.zeros(n, dtype=complex)

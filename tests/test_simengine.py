@@ -173,11 +173,12 @@ class TestExhaustiveTimeline:
         config, status = tl.config_id, tl.status_id
         first_id = {s: config[train][status[train] == s].min() for s in np.unique(status[train])}
         k = np.arange(GEOM.n_ris)
+        beta = walk.beta
         for t in train:
             slope = np.deg2rad(10.0 * (config[t] - first_id[status[t]]))
             u = np.sin(GEOM.theta1) - np.sin(walk.theta2[t])
             gain = np.exp(1j * k * (slope - GEOM.kd * u)).sum()
-            want = abs(GEOM.beamformer_gain * GEOM.alpha * walk.beta[t] * gain) ** 2
+            want = abs(GEOM.beamformer_gain * GEOM.alpha * beta[t] * gain) ** 2
             assert tl.rss[t] == pytest.approx(want, rel=1e-9)
 
 
@@ -189,7 +190,7 @@ class TestTrajectoryEndsMidTraining:
         t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
         # trigger, opening feedback, then three of the event's training slots
         end = t2 + 5
-        cut = Trajectory(traj.anchor, traj.theta2[:end], traj.r2[:end], traj.beta[:end])
+        cut = traj[:end]
         tl = run_timeline(cut, policy, GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         assert len(tl) == end
@@ -630,6 +631,30 @@ class TestWalkCache:
         for arr in (a.theta2, a.r2, cols.kdu, simengine._walk_columns(a.theta2, GEOM)[1]):
             assert not arr.flags.writeable
 
+    def test_a_trajectory_owns_what_it_holds(self):
+        # a trajectory built on views of writable arrays, which are then
+        # written: it and its engine columns keep the values it was built with
+        walk = generate_path(SPEC, (), GEOM)
+        theta2, r2 = np.array(walk.theta2), np.array(walk.r2)
+        cut = Trajectory(walk.anchor, theta2[:5], r2[:5], GEOM)
+        assert theta2.flags.writeable and r2.flags.writeable
+        built = {col: np.array(getattr(cut, col)) for col in ("theta2", "r2", "beta")}
+        cols = simengine._slot_columns(cut, GEOM, 1)
+        theta2[0], r2[0] = 0.5, 9.0
+        for col, want in built.items():
+            assert_same_bits(getattr(cut, col), want, col)
+        assert simengine._slot_columns(cut, GEOM, 1) is cols
+        fresh = simengine._slot_columns(walk[:5], GEOM, 1)
+        for col in ("kdu", "phase", "noise"):
+            assert_same_bits(getattr(cols, col), getattr(fresh, col), col)
+        # a read-only view of a writable array is copied too, and the walk's
+        # own read-only arrays, or views of them, are not
+        view = theta2[:5]
+        view.setflags(write=False)
+        assert Trajectory(walk.anchor, view, r2[:5], GEOM).theta2.base is None
+        assert Trajectory(walk.anchor, walk.theta2, walk.r2, GEOM).theta2 is walk.theta2
+        assert walk[:5].theta2.base is walk.theta2 and walk[:5].r2.base is walk.r2
+
     def test_any_change_of_walk_or_geometry_misses(self, monkeypatch):
         turn = ((np.deg2rad(70.0), 0.01),)
         spec = replace(SPEC, path_length=0.01)
@@ -734,6 +759,104 @@ class TestPhasors:
         turn = np.exp(-0.5j * (WINDOW_GEOM.n_ris - 1) * cols.kdu)
         amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * walk.beta
         assert_same_bits(cols.phase, np.multiply(turn, amp), length)
+
+
+def eager_beta(spec, continuations, geom, walk):
+    """The gain column as it was once stored: each segment in one pass, chained
+    on the last entry of the segment before."""
+    lengths = [spec.path_length] + [length for _, length in continuations]
+    counts = [slot_count(replace(spec, path_length=length)) for length in lengths]
+    bounds = np.cumsum([0] + counts).tolist()
+    assert walk.starts == tuple(bounds[:-1])
+    parts, r0, b0 = [], walk.anchor.r2, walk.anchor.beta
+    for lo, hi in zip(bounds, bounds[1:]):
+        r2 = walk.r2[lo:hi]
+        rho_prod = (geom.r1 + r0) / (geom.r1 + r2)
+        parts.append(b0 * rho_prod * unit_phasors(TWO_PI * (r2 - r0) * (1.0 / geom.wavelength)))
+        r0, b0 = float(r2[-1]), complex(parts[-1][-1])
+    return np.concatenate(parts)
+
+
+class TestClosedFormGain:
+    @pytest.mark.parametrize("cache", ["warm", "cold"])
+    @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
+    def test_beta_has_the_bits_of_the_eager_column(self, monkeypatch, name, cache):
+        spec, continuations = CACHE_WALKS[name]
+        clear_walk_caches(monkeypatch)
+        if cache == "warm":
+            generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
+        walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
+        want = eager_beta(spec, continuations, WINDOW_GEOM, walk)
+        assert_same_bits(walk.beta, want, name)
+        # and the engine's amplitude, evaluated block by block
+        cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
+        _, pexp = simengine._walk_columns(walk.theta2, WINDOW_GEOM)
+        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * want
+        assert_same_bits(cols.phase, np.multiply(pexp, amp), "phase")
+
+    @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
+    def test_a_slot_alone_has_its_bits_in_the_column(self, name):
+        spec, continuations = CACHE_WALKS[name]
+        walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
+        beta, n = walk.beta, len(walk)
+        ends = [s + d for s in walk.starts[1:] for d in (-2, -1, 0, 1)]
+        picks = [0, 1, n - 1, *ends, *np.random.default_rng(3).integers(0, n, 300).tolist()]
+        for i in picks:
+            state = walk[i]
+            assert state.beta == beta[i], i
+            assert (state.theta2, state.r2) == (walk.theta2[i], walk.r2[i]), i
+        assert_same_bits(walk.beta_range(5, n - 5), beta[5:n - 5], "range")
+
+    def test_each_chained_gain_is_the_last_entry_of_the_segment_before(self):
+        # many initial gains over one walk: a segment's gain is evaluated on its
+        # slot alone, which must round as the full segment's last entry does
+        spec, continuations = CACHE_WALKS["two_turns"]
+        walk = generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
+        assert len(walk.starts) == 3
+        beta = walk.beta
+        for k, lo in enumerate(walk.starts[1:], 1):
+            assert walk.segment_gains[k] == beta[lo - 1], k
+        rng = np.random.default_rng(8)
+        lo, hi = walk.starts[:2]
+        r0, r2 = walk.anchor.r2, walk.r2[lo:hi]
+        rho_prod = (WINDOW_GEOM.r1 + r0) / (WINDOW_GEOM.r1 + r2)
+        turn = unit_phasors(TWO_PI * (r2 - r0) * (1.0 / WINDOW_GEOM.wavelength))
+        for b0 in (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist():
+            anchor = replace(walk.anchor, beta=b0)
+            chained = Trajectory(anchor, walk.theta2, walk.r2, WINDOW_GEOM, walk.starts)
+            assert chained.segment_gains[1] == (b0 * rho_prod * turn)[-1], b0
+
+    def test_a_prefix_has_the_prefix_of_every_column(self):
+        spec, continuations = CACHE_WALKS["two_turns"]
+        walk = generate_path(replace(spec, rng_seed=2), continuations, WINDOW_GEOM)
+        n, (_, second, third) = len(walk), walk.starts
+        full = {col: getattr(walk, col) for col in ("theta2", "r2", "beta")}
+        cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
+        for end in (1, 1000, second - 1, second, second + 1, third + 7, n - 1, n, -3):
+            cut = walk[:end]
+            stop = end % n if end < 0 else end
+            assert len(cut) == stop
+            assert cut.starts == tuple(s for s in walk.starts if s < stop)
+            for col, want in full.items():
+                assert_same_bits(getattr(cut, col), want[:stop], (end, col))
+            got = simengine._slot_columns(cut, WINDOW_GEOM, None)
+            for col in ("kdu", "phase"):
+                assert_same_bits(getattr(got, col), getattr(cols, col)[:stop], (end, col))
+        for bad in (slice(1, 5), slice(None, 5, 2), slice(None, None, -1)):
+            with pytest.raises(ValueError, match="prefix slice"):
+                walk[bad]
+
+    def test_generating_a_seed_of_a_kept_walk_allocates_per_segment(self):
+        # the seed draws its gain and chains one slot per segment: no column
+        for name, (spec, continuations) in sorted(CACHE_WALKS.items()):
+            generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
+            tracemalloc.start()
+            try:
+                walk = generate_path(replace(spec, rng_seed=2), continuations, WINDOW_GEOM)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4096 * (len(walk.starts) + 1) < len(walk), (name, peak)
 
 
 class TestEngineSamples:
@@ -847,7 +970,7 @@ class TestDerivedColumns:
             t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
             # cut three slots into the training slice, and before its first slot
             for end, bounds in ((t2 + 5, [0, t2, t2 + 1, t2 + 3, t2 + 5]), (t2 + 2, [0, t2 + 2])):
-                cut = Trajectory(traj.anchor, traj.theta2[:end], traj.r2[:end], traj.beta[:end])
+                cut = traj[:end]
                 tl = run_timeline(cut, policy, GEOM, noise_seed=None)
                 assert tl.tracking_calls == 1
                 assert_blocks_match_full_range(tl, bounds)
@@ -908,9 +1031,9 @@ def assert_seed_peak_within_bound(cfg, seed):
     finally:
         tracemalloc.stop()
     n = len(timelines[0])
-    # per slot: the walk (theta2, r2: 8 bytes; beta: 16), the slot columns
+    # per slot: the walk (theta2, r2: 8 bytes each), the slot columns
     # (kdu: 8; phase, noise: 16) and each tracker's rss (8)
-    columns = (32 + 40 + 8 * len(timelines)) * n
+    columns = (16 + 40 + 8 * len(timelines)) * n
     # one evaluation holds at most ten 8-byte values per slot it evaluates;
     # a window, a training slice, or a span's full pass, which ends at the
     # first coarse slot past its trigger: a status plus one stride
