@@ -15,10 +15,11 @@ the RIS with the sign of the increment set by the side the user walks to
 Cartesian polyline in the test suite.
 
 What a seed adds to a walk is its draw, the initial gain: along a segment
-the gain has a closed form in r2, so a :class:`Trajectory` holds the walk's
-theta2 and r2 (8 bytes per slot each, shared read-only by every seed of the
-last walk generated), where each segment starts and each segment's initial
-gain, and evaluates the gain whenever it is read.
+the gain has a closed form in r2. So a :class:`Walk` holds theta2 and r2
+(8 bytes per slot each, read-only) and where each segment starts, and a
+:class:`Trajectory` references its walk, holds each segment's initial gain
+and evaluates the gain whenever it is read. `generate_path` keeps the last
+walk it built, so the trajectories of every seed of a scenario share one.
 """
 
 from __future__ import annotations
@@ -138,15 +139,57 @@ def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry,
                        out=out)
 
 
+class Walk:
+    """What the seeds of a walk share: theta2 and r2 at every slot and where each segment starts.
+
+    Both columns are read-only, and an array that another holder could write
+    is copied. A walk also keeps the seed-free columns of one geometry.
+    """
+
+    def __init__(self, theta2, r2, starts: tuple[int, ...] = (0,)):
+        self.theta2 = _owned(theta2)
+        self.r2 = _owned(r2)
+        self.starts = starts = tuple(map(int, starts))
+        n = self.theta2.shape[0]
+        if self.theta2.ndim != 1 or self.r2.shape != (n,):
+            raise ValueError("theta2 and r2 must be 1-d columns of one length")
+        if starts[:1] != (0,) or list(starts) != sorted(set(starts)) or starts[-1] >= max(n, 1):
+            raise ValueError(f"segment starts must rise from 0 below {n} slots, got {starts}")
+        # the last geometry asked, its kdu and, once asked again, its exponential
+        self._phasors: tuple | None = None
+
+    def phasors(self, geom: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:
+        """kdu = kd*(sin(theta1) - sin(theta2)) and exp(-j*(N-1)*kdu/2) under `geom`, read-only.
+
+        The engine's seed-free columns (see :mod:`ristrack.simengine`), kept
+        for the last geometry asked: kdu from the first request, the
+        exponential only from the second on, so a walk that one trajectory
+        simulates holds no more than that trajectory's columns do.
+        """
+        kept = self._phasors
+        again = kept is not None and kept[0] == geom
+        if again:
+            _, kdu, pexp = kept
+            if pexp is not None:
+                return kdu, pexp
+        else:
+            self._phasors = None  # the old geometry's columns are not held while these are built
+            kdu = geom.kd * (np.sin(geom.theta1) - np.sin(self.theta2))
+            kdu.setflags(write=False)
+        pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu)
+        pexp.setflags(write=False)
+        self._phasors = (geom, kdu, pexp if again else None)
+        return kdu, pexp
+
+
 class Trajectory:
     """Per-slot channel states of a walk of one or more straight segments.
 
     ``traj[i]`` is slot i+1's :class:`ChannelState` and ``traj[:end]`` the
-    walk's first `end` slots. The ``theta2`` and ``r2`` arrays are exposed,
-    read-only, for vectorised consumers; ``anchor`` is the state just before
-    slot 1 and ``starts`` the first slot of each segment. An array that
-    another holder could write is copied, so a trajectory keeps the values
-    it was built with.
+    walk's first `end` slots, on a walk of its own. ``walk`` is the
+    :class:`Walk`, whose read-only ``theta2`` and ``r2`` and segment
+    ``starts`` are exposed here too; ``anchor`` is the state just before
+    slot 1. `generate_path` gives every seed of a walk the same one.
 
     The gain is not stored: ``beta`` evaluates it at every slot whenever it
     is read and keeps nothing, so read it into a local before indexing it in
@@ -155,23 +198,22 @@ class Trajectory:
     anchor's for the first segment, and for each later one the closed form
     of the segment before at its last slot. ``traj[i]`` evaluates slot i
     alone, with the bits it has in ``beta``.
+
+    ``columns`` holds the timeline engine's slot columns for the geometry and
+    noise seed it was last simulated under, or None, and dies with it.
     """
 
     def __init__(self, anchor: ChannelState, theta2, r2, geom: LinkGeometry,
                  starts: tuple[int, ...] = (0,)):
-        self.anchor = anchor
-        self.theta2 = _owned(theta2)
-        self.r2 = _owned(r2)
-        self.geom = geom
-        self.starts = starts = tuple(map(int, starts))
-        n = len(self)
-        if self.theta2.ndim != 1 or self.r2.shape != (n,):
-            raise ValueError("theta2 and r2 must be 1-d columns of one length")
-        if starts[:1] != (0,) or list(starts) != sorted(set(starts)) or starts[-1] >= max(n, 1):
-            raise ValueError(f"segment starts must rise from 0 below {n} slots, got {starts}")
+        self._bind(anchor, Walk(theta2, r2, starts), geom)
+
+    def _bind(self, anchor: ChannelState, walk: Walk, geom: LinkGeometry) -> None:
+        self.anchor, self.walk, self.geom = anchor, walk, geom
+        self.theta2, self.r2, self.starts = walk.theta2, walk.r2, walk.starts
+        self.columns = None
         # each segment's initial gain and the distance just before its first slot
         gains, refs = [anchor.beta], [anchor.r2]
-        for lo in starts[1:]:
+        for lo in self.starts[1:]:
             gains.append(complex(_segment_gain(gains[-1], refs[-1], self.r2[lo - 1:lo], geom)[0]))
             refs.append(float(self.r2[lo - 1]))
         self.segment_gains = tuple(gains)
@@ -216,23 +258,22 @@ class Trajectory:
         )
 
 
-# the last walk's seed-free columns: (spec without its seed, continuations) and
-# (theta2, r2, first slot of each segment and the slot count)
-_WALK: tuple | None = None
+# the last walk generated, under its spec without the seed and its continuations
+_LAST_WALK: dict[tuple, Walk] = {}
 
 
-def _walk(spec: TrajectorySpec, continuations) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """theta2 and r2 at every slot of the walk, read-only, and where each segment starts.
+def _walk(spec: TrajectorySpec, continuations) -> Walk:
+    """The walk of `spec` and its continuations, the last one kept for the next seed.
 
-    None of these depends on the seed, so they are kept for the last walk and
-    every seed of a scenario reads the same arrays. A walk that fails a check
-    raises on every call and is not kept.
+    Nothing in a walk depends on the seed, so every seed of a scenario gets
+    the same one. A walk that fails a check raises on every call and is not
+    kept.
     """
-    global _WALK
     key = (replace(spec, rng_seed=None), tuple(map(tuple, continuations)))
-    if _WALK is not None and _WALK[0] == key:
-        return _WALK[1]
-    _WALK = None  # the old walk is not held while the new one is built
+    walk = _LAST_WALK.get(key)
+    if walk is not None:
+        return walk
+    _LAST_WALK.clear()  # the old walk is not held while the new one is built
     theta0, r0 = spec.theta2_init, spec.r2_init
     parts = []
     bounds = [0]
@@ -254,8 +295,7 @@ def _walk(spec: TrajectorySpec, continuations) -> tuple[np.ndarray, np.ndarray, 
     theta2, r2 = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     for arr in (theta2, r2):
         arr.setflags(write=False)
-    walk = theta2, r2, tuple(bounds)
-    _WALK = key, walk
+    walk = _LAST_WALK[key] = Walk(theta2, r2, bounds[:-1])
     return walk
 
 
@@ -271,15 +311,16 @@ def generate_path(
     telescopes: |beta|*(r1+r2) is invariant and the phase advances by
     2*pi*(r2(t)-r2_start)/lambda. Equal seeds give identical trajectories.
 
-    The seed only draws the initial gain, so theta2 and r2 are computed
-    once for the last walk generated and shared, read-only, by the
-    trajectories of all its seeds. Each call draws its gain and chains the
-    segments' initial gains, one slot per segment; no gain column is built
-    (see :class:`Trajectory`).
+    The seed only draws the initial gain, so the :class:`Walk` (theta2, r2
+    and the segment starts) is built once for the last walk generated, and
+    the trajectories of all its seeds share it with whatever it keeps. Each
+    call draws its gain and chains the segments' initial gains, one slot per
+    segment; no gain column is built (see :class:`Trajectory`).
 
     Raises ValueError for a segment length that is not finite and > 0, and
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.
     """
     anchor = ChannelState(beta=_draw_beta(spec), theta2=spec.theta2_init, r2=spec.r2_init)
-    theta2, r2, bounds = _walk(spec, continuations)
-    return Trajectory(anchor, theta2, r2, geom, bounds[:-1])
+    traj = Trajectory.__new__(Trajectory)  # on the kept walk, not a walk of its own
+    traj._bind(anchor, _walk(spec, continuations), geom)
+    return traj

@@ -120,8 +120,8 @@ def resolve_output_dir(cfg: ScenarioConfig, out_dir: str | None = None) -> str:
 def _simulate_seed(cfg: ScenarioConfig, seed: int) -> list[StatusTimeline]:
     """Every configured tracker's timeline on one seed's trajectory.
 
-    The trajectory, and the slot columns the engine keeps for it, are freed
-    when this returns, before the caller writes any ledger.
+    The trajectory, and the slot columns it holds, are freed when this
+    returns, before the caller writes any ledger.
     """
     traj = generate_path(replace(cfg.trajectory, rng_seed=seed), cfg.continuations,
                          cfg.geometry)

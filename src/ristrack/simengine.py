@@ -28,15 +28,16 @@ Every scan window, coarse pass, span and training slice is evaluated by one
 function, `_received_samples`, from three read-only columns of the
 trajectory that do not depend on the tracker: kdu = kd*(sin(theta1) -
 sin(theta2)), the phase, exp(-j*(N-1)*kdu/2) times the amplitude, and the
-receiver noise, which is zero when the noise seed is None. They are built
-once per (trajectory, geometry, noise seed) and kept while the trajectory
-lives, so all trackers of a seed share them. The amplitude is the
-trajectory's gain, which it does not store: it is evaluated block by block
-into the phase column and scaled there, so no gain column outlives the
-build. kdu and the exponential do not depend on the seed: they are kept for
-the last (theta2 array, geometry) pair, and since the seeds of a walk share
-its theta2 array, a seed after the first only evaluates its amplitude,
-multiplies it by the kept exponential and draws its noise. A sample is then
+receiver noise, which is zero when the noise seed is None. The trajectory
+holds them for the (geometry, noise seed) it was last simulated under, so
+all trackers of a seed share them and they die with it. The amplitude is
+the trajectory's gain, which it does not store: it is evaluated and scaled
+block by block, and each block is multiplied into the phase column, so no
+gain column outlives the build. kdu and the exponential do not depend on
+the seed: the trajectory's walk keeps them (`Walk.phasors`), and since
+`generate_path` gives every seed of a walk the same one, a seed after the
+first only evaluates its amplitude, multiplies it by the kept exponential
+and draws its noise. A sample is then
 exp(j*(N-1)*slope/2) * phase * D(slope - kdu) + noise, with the real
 Dirichlet kernel D of :mod:`ristrack.ris`; a scan window computes one
 complex exponential, not one per slot.
@@ -63,15 +64,16 @@ any other, elementwise, so a block's rates have the bits of the whole run's.
 Running sums over a whole run are taken block by block behind a carry too,
 so no full-length cumulative column is held. The rate-gap metric reads the
 oracle's rates for every tracker of a seed, the oracle's own report too, so
-the last oracle's are kept while its run lives.
+a run keeps its rates once a report has read it as the reference
+(`StatusTimeline.reference_rates`), and they die with the run.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +81,7 @@ import numpy as np
 from .mobility import Trajectory
 from .ris import _dirichlet, optimal_config, update_config
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
-from .wavefield import LinkGeometry, unit_phasors
+from .wavefield import LinkGeometry
 
 # How a status is scanned; these set speed, not slot kinds or ids.
 _SCAN_WINDOW = 1024  # slots per window; a status after one this long or longer gets spans
@@ -253,7 +255,8 @@ class StatusTimeline:
     The other ledger columns follow from these. `block` derives them over a
     range of slots, and the properties of the same names over every slot.
     None of them is kept: each access computes its column afresh, so read a
-    column into a local before indexing it in a loop.
+    column into a local before indexing it in a loop. The one exception is
+    `reference_rates`.
     """
 
     rss: np.ndarray
@@ -314,6 +317,17 @@ class StatusTimeline:
             block[...], carry = _running_mean(block, lo, carry)
         return cum
 
+    @functools.cached_property
+    def reference_rates(self) -> np.ndarray:
+        """`inst_rate`, read-only, derived on the first read and kept while the run lives.
+
+        `overhead_report` reads the reference of a rate gap this way, so a
+        seed's oracle rates are derived once for the reports of all trackers.
+        """
+        rates = self.inst_rate
+        rates.setflags(write=False)
+        return rates
+
     @property
     def config_id(self) -> np.ndarray:
         return self.statuses.spread("config_id", 0, len(self))
@@ -368,12 +382,6 @@ def cumulative_rate(rates) -> np.ndarray:
     return np.cumsum(rates) / np.arange(1, rates.size + 1)
 
 
-# at most one entry, the last oracle run read as a reference while it lives:
-# its inst_rate column, read-only, which the reports of every tracker of its
-# seed read, its own too
-_ORACLE_RATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def overhead_report(records: StatusTimeline, gamma: float,
                     oracle_records: StatusTimeline | None = None) -> RunMetrics:
     """Signaling accounting: share of non-data slots and tracking-call count.
@@ -383,12 +391,14 @@ def overhead_report(records: StatusTimeline, gamma: float,
     threshold when it was simulated, so `gamma` is not read here. When an
     oracle run over the same trajectory is supplied, the mean absolute
     instantaneous-rate gap is included; the oracle's rates are derived once
-    for all the reports that read them, the oracle's own report included.
+    for all the reports that read them, the oracle's own report included
+    (`StatusTimeline.reference_rates`).
     """
     n = len(records)
     table = records.statuses
     nondata = int(np.diff(table.first)[table.kind != SlotKind.DATA].sum())
-    rates = _ORACLE_RATES.get(records)
+    # kept already if a report has read this run as its reference
+    rates = vars(records).get("reference_rates")
     if rates is None:
         rates = records.inst_rate
     # cum_rate's last entry: the sequential running sum over all n slots, over n
@@ -397,12 +407,8 @@ def overhead_report(records: StatusTimeline, gamma: float,
     if oracle_records is not None:
         if len(oracle_records) != n:
             raise ValueError("oracle run must cover the same slots")
-        oracle = _ORACLE_RATES.get(oracle_records)
-        if oracle is None:
-            _ORACLE_RATES.clear()
-            oracle = _ORACLE_RATES[oracle_records] = oracle_records.inst_rate
-            oracle.setflags(write=False)
-        # the gap overwrites the rates unless they are the memo's
+        oracle = oracle_records.reference_rates
+        # the gap overwrites the rates unless they are kept
         gap = np.subtract(rates, oracle, out=rates if rates.flags.writeable else None)
         err = float(np.mean(np.abs(gap, out=gap)))
     return RunMetrics(
@@ -415,7 +421,7 @@ def overhead_report(records: StatusTimeline, gamma: float,
 
 @dataclass(frozen=True, eq=False)
 class _SlotColumns:
-    """Tracker-independent columns of one (trajectory, geometry, noise seed) triple.
+    """Tracker-independent columns of a trajectory under one geometry and noise seed.
 
     `kdu` is kd * (sin(theta1) - sin(theta2)), so a slot's per-element step
     under slope s is s - kdu; `phase` is the slot's amplitude times
@@ -423,69 +429,36 @@ class _SlotColumns:
     is the slot's receiver noise.
     """
 
+    geom: LinkGeometry
+    noise_seed: int | None
     kdu: np.ndarray
     phase: np.ndarray
     noise: np.ndarray
-    n_ris: int
-
-
-# one entry per live trajectory: (geometry, noise seed) and its columns
-_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# the last walk's seed-free columns: its theta2 array, the geometry, kdu and,
-# once a second trajectory of the walk asks, exp(-j*(N-1)*kdu/2)
-_WALK_COLUMNS: tuple | None = None
-
-
-def _walk_columns(theta2: np.ndarray, geom: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """kdu and exp(-j*(N-1)*kdu/2) of a walk's `theta2` under `geom`, both read-only.
-
-    Neither depends on the seed. Both are kept for the last (theta2 array,
-    geometry) pair, which the trajectories of a walk's seeds share; the
-    exponential only from the second request on, so a walk simulated once
-    holds no more than its slot columns do.
-    """
-    global _WALK_COLUMNS
-    kept = _WALK_COLUMNS
-    again = kept is not None and kept[0] is theta2 and kept[1] == geom
-    if again:
-        kdu, pexp = kept[2], kept[3]
-        if pexp is not None:
-            return kdu, pexp
-    else:
-        _WALK_COLUMNS = None  # the old walk's columns are not held while these are built
-        kdu = geom.kd * (np.sin(geom.theta1) - np.sin(theta2))
-        kdu.setflags(write=False)
-    pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu)
-    pexp.setflags(write=False)
-    _WALK_COLUMNS = (theta2, geom, kdu, pexp if again else None)
-    return kdu, pexp
 
 
 def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
                   noise_seed: int | None) -> _SlotColumns:
-    """The trajectory's columns, built once per (geometry, noise seed).
+    """The trajectory's columns under (geometry, noise seed), held by it until another pair.
 
-    They are kept as long as the trajectory lives, so every tracker of a seed
-    shares one evaluation of its channel and noise; `kdu` and the phase
-    exponential come from `_walk_columns`, shared by the seeds of a walk. A
-    noise seed of None gives zero noise.
+    Every tracker of a seed shares one evaluation of its channel and noise;
+    `kdu` and the phase exponential come from its walk, shared by the seeds
+    of the walk. A noise seed of None gives zero noise.
     """
-    key = (geom, noise_seed)
-    kept = _COLUMNS.get(trajectory)
-    if kept is not None and kept[0] == key:
-        return kept[1]
+    cols = trajectory.columns
+    if cols is not None and cols.geom == geom and cols.noise_seed == noise_seed:
+        return cols
+    trajectory.columns = None  # the old columns are not held while these are built
     n = len(trajectory)
-    kdu, pexp = _walk_columns(trajectory.theta2, geom)
-    # the gain is evaluated block by block into one column, as (c*alpha) *
-    # beta and then exp * amp in these orders at every length: complex
-    # products round by FMA, so amp * exp would differ in the last bit
+    kdu, pexp = trajectory.walk.phasors(geom)
+    # the gain is evaluated block by block as (c*alpha) * beta, then exp * amp
+    # out of place: complex products round by FMA, so amp * exp would differ in
+    # the last bit, and so would a one-element product written over an operand
     c_alpha = geom.beamformer_gain * geom.alpha
-    amp = np.empty(n, dtype=complex)
+    phase = np.empty(n, dtype=complex)
     for lo in range(0, n, _BLOCK):
         hi = min(n, lo + _BLOCK)
-        np.multiply(c_alpha, trajectory.beta_range(lo, hi), out=amp[lo:hi])
-    phase = np.multiply(pexp, amp, out=amp)
+        amp = np.multiply(c_alpha, trajectory.beta_range(lo, hi))
+        np.multiply(pexp[lo:hi], amp, out=phase[lo:hi])
     if noise_seed is None:
         noise = np.zeros(n, dtype=complex)
     else:
@@ -501,8 +474,7 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
             view[...] = part
     for arr in (phase, noise):
         arr.setflags(write=False)
-    cols = _SlotColumns(kdu, phase, noise, geom.n_ris)
-    _COLUMNS[trajectory] = (key, cols)
+    trajectory.columns = cols = _SlotColumns(geom, noise_seed, kdu, phase, noise)
     return cols
 
 
@@ -515,10 +487,10 @@ def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope,
     exp(j*(N-1)*s/2) * phase * D(s - kdu) + noise, elementwise, where the
     slope's half of the phase is one scalar for a scan.
     """
-    d, _ = _dirichlet(slope - cols.kdu[lo:hi:step], cols.n_ris)
+    d, _ = _dirichlet(slope - cols.kdu[lo:hi:step], cols.geom.n_ris)
     # on one slope cmath.exp gives np.exp's value without numpy's call cost
     exp = np.exp if isinstance(slope, np.ndarray) else cmath.exp
-    turn = exp(0.5j * (cols.n_ris - 1) * slope)
+    turn = exp(0.5j * (cols.geom.n_ris - 1) * slope)
     y = turn * cols.phase[lo:hi:step]
     y *= d
     y += cols.noise[lo:hi:step]

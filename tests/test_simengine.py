@@ -311,7 +311,7 @@ class TestOverheadReport:
                                     ExhaustivePolicy(resolution_deg=5.0), OraclePolicy())]
         oracle = timelines[-1]
         want = [overhead_report(tl, tl.gamma, oracle) for tl in timelines[:-1]]
-        del simengine._ORACLE_RATES[oracle]
+        del vars(oracle)["reference_rates"]
         want.append(overhead_report(oracle, oracle.gamma))  # rates derived afresh
         derived = []  # whether each derivation read the oracle's rss
 
@@ -325,8 +325,9 @@ class TestOverheadReport:
         assert got == want
         # each report derives its own rates; the oracle's once for all, its own report too
         assert derived == [False, True, False, False]
-        assert not simengine._ORACLE_RATES[oracle].flags.writeable
-        kept = weakref.ref(simengine._ORACLE_RATES[oracle])
+        # the oracle run holds its rates, and they die with it
+        assert not oracle.reference_rates.flags.writeable
+        kept = weakref.ref(oracle.reference_rates)
         del oracle, timelines
         gc.collect()
         assert kept() is None
@@ -540,7 +541,7 @@ class TestSlotColumns:
                 assert_same_timeline(got, want)
                 if policy.name == "proposed":
                     assert got.tracking_calls > 0, kwargs
-        kept = weakref.ref(simengine._COLUMNS[walk][1])
+        kept = weakref.ref(walk.columns)
         del walk
         gc.collect()
         assert kept() is None
@@ -548,13 +549,12 @@ class TestSlotColumns:
     def test_noiseless_columns_are_kept_and_shared(self):
         walk = generate_path(SPEC, (), GEOM)
         run_timeline(walk, OraclePolicy(), GEOM, noise_seed=None)
-        kept = simengine._COLUMNS[walk]
+        cols = walk.columns
         tl = run_timeline(walk, ProposedPolicy(), GEOM, noise_seed=None)
         assert tl.tracking_calls > 0
         # the second tracker found the first one's columns under (geometry, None)
-        assert simengine._COLUMNS[walk] is kept
-        key, cols = kept
-        assert key == (GEOM, None)
+        assert walk.columns is cols
+        assert (cols.geom, cols.noise_seed) == (GEOM, None)
         assert cols.noise.dtype == complex and cols.noise.shape == (len(walk),)
         assert not np.any(cols.noise)
 
@@ -591,25 +591,25 @@ def simulate_seed(spec, continuations, seed, noise_seed):
                         for p in CACHE_POLICIES]
 
 
-def clear_walk_caches(monkeypatch):
-    monkeypatch.setattr(mobility, "_WALK", None)
-    monkeypatch.setattr(simengine, "_WALK_COLUMNS", None)
+def forget_walk():
+    """Make the next walk a cold one: `generate_path` keeps only the last walk it built."""
+    generate_path(TrajectorySpec(path_length=0.001), (), WINDOW_GEOM)
 
 
 class TestWalkCache:
     @pytest.mark.parametrize("noise_seed", [4, None])
     @pytest.mark.parametrize("walk", sorted(CACHE_WALKS))
-    def test_warm_and_cold_caches_give_the_same_bits(self, monkeypatch, walk, noise_seed):
+    def test_warm_and_cold_caches_give_the_same_bits(self, walk, noise_seed):
         spec, continuations = CACHE_WALKS[walk]
-        clear_walk_caches(monkeypatch)
+        forget_walk()
         cold = simulate_seed(spec, continuations, 3, noise_seed)
-        clear_walk_caches(monkeypatch)
-        # the first seed keeps theta2, r2 and kdu, the second the phase exponential
+        forget_walk()
+        # the first seed's walk keeps kdu, and the second seed's run its exponential
         first = simulate_seed(spec, continuations, 1, noise_seed)
         simulate_seed(spec, continuations, 2, noise_seed)
         warm = simulate_seed(spec, continuations, 3, noise_seed)
-        assert warm[0].theta2 is first[0].theta2 and warm[1].kdu is first[1].kdu
-        assert warm[1].kdu is simengine._WALK_COLUMNS[2]
+        assert warm[0].walk is first[0].walk is not cold[0].walk
+        assert warm[1].kdu is first[1].kdu is warm[0].walk.phasors(WINDOW_GEOM)[0]
         (cold_walk, cold_cols, cold_runs), (warm_walk, warm_cols, warm_runs) = cold, warm
         for col in ("theta2", "r2", "beta"):
             assert_same_bits(getattr(warm_walk, col), getattr(cold_walk, col), col)
@@ -625,10 +625,12 @@ class TestWalkCache:
     def test_trajectories_of_one_walk_share_theta2_and_r2(self):
         a = generate_path(replace(SPEC, rng_seed=1), (), GEOM)
         b = generate_path(replace(SPEC, rng_seed=2), (), GEOM)
-        assert a.theta2 is b.theta2 and a.r2 is b.r2
+        assert a.walk is b.walk and a.theta2 is b.theta2 is a.walk.theta2
+        assert a.r2 is b.r2 is a.walk.r2 and a.starts == b.starts == a.walk.starts
         assert a.beta[0] != b.beta[0]
         cols = simengine._slot_columns(a, GEOM, None)
-        for arr in (a.theta2, a.r2, cols.kdu, simengine._walk_columns(a.theta2, GEOM)[1]):
+        assert simengine._slot_columns(b, GEOM, 1).kdu is cols.kdu
+        for arr in (a.theta2, a.r2, cols.kdu, *a.walk.phasors(GEOM)):
             assert not arr.flags.writeable
 
     def test_a_trajectory_owns_what_it_holds(self):
@@ -655,7 +657,7 @@ class TestWalkCache:
         assert Trajectory(walk.anchor, walk.theta2, walk.r2, GEOM).theta2 is walk.theta2
         assert walk[:5].theta2.base is walk.theta2 and walk[:5].r2.base is walk.r2
 
-    def test_any_change_of_walk_or_geometry_misses(self, monkeypatch):
+    def test_any_change_of_walk_or_geometry_misses(self):
         turn = ((np.deg2rad(70.0), 0.01),)
         spec = replace(SPEC, path_length=0.01)
         geom = LinkGeometry()
@@ -663,7 +665,7 @@ class TestWalkCache:
         def generate(spec, continuations, geom):
             got = generate_path(spec, continuations, geom)
             cols = simengine._slot_columns(got, geom, 1)
-            clear_walk_caches(monkeypatch)
+            forget_walk()
             want = generate_path(spec, continuations, geom)
             for col in ("theta2", "r2", "beta"):
                 assert_same_bits(getattr(got, col), getattr(want, col), col)
@@ -679,7 +681,7 @@ class TestWalkCache:
                                              (spec, turn * 2)]):
             kept = generate_path(spec, turn, geom)
             got, _ = generate(other_spec, continuations, geom)
-            assert got.theta2 is not kept.theta2, (other_spec, continuations)
+            assert got.walk is not kept.walk, (other_spec, continuations)
         # a geometry moves the gain, not the walk, and misses the columns
         for change in (dict(n_ris=8), dict(wavelength=0.004), dict(spacing=0.002),
                        dict(theta1=0.5), dict(r1=3.0), dict(alpha=0.5j), dict(snr_linear=2.0),
@@ -687,7 +689,7 @@ class TestWalkCache:
             kept = generate_path(spec, turn, geom)
             kdu = simengine._slot_columns(kept, geom, 1).kdu
             got, cols = generate(spec, turn, replace(geom, **change))
-            assert got.theta2 is kept.theta2 and cols.kdu is not kdu, change
+            assert got.walk is kept.walk and cols.kdu is not kdu, change
 
     def test_a_walk_past_the_plane_raises_every_time_and_is_not_kept(self, monkeypatch):
         spec = TrajectorySpec(theta2_init=np.deg2rad(80.0), r2_init=1.0,
@@ -700,38 +702,41 @@ class TestWalkCache:
         for seed in (1, 2, 3):
             with pytest.raises(ValueError, match="at slot 54243"):
                 generate_path(replace(spec, rng_seed=seed), (), GEOM)
-            assert mobility._WALK is None
             assert len(calls) == seed
+        # nor is the walk kept before it: it is walked again
+        generate_path(SPEC, (), GEOM)
+        assert len(calls) == 4
 
     def test_a_second_seed_walks_and_builds_no_column_again(self, monkeypatch):
         spec, continuations = CACHE_WALKS["two_turns"]
         spec = replace(spec, path_length=0.05)
-        clear_walk_caches(monkeypatch)
+        forget_walk()
         walks, phasors = [], []
         original_walk = mobility._walk_geometry
         monkeypatch.setattr(mobility, "_walk_geometry",
                             lambda *args: walks.append(1) or original_walk(*args))
-        original_phasors = simengine.unit_phasors
-        monkeypatch.setattr(simengine, "unit_phasors",
+        original_phasors = mobility.unit_phasors
+        monkeypatch.setattr(mobility, "unit_phasors",
                             lambda y: phasors.append(y.size) or original_phasors(y))
         first = simulate_seed(spec, continuations, 1, 5)
         n = len(first[0])
         # one geometry per segment; the phase exponential built and not kept
-        assert (len(walks), phasors) == (3, [n])
+        # (the gain's phasors are built per segment, shorter than the walk)
+        assert (len(walks), phasors.count(n)) == (3, 1)
+        assert first[0].walk._phasors[2] is None
         second = simulate_seed(spec, continuations, 2, 6)
         # no walk and no kdu again, and the exponential built once more, to keep
-        assert (len(walks), phasors) == (3, [n, n])
+        assert (len(walks), phasors.count(n)) == (3, 2)
         assert second[1].kdu is first[1].kdu
         third = simulate_seed(spec, continuations, 3, 7)
-        assert (len(walks), phasors) == (3, [n, n])
+        assert (len(walks), phasors.count(n)) == (3, 2)
         assert third[1].kdu is first[1].kdu
 
 
 class TestPhasors:
-    def test_unit_phasors_are_np_exp_bit_for_bit(self, monkeypatch):
+    def test_unit_phasors_are_np_exp_bit_for_bit(self):
         # both exponents of the default walk: a numpy whose float64 sin or cos
         # rounds unlike its complex exp fails here before any golden digest
-        clear_walk_caches(monkeypatch)
         geom = WINDOW_GEOM
         spec = replace(TrajectorySpec(), rng_seed=1)
         walk = generate_path(spec, (), geom)
@@ -744,7 +749,7 @@ class TestPhasors:
         rho_prod = (geom.r1 + r0) / (geom.r1 + walk.r2)
         want = b0 * rho_prod * np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength)
         assert_same_bits(walk.beta, want, "beta")
-        kdu, pexp = simengine._walk_columns(walk.theta2, geom)
+        kdu, pexp = walk.walk.phasors(geom)
         y = (-0.5 * (geom.n_ris - 1)) * kdu
         assert_same_bits(pexp, np.exp(1j * y), "phase turn")
         assert_same_bits(pexp, np.exp(-0.5j * (geom.n_ris - 1) * kdu), "phase turn as written")
@@ -780,9 +785,9 @@ def eager_beta(spec, continuations, geom, walk):
 class TestClosedFormGain:
     @pytest.mark.parametrize("cache", ["warm", "cold"])
     @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
-    def test_beta_has_the_bits_of_the_eager_column(self, monkeypatch, name, cache):
+    def test_beta_has_the_bits_of_the_eager_column(self, name, cache):
         spec, continuations = CACHE_WALKS[name]
-        clear_walk_caches(monkeypatch)
+        forget_walk()
         if cache == "warm":
             generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
         walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
@@ -790,7 +795,7 @@ class TestClosedFormGain:
         assert_same_bits(walk.beta, want, name)
         # and the engine's amplitude, evaluated block by block
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
-        _, pexp = simengine._walk_columns(walk.theta2, WINDOW_GEOM)
+        _, pexp = walk.walk.phasors(WINDOW_GEOM)
         amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * want
         assert_same_bits(cols.phase, np.multiply(pexp, amp), "phase")
 
@@ -846,6 +851,15 @@ class TestClosedFormGain:
             with pytest.raises(ValueError, match="prefix slice"):
                 walk[bad]
 
+    def test_a_one_slot_prefix_has_the_first_slot_of_the_phase(self):
+        # a one-slot product written over one of its operands rounds unlike
+        # the same product into another array: seeds 11 and 171 once showed it
+        geom = LinkGeometry()
+        for seed in range(1, 200):
+            walk = generate_path(TrajectorySpec(path_length=0.01, rng_seed=seed), (), geom)
+            want = simengine._slot_columns(walk, geom, None).phase[:1]
+            assert_same_bits(simengine._slot_columns(walk[:1], geom, None).phase, want, seed)
+
     def test_generating_a_seed_of_a_kept_walk_allocates_per_segment(self):
         # the seed draws its gain and chains one slot per segment: no column
         for name, (spec, continuations) in sorted(CACHE_WALKS.items()):
@@ -895,8 +909,8 @@ class TestEngineSamples:
                   *rng.uniform(0.0, TWO_PI, 40).tolist()]
         for value in values:
             for slope in (value, np.float64(value)):
-                d, _ = _dirichlet(slope - cols.kdu[lo:hi], cols.n_ris)
-                turn = np.exp(0.5j * (cols.n_ris - 1) * np.asarray(slope))
+                d, _ = _dirichlet(slope - cols.kdu[lo:hi], GEOM.n_ris)
+                turn = np.exp(0.5j * (GEOM.n_ris - 1) * np.asarray(slope))
                 want = turn * cols.phase[lo:hi] * d + cols.noise[lo:hi]
                 got = simengine._received_samples(cols, lo, hi, slope)
                 assert_same_bits(got, want, value)
@@ -1011,15 +1025,16 @@ class TestDerivedColumns:
         runner._simulate_seed(replace(cfg, trajectory=TrajectorySpec(path_length=0.01)), 1)
         assert_seed_peak_within_bound(cfg, 1)
 
-    def test_simulating_a_second_seed_peaks_under_the_same_bound(self, monkeypatch):
-        # the walk's columns are kept from the first seed, and the second one
-        # adds the phase exponential to them
-        monkeypatch.setattr(simengine, "_WALK_COLUMNS", None)
+    def test_simulating_a_second_seed_peaks_under_the_same_bound(self):
+        # the walk keeps kdu from the first seed, and the second one adds the
+        # phase exponential to it
+        forget_walk()
         cfg = ScenarioConfig(trajectory=TrajectorySpec(path_length=1.0))
         runner._simulate_seed(cfg, 1)
-        assert simengine._WALK_COLUMNS[3] is None
+        walk = generate_path(cfg.trajectory, cfg.continuations, cfg.geometry).walk
+        assert walk._phasors[2] is None
         assert_seed_peak_within_bound(cfg, 2)
-        assert simengine._WALK_COLUMNS[3] is not None
+        assert walk._phasors[2] is not None
 
 
 def assert_seed_peak_within_bound(cfg, seed):
