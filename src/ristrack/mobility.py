@@ -15,11 +15,10 @@ the RIS with the sign of the increment set by the side the user walks to
 Cartesian polyline in the test suite.
 
 What a seed adds to a walk is its draw, the initial gain: along a segment
-the gain has a closed form in r2. So a :class:`Walk` holds theta2 and r2
-(8 bytes per slot each, read-only) and where each segment starts, and a
-:class:`Trajectory` references its walk, holds each segment's initial gain
-and evaluates the gain whenever it is read. `generate_path` keeps the last
-walk it built, so the trajectories of every seed of a scenario share one.
+the gain has a closed form in r2. A :class:`Walk` holds theta2 and r2 (8
+bytes per slot each, read-only) and where each segment starts; a
+:class:`Trajectory` references the walk, which every seed of it shares, and
+holds each segment's initial gain, evaluating the gain whenever it is read.
 """
 
 from __future__ import annotations
@@ -147,38 +146,32 @@ class Walk:
     """
 
     def __init__(self, theta2, r2, starts: tuple[int, ...] = (0,)):
-        self.theta2 = _owned(theta2)
-        self.r2 = _owned(r2)
+        self.theta2, self.r2 = _owned(theta2), _owned(r2)
         self.starts = starts = tuple(map(int, starts))
         n = self.theta2.shape[0]
         if self.theta2.ndim != 1 or self.r2.shape != (n,):
             raise ValueError("theta2 and r2 must be 1-d columns of one length")
         if starts[:1] != (0,) or list(starts) != sorted(set(starts)) or starts[-1] >= max(n, 1):
             raise ValueError(f"segment starts must rise from 0 below {n} slots, got {starts}")
-        # the last geometry asked, its kdu and, once asked again, its exponential
-        self._phasors: tuple | None = None
+        self._phasors = (None, None, None)  # the last geometry asked, its kdu and exponential
 
     def phasors(self, geom: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:
         """kdu = kd*(sin(theta1) - sin(theta2)) and exp(-j*(N-1)*kdu/2) under `geom`, read-only.
 
-        The engine's seed-free columns (see :mod:`ristrack.simengine`), kept
-        for the last geometry asked: kdu from the first request, the
-        exponential only from the second on, so a walk that one trajectory
-        simulates holds no more than that trajectory's columns do.
+        Kept for the last geometry asked, the exponential only from its second
+        request on: a walk that one trajectory simulates holds no more than it.
         """
-        kept = self._phasors
-        again = kept is not None and kept[0] == geom
-        if again:
-            _, kdu, pexp = kept
-            if pexp is not None:
-                return kdu, pexp
-        else:
-            self._phasors = None  # the old geometry's columns are not held while these are built
+        kept_geom, kdu, pexp = self._phasors
+        if kept_geom != geom:
+            # the old geometry's columns are not held while these are built
+            self._phasors = (None, None, None)
             kdu = geom.kd * (np.sin(geom.theta1) - np.sin(self.theta2))
             kdu.setflags(write=False)
+        elif pexp is not None:
+            return kdu, pexp
         pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu)
         pexp.setflags(write=False)
-        self._phasors = (geom, kdu, pexp if again else None)
+        self._phasors = (geom, kdu, pexp if kept_geom == geom else None)
         return kdu, pexp
 
 
@@ -199,8 +192,8 @@ class Trajectory:
     of the segment before at its last slot. ``traj[i]`` evaluates slot i
     alone, with the bits it has in ``beta``.
 
-    ``columns`` holds the timeline engine's slot columns for the geometry and
-    noise seed it was last simulated under, or None, and dies with it.
+    ``columns`` holds the engine's slot columns for the (geometry, noise seed)
+    it was last simulated under, or None.
     """
 
     def __init__(self, anchor: ChannelState, theta2, r2, geom: LinkGeometry,

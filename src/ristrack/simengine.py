@@ -64,8 +64,7 @@ any other, elementwise, so a block's rates have the bits of the whole run's.
 Running sums over a whole run are taken block by block behind a carry too,
 so no full-length cumulative column is held. The rate-gap metric reads the
 oracle's rates for every tracker of a seed, the oracle's own report too, so
-a run keeps its rates once a report has read it as the reference
-(`StatusTimeline.reference_rates`), and they die with the run.
+the oracle's run keeps them (`StatusTimeline.reference_rates`) while it lives.
 """
 
 from __future__ import annotations
@@ -255,8 +254,7 @@ class StatusTimeline:
     The other ledger columns follow from these. `block` derives them over a
     range of slots, and the properties of the same names over every slot.
     None of them is kept: each access computes its column afresh, so read a
-    column into a local before indexing it in a loop. The one exception is
-    `reference_rates`.
+    column into a local before indexing it in a loop; `reference_rates` is kept.
     """
 
     rss: np.ndarray
@@ -319,11 +317,7 @@ class StatusTimeline:
 
     @functools.cached_property
     def reference_rates(self) -> np.ndarray:
-        """`inst_rate`, read-only, derived on the first read and kept while the run lives.
-
-        `overhead_report` reads the reference of a rate gap this way, so a
-        seed's oracle rates are derived once for the reports of all trackers.
-        """
+        """`inst_rate`, read-only, kept from the first read: how a rate gap reads its reference."""
         rates = self.inst_rate
         rates.setflags(write=False)
         return rates
@@ -391,8 +385,7 @@ def overhead_report(records: StatusTimeline, gamma: float,
     threshold when it was simulated, so `gamma` is not read here. When an
     oracle run over the same trajectory is supplied, the mean absolute
     instantaneous-rate gap is included; the oracle's rates are derived once
-    for all the reports that read them, the oracle's own report included
-    (`StatusTimeline.reference_rates`).
+    for all the reports that read them, the oracle's own report included.
     """
     n = len(records)
     table = records.statuses
@@ -441,13 +434,12 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
     """The trajectory's columns under (geometry, noise seed), held by it until another pair.
 
     Every tracker of a seed shares one evaluation of its channel and noise;
-    `kdu` and the phase exponential come from its walk, shared by the seeds
-    of the walk. A noise seed of None gives zero noise.
+    `kdu` and the phase exponential come from its walk. A noise seed of None
+    gives zero noise.
     """
     cols = trajectory.columns
     if cols is not None and cols.geom == geom and cols.noise_seed == noise_seed:
         return cols
-    trajectory.columns = None  # the old columns are not held while these are built
     n = len(trajectory)
     kdu, pexp = trajectory.walk.phasors(geom)
     # the gain is evaluated block by block as (c*alpha) * beta, then exp * amp

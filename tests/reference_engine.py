@@ -48,11 +48,7 @@ class Reference:
     """The reference run: per-slot rss, the status table's rows and the close calls."""
 
     rss: np.ndarray
-    first: list[int]
-    kind: list[int]
-    status_id: list[int]
-    config_id: list[int]
-    rss_ref: list[float]
+    rows: list[tuple[int, int, int, int, float]]  # first slot, kind, status, config, rss_ref
     tracking_calls: int
     close_calls: list[tuple[int, float]]  # (slot, level / gamma - 1)
 
@@ -82,12 +78,10 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
         return gain[i] * complex(np.exp(1j * (k * slope - kd * k * u)).sum()) + noise[i]
 
     rss = np.zeros(n)
-    out = Reference(rss, [], [], [], [], [], 0, [])
+    out = Reference(rss, [], 0, [])
 
     def row(first: int, kind: SlotKind, cfg_id: int) -> None:
-        for column, value in zip((out.first, out.kind, out.status_id, out.config_id,
-                                  out.rss_ref), (first, int(kind), status, cfg_id, ref)):
-            column.append(value)
+        out.rows.append((first, int(kind), status, cfg_id, ref))
 
     slope = optimal_config(geom.theta1, theta2[0], geom)
     config_id, next_config_id, status = 0, 1, 1
@@ -169,16 +163,16 @@ def disagreements(tl, ref: Reference) -> tuple[list[str], float]:
     differ by about 1e-10 of their own power, 1e-20 of the reference's).
     """
     table = tl.statuses
+    first, kind, status_id, config_id, rss_ref = map(list, zip(*ref.rows))
     problems = []
-    for name in ("kind", "status_id", "config_id"):
-        if getattr(table, name).tolist() != getattr(ref, name):
+    for name, want in (("kind", kind), ("status_id", status_id), ("config_id", config_id),
+                       ("first", first + [len(ref.rss)])):
+        if getattr(table, name).tolist() != want:
             problems.append(f"{name} differs")
-    if table.first.tolist() != ref.first + [len(tl)]:
-        problems.append("row starts differ")
-    if len(table.rss_ref) == len(ref.rss_ref) and not np.allclose(
-            table.rss_ref, ref.rss_ref, rtol=1e-12, atol=0.0):
+    if len(table.rss_ref) == len(rss_ref) and not np.allclose(
+            table.rss_ref, rss_ref, rtol=1e-12, atol=0.0):
         problems.append("rss_ref differs")
-    scale = np.maximum(ref.rss, np.repeat(ref.rss_ref, np.diff(ref.first + [len(ref.rss)])))
+    scale = np.maximum(ref.rss, np.repeat(rss_ref, np.diff(first + [len(ref.rss)])))
     worst = float(np.max(np.abs(tl.rss - ref.rss) / scale))
     if worst > 1e-12:
         problems.append(f"rss differs by up to {worst:.3g} of the larger of it and its reference")
