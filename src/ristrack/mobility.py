@@ -19,6 +19,8 @@ the gain has a closed form in r2. A :class:`Walk` holds theta2 and r2 (8
 bytes per slot each, read-only) and where each segment starts; a
 :class:`Trajectory` references the walk, which every seed of it shares, and
 holds each segment's initial gain, evaluating the gain whenever it is read.
+`generate_path` builds both, and ``traj[:end]`` cuts a trajectory to its
+walk's first `end` slots, ``walk[:end]``, which views the walk's columns.
 """
 
 from __future__ import annotations
@@ -105,23 +107,6 @@ def _draw_beta(spec: TrajectorySpec) -> complex:
     return complex(mag * np.exp(1j * phase))
 
 
-def _owned(values) -> np.ndarray:
-    """`values` as a read-only float array that no other holder can write.
-
-    An array that is writable, or a view of one, is copied before it is
-    frozen; a read-only array of read-only memory passes through.
-    """
-    arr = np.asarray(values, dtype=float)
-    base = arr
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            arr = arr.copy()
-            break
-        base = base.base
-    arr.setflags(write=False)
-    return arr
-
-
 def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry,
                   out: np.ndarray | None = None) -> np.ndarray:
     """beta at the distances `r2` of a segment that starts from gain b0 at r0, into `out`.
@@ -141,19 +126,25 @@ def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry,
 class Walk:
     """What the seeds of a walk share: theta2 and r2 at every slot and where each segment starts.
 
-    Both columns are read-only, and an array that another holder could write
-    is copied. A walk also keeps the seed-free columns of one geometry.
+    `generate_path` builds a walk on read-only columns of its own, and
+    ``walk[:end]`` cuts one. ``uncut_slots`` is the slot count of the walk
+    that was generated, which a cut keeps: the receiver noise is drawn for
+    that many slots, so a cut's noise is the whole walk's first slots. A walk
+    also keeps the seed-free columns of one geometry.
     """
 
-    def __init__(self, theta2, r2, starts: tuple[int, ...] = (0,)):
-        self.theta2, self.r2 = _owned(theta2), _owned(r2)
-        self.starts = starts = tuple(map(int, starts))
-        n = self.theta2.shape[0]
-        if self.theta2.ndim != 1 or self.r2.shape != (n,):
-            raise ValueError("theta2 and r2 must be 1-d columns of one length")
-        if starts[:1] != (0,) or list(starts) != sorted(set(starts)) or starts[-1] >= max(n, 1):
-            raise ValueError(f"segment starts must rise from 0 below {n} slots, got {starts}")
+    def __init__(self, theta2: np.ndarray, r2: np.ndarray, starts: tuple[int, ...],
+                 uncut_slots: int):
+        self.theta2, self.r2, self.starts, self.uncut_slots = theta2, r2, starts, uncut_slots
         self._phasors = (None, None, None)  # the last geometry asked, its kdu and exponential
+
+    def __getitem__(self, cut: slice) -> Walk:
+        """The first `end` slots: views of these columns and the segment starts below `end`."""
+        if cut.start not in (None, 0) or cut.step not in (None, 1):
+            raise ValueError("a walk is cut only by a prefix slice [:end]")
+        end = cut.indices(self.theta2.shape[0])[1]
+        return Walk(self.theta2[:end], self.r2[:end],
+                    tuple(s for s in self.starts if s < end) or (0,), self.uncut_slots)
 
     def phasors(self, geom: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:
         """kdu = kd*(sin(theta1) - sin(theta2)) and exp(-j*(N-1)*kdu/2) under `geom`, read-only.
@@ -179,28 +170,27 @@ class Trajectory:
     """Per-slot channel states of a walk of one or more straight segments.
 
     ``traj[i]`` is slot i+1's :class:`ChannelState` and ``traj[:end]`` the
-    walk's first `end` slots, on a walk of its own. ``walk`` is the
-    :class:`Walk`, whose read-only ``theta2`` and ``r2`` and segment
+    trajectory on the walk's first `end` slots, ``walk[:end]``. ``walk`` is
+    the :class:`Walk`, whose read-only ``theta2`` and ``r2`` and segment
     ``starts`` are exposed here too; ``anchor`` is the state just before
-    slot 1. `generate_path` gives every seed of a walk the same one.
+    slot 1. `generate_path` builds a trajectory on the walk it keeps, so
+    every seed of a walk gets the same one.
 
     The gain is not stored: ``beta`` evaluates it at every slot whenever it
     is read and keeps nothing, so read it into a local before indexing it in
     a loop. Within a segment it follows the closed form of `_segment_gain`
     under `geom` from the segment's initial gain, ``segment_gains``: the
     anchor's for the first segment, and for each later one the closed form
-    of the segment before at its last slot. ``traj[i]`` evaluates slot i
-    alone, with the bits it has in ``beta``.
+    of the segment before at its last slot. Of `geom` the gain reads r1 and
+    the wavelength only, and `run_timeline` runs a trajectory only under a
+    geometry that has the same two. ``traj[i]`` evaluates slot i alone, with
+    the bits it has in ``beta``.
 
     ``columns`` holds the engine's slot columns for the (geometry, noise seed)
     it was last simulated under, or None.
     """
 
-    def __init__(self, anchor: ChannelState, theta2, r2, geom: LinkGeometry,
-                 starts: tuple[int, ...] = (0,)):
-        self._bind(anchor, Walk(theta2, r2, starts), geom)
-
-    def _bind(self, anchor: ChannelState, walk: Walk, geom: LinkGeometry) -> None:
+    def __init__(self, anchor: ChannelState, walk: Walk, geom: LinkGeometry):
         self.anchor, self.walk, self.geom = anchor, walk, geom
         self.theta2, self.r2, self.starts = walk.theta2, walk.r2, walk.starts
         self.columns = None
@@ -234,11 +224,7 @@ class Trajectory:
     def __getitem__(self, i):
         n = len(self)
         if isinstance(i, slice):
-            if i.start not in (None, 0) or i.step not in (None, 1):
-                raise ValueError("a trajectory is cut only by a prefix slice traj[:end]")
-            end = i.indices(n)[1]
-            return Trajectory(self.anchor, self.theta2[:end], self.r2[:end], self.geom,
-                              tuple(s for s in self.starts if s < end) or (0,))
+            return Trajectory(self.anchor, self.walk[i], self.geom)
         if i < 0:
             i += n
         if not 0 <= i < n:
@@ -288,7 +274,7 @@ def _walk(spec: TrajectorySpec, continuations) -> Walk:
     theta2, r2 = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     for arr in (theta2, r2):
         arr.setflags(write=False)
-    walk = _LAST_WALK[key] = Walk(theta2, r2, bounds[:-1])
+    walk = _LAST_WALK[key] = Walk(theta2, r2, tuple(bounds[:-1]), bounds[-1])
     return walk
 
 
@@ -314,6 +300,4 @@ def generate_path(
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.
     """
     anchor = ChannelState(beta=_draw_beta(spec), theta2=spec.theta2_init, r2=spec.r2_init)
-    traj = Trajectory.__new__(Trajectory)  # on the kept walk, not a walk of its own
-    traj._bind(anchor, _walk(spec, continuations), geom)
-    return traj
+    return Trajectory(anchor, _walk(spec, continuations), geom)

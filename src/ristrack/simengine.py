@@ -454,16 +454,16 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
     if noise_seed is None:
         noise = np.zeros(n, dtype=complex)
     else:
-        # built in place, real parts drawn first: the bits of
-        # scale * (standard_normal(n) + 1j * standard_normal(n))
+        # drawn for the uncut walk and built in place, real parts drawn first:
+        # the first n of scale * (standard_normal(m) + 1j * standard_normal(m)),
+        # so a cut walk's noise is the whole walk's
         rng = np.random.default_rng(noise_seed)
         scale = math.sqrt(geom.noise_var / 2.0)
         noise = np.empty(n, dtype=complex)
-        part = np.empty(n)
+        part = np.empty(trajectory.walk.uncut_slots)
         for view in (noise.real, noise.imag):
             rng.standard_normal(out=part)
-            part *= scale
-            view[...] = part
+            np.multiply(part[:n], scale, out=view)
     for arr in (phase, noise):
         arr.setflags(write=False)
     trajectory.columns = cols = _SlotColumns(geom, noise_seed, kdu, phase, noise)
@@ -499,11 +499,14 @@ def run_timeline(
     """Drive one policy over a trajectory and return its run: `rss` and its statuses.
 
     `noise_seed` seeds the receiver noise; None runs without receiver noise.
-    `threshold_mode="normalized"` compares strength against the status
-    reference (portable thresholds in (0, 1]); `"absolute"` compares raw
-    strength against a finite gamma > 0. Either way a fresh status
-    re-evaluates from the slot after its reference slot, so at most one
-    event fires per trigger. A status is scanned in windows of
+    The noise is drawn for the uncut walk, so a run on ``traj[:end]`` sees
+    the noise of the whole walk's first `end` slots. `geom` must have the r1
+    and wavelength of ``trajectory.geom``, which set the trajectory's gain;
+    its other fields are free. `threshold_mode="normalized"` compares
+    strength against the status reference (portable thresholds in (0, 1]);
+    `"absolute"` compares raw strength against a finite gamma > 0. Either
+    way a fresh status re-evaluates from the slot after its reference slot,
+    so at most one event fires per trigger. A status is scanned in windows of
     `_SCAN_WINDOW` slots, or, after a status of L >= `_SCAN_WINDOW` slots,
     in spans of min(2L, `_SCAN_SPAN`) slots whose coarse pass at a stride
     of at most `_PROBE_SLOTS` slots cuts the span to end at its first
@@ -523,6 +526,9 @@ def run_timeline(
         raise ValueError("normalized mode needs gamma in (0, 1]")
     if not normalized and not 0.0 < policy.gamma < math.inf:
         raise ValueError("absolute mode needs a finite gamma > 0")
+    if (geom.r1, geom.wavelength) != (trajectory.geom.r1, trajectory.geom.wavelength):
+        raise ValueError("the run's geometry must have the r1 and wavelength that the "
+                         "trajectory's gain was generated under")
 
     theta2 = trajectory.theta2
     cols = _slot_columns(trajectory, geom, noise_seed)

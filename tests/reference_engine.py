@@ -9,8 +9,9 @@ evaluation. Each received sample is the explicit element sum
 
 over the N surface elements, as the matrix oracle of `tests/test_ris.py`
 writes h^H Theta G f, and the receiver noise is drawn again from
-``default_rng(noise_seed)``: all real parts, then all imaginary parts,
-scaled by sqrt(noise_var / 2). Of the engine it reuses only the tracker's
+``default_rng(noise_seed)``: all real parts, then all imaginary parts, each
+for the uncut walk and cut to the trajectory's slots, scaled by
+sqrt(noise_var / 2). Of the engine it reuses only the tracker's
 own steps: `optimal_config`, `update_config`, `measure_observables`,
 `two_dim_search` and `select_by_training`.
 
@@ -24,7 +25,8 @@ its last bit, so every trigger test whose normalised level lies within
 
 Run as a script it compares the engine with the reference on a wider matrix
 of 27 whole timelines and prints how far each run departs from its
-reference; that takes about ten seconds on a 2-core host:
+reference; it exits 1 when any run disagrees or shows a close call. That
+takes about ten seconds on a 2-core host:
 
     PYTHONPATH=src python tests/reference_engine.py
 """
@@ -53,12 +55,13 @@ class Reference:
     close_calls: list[tuple[int, float]]  # (slot, level / gamma - 1)
 
 
-def noise_column(n: int, noise_var: float, noise_seed: int | None) -> np.ndarray:
+def noise_column(n: int, uncut: int, noise_var: float, noise_seed: int | None) -> np.ndarray:
+    """The first n slots of the noise drawn for a walk of `uncut` slots."""
     if noise_seed is None:
         return np.zeros(n, dtype=complex)
     rng = np.random.default_rng(noise_seed)
-    real = rng.standard_normal(n)
-    imag = rng.standard_normal(n)
+    real = rng.standard_normal(uncut)[:n]
+    imag = rng.standard_normal(uncut)[:n]
     return math.sqrt(noise_var / 2.0) * (real + 1j * imag)
 
 
@@ -71,7 +74,7 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
     sin1 = math.sin(geom.theta1)
     theta2 = traj.theta2.tolist()
     gain = (math.sqrt(geom.snr_linear * geom.n_tx) * geom.alpha * traj.beta).tolist()
-    noise = noise_column(n, geom.noise_var, noise_seed).tolist()
+    noise = noise_column(n, traj.walk.uncut_slots, geom.noise_var, noise_seed).tolist()
 
     def sample(i: int, slope: float) -> complex:
         u = sin1 - math.sin(theta2[i])
@@ -209,19 +212,23 @@ def _matrix():
 
 
 if __name__ == "__main__":
+    import sys
     import time
 
     from ristrack import run_timeline
 
-    worst_all = 0.0
-    for label, traj, policy, geom, noise_seed in _matrix():
+    worst_all, failed = 0.0, 0
+    for runs, (label, traj, policy, geom, noise_seed) in enumerate(_matrix(), 1):
         start = time.perf_counter()
         ref = reference_timeline(traj, policy, geom, noise_seed)
         took = time.perf_counter() - start
         tl = run_timeline(traj, policy, geom, noise_seed=noise_seed)
         problems, worst = disagreements(tl, ref)
         worst_all = max(worst_all, worst)
+        failed += bool(problems or ref.close_calls)
         print(f"{label:32} {policy.name:18} {len(traj):6} slots {tl.tracking_calls:5} events "
               f"rss gap {worst:.2e}  close calls {len(ref.close_calls)}  {took:.1f} s  "
               + ("; ".join(problems) or "agrees"))
-    print(f"largest relative rss gap: {worst_all:.3g}")
+    print(f"{failed} of {runs} timelines disagree or show a close call; "
+          f"largest relative rss gap: {worst_all:.3g}")
+    sys.exit(1 if failed else 0)

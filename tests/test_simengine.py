@@ -276,6 +276,17 @@ class TestTimelineStructure:
             with pytest.raises(ValueError, match=r"gamma in \(0, 1\]"):
                 run_timeline(traj, ProposedPolicy(gamma=gamma), GEOM, noise_seed=None)
 
+    def test_the_geometry_must_have_the_trajectorys_gain_law(self, traj):
+        # r1 and the wavelength set the trajectory's gain: under others the
+        # gain would follow one scene and the search another
+        for change in (dict(r1=4.0), dict(wavelength=0.004)):
+            with pytest.raises(ValueError, match="r1 and wavelength"):
+                run_timeline(traj, ProposedPolicy(), replace(GEOM, **change), noise_seed=None)
+        # every other field is free
+        for change in (dict(n_ris=7), dict(snr_linear=0.1), dict(noise_var=2.0), dict(n_tx=4),
+                       dict(alpha=0.5j), dict(theta1=0.5), dict(spacing=0.002)):
+            run_timeline(traj, ProposedPolicy(), replace(GEOM, **change), noise_seed=None)
+
 
 class TestOverheadReport:
     def test_all_data_run_is_zero_percent(self):
@@ -634,28 +645,21 @@ class TestWalkCache:
             assert not arr.flags.writeable
 
     def test_a_trajectory_owns_what_it_holds(self):
-        # a trajectory built on views of writable arrays, which are then
-        # written: it and its engine columns keep the values it was built with
+        # a cut views the walk's read-only columns, and nothing a trajectory
+        # holds can be written
         walk = generate_path(SPEC, (), GEOM)
-        theta2, r2 = np.array(walk.theta2), np.array(walk.r2)
-        cut = Trajectory(walk.anchor, theta2[:5], r2[:5], GEOM)
-        assert theta2.flags.writeable and r2.flags.writeable
-        built = {col: np.array(getattr(cut, col)) for col in ("theta2", "r2", "beta")}
+        cut = walk[:5]
+        assert cut.walk is not walk.walk and cut.walk.uncut_slots == len(walk)
+        assert cut.theta2.base is walk.theta2 and cut.r2.base is walk.r2
         cols = simengine._slot_columns(cut, GEOM, 1)
-        theta2[0], r2[0] = 0.5, 9.0
-        for col, want in built.items():
-            assert_same_bits(getattr(cut, col), want, col)
-        assert simengine._slot_columns(cut, GEOM, 1) is cols
-        fresh = simengine._slot_columns(walk[:5], GEOM, 1)
-        for col in ("kdu", "phase", "noise"):
-            assert_same_bits(getattr(cols, col), getattr(fresh, col), col)
-        # a read-only view of a writable array is copied too, and the walk's
-        # own read-only arrays, or views of them, are not
-        view = theta2[:5]
-        view.setflags(write=False)
-        assert Trajectory(walk.anchor, view, r2[:5], GEOM).theta2.base is None
-        assert Trajectory(walk.anchor, walk.theta2, walk.r2, GEOM).theta2 is walk.theta2
-        assert walk[:5].theta2.base is walk.theta2 and walk[:5].r2.base is walk.r2
+        for arr in (cut.theta2, cut.r2, walk.theta2, walk.r2, cols.kdu, cols.phase,
+                    cols.noise, *cut.walk.phasors(GEOM)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+        # the one constructor takes a walk: the old array constructor is gone
+        with pytest.raises(TypeError):
+            Trajectory(walk.anchor, walk.theta2, walk.r2, GEOM, walk.starts)
 
     def test_any_change_of_walk_or_geometry_misses(self):
         turn = ((np.deg2rad(70.0), 0.01),)
@@ -828,7 +832,7 @@ class TestClosedFormGain:
         turn = unit_phasors(TWO_PI * (r2 - r0) * (1.0 / WINDOW_GEOM.wavelength))
         for b0 in (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist():
             anchor = replace(walk.anchor, beta=b0)
-            chained = Trajectory(anchor, walk.theta2, walk.r2, WINDOW_GEOM, walk.starts)
+            chained = Trajectory(anchor, walk.walk, WINDOW_GEOM)
             assert chained.segment_gains[1] == (b0 * rho_prod * turn)[-1], b0
 
     def test_a_prefix_has_the_prefix_of_every_column(self):
@@ -836,7 +840,7 @@ class TestClosedFormGain:
         walk = generate_path(replace(spec, rng_seed=2), continuations, WINDOW_GEOM)
         n, (_, second, third) = len(walk), walk.starts
         full = {col: getattr(walk, col) for col in ("theta2", "r2", "beta")}
-        cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
+        cols = simengine._slot_columns(walk, WINDOW_GEOM, 4)
         for end in (1, 1000, second - 1, second, second + 1, third + 7, n - 1, n, -3):
             cut = walk[:end]
             stop = end % n if end < 0 else end
@@ -844,8 +848,8 @@ class TestClosedFormGain:
             assert cut.starts == tuple(s for s in walk.starts if s < stop)
             for col, want in full.items():
                 assert_same_bits(getattr(cut, col), want[:stop], (end, col))
-            got = simengine._slot_columns(cut, WINDOW_GEOM, None)
-            for col in ("kdu", "phase"):
+            got = simengine._slot_columns(cut, WINDOW_GEOM, 4)
+            for col in ("kdu", "phase", "noise"):
                 assert_same_bits(getattr(got, col), getattr(cols, col)[:stop], (end, col))
         for bad in (slice(1, 5), slice(None, 5, 2), slice(None, None, -1)):
             with pytest.raises(ValueError, match="prefix slice"):
@@ -980,12 +984,14 @@ class TestDerivedColumns:
 
     def test_cut_training_slice(self, traj):
         for policy in (ExhaustivePolicy(gamma=0.5, resolution_deg=1.0), ProposedPolicy()):
-            full = run_timeline(traj, policy, GEOM, noise_seed=None)
+            full = run_timeline(traj, policy, GEOM, noise_seed=2)
             t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
             # cut three slots into the training slice, and before its first slot
             for end, bounds in ((t2 + 5, [0, t2, t2 + 1, t2 + 3, t2 + 5]), (t2 + 2, [0, t2 + 2])):
                 cut = traj[:end]
-                tl = run_timeline(cut, policy, GEOM, noise_seed=None)
+                tl = run_timeline(cut, policy, GEOM, noise_seed=2)
+                # the cut draws the whole walk's noise, so its run is the whole run's prefix
+                assert_same_bits(tl.rss, full.rss[:end], (policy.name, end))
                 assert tl.tracking_calls == 1
                 assert_blocks_match_full_range(tl, bounds)
                 assert_blocks_match_full_range(tl, [0, end - 1, end, end])
