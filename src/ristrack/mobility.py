@@ -15,10 +15,13 @@ the RIS with the sign of the increment set by the side the user walks to
 Cartesian polyline in the test suite.
 
 What a seed adds to a walk is its draw, the initial gain: along a segment
-the gain has a closed form in r2. A :class:`Walk` holds theta2 and r2 (8
-bytes per slot each, read-only) and where each segment starts; a
-:class:`Trajectory` references the walk, which every seed of it shares, and
-holds each segment's initial gain, evaluating the gain whenever it is read.
+the gain has a closed form in r2, and it is linear in the initial gain. A
+:class:`Walk` holds theta2 and r2 (8 bytes per slot each, read-only) and
+where each segment starts, and for one geometry its channel: the gain
+chained from an initial gain of 1, with the geometry's seed-free factors.
+A :class:`Trajectory` references the walk, which every seed of it shares,
+and holds each segment's initial gain, evaluating the gain whenever it is
+read; the engine instead scales the walk's channel by the anchor's gain.
 `generate_path` builds both, and ``traj[:end]`` cuts a trajectory to its
 walk's first `end` slots, ``walk[:end]``, which views the walk's columns.
 """
@@ -123,47 +126,101 @@ def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry,
                        out=out)
 
 
+def _chain(b0: complex, r0: float, r2: np.ndarray, starts: tuple[int, ...],
+           geom: LinkGeometry) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """Each segment's initial gain from b0 at r0, and the distance just before its first slot.
+
+    A later segment starts from the closed form of the segment before at its
+    last slot, evaluated on that slot alone.
+    """
+    gains, refs = [b0], [r0]
+    for lo in starts[1:]:
+        gains.append(complex(_segment_gain(gains[-1], refs[-1], r2[lo - 1:lo], geom)[0]))
+        refs.append(float(r2[lo - 1]))
+    return tuple(gains), tuple(refs)
+
+
+def _gain_range(gains: tuple[complex, ...], refs: tuple[float, ...], r2: np.ndarray,
+                starts: tuple[int, ...], geom: LinkGeometry, lo: int, hi: int) -> np.ndarray:
+    """The gain chained from `gains` at slots [lo, hi), segment by segment, in one new column."""
+    out = np.empty(hi - lo, dtype=complex)
+    bounds = starts + (r2.shape[0],)
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        a, b = max(a, lo), min(b, hi)
+        if a < b:
+            _segment_gain(gains[k], refs[k], r2[a:b], geom, out[a - lo:b - lo])
+    return out
+
+
+# slots per block of a channel build: a full-length temporary would hold
+# another column of the walk
+_BLOCK = 65536
+
+
 class Walk:
     """What the seeds of a walk share: theta2 and r2 at every slot and where each segment starts.
 
     `generate_path` builds a walk on read-only columns of its own, and
-    ``walk[:end]`` cuts one. ``uncut_slots`` is the slot count of the walk
-    that was generated, which a cut keeps: the receiver noise is drawn for
-    that many slots, so a cut's noise is the whole walk's first slots. A walk
-    also keeps the seed-free columns of one geometry.
+    ``walk[:end]`` cuts one. ``r0`` is the distance just before slot 1.
+    ``uncut_slots`` is the slot count of the walk that was generated, which a
+    cut keeps: the receiver noise is drawn for that many slots, so a cut's
+    noise is the whole walk's first slots. A walk also keeps its channel
+    under one geometry (see `channel`).
     """
 
     def __init__(self, theta2: np.ndarray, r2: np.ndarray, starts: tuple[int, ...],
-                 uncut_slots: int):
-        self.theta2, self.r2, self.starts, self.uncut_slots = theta2, r2, starts, uncut_slots
-        self._phasors = (None, None, None)  # the last geometry asked, its kdu and exponential
+                 r0: float, uncut_slots: int):
+        self.theta2, self.r2, self.starts = theta2, r2, starts
+        self.r0, self.uncut_slots = r0, uncut_slots
+        self._channel = (None, None, None)  # the last geometry asked, its kdu and channel
+
+    def __len__(self) -> int:
+        return self.theta2.shape[0]
 
     def __getitem__(self, cut: slice) -> Walk:
         """The first `end` slots: views of these columns and the segment starts below `end`."""
         if cut.start not in (None, 0) or cut.step not in (None, 1):
             raise ValueError("a walk is cut only by a prefix slice [:end]")
-        end = cut.indices(self.theta2.shape[0])[1]
+        end = cut.indices(len(self))[1]
         return Walk(self.theta2[:end], self.r2[:end],
-                    tuple(s for s in self.starts if s < end) or (0,), self.uncut_slots)
+                    tuple(s for s in self.starts if s < end) or (0,), self.r0,
+                    self.uncut_slots)
 
-    def phasors(self, geom: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:
-        """kdu = kd*(sin(theta1) - sin(theta2)) and exp(-j*(N-1)*kdu/2) under `geom`, read-only.
+    def channel(self, geom: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:
+        """kdu and the channel of a unit initial gain under `geom`, read-only.
 
-        Kept for the last geometry asked, the exponential only from its second
-        request on: a walk that one trajectory simulates holds no more than it.
+        kdu = kd*(sin(theta1) - sin(theta2)), and the channel is
+        exp(-j*(N-1)*kdu/2) * (c*alpha * u), u being the gain chained with
+        `_segment_gain` from an initial gain of 1 at r0: a trajectory's gain
+        is its initial gain times u up to rounding. The channel is built block
+        by block, its products out of place. Both are kept for the last
+        geometry asked, the channel only from its second request on: a walk
+        that one trajectory simulates holds no more than it.
         """
-        kept_geom, kdu, pexp = self._phasors
+        kept_geom, kdu, channel = self._channel
         if kept_geom != geom:
             # the old geometry's columns are not held while these are built
-            self._phasors = (None, None, None)
+            self._channel = (None, None, None)
             kdu = geom.kd * (np.sin(geom.theta1) - np.sin(self.theta2))
             kdu.setflags(write=False)
-        elif pexp is not None:
-            return kdu, pexp
-        pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu)
-        pexp.setflags(write=False)
-        self._phasors = (geom, kdu, pexp if kept_geom == geom else None)
-        return kdu, pexp
+        elif channel is not None:
+            return kdu, channel
+        n = len(self)
+        gains, refs = _chain(1.0 + 0.0j, self.r0, self.r2, self.starts, geom)
+        c_alpha = geom.beamformer_gain * geom.alpha
+        channel = np.empty(n, dtype=complex)
+        # exp * (c*alpha * u), out of place: complex products round by FMA, so
+        # the order shows in the last bit, and so does a one-element product
+        # written over one of its operands
+        for lo in range(0, n, _BLOCK):
+            hi = min(n, lo + _BLOCK)
+            pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu[lo:hi])
+            unit = _gain_range(gains, refs, self.r2, self.starts, geom, lo, hi)
+            amp = np.multiply(c_alpha, unit)
+            np.multiply(pexp, amp, out=channel[lo:hi])
+        channel.setflags(write=False)
+        self._channel = (geom, kdu, channel if kept_geom == geom else None)
+        return kdu, channel
 
 
 class Trajectory:
@@ -173,8 +230,8 @@ class Trajectory:
     trajectory on the walk's first `end` slots, ``walk[:end]``. ``walk`` is
     the :class:`Walk`, whose read-only ``theta2`` and ``r2`` and segment
     ``starts`` are exposed here too; ``anchor`` is the state just before
-    slot 1. `generate_path` builds a trajectory on the walk it keeps, so
-    every seed of a walk gets the same one.
+    slot 1, at the walk's ``r0``. `generate_path` builds a trajectory on the
+    walk it keeps, so every seed of a walk gets the same one.
 
     The gain is not stored: ``beta`` evaluates it at every slot whenever it
     is read and keeps nothing, so read it into a local before indexing it in
@@ -191,30 +248,22 @@ class Trajectory:
     """
 
     def __init__(self, anchor: ChannelState, walk: Walk, geom: LinkGeometry):
+        if anchor.r2 != walk.r0:
+            raise ValueError(f"the anchor must sit where the walk starts: r2 {anchor.r2} "
+                             f"against the walk's r0 {walk.r0}")
         self.anchor, self.walk, self.geom = anchor, walk, geom
         self.theta2, self.r2, self.starts = walk.theta2, walk.r2, walk.starts
         self.columns = None
-        # each segment's initial gain and the distance just before its first slot
-        gains, refs = [anchor.beta], [anchor.r2]
-        for lo in self.starts[1:]:
-            gains.append(complex(_segment_gain(gains[-1], refs[-1], self.r2[lo - 1:lo], geom)[0]))
-            refs.append(float(self.r2[lo - 1]))
-        self.segment_gains = tuple(gains)
-        self._refs = tuple(refs)
+        self.segment_gains, self._refs = _chain(anchor.beta, anchor.r2, self.r2, self.starts,
+                                                geom)
 
     def __len__(self) -> int:
         return self.theta2.shape[0]
 
     def beta_range(self, lo: int, hi: int) -> np.ndarray:
         """beta at slots [lo, hi), segment by segment, in one new column."""
-        out = np.empty(hi - lo, dtype=complex)
-        bounds = self.starts + (len(self),)
-        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            a, b = max(a, lo), min(b, hi)
-            if a < b:
-                _segment_gain(self.segment_gains[k], self._refs[k], self.r2[a:b], self.geom,
-                              out[a - lo:b - lo])
-        return out
+        return _gain_range(self.segment_gains, self._refs, self.r2, self.starts, self.geom,
+                           lo, hi)
 
     @property
     def beta(self) -> np.ndarray:
@@ -274,7 +323,7 @@ def _walk(spec: TrajectorySpec, continuations) -> Walk:
     theta2, r2 = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     for arr in (theta2, r2):
         arr.setflags(write=False)
-    walk = _LAST_WALK[key] = Walk(theta2, r2, tuple(bounds[:-1]), bounds[-1])
+    walk = _LAST_WALK[key] = Walk(theta2, r2, tuple(bounds[:-1]), spec.r2_init, bounds[-1])
     return walk
 
 
@@ -292,9 +341,10 @@ def generate_path(
 
     The seed only draws the initial gain, so the :class:`Walk` (theta2, r2
     and the segment starts) is built once for the last walk generated, and
-    the trajectories of all its seeds share it with whatever it keeps. Each
-    call draws its gain and chains the segments' initial gains, one slot per
-    segment; no gain column is built (see :class:`Trajectory`).
+    the trajectories of all its seeds share it with the channel it keeps
+    (`Walk.channel`). Each call draws its gain and chains the segments'
+    initial gains, one slot per segment; no gain column is built (see
+    :class:`Trajectory`).
 
     Raises ValueError for a segment length that is not finite and > 0, and
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.

@@ -25,22 +25,22 @@ decides the trigger, so the piece sizes and strides set speed, not the slot
 kinds or ids.
 
 Every scan window, coarse pass, span and training slice is evaluated by one
-function, `_received_samples`, from three read-only columns of the
-trajectory that do not depend on the tracker: kdu = kd*(sin(theta1) -
-sin(theta2)), the phase, exp(-j*(N-1)*kdu/2) times the amplitude, and the
-receiver noise, which is zero when the noise seed is None. The trajectory
-holds them for the (geometry, noise seed) it was last simulated under, so
-all trackers of a seed share them and they die with it. The amplitude is
-the trajectory's gain, which it does not store: it is evaluated and scaled
-block by block, and each block is multiplied into the phase column, so no
-gain column outlives the build. kdu and the exponential do not depend on
-the seed: the trajectory's walk keeps them (`Walk.phasors`), and since
-`generate_path` gives every seed of a walk the same one, a seed after the
-first only evaluates its amplitude, multiplies it by the kept exponential
-and draws its noise. A sample is then
-exp(j*(N-1)*slope/2) * phase * D(slope - kdu) + noise, with the real
-Dirichlet kernel D of :mod:`ristrack.ris`; a scan window computes one
-complex exponential, not one per slot.
+function, `_received_samples`, from the trajectory's initial gain b0 and
+three read-only columns that do not depend on the tracker: kdu =
+kd*(sin(theta1) - sin(theta2)), the channel, exp(-j*(N-1)*kdu/2) times
+c*alpha times the walk's gain chained from an initial gain of 1, and the
+receiver noise, which is zero when the noise seed is None. kdu and the channel do not
+depend on the seed either: along a segment the gain is linear in b0, so a
+seed's channel is b0 times its walk's, and the walk keeps both
+(`Walk.channel`). The trajectory holds its columns for the (geometry, noise
+seed) it was last simulated under, so all trackers of a seed share them and
+they die with it; since `generate_path` gives every seed of a walk the same
+walk, a seed after the first only draws its noise. A sample is then
+(exp(j*(N-1)*slope/2) * b0) * channel * D(slope - kdu) + noise, with the
+real Dirichlet kernel D of :mod:`ristrack.ris`; a scan window computes one
+complex scalar for its slope and b0, not one per slot. The engine's gain is
+b0 times the walk's, which agrees with the trajectory's ``beta`` to about
+1e-15 relative rather than bit for bit.
 
 Training is one slice of slots. The policy supplies the slopes of its
 candidate configurations: the proposed tracker one per candidate of the
@@ -219,8 +219,8 @@ class StatusTable:
         return values
 
 
-# slots per block of a pass over a whole run, a running sum or the gain: a
-# full-length temporary would hold another column of the run
+# slots per block of a pass over a whole run or a running sum: a full-length
+# temporary would hold another column of the run
 _BLOCK = 65536
 
 
@@ -417,15 +417,17 @@ class _SlotColumns:
     """Tracker-independent columns of a trajectory under one geometry and noise seed.
 
     `kdu` is kd * (sin(theta1) - sin(theta2)), so a slot's per-element step
-    under slope s is s - kdu; `phase` is the slot's amplitude times
-    exp(-j*(N-1)*kdu/2), the slope-free half of the Dirichlet phase; `noise`
-    is the slot's receiver noise.
+    under slope s is s - kdu; `channel` is the slot's channel for an initial
+    gain of 1 times the slope-free half of the Dirichlet phase,
+    exp(-j*(N-1)*kdu/2); both are the walk's. `b0` is the trajectory's initial gain, which scales
+    the channel to the trajectory's, and `noise` the slot's receiver noise.
     """
 
     geom: LinkGeometry
     noise_seed: int | None
+    b0: complex
     kdu: np.ndarray
-    phase: np.ndarray
+    channel: np.ndarray
     noise: np.ndarray
 
 
@@ -433,24 +435,15 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
                   noise_seed: int | None) -> _SlotColumns:
     """The trajectory's columns under (geometry, noise seed), held by it until another pair.
 
-    Every tracker of a seed shares one evaluation of its channel and noise;
-    `kdu` and the phase exponential come from its walk. A noise seed of None
-    gives zero noise.
+    Every tracker of a seed shares one draw of its noise; `kdu` and the
+    channel come from its walk (`Walk.channel`) and b0 from its anchor. A
+    noise seed of None gives zero noise.
     """
     cols = trajectory.columns
     if cols is not None and cols.geom == geom and cols.noise_seed == noise_seed:
         return cols
     n = len(trajectory)
-    kdu, pexp = trajectory.walk.phasors(geom)
-    # the gain is evaluated block by block as (c*alpha) * beta, then exp * amp
-    # out of place: complex products round by FMA, so amp * exp would differ in
-    # the last bit, and so would a one-element product written over an operand
-    c_alpha = geom.beamformer_gain * geom.alpha
-    phase = np.empty(n, dtype=complex)
-    for lo in range(0, n, _BLOCK):
-        hi = min(n, lo + _BLOCK)
-        amp = np.multiply(c_alpha, trajectory.beta_range(lo, hi))
-        np.multiply(pexp[lo:hi], amp, out=phase[lo:hi])
+    kdu, channel = trajectory.walk.channel(geom)
     if noise_seed is None:
         noise = np.zeros(n, dtype=complex)
     else:
@@ -464,9 +457,9 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
         for view in (noise.real, noise.imag):
             rng.standard_normal(out=part)
             np.multiply(part[:n], scale, out=view)
-    for arr in (phase, noise):
-        arr.setflags(write=False)
-    trajectory.columns = cols = _SlotColumns(geom, noise_seed, kdu, phase, noise)
+    noise.setflags(write=False)
+    trajectory.columns = cols = _SlotColumns(geom, noise_seed, trajectory.anchor.beta, kdu,
+                                             channel, noise)
     return cols
 
 
@@ -476,14 +469,14 @@ def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope,
 
     `slope` is one for all slots or one per slot. Every scan window, coarse
     pass, span and training slice goes through here: the Dirichlet form
-    exp(j*(N-1)*s/2) * phase * D(s - kdu) + noise, elementwise, where the
-    slope's half of the phase is one scalar for a scan.
+    (exp(j*(N-1)*s/2) * b0) * channel * D(s - kdu) + noise, elementwise,
+    where the slope's half of the phase times b0 is one scalar for a scan.
     """
     d, _ = _dirichlet(slope - cols.kdu[lo:hi:step], cols.geom.n_ris)
     # on one slope cmath.exp gives np.exp's value without numpy's call cost
     exp = np.exp if isinstance(slope, np.ndarray) else cmath.exp
-    turn = exp(0.5j * (cols.geom.n_ris - 1) * slope)
-    y = turn * cols.phase[lo:hi:step]
+    scale = exp(0.5j * (cols.geom.n_ris - 1) * slope) * cols.b0
+    y = scale * cols.channel[lo:hi:step]
     y *= d
     y += cols.noise[lo:hi:step]
     return y

@@ -615,16 +615,19 @@ class TestWalkCache:
         forget_walk()
         cold = simulate_seed(spec, continuations, 3, noise_seed)
         forget_walk()
-        # the first seed's walk keeps kdu, and the second seed's run its exponential
+        # the first seed's walk keeps kdu, and the second seed's run its channel
         first = simulate_seed(spec, continuations, 1, noise_seed)
-        simulate_seed(spec, continuations, 2, noise_seed)
+        second = simulate_seed(spec, continuations, 2, noise_seed)
         warm = simulate_seed(spec, continuations, 3, noise_seed)
         assert warm[0].walk is first[0].walk is not cold[0].walk
-        assert warm[1].kdu is first[1].kdu is warm[0].walk.phasors(WINDOW_GEOM)[0]
+        kdu, channel = warm[0].walk.channel(WINDOW_GEOM)
+        assert warm[1].kdu is first[1].kdu is kdu
+        assert warm[1].channel is second[1].channel is channel is not first[1].channel
         (cold_walk, cold_cols, cold_runs), (warm_walk, warm_cols, warm_runs) = cold, warm
         for col in ("theta2", "r2", "beta"):
             assert_same_bits(getattr(warm_walk, col), getattr(cold_walk, col), col)
-        for col in ("kdu", "phase", "noise"):
+        assert warm_cols.b0 == cold_cols.b0 == warm_walk.anchor.beta
+        for col in ("kdu", "channel", "noise"):
             assert_same_bits(getattr(warm_cols, col), getattr(cold_cols, col), col)
         for got, want in zip(warm_runs, cold_runs):
             assert want.tracking_calls > 0, want.policy_name
@@ -641,7 +644,7 @@ class TestWalkCache:
         assert a.beta[0] != b.beta[0]
         cols = simengine._slot_columns(a, GEOM, None)
         assert simengine._slot_columns(b, GEOM, 1).kdu is cols.kdu
-        for arr in (a.theta2, a.r2, cols.kdu, *a.walk.phasors(GEOM)):
+        for arr in (a.theta2, a.r2, cols.kdu, *a.walk.channel(GEOM)):
             assert not arr.flags.writeable
 
     def test_a_trajectory_owns_what_it_holds(self):
@@ -652,8 +655,8 @@ class TestWalkCache:
         assert cut.walk is not walk.walk and cut.walk.uncut_slots == len(walk)
         assert cut.theta2.base is walk.theta2 and cut.r2.base is walk.r2
         cols = simengine._slot_columns(cut, GEOM, 1)
-        for arr in (cut.theta2, cut.r2, walk.theta2, walk.r2, cols.kdu, cols.phase,
-                    cols.noise, *cut.walk.phasors(GEOM)):
+        for arr in (cut.theta2, cut.r2, walk.theta2, walk.r2, cols.kdu, cols.channel,
+                    cols.noise, *cut.walk.channel(GEOM)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
@@ -724,17 +727,39 @@ class TestWalkCache:
                             lambda y: phasors.append(y.size) or original_phasors(y))
         first = simulate_seed(spec, continuations, 1, 5)
         n = len(first[0])
-        # one geometry per segment; the phase exponential built and not kept
-        # (the gain's phasors are built per segment, shorter than the walk)
-        assert (len(walks), phasors.count(n)) == (3, 1)
-        assert first[0].walk._phasors[2] is None
+
+        def columns_built():
+            # the channel's exponential and its gain each cover every slot once,
+            # block by block and segment by segment; the rest are single slots
+            return sum(size for size in phasors if size > 1) / n
+
+        # one geometry per segment; the channel built and not kept
+        assert (len(walks), columns_built()) == (3, 2)
+        assert first[0].walk._channel[2] is None
         second = simulate_seed(spec, continuations, 2, 6)
-        # no walk and no kdu again, and the exponential built once more, to keep
-        assert (len(walks), phasors.count(n)) == (3, 2)
+        # no walk and no kdu again, and the channel built once more, to keep
+        assert (len(walks), columns_built()) == (3, 4)
         assert second[1].kdu is first[1].kdu
+        del phasors[:]
         third = simulate_seed(spec, continuations, 3, 7)
-        assert (len(walks), phasors.count(n)) == (3, 2)
-        assert third[1].kdu is first[1].kdu
+        # the third seed chains its segments' initial gains, one slot each,
+        # and evaluates no gain or exponential column
+        assert len(walks) == 3 and phasors == [1, 1], phasors
+        assert third[1].kdu is first[1].kdu and third[1].channel is second[1].channel
+
+    @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
+    def test_later_seeds_take_the_walks_own_columns(self, name):
+        # a seed's slot columns hold its noise and its initial gain; from a
+        # walk's second seed on, kdu and the channel are the walk's objects
+        spec, continuations = CACHE_WALKS[name]
+        spec = replace(spec, path_length=0.05)
+        forget_walk()
+        simulate_seed(spec, continuations, 1, 5)
+        for seed in (2, 3, 4):
+            traj, cols, _ = simulate_seed(spec, continuations, seed, seed + 4)
+            kdu, channel = traj.walk.channel(WINDOW_GEOM)
+            assert cols.kdu is kdu and cols.channel is channel, seed
+            assert cols.b0 == traj.anchor.beta, seed
 
 
 class TestPhasors:
@@ -753,21 +778,29 @@ class TestPhasors:
         rho_prod = (geom.r1 + r0) / (geom.r1 + walk.r2)
         want = b0 * rho_prod * np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength)
         assert_same_bits(walk.beta, want, "beta")
-        kdu, pexp = walk.walk.phasors(geom)
+        kdu, _ = walk.walk.channel(geom)
         y = (-0.5 * (geom.n_ris - 1)) * kdu
-        assert_same_bits(pexp, np.exp(1j * y), "phase turn")
-        assert_same_bits(pexp, np.exp(-0.5j * (geom.n_ris - 1) * kdu), "phase turn as written")
+        assert_same_bits(unit_phasors(y), np.exp(1j * y), "phase turn")
+        assert_same_bits(unit_phasors(y), np.exp(-0.5j * (geom.n_ris - 1) * kdu),
+                         "phase turn as written")
 
     @pytest.mark.parametrize("length", [0.1, 0.3])
     def test_phase_is_the_turn_times_the_amplitude_at_every_length(self, length):
+        # the channel: the turn times the amplitude of a unit initial gain;
         # complex products round by FMA, so the order shows in the last bit;
         # 10684 and 32052 slots sit on either side of numpy's 256 KiB reuse
         # of temporaries, which once swapped the factors
         walk = generate_path(TrajectorySpec(path_length=length, rng_seed=2), (), WINDOW_GEOM)
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
         turn = np.exp(-0.5j * (WINDOW_GEOM.n_ris - 1) * cols.kdu)
-        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * walk.beta
-        assert_same_bits(cols.phase, np.multiply(turn, amp), length)
+        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * unit_gain(walk).beta
+        assert_same_bits(cols.channel, np.multiply(turn, amp), length)
+        assert cols.b0 == walk.anchor.beta
+
+
+def unit_gain(traj):
+    """The trajectory on the same walk from an initial gain of 1."""
+    return Trajectory(replace(traj.anchor, beta=1 + 0j), traj.walk, traj.geom)
 
 
 def eager_beta(spec, continuations, geom, walk):
@@ -797,11 +830,13 @@ class TestClosedFormGain:
         walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
         want = eager_beta(spec, continuations, WINDOW_GEOM, walk)
         assert_same_bits(walk.beta, want, name)
-        # and the engine's amplitude, evaluated block by block
+        # and the engine's channel, the eager column of a unit initial gain,
+        # evaluated block by block
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
-        _, pexp = walk.walk.phasors(WINDOW_GEOM)
-        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * want
-        assert_same_bits(cols.phase, np.multiply(pexp, amp), "phase")
+        pexp = np.exp(1j * ((-0.5 * (WINDOW_GEOM.n_ris - 1)) * cols.kdu))
+        unit = eager_beta(spec, continuations, WINDOW_GEOM, unit_gain(walk))
+        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * unit
+        assert_same_bits(cols.channel, np.multiply(pexp, amp), "channel")
 
     @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
     def test_a_slot_alone_has_its_bits_in_the_column(self, name):
@@ -849,7 +884,8 @@ class TestClosedFormGain:
             for col, want in full.items():
                 assert_same_bits(getattr(cut, col), want[:stop], (end, col))
             got = simengine._slot_columns(cut, WINDOW_GEOM, 4)
-            for col in ("kdu", "phase", "noise"):
+            assert got.b0 == cols.b0
+            for col in ("kdu", "channel", "noise"):
                 assert_same_bits(getattr(got, col), getattr(cols, col)[:stop], (end, col))
         for bad in (slice(1, 5), slice(None, 5, 2), slice(None, None, -1)):
             with pytest.raises(ValueError, match="prefix slice"):
@@ -861,8 +897,16 @@ class TestClosedFormGain:
         geom = LinkGeometry()
         for seed in range(1, 200):
             walk = generate_path(TrajectorySpec(path_length=0.01, rng_seed=seed), (), geom)
-            want = simengine._slot_columns(walk, geom, None).phase[:1]
-            assert_same_bits(simengine._slot_columns(walk[:1], geom, None).phase, want, seed)
+            want = simengine._slot_columns(walk, geom, None).channel[:1]
+            assert_same_bits(simengine._slot_columns(walk[:1], geom, None).channel, want, seed)
+
+    def test_an_anchor_off_the_walks_start_is_refused(self):
+        # the engine chains the walk's channel from the walk's r0, and beta from
+        # the anchor's r2, so the two must be one distance
+        walk = generate_path(SPEC, (), GEOM)
+        assert walk.anchor.r2 == walk.walk.r0 == walk.walk[:3].r0
+        with pytest.raises(ValueError, match="where the walk starts"):
+            Trajectory(replace(walk.anchor, r2=walk.anchor.r2 + 0.1), walk.walk, GEOM)
 
     def test_generating_a_seed_of_a_kept_walk_allocates_per_segment(self):
         # the seed draws its gain and chains one slot per segment: no column
@@ -905,8 +949,9 @@ class TestEngineSamples:
     def test_scalar_slope_turn_is_the_np_exp_form(self, traj):
         # a scan's one slope turns its window by cmath.exp, which must give
         # np.exp's value bit for bit, so slopes as numpy values and edge values
-        # are checked as well as random ones
+        # are checked as well as random ones; the turn times b0 is one scalar
         cols = simengine._slot_columns(traj, GEOM, 3)
+        assert cols.b0 == traj.anchor.beta
         lo, hi = 5, 300
         rng = np.random.default_rng(21)
         values = [0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.pi, -1.0, 1e6, -1e300,
@@ -915,13 +960,50 @@ class TestEngineSamples:
             for slope in (value, np.float64(value)):
                 d, _ = _dirichlet(slope - cols.kdu[lo:hi], GEOM.n_ris)
                 turn = np.exp(0.5j * (GEOM.n_ris - 1) * np.asarray(slope))
-                want = turn * cols.phase[lo:hi] * d + cols.noise[lo:hi]
+                want = (turn * traj.anchor.beta) * cols.channel[lo:hi] * d + cols.noise[lo:hi]
                 got = simengine._received_samples(cols, lo, hi, slope)
                 assert_same_bits(got, want, value)
         for n_ris in (2, 3, 7, 64, 100):
             for value in values:
                 assert complex(np.exp(0.5j * (n_ris - 1) * np.asarray(value))) == \
                     cmath.exp(0.5j * (n_ris - 1) * value), (n_ris, value)
+
+
+class TestSeedInvariance:
+    def test_without_noise_a_seed_is_only_a_scale(self):
+        # the trigger, the observables and the sweep's argmax do not change
+        # when every received sample is scaled by the initial gain b0, so
+        # without noise all seeds of a walk give the same status table, and
+        # rss / |b0|^2 is one column up to rounding; seeds are compared with
+        # seed 1 only
+        cfg = ScenarioConfig()
+        geom, spec = cfg.geometry, cfg.trajectory
+        end = slot_count(replace(spec, path_length=0.3))
+        runs = {}
+        for seed in (1, 2, 3, 4):
+            traj = generate_path(replace(spec, rng_seed=seed), (), geom)[:end]
+            scale = abs(traj.anchor.beta) ** 2
+            runs[seed] = [(run_timeline(traj, policy, geom, noise_seed=None), scale)
+                          for policy in cfg.policies()]
+        assert len({scale for (_, scale), *_ in runs.values()}) == 4
+        for seed in (2, 3, 4):
+            for (got, got_scale), (want, want_scale) in zip(runs[seed], runs[1]):
+                name = (seed, want.policy_name)
+                assert got.policy_name == want.policy_name
+                assert got.tracking_calls == want.tracking_calls, name
+                for col in ("first", "kind", "status_id", "config_id"):
+                    assert np.array_equal(getattr(got.statuses, col),
+                                          getattr(want.statuses, col)), (name, col)
+                got_refs = got.statuses.rss_ref / got_scale
+                want_refs = want.statuses.rss_ref / want_scale
+                assert np.all(np.abs(got_refs - want_refs) <= 1e-13 * want_refs), name
+                # each slot within 1e-13 of its power or of its row's reference,
+                # whichever is larger: a feedback slot receives nothing
+                power = want.rss / want_scale
+                ref = np.repeat(want_refs, np.diff(want.statuses.first))
+                gap = np.abs(got.rss / got_scale - power)
+                assert np.all(gap <= 1e-13 * np.maximum(power, ref)), name
+        assert all(tl.tracking_calls > 0 for tl, _ in runs[1])
 
 
 DERIVED = ("kind", "rss_normalized", "cum_rate", "config_id", "status_id")
@@ -1033,14 +1115,14 @@ class TestDerivedColumns:
 
     def test_simulating_a_second_seed_peaks_under_the_same_bound(self):
         # the walk keeps kdu from the first seed, and the second one adds the
-        # phase exponential to it
+        # channel to it
         forget_walk()
         cfg = ScenarioConfig(trajectory=TrajectorySpec(path_length=1.0))
         runner._simulate_seed(cfg, 1)
         walk = generate_path(cfg.trajectory, cfg.continuations, cfg.geometry).walk
-        assert walk._phasors[2] is None
+        assert walk._channel[2] is None
         assert_seed_peak_within_bound(cfg, 2)
-        assert walk._phasors[2] is not None
+        assert walk._channel[2] is not None
 
 
 def assert_seed_peak_within_bound(cfg, seed):
@@ -1053,7 +1135,7 @@ def assert_seed_peak_within_bound(cfg, seed):
         tracemalloc.stop()
     n = len(timelines[0])
     # per slot: the walk (theta2, r2: 8 bytes each), the slot columns
-    # (kdu: 8; phase, noise: 16) and each tracker's rss (8)
+    # (kdu: 8; channel, noise: 16) and each tracker's rss (8)
     columns = (16 + 40 + 8 * len(timelines)) * n
     # one evaluation holds at most ten 8-byte values per slot it evaluates;
     # a window, a training slice, or a span's full pass, which ends at the
