@@ -42,15 +42,16 @@ complex scalar for its slope and b0, not one per slot. The engine's gain is
 b0 times the walk's, which agrees with the trajectory's ``beta`` to about
 1e-15 relative rather than bit for bit.
 
-Training is one slice of slots. The policy supplies the slopes of its
-candidate configurations: the proposed tracker one per candidate of the
-two-dimensional search (the differential update law applied to the current
-configuration), the exhaustive sweep its degree grid. The event's i-th
-training slot is received under candidate i with that slot's channel, all
-of them in one evaluation; candidate i takes the i-th configuration id after
-the last one used, and the strongest candidate is installed under its id.
-When the trajectory ends mid-training the event stays counted but open: no
-closing feedback slot and no new configuration.
+A policy makes one tracker per run, its only contract with the engine:
+`start(theta2, r_total, geom)` at initial access returns it, `event(y_ref,
+y_trigger, slope)` returns the slopes an event trains (None: the genie,
+aligned to the next slot at no signaling cost) and `choose(power)` the index
+to install, updating the tracker's own state, such as the proposed tracker's
+belief. The event's i-th training slot is received under candidate i with
+that slot's channel, all in one evaluation; candidate i takes the i-th
+configuration id after the last one used. When the trajectory ends
+mid-training the event stays counted but open: no closing feedback slot, no
+choice and no new configuration.
 
 A run keeps one per-slot column, `rss`, and a status table with one row per
 run of slots that share a kind, a status id, a config id (stepped by one per
@@ -97,13 +98,19 @@ class SlotKind(enum.IntEnum):
 
 @dataclass(frozen=True)
 class OraclePolicy:
-    """Genie reconfiguration at zero signaling cost."""
+    """Genie reconfiguration at zero signaling cost; stateless, so its own tracker."""
 
     gamma: float = 0.9
 
     @property
     def name(self) -> str:
         return "oracle"
+
+    def start(self, theta2: float, r_total: float, geom: LinkGeometry) -> OraclePolicy:
+        return self
+
+    def event(self, y_ref: complex, y_trigger: complex, slope: float) -> None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,29 @@ class ProposedPolicy:
     @property
     def name(self) -> str:
         return "proposed"
+
+    def start(self, theta2: float, r_total: float, geom: LinkGeometry) -> _ProposedTracker:
+        return _ProposedTracker(self.grid, geom, math.sin(theta2), r_total)
+
+
+class _ProposedTracker:
+    """One run of the proposed tracker: its belief of sin(theta2) and the total distance."""
+
+    def __init__(self, grid: SearchGrid, geom: LinkGeometry, sin: float, r_total: float):
+        self.grid, self.geom, self.candidates = grid, geom, []  # the last event's candidates
+        self.believed_sin, self.believed_r = sin, r_total
+
+    def event(self, y_ref: complex, y_trigger: complex, slope: float) -> np.ndarray:
+        theta_ref = math.asin(max(-1.0, min(1.0, self.believed_sin)))
+        obs = measure_observables(y_ref, y_trigger, self.believed_r, theta_ref)
+        self.candidates = two_dim_search(obs, self.grid, self.geom)
+        return update_config(slope, [c.w_cand for c in self.candidates], self.geom)
+
+    def choose(self, power) -> int:
+        best = select_by_training(self.candidates, power)
+        self.believed_sin += self.candidates[best].w_cand
+        self.believed_r = self.candidates[best].r_cand
+        return best
 
 
 @dataclass(frozen=True)
@@ -137,6 +167,15 @@ class ExhaustivePolicy:
     def slopes(self) -> np.ndarray:
         """Swept slopes 0, res, 2*res, ... below 360 degrees in radians, so already wrapped."""
         return np.deg2rad(np.arange(0.0, 360.0, self.resolution_deg))
+
+    def start(self, theta2: float, r_total: float, geom: LinkGeometry) -> ExhaustivePolicy:
+        return self
+
+    def event(self, y_ref: complex, y_trigger: complex, slope: float) -> np.ndarray:
+        return self.slopes
+
+    def choose(self, power) -> int:
+        return int(np.argmax(power))
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: arrays have no single truth value
@@ -491,22 +530,24 @@ def run_timeline(
 ) -> StatusTimeline:
     """Drive one policy over a trajectory and return its run: `rss` and its statuses.
 
-    `noise_seed` seeds the receiver noise; None runs without receiver noise.
-    The noise is drawn for the uncut walk, so a run on ``traj[:end]`` sees
-    the noise of the whole walk's first `end` slots. `geom` must have the r1
-    and wavelength of ``trajectory.geom``, which set the trajectory's gain;
-    its other fields are free. `threshold_mode="normalized"` compares
-    strength against the status reference (portable thresholds in (0, 1]);
-    `"absolute"` compares raw strength against a finite gamma > 0. Either
-    way a fresh status re-evaluates from the slot after its reference slot,
-    so at most one event fires per trigger. A status is scanned in windows of
+    `policy.start` makes the run's tracker, which each event asks for the
+    slopes to train and then for the one to install. `noise_seed` seeds the
+    receiver noise; None runs without receiver noise. The noise is drawn for
+    the uncut walk, so a run on ``traj[:end]`` sees the noise of the whole
+    walk's first `end` slots. `geom` must have the r1 and wavelength of
+    ``trajectory.geom``, which set the trajectory's gain; its other fields
+    are free. `threshold_mode="normalized"` compares strength against the
+    status reference (portable thresholds in (0, 1]); `"absolute"` compares
+    raw strength against a finite gamma > 0. Either way a fresh status
+    re-evaluates from the slot after its reference slot, so at most one
+    event fires per trigger. A status is scanned in windows of
     `_SCAN_WINDOW` slots, or, after a status of L >= `_SCAN_WINDOW` slots,
-    in spans of min(2L, `_SCAN_SPAN`) slots whose coarse pass at a stride
-    of at most `_PROBE_SLOTS` slots cuts the span to end at its first
-    strided slot below threshold. Samples past the trigger slot are
-    discarded, and those slots are evaluated again as signaling or under the
-    next configuration. Only `rss` and the status table are written; every
-    other ledger column, `inst_rate` too, is derived from them when read.
+    in spans of min(2L, `_SCAN_SPAN`) slots whose coarse pass at a stride of
+    at most `_PROBE_SLOTS` slots cuts the span to end at its first strided
+    slot below threshold. Samples past the trigger slot are discarded, and
+    those slots are evaluated again as signaling or under the next
+    configuration. Only `rss` and the status table are written; every other
+    ledger column, `inst_rate` too, is derived from them when read.
     Identical inputs and seeds give bit-identical ledgers.
     """
     n = len(trajectory)
@@ -529,17 +570,13 @@ def run_timeline(
     rss = np.zeros(n, dtype=float)
     rows: list[tuple] = []  # the status table, row by row in slot order
 
-    is_oracle = isinstance(policy, OraclePolicy)
-    is_proposed = isinstance(policy, ProposedPolicy)
-
     # initial access leaves the surface aligned to the first slot's channel
     slope = optimal_config(geom.theta1, float(theta2[0]), geom)
+    tracker = policy.start(float(theta2[0]), geom.r1 + float(trajectory.r2[0]), geom)
     config_id = 0
     next_config_id = 1
     status = 1
     events = 0
-    believed_sin = math.sin(float(theta2[0]))
-    believed_r = geom.r1 + float(trajectory.r2[0])
 
     # a row from slot lo to the next row, in the current status and reference
     def row(lo: int, k: SlotKind, cfg_id: int) -> None:
@@ -599,20 +636,14 @@ def run_timeline(
         if cursor >= n:
             break
 
-        if is_oracle:
+        slopes = tracker.event(y_ref, y_t2, slope)
+        if slopes is None:
             slope = optimal_config(geom.theta1, float(theta2[cursor]), geom)
             config_id = next_config_id
             next_config_id += 1
             continue
 
         cursor = feedback(cursor, config_id)
-        if is_proposed:
-            theta_ref = math.asin(max(-1.0, min(1.0, believed_sin)))
-            obs = measure_observables(y_ref, y_t2, believed_r, theta_ref)
-            candidates = two_dim_search(obs, policy.grid, geom)
-            slopes = update_config(slope, [c.w_cand for c in candidates], geom)
-        else:
-            slopes = policy.slopes
         # training slot cursor+i measures candidate i while the user keeps moving
         hi = min(n, cursor + slopes.size)
         power = np.abs(_received_samples(cols, cursor, hi, slopes[: hi - cursor])) ** 2
@@ -621,12 +652,7 @@ def run_timeline(
         if hi - cursor < slopes.size:
             break
         cursor = hi
-        if is_proposed:
-            best = select_by_training(candidates, power)
-            believed_sin += candidates[best].w_cand
-            believed_r = candidates[best].r_cand
-        else:
-            best = int(np.argmax(power))
+        best = tracker.choose(power)
         slope = slopes[best]
         config_id = next_config_id + best
         next_config_id += slopes.size

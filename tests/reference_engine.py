@@ -11,9 +11,9 @@ over the N surface elements, as the matrix oracle of `tests/test_ris.py`
 writes h^H Theta G f, and the receiver noise is drawn again from
 ``default_rng(noise_seed)``: all real parts, then all imaginary parts, each
 for the uncut walk and cut to the trajectory's slots, scaled by
-sqrt(noise_var / 2). Of the engine it reuses only the tracker's
-own steps: `optimal_config`, `update_config`, `measure_observables`,
-`two_dim_search` and `select_by_training`.
+sqrt(noise_var / 2). It states the gain itself (`gain_column`). Of the
+engine it shares only `optimal_config` and the policies' tracker objects,
+which hold the tracker's own steps.
 
 Its status table follows the rules of `ristrack.simengine.StatusTable`:
 a DATA row from each status's reference slot; for each event the rows of
@@ -33,14 +33,14 @@ takes about ten seconds on a 2-core host:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ristrack.ris import optimal_config, update_config
+from ristrack.ris import optimal_config
 from ristrack.simengine import OraclePolicy, ProposedPolicy, SlotKind
-from ristrack.tracking import measure_observables, select_by_training, two_dim_search
 
 CLOSE = 1e-9  # relative distance to gamma under which a trigger test is recorded
 
@@ -65,6 +65,22 @@ def noise_column(n: int, uncut: int, noise_var: float, noise_seed: int | None) -
     return math.sqrt(noise_var / 2.0) * (real + 1j * imag)
 
 
+def gain_column(traj, geom) -> list[complex]:
+    """beta per slot: a segment from gain b at r has b*(r1+r)/(r1+r2)*exp(j*2*pi*(r2-r)/lambda).
+
+    The first segment starts from the anchor at the walk's r0, each later one
+    from the segment before at its last slot.
+    """
+    r2, later = traj.r2.tolist(), set(traj.walk.starts[1:])
+    b, r, gains = traj.anchor.beta, traj.walk.r0, []
+    for i, r2_i in enumerate(r2):
+        if i in later:
+            b, r = gains[-1], r2[i - 1]
+        phase = 2.0 * math.pi * (r2_i - r) * (1.0 / geom.wavelength)
+        gains.append(b * ((geom.r1 + r) / (geom.r1 + r2_i)) * cmath.exp(1j * phase))
+    return gains
+
+
 def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalized") -> Reference:
     n = len(traj)
     normalized = threshold_mode == "normalized"
@@ -73,7 +89,8 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
     kd = 2.0 * math.pi * geom.spacing_d / geom.wavelength
     sin1 = math.sin(geom.theta1)
     theta2 = traj.theta2.tolist()
-    gain = (math.sqrt(geom.snr_linear * geom.n_tx) * geom.alpha * traj.beta).tolist()
+    c_alpha = math.sqrt(geom.snr_linear * geom.n_tx) * geom.alpha
+    gain = [c_alpha * b for b in gain_column(traj, geom)]
     noise = noise_column(n, traj.walk.uncut_slots, geom.noise_var, noise_seed).tolist()
 
     def sample(i: int, slope: float) -> complex:
@@ -87,9 +104,8 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
         out.rows.append((first, int(kind), status, cfg_id, ref))
 
     slope = optimal_config(geom.theta1, theta2[0], geom)
+    tracker = policy.start(theta2[0], geom.r1 + float(traj.r2[0]), geom)
     config_id, next_config_id, status = 0, 1, 1
-    believed_sin = math.sin(theta2[0])
-    believed_r = geom.r1 + float(traj.r2[0])
     cursor = 0
     while cursor < n:
         # a status: its reference slot, then data until the first slot below threshold
@@ -115,20 +131,14 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
         cursor = trigger + 1
         if cursor == n:
             break
-        if isinstance(policy, OraclePolicy):
+        slopes = tracker.event(y_ref, y_trigger, slope)
+        if slopes is None:
             # the genie reconfigures for the next slot at no signaling cost
             slope = optimal_config(geom.theta1, theta2[cursor], geom)
             config_id, next_config_id = next_config_id, next_config_id + 1
             continue
         row(cursor, SlotKind.UL_FEEDBACK, config_id)
         cursor += 1
-        if isinstance(policy, ProposedPolicy):
-            theta_ref = math.asin(max(-1.0, min(1.0, believed_sin)))
-            obs = measure_observables(y_ref, y_trigger, believed_r, theta_ref)
-            candidates = two_dim_search(obs, policy.grid, geom)
-            slopes = update_config(slope, [c.w_cand for c in candidates], geom)
-        else:
-            slopes = np.deg2rad(np.arange(0.0, 360.0, policy.resolution_deg))
         # training slot cursor + i receives candidate i while the user moves on
         row(cursor, SlotKind.DL_TRAINING, next_config_id)
         power = []
@@ -140,12 +150,7 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
         if len(power) < len(slopes):
             break  # the walk ends mid-training: the event stays open
         cursor += len(slopes)
-        if isinstance(policy, ProposedPolicy):
-            best = select_by_training(candidates, power)
-            believed_sin += candidates[best].w_cand
-            believed_r = candidates[best].r_cand
-        else:
-            best = int(np.argmax(power))
+        best = tracker.choose(power)
         slope = float(slopes[best])
         config_id, next_config_id = next_config_id + best, next_config_id + len(slopes)
         if cursor < n:

@@ -4,7 +4,7 @@ Each case runs both on a prefix of a walk, so the whole matrix stays within a
 few seconds; `python tests/reference_engine.py` runs a wider one.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -104,3 +104,30 @@ def test_a_turn():
         for turn in walk.starts[1:]:
             triggers = table.first[:-1][table.kind == SlotKind.DATA_BELOW_THRESHOLD]
             assert triggers.min() < turn < triggers.max(), policy.name
+
+
+@dataclass(frozen=True)
+class ThreeSlopes:
+    """A policy the package does not know: each event trains three fixed slopes."""
+
+    gamma: float = 0.9
+    name: str = "three_slopes"
+
+    def start(self, theta2, r_total, geom):
+        return self
+
+    def event(self, y_ref, y_trigger, slope):
+        return np.array([0.0, 2.0, 4.0])
+
+    def choose(self, power):
+        return int(np.argmax(power))
+
+
+def test_a_policy_defined_outside_the_package(default_walk):
+    # both engines know a policy only by gamma, name and its tracker's event and choose
+    tl = assert_agrees(default_walk[:8000], ThreeSlopes(), DEFAULT, 2)
+    table = tl.statuses
+    training = table.kind == SlotKind.DL_TRAINING
+    assert tl.tracking_calls > 0
+    assert np.all(np.diff(table.first)[training] == 3)
+    assert set(np.unique(tl.config_id)) <= set(range(3 * tl.tracking_calls + 1))

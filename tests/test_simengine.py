@@ -144,6 +144,22 @@ class TestProposedTimeline:
         kinds = kinds_of(tl)
         assert np.sum(kinds == int(SlotKind.DL_TRAINING)) == 4 * tl.tracking_calls
 
+    def test_a_reused_policy_starts_each_run_afresh(self):
+        # the belief lives in the run's tracker, so a policy run before leaves none behind
+        geom = LinkGeometry()
+        a = generate_path(TrajectorySpec(path_length=0.3, rng_seed=1), (), geom)
+        b = generate_path(TrajectorySpec(theta2_init=np.deg2rad(-10.0), psi_a=np.deg2rad(60.0),
+                                         path_length=0.3, rng_seed=2), (), geom)
+        policy = ProposedPolicy()
+        assert run_timeline(a, policy, geom, noise_seed=2).tracking_calls > 0
+        again = run_timeline(b, policy, geom, noise_seed=3)
+        fresh = run_timeline(b, ProposedPolicy(), geom, noise_seed=3)
+        assert fresh.tracking_calls > 0
+        for column in ("first", "kind", "status_id", "config_id", "rss_ref"):
+            assert np.array_equal(getattr(again.statuses, column),
+                                  getattr(fresh.statuses, column)), column
+        assert np.array_equal(again.rss, fresh.rss)
+
 
 class TestExhaustiveTimeline:
     def test_event_slot_accounting(self, traj):
