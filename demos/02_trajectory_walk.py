@@ -30,13 +30,15 @@ print(f"departure angle: {np.rad2deg(traj.theta2[0]):.2f} deg -> "
       f"{np.rad2deg(traj.theta2[-1]):.2f} deg")
 print(f"surface-user distance: {traj.r2[0]:.3f} m -> {traj.r2[-1]:.3f} m")
 
-# the gain is evaluated from the walk on each read of traj.beta: read it once
-beta = traj.beta
+# the walk is straight, so the gain has a closed form in r2 from the initial gain
+b0, r0 = traj.anchor.beta, traj.anchor.r2
+beta = (b0 * (geom.r1 + r0) / (geom.r1 + traj.r2)
+        * np.exp(2j * np.pi * (traj.r2 - r0) / geom.wavelength))
 product = np.abs(beta) * (geom.r1 + traj.r2)
 print(f"\n|gain|*(r1+r2) spread: {product.max() - product.min():.2e} "
       "(invariant along the walk)")
-phase_advance = np.angle(beta[-1] / traj.anchor.beta)
-travel = traj.r2[-1] - traj.anchor.r2
+phase_advance = np.angle(beta[-1] / b0)
+travel = traj.r2[-1] - r0
 print(f"gain phase advance: {phase_advance:+.4f} rad for {travel * 1000:+.1f} mm of "
       f"extra travel ({travel / geom.wavelength:.1f} wavelengths)")
 

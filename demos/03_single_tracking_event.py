@@ -29,9 +29,19 @@ from ristrack import (
 geom = LinkGeometry(r1=4.0)
 spec = TrajectorySpec(r2_init=4.0, path_length=0.05, rng_seed=3)
 traj = generate_path(spec, (), geom)
+# the walk is straight, so the gain has a closed form in r2 from the initial gain
+b0, r0 = traj.anchor.beta, traj.anchor.r2
+beta = (b0 * (geom.r1 + r0) / (geom.r1 + traj.r2)
+        * np.exp(2j * np.pi * (traj.r2 - r0) / geom.wavelength))
+
+
+def state(i: int) -> ChannelState:
+    """The channel at slot i + 1."""
+    return ChannelState(complex(beta[i]), float(traj.theta2[i]), float(traj.r2[i]))
+
 
 # reference slot: aligned configuration, full coherent gain
-ref = traj[0]
+ref = state(0)
 slope = optimal_config(geom.theta1, ref.theta2, geom)
 y_ref = received_sample(ref, slope, geom)
 rss_ref = abs(y_ref) ** 2
@@ -42,13 +52,13 @@ print(f"reference slot: angle {np.rad2deg(ref.theta2):.3f} deg, "
 gamma = 0.9
 t2 = None
 for i in range(1, len(traj)):
-    y = received_sample(traj[i], slope, geom)
+    y = received_sample(state(i), slope, geom)
     if abs(y) ** 2 / rss_ref < gamma:
         t2 = i
         y_now = y
         break
 assert t2 is not None
-state_now = traj[t2]
+state_now = state(t2)
 print(f"threshold crossed at slot {t2 + 1}: angle drifted to "
       f"{np.rad2deg(state_now.theta2):.3f} deg "
       f"({np.rad2deg(state_now.theta2 - ref.theta2):+.3f} deg)")

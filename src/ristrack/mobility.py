@@ -19,11 +19,11 @@ the gain has a closed form in r2, and it is linear in the initial gain. A
 :class:`Walk` holds theta2 and r2 (8 bytes per slot each, read-only) and
 where each segment starts, and for one geometry its channel: the gain
 chained from an initial gain of 1, with the geometry's seed-free factors.
-A :class:`Trajectory` references the walk, which every seed of it shares,
-and holds each segment's initial gain, evaluating the gain whenever it is
-read; the engine instead scales the walk's channel by the anchor's gain.
-`generate_path` builds both, and ``traj[:end]`` cuts a trajectory to its
-walk's first `end` slots, ``walk[:end]``, which views the walk's columns.
+A :class:`Trajectory` is the walk, which every seed of it shares, and the
+seed's initial gain b0, which scales the walk's channel: that is the one
+gain there is. `generate_path` builds both, and ``traj[:end]`` cuts a
+trajectory to its walk's first `end` slots, ``walk[:end]``, which views the
+walk's columns.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class ChannelState:
     beta: complex
     theta2: float
     r2: float
-    slot_index: int = 0
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -110,46 +109,18 @@ def _draw_beta(spec: TrajectorySpec) -> complex:
     return complex(mag * np.exp(1j * phase))
 
 
-def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """beta at the distances `r2` of a segment that starts from gain b0 at r0, into `out`.
+def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry) -> np.ndarray:
+    """beta at the distances `r2` of a segment that starts from gain b0 at r0.
 
     The closed form of the one-slot law: beta scales by (r1+r0)/(r1+r2) and
     rotates by the extra travel phase 2*pi*(r2-r0)/lambda. These are the bits
     of (b0 * rho_prod) * np.exp(1j * 2*pi*(r2 - r0) / lambda), elementwise,
-    so one slot evaluated alone has the bits it has in a whole column. The
+    so a slot has the same bits in any block or cut that holds it. The
     product is not taken in place: numpy rounds a one-element complex product
     written over one of its operands differently.
     """
     rho_prod = (geom.r1 + r0) / (geom.r1 + r2)
-    return np.multiply(b0 * rho_prod, unit_phasors(TWO_PI * (r2 - r0) * (1.0 / geom.wavelength)),
-                       out=out)
-
-
-def _chain(b0: complex, r0: float, r2: np.ndarray, starts: tuple[int, ...],
-           geom: LinkGeometry) -> tuple[tuple[complex, ...], tuple[float, ...]]:
-    """Each segment's initial gain from b0 at r0, and the distance just before its first slot.
-
-    A later segment starts from the closed form of the segment before at its
-    last slot, evaluated on that slot alone.
-    """
-    gains, refs = [b0], [r0]
-    for lo in starts[1:]:
-        gains.append(complex(_segment_gain(gains[-1], refs[-1], r2[lo - 1:lo], geom)[0]))
-        refs.append(float(r2[lo - 1]))
-    return tuple(gains), tuple(refs)
-
-
-def _gain_range(gains: tuple[complex, ...], refs: tuple[float, ...], r2: np.ndarray,
-                starts: tuple[int, ...], geom: LinkGeometry, lo: int, hi: int) -> np.ndarray:
-    """The gain chained from `gains` at slots [lo, hi), segment by segment, in one new column."""
-    out = np.empty(hi - lo, dtype=complex)
-    bounds = starts + (r2.shape[0],)
-    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        a, b = max(a, lo), min(b, hi)
-        if a < b:
-            _segment_gain(gains[k], refs[k], r2[a:b], geom, out[a - lo:b - lo])
-    return out
+    return np.multiply(b0 * rho_prod, unit_phasors(TWO_PI * (r2 - r0) * (1.0 / geom.wavelength)))
 
 
 # slots per block of a channel build: a full-length temporary would hold
@@ -179,7 +150,7 @@ class Walk:
 
     def __getitem__(self, cut: slice) -> Walk:
         """The first `end` slots: views of these columns and the segment starts below `end`."""
-        if cut.start not in (None, 0) or cut.step not in (None, 1):
+        if not isinstance(cut, slice) or cut.start not in (None, 0) or cut.step not in (None, 1):
             raise ValueError("a walk is cut only by a prefix slice [:end]")
         end = cut.indices(len(self))[1]
         return Walk(self.theta2[:end], self.r2[:end],
@@ -190,12 +161,13 @@ class Walk:
         """kdu and the channel of a unit initial gain under `geom`, read-only.
 
         kdu = kd*(sin(theta1) - sin(theta2)), and the channel is
-        exp(-j*(N-1)*kdu/2) * (c*alpha * u), u being the gain chained with
-        `_segment_gain` from an initial gain of 1 at r0: a trajectory's gain
-        is its initial gain times u up to rounding. The channel is built block
-        by block, its products out of place. Both are kept for the last
-        geometry asked, the channel only from its second request on: a walk
-        that one trajectory simulates holds no more than it.
+        exp(-j*(N-1)*kdu/2) * (c*alpha * u), u being the gain of `_segment_gain`
+        from an initial gain of 1 at r0, each later segment starting from the
+        segment before at its last slot: a trajectory's gain is its initial
+        gain times u. The channel is built block by block, its products out
+        of place. Both are kept for the last geometry asked, the channel only
+        from its second request on: a walk that one trajectory simulates holds
+        no more than it.
         """
         kept_geom, kdu, channel = self._channel
         if kept_geom != geom:
@@ -206,42 +178,37 @@ class Walk:
         elif channel is not None:
             return kdu, channel
         n = len(self)
-        gains, refs = _chain(1.0 + 0.0j, self.r0, self.r2, self.starts, geom)
         c_alpha = geom.beamformer_gain * geom.alpha
         channel = np.empty(n, dtype=complex)
+        gain, ref, bounds = 1.0 + 0.0j, self.r0, self.starts + (n,)
         # exp * (c*alpha * u), out of place: complex products round by FMA, so
         # the order shows in the last bit, and so does a one-element product
         # written over one of its operands
-        for lo in range(0, n, _BLOCK):
-            hi = min(n, lo + _BLOCK)
-            pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu[lo:hi])
-            unit = _gain_range(gains, refs, self.r2, self.starts, geom, lo, hi)
-            amp = np.multiply(c_alpha, unit)
-            np.multiply(pexp, amp, out=channel[lo:hi])
+        for a, b in zip(bounds, bounds[1:]):
+            if a:  # from the segment before at its last slot
+                gain, ref = complex(unit[-1]), float(self.r2[a - 1])
+            for lo in range(a, b, _BLOCK):
+                hi = min(b, lo + _BLOCK)
+                pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu[lo:hi])
+                unit = _segment_gain(gain, ref, self.r2[lo:hi], geom)
+                np.multiply(pexp, np.multiply(c_alpha, unit), out=channel[lo:hi])
         channel.setflags(write=False)
         self._channel = (geom, kdu, channel if kept_geom == geom else None)
         return kdu, channel
 
 
 class Trajectory:
-    """Per-slot channel states of a walk of one or more straight segments.
+    """A seed's channel along a walk of one or more straight segments.
 
-    ``traj[i]`` is slot i+1's :class:`ChannelState` and ``traj[:end]`` the
-    trajectory on the walk's first `end` slots, ``walk[:end]``. ``walk`` is
-    the :class:`Walk`, whose read-only ``theta2`` and ``r2`` and segment
-    ``starts`` are exposed here too; ``anchor`` is the state just before
-    slot 1, at the walk's ``r0``. `generate_path` builds a trajectory on the
-    walk it keeps, so every seed of a walk gets the same one.
-
-    The gain is not stored: ``beta`` evaluates it at every slot whenever it
-    is read and keeps nothing, so read it into a local before indexing it in
-    a loop. Within a segment it follows the closed form of `_segment_gain`
-    under `geom` from the segment's initial gain, ``segment_gains``: the
-    anchor's for the first segment, and for each later one the closed form
-    of the segment before at its last slot. Of `geom` the gain reads r1 and
-    the wavelength only, and `run_timeline` runs a trajectory only under a
-    geometry that has the same two. ``traj[i]`` evaluates slot i alone, with
-    the bits it has in ``beta``.
+    ``walk`` is the :class:`Walk`, whose read-only ``theta2`` and ``r2`` and
+    segment ``starts`` are exposed here too, and ``anchor`` the state just
+    before slot 1, at the walk's ``r0``, whose ``beta`` is the seed's initial
+    gain b0. The gain at every slot is b0 times the walk's unit-gain channel
+    (`Walk.channel`); of `geom` it reads r1 and the wavelength only, and
+    `run_timeline` runs a trajectory only under a geometry that has the same
+    two. ``traj[:end]`` is the trajectory on the walk's first `end` slots,
+    ``walk[:end]``. `generate_path` builds a trajectory on the walk it keeps,
+    so every seed of a walk gets the same one.
 
     ``columns`` holds the engine's slot columns for the (geometry, noise seed)
     it was last simulated under, or None.
@@ -254,36 +221,12 @@ class Trajectory:
         self.anchor, self.walk, self.geom = anchor, walk, geom
         self.theta2, self.r2, self.starts = walk.theta2, walk.r2, walk.starts
         self.columns = None
-        self.segment_gains, self._refs = _chain(anchor.beta, anchor.r2, self.r2, self.starts,
-                                                geom)
 
     def __len__(self) -> int:
         return self.theta2.shape[0]
 
-    def beta_range(self, lo: int, hi: int) -> np.ndarray:
-        """beta at slots [lo, hi), segment by segment, in one new column."""
-        return _gain_range(self.segment_gains, self._refs, self.r2, self.starts, self.geom,
-                           lo, hi)
-
-    @property
-    def beta(self) -> np.ndarray:
-        """The complex gain at every slot, a new writable column on each read."""
-        return self.beta_range(0, len(self))
-
-    def __getitem__(self, i):
-        n = len(self)
-        if isinstance(i, slice):
-            return Trajectory(self.anchor, self.walk[i], self.geom)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        return ChannelState(
-            beta=complex(self.beta_range(i, i + 1)[0]),
-            theta2=float(self.theta2[i]),
-            r2=float(self.r2[i]),
-            slot_index=i + 1,
-        )
+    def __getitem__(self, cut: slice) -> Trajectory:
+        return Trajectory(self.anchor, self.walk[cut], self.geom)
 
 
 # the last walk generated, under its spec without the seed and its continuations
@@ -342,9 +285,7 @@ def generate_path(
     The seed only draws the initial gain, so the :class:`Walk` (theta2, r2
     and the segment starts) is built once for the last walk generated, and
     the trajectories of all its seeds share it with the channel it keeps
-    (`Walk.channel`). Each call draws its gain and chains the segments'
-    initial gains, one slot per segment; no gain column is built (see
-    :class:`Trajectory`).
+    (`Walk.channel`). Each call only draws its gain; no column is built.
 
     Raises ValueError for a segment length that is not finite and > 0, and
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.

@@ -114,8 +114,10 @@ def received_sample(
     """One downlink baseband sample for a unit-power symbol under the surface `slope`.
 
     The timeline engine computes the same Dirichlet form for whole slot
-    ranges, from per-trajectory columns that hold kd*(sin(theta1) -
-    sin(theta2)) and the amplitude times the slope-free half of the phase.
+    ranges, from the walk's columns (`ristrack.mobility.Walk.channel`):
+    kd*(sin(theta1) - sin(theta2)) and the channel of a unit initial gain,
+    with the slope-free half of the phase, which the trajectory's initial
+    gain b0 scales.
     """
     u = np.sin(geom.theta1) - np.sin(channel.theta2)
     gain = _geometric_sum(slope - geom.kd * u, geom.n_ris)

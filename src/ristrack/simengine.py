@@ -38,9 +38,9 @@ they die with it; since `generate_path` gives every seed of a walk the same
 walk, a seed after the first only draws its noise. A sample is then
 (exp(j*(N-1)*slope/2) * b0) * channel * D(slope - kdu) + noise, with the
 real Dirichlet kernel D of :mod:`ristrack.ris`; a scan window computes one
-complex scalar for its slope and b0, not one per slot. The engine's gain is
-b0 times the walk's, which agrees with the trajectory's ``beta`` to about
-1e-15 relative rather than bit for bit.
+complex scalar for its slope and b0, not one per slot. This is the one
+place the ground-truth gain is evaluated: b0 times the walk's unit-gain
+channel.
 
 A policy makes one tracker per run, its only contract with the engine:
 `start(theta2, r_total, geom)` at initial access returns it, `event(y_ref,

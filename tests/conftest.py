@@ -35,3 +35,14 @@ def engine_calls(monkeypatch):
 
     monkeypatch.setattr(simengine, "_received_samples", record)
     return calls
+
+
+@pytest.fixture
+def engine_gain():
+    """The gain the engine simulates: b0 times the walk's unit-gain channel under
+    `geom`, with c*alpha and the phase turn exp(-j*(N-1)*kdu/2) divided out."""
+    def gain(traj, geom):
+        kdu, channel = traj.walk.channel(geom)
+        turn = np.exp(-0.5j * (geom.n_ris - 1) * kdu)
+        return traj.anchor.beta * channel / (geom.beamformer_gain * geom.alpha * turn)
+    return gain

@@ -111,7 +111,7 @@ def test_c3_update_rule_consistency():
     report(3, "100 random angle pairs, phase-wise agreement mod 2*pi")
 
 
-def test_c4_trajectory_oracle():
+def test_c4_trajectory_oracle(engine_gain):
     """Walk geometry matches the planar oracle and the gain product is invariant."""
     geom = LinkGeometry(r1=4.0)
     spec = TrajectorySpec(
@@ -134,7 +134,7 @@ def test_c4_trajectory_oracle():
 
     assert np.max(np.abs(traj.r2 - r2_oracle)) < 1e-9
     assert np.max(np.abs(traj.theta2 - th_oracle)) < 1e-9
-    product = np.abs(traj.beta) * (geom.r1 + traj.r2)
+    product = np.abs(engine_gain(traj, geom)) * (geom.r1 + traj.r2)
     assert np.max(np.abs(product / product[0] - 1.0)) < 1e-9
     report(4, f"{n} slots against the Cartesian oracle, gain-distance product invariant")
 

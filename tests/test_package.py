@@ -50,7 +50,13 @@ def test_removed_record_views_and_selftest_module():
 
 def test_removed_chaining_field_and_method():
     assert "beta_init" not in {f.name for f in dataclasses.fields(ristrack.TrajectorySpec)}
+    assert "slot_index" not in {f.name for f in dataclasses.fields(ristrack.ChannelState)}
     assert not hasattr(ristrack.Trajectory, "final_state")
+    # the gain is the engine's alone: a trajectory evaluates none of its own
+    traj = ristrack.generate_path(ristrack.TrajectorySpec(path_length=0.001, rng_seed=1), (),
+                                  ristrack.LinkGeometry())
+    for name in ("beta", "beta_range", "segment_gains"):
+        assert not hasattr(traj, name), name
 
 
 def test_readme_quick_start_runs(capsys):

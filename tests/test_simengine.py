@@ -9,9 +9,11 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+from reference_engine import gain_column
 import ristrack.mobility as mobility
 import ristrack.simengine as simengine
 from ristrack import (
+    ChannelState,
     ExhaustivePolicy,
     LinkGeometry,
     OraclePolicy,
@@ -43,6 +45,12 @@ def traj():
 
 def kinds_of(tl):
     return np.asarray(tl.kind, dtype=int)
+
+
+def first_peak(traj, geom):
+    """The aligned rss at slot 1: the initial gain moved by the distance ratio (r1+r0)/(r1+r2)."""
+    gain = abs(traj.anchor.beta) * (geom.r1 + traj.walk.r0) / (geom.r1 + traj.r2[0])
+    return (geom.beamformer_gain * gain * geom.n_ris) ** 2
 
 
 class TestInstantaneousRate:
@@ -92,13 +100,13 @@ class TestOracleTimeline:
         assert tl.tracking_calls > 0
         assert np.sum(kinds == int(SlotKind.DATA_BELOW_THRESHOLD)) == tl.tracking_calls
 
-    def test_peak_rss_at_status_reference(self, traj):
+    def test_peak_rss_at_status_reference(self, traj, engine_gain):
         tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         # first slot of each status is exactly the aligned peak |c*alpha*beta*N|^2
         starts = [0] + [i + 1 for i in np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0]
                         if i + 1 < len(tl)]
-        peak = (GEOM.beamformer_gain * np.abs(traj.beta) * GEOM.n_ris) ** 2
+        peak = (GEOM.beamformer_gain * np.abs(engine_gain(traj, GEOM)) * GEOM.n_ris) ** 2
         for i in starts:
             assert tl.rss[i] == pytest.approx(peak[i], rel=1e-9)
 
@@ -128,11 +136,11 @@ class TestProposedTimeline:
         assert kinds[t2 + 9] == int(SlotKind.UL_FEEDBACK)
         assert kinds[t2 + 10] == int(SlotKind.DATA)
 
-    def test_recovers_after_event(self, traj):
+    def test_recovers_after_event(self, traj, engine_gain):
         tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
         t2 = int(np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
-        peak = (GEOM.beamformer_gain * np.abs(traj.beta) * GEOM.n_ris) ** 2
+        peak = (GEOM.beamformer_gain * np.abs(engine_gain(traj, GEOM)) * GEOM.n_ris) ** 2
         # retrained configuration restores at least 99% of the aligned peak
         assert tl.rss[t2 + 10] >= 0.99 * peak[t2 + 10]
 
@@ -178,7 +186,7 @@ class TestExhaustiveTimeline:
         train = np.nonzero(kinds == int(SlotKind.DL_TRAINING))[0]
         assert tl.theta2_true[train[-1]] != tl.theta2_true[train[0]]
 
-    def test_training_slot_i_measures_candidate_i(self):
+    def test_training_slot_i_measures_candidate_i(self, engine_gain):
         # slot cursor+i of an event is received under swept slope i, with the
         # channel of that slot: explicit element sum at the slot's own angle
         walk = generate_path(replace(SPEC, path_length=0.2), (), GEOM)
@@ -189,7 +197,7 @@ class TestExhaustiveTimeline:
         config, status = tl.config_id, tl.status_id
         first_id = {s: config[train][status[train] == s].min() for s in np.unique(status[train])}
         k = np.arange(GEOM.n_ris)
-        beta = walk.beta
+        beta = engine_gain(walk, GEOM)
         for t in train:
             slope = np.deg2rad(10.0 * (config[t] - first_id[status[t]]))
             u = np.sin(GEOM.theta1) - np.sin(walk.theta2[t])
@@ -271,8 +279,7 @@ class TestTimelineStructure:
         assert len(tl) == len(traj)
 
     def test_absolute_threshold_mode(self, traj):
-        peak = (GEOM.beamformer_gain * np.abs(traj.beta[0]) * GEOM.n_ris) ** 2
-        tl = run_timeline(traj, ProposedPolicy(gamma=float(0.9 * peak)), GEOM,
+        tl = run_timeline(traj, ProposedPolicy(gamma=float(0.9 * first_peak(traj, GEOM))), GEOM,
                           noise_seed=None, threshold_mode="absolute")
         assert tl.tracking_calls > 0
 
@@ -399,8 +406,7 @@ class TestLedgerInvariantMatrix:
         geom, spec, continuations, mode = MATRIX[case]
         walk = generate_path(spec, continuations, geom)
         # absolute thresholds sit at fixed shares of the first slot's aligned peak
-        scale = (geom.beamformer_gain * abs(walk.beta[0]) * geom.n_ris) ** 2
-        scale = scale if mode == "absolute" else 1.0
+        scale = first_peak(walk, geom) if mode == "absolute" else 1.0
         sweep = ExhaustivePolicy(0.5 * scale, 10.0)
         runs = ((ProposedPolicy(0.9 * scale), ProposedPolicy().grid.n_sol),
                 (sweep, sweep.slopes.size),
@@ -454,7 +460,7 @@ def default_walk():
 def scan_runs(walk):
     """(geometry, policy, threshold mode) of every run the scan settings are checked on."""
     # absolute thresholds sit at fixed shares of the first slot's aligned peak
-    peak = (WINDOW_GEOM.beamformer_gain * abs(walk.beta[0]) * WINDOW_GEOM.n_ris) ** 2
+    peak = first_peak(walk, WINDOW_GEOM)
     absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, 10.0),
                 OraclePolicy(0.9 * peak))
     return ([(WINDOW_GEOM, p, "normalized") for p in WINDOW_POLICIES]
@@ -547,7 +553,7 @@ class TestSlotColumns:
         # one trajectory under interleaved trackers and changing columns keys;
         # each timeline must equal a run on a freshly generated trajectory
         walk = generate_path(SPEC, (), GEOM)
-        peak = (GEOM.beamformer_gain * abs(walk.beta[0]) * GEOM.n_ris) ** 2
+        peak = first_peak(walk, GEOM)
         normal = (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0), OraclePolicy())
         absolute = (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, 10.0),
                     OraclePolicy(0.9 * peak))
@@ -640,7 +646,7 @@ class TestWalkCache:
         assert warm[1].kdu is first[1].kdu is kdu
         assert warm[1].channel is second[1].channel is channel is not first[1].channel
         (cold_walk, cold_cols, cold_runs), (warm_walk, warm_cols, warm_runs) = cold, warm
-        for col in ("theta2", "r2", "beta"):
+        for col in ("theta2", "r2"):
             assert_same_bits(getattr(warm_walk, col), getattr(cold_walk, col), col)
         assert warm_cols.b0 == cold_cols.b0 == warm_walk.anchor.beta
         for col in ("kdu", "channel", "noise"):
@@ -657,7 +663,7 @@ class TestWalkCache:
         b = generate_path(replace(SPEC, rng_seed=2), (), GEOM)
         assert a.walk is b.walk and a.theta2 is b.theta2 is a.walk.theta2
         assert a.r2 is b.r2 is a.walk.r2 and a.starts == b.starts == a.walk.starts
-        assert a.beta[0] != b.beta[0]
+        assert a.anchor.beta != b.anchor.beta
         cols = simengine._slot_columns(a, GEOM, None)
         assert simengine._slot_columns(b, GEOM, 1).kdu is cols.kdu
         for arr in (a.theta2, a.r2, cols.kdu, *a.walk.channel(GEOM)):
@@ -690,9 +696,11 @@ class TestWalkCache:
             cols = simengine._slot_columns(got, geom, 1)
             forget_walk()
             want = generate_path(spec, continuations, geom)
-            for col in ("theta2", "r2", "beta"):
+            for col in ("theta2", "r2"):
                 assert_same_bits(getattr(got, col), getattr(want, col), col)
-            assert_same_bits(cols.kdu, simengine._slot_columns(want, geom, 1).kdu, "kdu")
+            fresh = simengine._slot_columns(want, geom, 1)
+            for col in ("kdu", "channel"):
+                assert_same_bits(getattr(cols, col), getattr(fresh, col), col)
             return got, cols
 
         walks = [replace(spec, **{name: getattr(spec, name) * 1.01})
@@ -746,8 +754,8 @@ class TestWalkCache:
 
         def columns_built():
             # the channel's exponential and its gain each cover every slot once,
-            # block by block and segment by segment; the rest are single slots
-            return sum(size for size in phasors if size > 1) / n
+            # block by block and segment by segment
+            return sum(phasors) / n
 
         # one geometry per segment; the channel built and not kept
         assert (len(walks), columns_built()) == (3, 2)
@@ -758,9 +766,8 @@ class TestWalkCache:
         assert second[1].kdu is first[1].kdu
         del phasors[:]
         third = simulate_seed(spec, continuations, 3, 7)
-        # the third seed chains its segments' initial gains, one slot each,
-        # and evaluates no gain or exponential column
-        assert len(walks) == 3 and phasors == [1, 1], phasors
+        # the third seed only draws its gain: it evaluates no exponential at all
+        assert len(walks) == 3 and phasors == [], phasors
         assert third[1].kdu is first[1].kdu and third[1].channel is second[1].channel
 
     @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
@@ -790,15 +797,16 @@ class TestPhasors:
         assert_same_bits(unit_phasors(y), np.exp(1j * y), "travel")
         assert_same_bits(unit_phasors(y), np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength),
                          "travel as written")
-        b0 = walk.anchor.beta
-        rho_prod = (geom.r1 + r0) / (geom.r1 + walk.r2)
-        want = b0 * rho_prod * np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength)
-        assert_same_bits(walk.beta, want, "beta")
-        kdu, _ = walk.walk.channel(geom)
+        kdu, channel = walk.walk.channel(geom)
         y = (-0.5 * (geom.n_ris - 1)) * kdu
         assert_same_bits(unit_phasors(y), np.exp(1j * y), "phase turn")
         assert_same_bits(unit_phasors(y), np.exp(-0.5j * (geom.n_ris - 1) * kdu),
                          "phase turn as written")
+        # so the channel has the bits of its closed form written with np.exp
+        rho_prod = (geom.r1 + r0) / (geom.r1 + walk.r2)
+        unit = (1 + 0j) * rho_prod * np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength)
+        want = np.exp(-0.5j * (geom.n_ris - 1) * kdu) * (geom.beamformer_gain * geom.alpha * unit)
+        assert_same_bits(channel, want, "channel as written")
 
     @pytest.mark.parametrize("length", [0.1, 0.3])
     def test_phase_is_the_turn_times_the_amplitude_at_every_length(self, length):
@@ -809,24 +817,20 @@ class TestPhasors:
         walk = generate_path(TrajectorySpec(path_length=length, rng_seed=2), (), WINDOW_GEOM)
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
         turn = np.exp(-0.5j * (WINDOW_GEOM.n_ris - 1) * cols.kdu)
-        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * unit_gain(walk).beta
+        unit = eager_beta(TrajectorySpec(path_length=length), (), WINDOW_GEOM, walk)
+        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * unit
         assert_same_bits(cols.channel, np.multiply(turn, amp), length)
         assert cols.b0 == walk.anchor.beta
 
 
-def unit_gain(traj):
-    """The trajectory on the same walk from an initial gain of 1."""
-    return Trajectory(replace(traj.anchor, beta=1 + 0j), traj.walk, traj.geom)
-
-
 def eager_beta(spec, continuations, geom, walk):
-    """The gain column as it was once stored: each segment in one pass, chained
+    """The gain column of a unit initial gain, each segment in one pass, chained
     on the last entry of the segment before."""
     lengths = [spec.path_length] + [length for _, length in continuations]
     counts = [slot_count(replace(spec, path_length=length)) for length in lengths]
     bounds = np.cumsum([0] + counts).tolist()
     assert walk.starts == tuple(bounds[:-1])
-    parts, r0, b0 = [], walk.anchor.r2, walk.anchor.beta
+    parts, r0, b0 = [], walk.walk.r0, 1 + 0j
     for lo, hi in zip(bounds, bounds[1:]):
         r2 = walk.r2[lo:hi]
         rho_prod = (geom.r1 + r0) / (geom.r1 + r2)
@@ -844,13 +848,11 @@ class TestClosedFormGain:
         if cache == "warm":
             generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
         walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
-        want = eager_beta(spec, continuations, WINDOW_GEOM, walk)
-        assert_same_bits(walk.beta, want, name)
-        # and the engine's channel, the eager column of a unit initial gain,
+        # the engine's channel is the eager column of a unit initial gain,
         # evaluated block by block
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
         pexp = np.exp(1j * ((-0.5 * (WINDOW_GEOM.n_ris - 1)) * cols.kdu))
-        unit = eager_beta(spec, continuations, WINDOW_GEOM, unit_gain(walk))
+        unit = eager_beta(spec, continuations, WINDOW_GEOM, walk)
         amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * unit
         assert_same_bits(cols.channel, np.multiply(pexp, amp), "channel")
 
@@ -858,39 +860,42 @@ class TestClosedFormGain:
     def test_a_slot_alone_has_its_bits_in_the_column(self, name):
         spec, continuations = CACHE_WALKS[name]
         walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
-        beta, n = walk.beta, len(walk)
+        kdu, channel = walk.walk.channel(WINDOW_GEOM)
+        n = len(walk)
         ends = [s + d for s in walk.starts[1:] for d in (-2, -1, 0, 1)]
-        picks = [0, 1, n - 1, *ends, *np.random.default_rng(3).integers(0, n, 300).tolist()]
+        # each pick builds the channel of a cut, so 30 random slots, not 300
+        picks = [0, 1, n - 1, *ends, *np.random.default_rng(3).integers(0, n, 30).tolist()]
         for i in picks:
-            state = walk[i]
-            assert state.beta == beta[i], i
-            assert (state.theta2, state.r2) == (walk.theta2[i], walk.r2[i]), i
-        assert_same_bits(walk.beta_range(5, n - 5), beta[5:n - 5], "range")
+            # slot i alone: the last slot of the cut that ends there
+            cut = walk.walk[:i + 1]
+            assert (cut.theta2[-1], cut.r2[-1]) == (walk.theta2[i], walk.r2[i]), i
+            for got, want in zip(cut.channel(WINDOW_GEOM), (kdu, channel)):
+                assert_same_bits(got[-1:], want[i:i + 1], i)
 
     def test_each_chained_gain_is_the_last_entry_of_the_segment_before(self):
-        # many initial gains over one walk: a segment's gain is evaluated on its
-        # slot alone, which must round as the full segment's last entry does
+        # the walk's channel chains each later segment on the last entry of the
+        # segment before, for a unit initial gain; many initial gains over one
+        # walk all scale that one channel
         spec, continuations = CACHE_WALKS["two_turns"]
         walk = generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
         assert len(walk.starts) == 3
-        beta = walk.beta
-        for k, lo in enumerate(walk.starts[1:], 1):
-            assert walk.segment_gains[k] == beta[lo - 1], k
+        kdu, channel = walk.walk.channel(WINDOW_GEOM)
+        turn = np.exp(1j * ((-0.5 * (WINDOW_GEOM.n_ris - 1)) * kdu))
+        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * eager_beta(
+            spec, continuations, WINDOW_GEOM, walk)
+        assert_same_bits(channel, np.multiply(turn, amp), "channel")
         rng = np.random.default_rng(8)
-        lo, hi = walk.starts[:2]
-        r0, r2 = walk.anchor.r2, walk.r2[lo:hi]
-        rho_prod = (WINDOW_GEOM.r1 + r0) / (WINDOW_GEOM.r1 + r2)
-        turn = unit_phasors(TWO_PI * (r2 - r0) * (1.0 / WINDOW_GEOM.wavelength))
         for b0 in (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist():
-            anchor = replace(walk.anchor, beta=b0)
-            chained = Trajectory(anchor, walk.walk, WINDOW_GEOM)
-            assert chained.segment_gains[1] == (b0 * rho_prod * turn)[-1], b0
+            chained = Trajectory(replace(walk.anchor, beta=b0), walk.walk, WINDOW_GEOM)
+            cols = simengine._slot_columns(chained, WINDOW_GEOM, None)
+            assert cols.b0 == b0
+            assert_same_bits(cols.channel, channel, b0)
 
     def test_a_prefix_has_the_prefix_of_every_column(self):
         spec, continuations = CACHE_WALKS["two_turns"]
         walk = generate_path(replace(spec, rng_seed=2), continuations, WINDOW_GEOM)
         n, (_, second, third) = len(walk), walk.starts
-        full = {col: getattr(walk, col) for col in ("theta2", "r2", "beta")}
+        full = {col: getattr(walk, col) for col in ("theta2", "r2")}
         cols = simengine._slot_columns(walk, WINDOW_GEOM, 4)
         for end in (1, 1000, second - 1, second, second + 1, third + 7, n - 1, n, -3):
             cut = walk[:end]
@@ -903,8 +908,8 @@ class TestClosedFormGain:
             assert got.b0 == cols.b0
             for col in ("kdu", "channel", "noise"):
                 assert_same_bits(getattr(got, col), getattr(cols, col)[:stop], (end, col))
-        for bad in (slice(1, 5), slice(None, 5, 2), slice(None, None, -1)):
-            with pytest.raises(ValueError, match="prefix slice"):
+        for bad in (slice(1, 5), slice(None, 5, 2), slice(None, None, -1), 3, -1, n):
+            with pytest.raises(ValueError, match=r"prefix slice \[:end\]"):
                 walk[bad]
 
     def test_a_one_slot_prefix_has_the_first_slot_of_the_phase(self):
@@ -917,15 +922,15 @@ class TestClosedFormGain:
             assert_same_bits(simengine._slot_columns(walk[:1], geom, None).channel, want, seed)
 
     def test_an_anchor_off_the_walks_start_is_refused(self):
-        # the engine chains the walk's channel from the walk's r0, and beta from
-        # the anchor's r2, so the two must be one distance
+        # the engine chains the walk's channel from the walk's r0, and b0 is the
+        # gain at the anchor's r2, so the two must be one distance
         walk = generate_path(SPEC, (), GEOM)
         assert walk.anchor.r2 == walk.walk.r0 == walk.walk[:3].r0
         with pytest.raises(ValueError, match="where the walk starts"):
             Trajectory(replace(walk.anchor, r2=walk.anchor.r2 + 0.1), walk.walk, GEOM)
 
     def test_generating_a_seed_of_a_kept_walk_allocates_per_segment(self):
-        # the seed draws its gain and chains one slot per segment: no column
+        # the seed only draws its gain: no column
         for name, (spec, continuations) in sorted(CACHE_WALKS.items()):
             generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
             tracemalloc.start()
@@ -955,9 +960,11 @@ class TestEngineSamples:
         assert any(c.step > 1 for c in engine_calls)
         covered = set()
         kinds = kinds_of(tl)
+        gains = gain_column(walk, geom)
         for call in engine_calls:
             for j, i in enumerate(call.slots):
-                want = received_sample(walk[i], call.slopes[j], geom)
+                state = ChannelState(gains[i], float(walk.theta2[i]), float(walk.r2[i]))
+                want = received_sample(state, call.slopes[j], geom)
                 assert abs(call.samples[j] - want) <= 1e-12 * abs(want), i
             covered.update(kinds[call.lo:call.hi].tolist())
         assert {int(SlotKind.DATA), int(SlotKind.DL_TRAINING)} <= covered
