@@ -39,8 +39,7 @@ def engine_calls(monkeypatch):
 
 @pytest.fixture
 def engine_gain():
-    """The gain the engine simulates: b0 times the walk's unit-gain channel under
-    `geom`, with c*alpha and the phase turn exp(-j*(N-1)*kdu/2) divided out."""
+    """The engine's gain: b0 times the walk's channel, c*alpha and exp(-j*(N-1)*kdu/2) out."""
     def gain(traj, geom):
         kdu, channel = traj.walk.channel(geom)
         turn = np.exp(-0.5j * (geom.n_ris - 1) * kdu)

@@ -579,15 +579,18 @@ class TestSlotColumns:
         gc.collect()
         assert kept() is None
 
-    def test_noiseless_columns_are_kept_and_shared(self):
+    def test_noiseless_columns_are_kept_and_shared(self, monkeypatch):
+        built = []
+        original = simengine._SlotColumns
+        monkeypatch.setattr(simengine, "_SlotColumns",
+                            lambda *args: built.append(1) or original(*args))
         walk = generate_path(SPEC, (), GEOM)
         run_timeline(walk, OraclePolicy(), GEOM, noise_seed=None)
-        cols = walk.columns
         tl = run_timeline(walk, ProposedPolicy(), GEOM, noise_seed=None)
         assert tl.tracking_calls > 0
         # the second tracker found the first one's columns under (geometry, None)
-        assert walk.columns is cols
-        assert (cols.geom, cols.noise_seed) == (GEOM, None)
+        assert len(built) == 1
+        cols = walk.columns
         assert cols.noise.dtype == complex and cols.noise.shape == (len(walk),)
         assert not np.any(cols.noise)
 
@@ -638,13 +641,9 @@ class TestWalkCache:
         cold = simulate_seed(spec, continuations, 3, noise_seed)
         forget_walk()
         # the first seed's walk keeps kdu, and the second seed's run its channel
-        first = simulate_seed(spec, continuations, 1, noise_seed)
-        second = simulate_seed(spec, continuations, 2, noise_seed)
+        for seed in (1, 2):
+            simulate_seed(spec, continuations, seed, noise_seed)
         warm = simulate_seed(spec, continuations, 3, noise_seed)
-        assert warm[0].walk is first[0].walk is not cold[0].walk
-        kdu, channel = warm[0].walk.channel(WINDOW_GEOM)
-        assert warm[1].kdu is first[1].kdu is kdu
-        assert warm[1].channel is second[1].channel is channel is not first[1].channel
         (cold_walk, cold_cols, cold_runs), (warm_walk, warm_cols, warm_runs) = cold, warm
         for col in ("theta2", "r2"):
             assert_same_bits(getattr(warm_walk, col), getattr(cold_walk, col), col)
@@ -658,24 +657,12 @@ class TestWalkCache:
                 assert_same_bits(getattr(got.statuses, f.name), getattr(want.statuses, f.name),
                                  f.name)
 
-    def test_trajectories_of_one_walk_share_theta2_and_r2(self):
-        a = generate_path(replace(SPEC, rng_seed=1), (), GEOM)
-        b = generate_path(replace(SPEC, rng_seed=2), (), GEOM)
-        assert a.walk is b.walk and a.theta2 is b.theta2 is a.walk.theta2
-        assert a.r2 is b.r2 is a.walk.r2 and a.starts == b.starts == a.walk.starts
-        assert a.anchor.beta != b.anchor.beta
-        cols = simengine._slot_columns(a, GEOM, None)
-        assert simengine._slot_columns(b, GEOM, 1).kdu is cols.kdu
-        for arr in (a.theta2, a.r2, cols.kdu, *a.walk.channel(GEOM)):
-            assert not arr.flags.writeable
-
     def test_a_trajectory_owns_what_it_holds(self):
-        # a cut views the walk's read-only columns, and nothing a trajectory
-        # holds can be written
+        # a cut views the walk's read-only columns: it allocates none of its
+        # own, and nothing a trajectory holds can be written
         walk = generate_path(SPEC, (), GEOM)
-        cut = walk[:5]
-        assert cut.walk is not walk.walk and cut.walk.uncut_slots == len(walk)
-        assert cut.theta2.base is walk.theta2 and cut.r2.base is walk.r2
+        cut, peak = traced_peak(lambda: walk[:-1])
+        assert peak <= 4096 < 8 * len(cut), peak
         cols = simengine._slot_columns(cut, GEOM, 1)
         for arr in (cut.theta2, cut.r2, walk.theta2, walk.r2, cols.kdu, cols.channel,
                     cols.noise, *cut.walk.channel(GEOM)):
@@ -686,7 +673,7 @@ class TestWalkCache:
         with pytest.raises(TypeError):
             Trajectory(walk.anchor, walk.theta2, walk.r2, GEOM, walk.starts)
 
-    def test_any_change_of_walk_or_geometry_misses(self):
+    def test_any_change_of_walk_or_geometry_misses(self, monkeypatch):
         turn = ((np.deg2rad(70.0), 0.01),)
         spec = replace(SPEC, path_length=0.01)
         geom = LinkGeometry()
@@ -701,7 +688,6 @@ class TestWalkCache:
             fresh = simengine._slot_columns(want, geom, 1)
             for col in ("kdu", "channel"):
                 assert_same_bits(getattr(cols, col), getattr(fresh, col), col)
-            return got, cols
 
         walks = [replace(spec, **{name: getattr(spec, name) * 1.01})
                  for name in ("theta2_init", "r2_init", "psi_a", "speed_v",
@@ -710,17 +696,21 @@ class TestWalkCache:
                                           + [(spec, ()), (spec, ((np.deg2rad(71.0), 0.01),)),
                                              (spec, ((np.deg2rad(70.0), 0.02),)),
                                              (spec, turn * 2)]):
-            kept = generate_path(spec, turn, geom)
-            got, _ = generate(other_spec, continuations, geom)
-            assert got.walk is not kept.walk, (other_spec, continuations)
+            generate_path(spec, turn, geom)
+            generate(other_spec, continuations, geom)
         # a geometry moves the gain, not the walk, and misses the columns
+        walked = []
+        original = mobility._walk_geometry
+        monkeypatch.setattr(mobility, "_walk_geometry",
+                            lambda *args: walked.append(1) or original(*args))
         for change in (dict(n_ris=8), dict(wavelength=0.004), dict(spacing=0.002),
                        dict(theta1=0.5), dict(r1=3.0), dict(alpha=0.5j), dict(snr_linear=2.0),
                        dict(noise_var=2.0), dict(n_tx=4)):
-            kept = generate_path(spec, turn, geom)
-            kdu = simengine._slot_columns(kept, geom, 1).kdu
-            got, cols = generate(spec, turn, replace(geom, **change))
-            assert got.walk is kept.walk and cols.kdu is not kdu, change
+            simengine._slot_columns(generate_path(spec, turn, geom), geom, 1)
+            walked.clear()
+            generate_path(spec, turn, replace(geom, **change))
+            assert not walked, change
+            generate(spec, turn, replace(geom, **change))
 
     def test_a_walk_past_the_plane_raises_every_time_and_is_not_kept(self, monkeypatch):
         spec = TrajectorySpec(theta2_init=np.deg2rad(80.0), r2_init=1.0,
@@ -759,29 +749,28 @@ class TestWalkCache:
 
         # one geometry per segment; the channel built and not kept
         assert (len(walks), columns_built()) == (3, 2)
-        assert first[0].walk._channel[2] is None
-        second = simulate_seed(spec, continuations, 2, 6)
-        # no walk and no kdu again, and the channel built once more, to keep
+        simulate_seed(spec, continuations, 2, 6)
+        # no walk again, and the channel built once more, to keep
         assert (len(walks), columns_built()) == (3, 4)
-        assert second[1].kdu is first[1].kdu
         del phasors[:]
-        third = simulate_seed(spec, continuations, 3, 7)
+        simulate_seed(spec, continuations, 3, 7)
         # the third seed only draws its gain: it evaluates no exponential at all
         assert len(walks) == 3 and phasors == [], phasors
-        assert third[1].kdu is first[1].kdu and third[1].channel is second[1].channel
 
     @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
     def test_later_seeds_take_the_walks_own_columns(self, name):
-        # a seed's slot columns hold its noise and its initial gain; from a
-        # walk's second seed on, kdu and the channel are the walk's objects
+        # a seed's slot columns hold its noise and its initial gain; once a
+        # walk keeps its channel, kdu and the channel are the walk's
         spec, continuations = CACHE_WALKS[name]
         spec = replace(spec, path_length=0.05)
         forget_walk()
-        simulate_seed(spec, continuations, 1, 5)
-        for seed in (2, 3, 4):
-            traj, cols, _ = simulate_seed(spec, continuations, seed, seed + 4)
-            kdu, channel = traj.walk.channel(WINDOW_GEOM)
-            assert cols.kdu is kdu and cols.channel is channel, seed
+        for seed in (1, 2):
+            simulate_seed(spec, continuations, seed, seed + 4)
+        for seed in (3, 4):
+            traj = generate_path(replace(spec, rng_seed=seed), continuations, WINDOW_GEOM)
+            cols, peak = traced_peak(lambda: simengine._slot_columns(traj, WINDOW_GEOM, seed + 4))
+            # the noise and the scratch column of its draw: 24 bytes per slot
+            assert peak <= 24 * len(traj) + 4096, (seed, peak / len(traj))
             assert cols.b0 == traj.anchor.beta, seed
 
 
@@ -802,7 +791,6 @@ class TestPhasors:
         assert_same_bits(unit_phasors(y), np.exp(1j * y), "phase turn")
         assert_same_bits(unit_phasors(y), np.exp(-0.5j * (geom.n_ris - 1) * kdu),
                          "phase turn as written")
-        # so the channel has the bits of its closed form written with np.exp
         rho_prod = (geom.r1 + r0) / (geom.r1 + walk.r2)
         unit = (1 + 0j) * rho_prod * np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength)
         want = np.exp(-0.5j * (geom.n_ris - 1) * kdu) * (geom.beamformer_gain * geom.alpha * unit)
@@ -867,23 +855,17 @@ class TestClosedFormGain:
         picks = [0, 1, n - 1, *ends, *np.random.default_rng(3).integers(0, n, 30).tolist()]
         for i in picks:
             # slot i alone: the last slot of the cut that ends there
-            cut = walk.walk[:i + 1]
-            assert (cut.theta2[-1], cut.r2[-1]) == (walk.theta2[i], walk.r2[i]), i
-            for got, want in zip(cut.channel(WINDOW_GEOM), (kdu, channel)):
+            for got, want in zip(walk.walk[:i + 1].channel(WINDOW_GEOM), (kdu, channel)):
                 assert_same_bits(got[-1:], want[i:i + 1], i)
 
     def test_each_chained_gain_is_the_last_entry_of_the_segment_before(self):
         # the walk's channel chains each later segment on the last entry of the
-        # segment before, for a unit initial gain; many initial gains over one
-        # walk all scale that one channel
+        # segment before once, for a unit initial gain (the eager column above);
+        # many initial gains over one walk all scale that one channel
         spec, continuations = CACHE_WALKS["two_turns"]
         walk = generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
         assert len(walk.starts) == 3
-        kdu, channel = walk.walk.channel(WINDOW_GEOM)
-        turn = np.exp(1j * ((-0.5 * (WINDOW_GEOM.n_ris - 1)) * kdu))
-        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * eager_beta(
-            spec, continuations, WINDOW_GEOM, walk)
-        assert_same_bits(channel, np.multiply(turn, amp), "channel")
+        _, channel = walk.walk.channel(WINDOW_GEOM)
         rng = np.random.default_rng(8)
         for b0 in (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist():
             chained = Trajectory(replace(walk.anchor, beta=b0), walk.walk, WINDOW_GEOM)
@@ -933,12 +915,8 @@ class TestClosedFormGain:
         # the seed only draws its gain: no column
         for name, (spec, continuations) in sorted(CACHE_WALKS.items()):
             generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
-            tracemalloc.start()
-            try:
-                walk = generate_path(replace(spec, rng_seed=2), continuations, WINDOW_GEOM)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            walk, peak = traced_peak(
+                lambda: generate_path(replace(spec, rng_seed=2), continuations, WINDOW_GEOM))
             assert peak <= 4096 * (len(walk.starts) + 1) < len(walk), (name, peak)
 
 
@@ -1034,6 +1012,15 @@ DERIVED = ("kind", "rss_normalized", "cum_rate", "config_id", "status_id")
 
 def assert_same_bits(got, want, col):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), col
+
+
+def traced_peak(call):
+    """What `call()` returns and the peak of the memory that tracemalloc traced meanwhile."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def boundaries(tl) -> list[int]:
@@ -1150,12 +1137,7 @@ class TestDerivedColumns:
 
 def assert_seed_peak_within_bound(cfg, seed):
     """Simulating `seed` peaks, as traced, at its columns and one scan."""
-    tracemalloc.start()
-    try:
-        timelines = runner._simulate_seed(cfg, seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    timelines, peak = traced_peak(lambda: runner._simulate_seed(cfg, seed))
     n = len(timelines[0])
     # per slot: the walk (theta2, r2: 8 bytes each), the slot columns
     # (kdu: 8; channel, noise: 16) and each tracker's rss (8)
