@@ -203,22 +203,22 @@ class Trajectory:
     ``walk`` is the :class:`Walk`, whose read-only ``theta2`` and ``r2`` and
     segment ``starts`` are exposed here too, and ``anchor`` the state just
     before slot 1, at the walk's ``r0``, whose ``beta`` is the seed's initial
-    gain b0. The gain at every slot is b0 times the walk's unit-gain channel
-    (`Walk.channel`); of `geom` it reads r1 and the wavelength only, and
-    `run_timeline` runs a trajectory only under a geometry that has the same
-    two. ``traj[:end]`` is the trajectory on the walk's first `end` slots,
-    ``walk[:end]``. `generate_path` builds a trajectory on the walk it keeps,
-    so every seed of a walk gets the same one.
+    gain b0. That is all a trajectory is: a run builds its gain under the
+    run's geometry, b0 times the walk's unit-gain channel (`Walk.channel`),
+    so a trajectory runs under any geometry. ``traj[:end]`` is the
+    trajectory on the walk's first `end` slots, ``walk[:end]``.
+    `generate_path` builds a trajectory on the walk it keeps, so every seed
+    of a walk gets the same one.
 
     ``columns`` holds the engine's slot columns for the (geometry, noise seed)
     it was last simulated under, or None.
     """
 
-    def __init__(self, anchor: ChannelState, walk: Walk, geom: LinkGeometry):
+    def __init__(self, anchor: ChannelState, walk: Walk):
         if anchor.r2 != walk.r0:
             raise ValueError(f"the anchor must sit where the walk starts: r2 {anchor.r2} "
                              f"against the walk's r0 {walk.r0}")
-        self.anchor, self.walk, self.geom = anchor, walk, geom
+        self.anchor, self.walk = anchor, walk
         self.theta2, self.r2, self.starts = walk.theta2, walk.r2, walk.starts
         self.columns = None
 
@@ -226,21 +226,21 @@ class Trajectory:
         return self.theta2.shape[0]
 
     def __getitem__(self, cut: slice) -> Trajectory:
-        return Trajectory(self.anchor, self.walk[cut], self.geom)
+        return Trajectory(self.anchor, self.walk[cut])
 
 
-# the last walk generated, under its spec without the seed and its continuations
+# the last walk generated, under the spec fields it reads and its continuations
 _LAST_WALK: dict[tuple, Walk] = {}
 
 
 def _walk(spec: TrajectorySpec, continuations) -> Walk:
     """The walk of `spec` and its continuations, the last one kept for the next seed.
 
-    Nothing in a walk depends on the seed, so every seed of a scenario gets
-    the same one. A walk that fails a check raises on every call and is not
-    kept.
+    The seed and the Rayleigh scale only draw the initial gain, so every
+    draw of a walk gets the same one. A walk that fails a check raises on
+    every call and is not kept.
     """
-    key = (replace(spec, rng_seed=None), tuple(map(tuple, continuations)))
+    key = (replace(spec, rng_seed=None, rayleigh_scale=1.0), tuple(map(tuple, continuations)))
     walk = _LAST_WALK.get(key)
     if walk is not None:
         return walk
@@ -275,20 +275,20 @@ def generate_path(
     continuations: tuple[tuple[float, float], ...],
     geom: LinkGeometry,
 ) -> Trajectory:
-    """Ground-truth channel of `spec`'s segment chained with (psi_a, length) continuations.
+    """The trajectory of `spec`'s segment chained with (psi_a, length) continuations.
 
     Each segment starts at the previous segment's last slot, so the arrays
-    are continuous by construction. Within a segment the gain chain
-    telescopes: |beta|*(r1+r2) is invariant and the phase advances by
-    2*pi*(r2(t)-r2_start)/lambda. Equal seeds give identical trajectories.
+    are continuous by construction. Equal seeds give identical trajectories.
+    `geom` is not read: a trajectory is its walk and its initial gain, and a
+    run builds the gain under its own geometry (`Walk.channel`).
 
-    The seed only draws the initial gain, so the :class:`Walk` (theta2, r2
-    and the segment starts) is built once for the last walk generated, and
-    the trajectories of all its seeds share it with the channel it keeps
-    (`Walk.channel`). Each call only draws its gain; no column is built.
+    The seed and the Rayleigh scale only draw the initial gain, so the
+    :class:`Walk` (theta2, r2 and the segment starts) is built once for the
+    last walk generated, and the trajectories of all its draws share it with
+    the channel it keeps. Each call only draws its gain; no column is built.
 
     Raises ValueError for a segment length that is not finite and > 0, and
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.
     """
     anchor = ChannelState(beta=_draw_beta(spec), theta2=spec.theta2_init, r2=spec.r2_init)
-    return Trajectory(anchor, _walk(spec, continuations), geom)
+    return Trajectory(anchor, _walk(spec, continuations))

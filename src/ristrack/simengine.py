@@ -484,7 +484,8 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
     n = len(trajectory)
     kdu, channel = trajectory.walk.channel(geom)
     if noise_seed is None:
-        noise = np.zeros(n, dtype=complex)
+        # one read-only zero that every slot views
+        noise = np.broadcast_to(np.zeros((), dtype=complex), (n,))
     else:
         # drawn for the uncut walk and built in place, real parts drawn first:
         # the first n of scale * (standard_normal(m) + 1j * standard_normal(m)),
@@ -496,7 +497,7 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
         for view in (noise.real, noise.imag):
             rng.standard_normal(out=part)
             np.multiply(part[:n], scale, out=view)
-    noise.setflags(write=False)
+        noise.setflags(write=False)
     trajectory.columns = cols = _SlotColumns(geom, noise_seed, trajectory.anchor.beta, kdu,
                                              channel, noise)
     return cols
@@ -534,21 +535,20 @@ def run_timeline(
     slopes to train and then for the one to install. `noise_seed` seeds the
     receiver noise; None runs without receiver noise. The noise is drawn for
     the uncut walk, so a run on ``traj[:end]`` sees the noise of the whole
-    walk's first `end` slots. `geom` must have the r1 and wavelength of
-    ``trajectory.geom``, which set the trajectory's gain; its other fields
-    are free. `threshold_mode="normalized"` compares strength against the
-    status reference (portable thresholds in (0, 1]); `"absolute"` compares
-    raw strength against a finite gamma > 0. Either way a fresh status
-    re-evaluates from the slot after its reference slot, so at most one
-    event fires per trigger. A status is scanned in windows of
-    `_SCAN_WINDOW` slots, or, after a status of L >= `_SCAN_WINDOW` slots,
-    in spans of min(2L, `_SCAN_SPAN`) slots whose coarse pass at a stride of
-    at most `_PROBE_SLOTS` slots cuts the span to end at its first strided
-    slot below threshold. Samples past the trigger slot are discarded, and
-    those slots are evaluated again as signaling or under the next
-    configuration. Only `rss` and the status table are written; every other
-    ledger column, `inst_rate` too, is derived from them when read.
-    Identical inputs and seeds give bit-identical ledgers.
+    walk's first `end` slots. The trajectory's gain is built under `geom`,
+    so a trajectory runs under any geometry. `threshold_mode="normalized"`
+    compares strength against the status reference (portable thresholds in
+    (0, 1]); `"absolute"` compares raw strength against a finite gamma > 0.
+    Either way a fresh status re-evaluates from the slot after its reference
+    slot, so at most one event fires per trigger. A status is scanned in
+    windows of `_SCAN_WINDOW` slots, or, after a status of L >=
+    `_SCAN_WINDOW` slots, in spans of min(2L, `_SCAN_SPAN`) slots whose
+    coarse pass at a stride of at most `_PROBE_SLOTS` slots cuts the span to
+    end at its first strided slot below threshold. Samples past the trigger
+    slot are discarded, and those slots are evaluated again as signaling or
+    under the next configuration. Only `rss` and the status table are
+    written; every other ledger column, `inst_rate` too, is derived from
+    them when read. Identical inputs and seeds give bit-identical ledgers.
     """
     n = len(trajectory)
     if n == 0:
@@ -560,9 +560,6 @@ def run_timeline(
         raise ValueError("normalized mode needs gamma in (0, 1]")
     if not normalized and not 0.0 < policy.gamma < math.inf:
         raise ValueError("absolute mode needs a finite gamma > 0")
-    if (geom.r1, geom.wavelength) != (trajectory.geom.r1, trajectory.geom.wavelength):
-        raise ValueError("the run's geometry must have the r1 and wavelength that the "
-                         "trajectory's gain was generated under")
 
     theta2 = trajectory.theta2
     cols = _slot_columns(trajectory, geom, noise_seed)

@@ -299,12 +299,28 @@ class TestTimelineStructure:
             with pytest.raises(ValueError, match=r"gamma in \(0, 1\]"):
                 run_timeline(traj, ProposedPolicy(gamma=gamma), GEOM, noise_seed=None)
 
-    def test_the_geometry_must_have_the_trajectorys_gain_law(self, traj):
-        # r1 and the wavelength set the trajectory's gain: under others the
-        # gain would follow one scene and the search another
-        for change in (dict(r1=4.0), dict(wavelength=0.004)):
-            with pytest.raises(ValueError, match="r1 and wavelength"):
-                run_timeline(traj, ProposedPolicy(), replace(GEOM, **change), noise_seed=None)
+    def test_a_trajectory_runs_under_any_geometry(self, traj):
+        # a trajectory is its walk and its initial gain, and a run builds the
+        # gain under its own geometry: a trajectory generated under one scene
+        # and run under another is the same seed generated under the run's
+        scenes = [replace(GEOM, r1=r1, wavelength=wavelength)
+                  for r1 in (2.0, 4.0) for wavelength in (0.004, 0.005)]
+        policies = (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0))
+        for made in scenes:
+            moved = generate_path(SPEC, (), made)
+            for geom in scenes:
+                if geom == made:
+                    continue
+                for noise_seed in (None, 3):
+                    for policy in policies:
+                        got = run_timeline(moved, policy, geom, noise_seed=noise_seed)
+                        want = run_timeline(generate_path(SPEC, (), geom), policy, geom,
+                                            noise_seed=noise_seed)
+                        assert want.tracking_calls > 0, (policy.name, geom)
+                        assert_same_bits(got.rss, want.rss, "rss")
+                        for f in fields(want.statuses):
+                            assert_same_bits(getattr(got.statuses, f.name),
+                                             getattr(want.statuses, f.name), f.name)
         # every other field is free
         for change in (dict(n_ris=7), dict(snr_linear=0.1), dict(noise_var=2.0), dict(n_tx=4),
                        dict(alpha=0.5j), dict(theta1=0.5), dict(spacing=0.002)):
@@ -593,6 +609,14 @@ class TestSlotColumns:
         cols = walk.columns
         assert cols.noise.dtype == complex and cols.noise.shape == (len(walk),)
         assert not np.any(cols.noise)
+        assert not cols.noise.flags.writeable
+        # once the walk keeps its channel, a seed's noiseless columns hold
+        # no column of their own: the noise is one zero that every slot views
+        simengine._slot_columns(generate_path(replace(SPEC, rng_seed=12), (), GEOM), GEOM, None)
+        seed = generate_path(replace(SPEC, rng_seed=13), (), GEOM)
+        cols, peak = traced_peak(lambda: simengine._slot_columns(seed, GEOM, None))
+        assert peak <= 4096 < 16 * len(seed), peak
+        assert cols.noise.shape == (len(seed),) and not np.any(cols.noise)
 
     def test_noise_is_the_scaled_pair_of_draws(self, traj):
         geom = replace(GEOM, noise_var=3.0)
@@ -711,6 +735,19 @@ class TestWalkCache:
             generate_path(spec, turn, replace(geom, **change))
             assert not walked, change
             generate(spec, turn, replace(geom, **change))
+
+    def test_a_draw_of_another_scale_gets_the_same_walk(self, monkeypatch):
+        # the Rayleigh scale, like the seed, only draws the initial gain
+        spec, continuations = CACHE_WALKS["two_turns"]
+        spec = replace(spec, path_length=0.05, rng_seed=1)
+        first = generate_path(spec, continuations, WINDOW_GEOM)
+        walked = []
+        original = mobility._walk_geometry
+        monkeypatch.setattr(mobility, "_walk_geometry",
+                            lambda *args: walked.append(1) or original(*args))
+        scaled = generate_path(replace(spec, rayleigh_scale=3.0), continuations, WINDOW_GEOM)
+        assert scaled.walk is first.walk and walked == []
+        assert scaled.anchor.beta != first.anchor.beta
 
     def test_a_walk_past_the_plane_raises_every_time_and_is_not_kept(self, monkeypatch):
         spec = TrajectorySpec(theta2_init=np.deg2rad(80.0), r2_init=1.0,
@@ -868,7 +905,7 @@ class TestClosedFormGain:
         _, channel = walk.walk.channel(WINDOW_GEOM)
         rng = np.random.default_rng(8)
         for b0 in (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist():
-            chained = Trajectory(replace(walk.anchor, beta=b0), walk.walk, WINDOW_GEOM)
+            chained = Trajectory(replace(walk.anchor, beta=b0), walk.walk)
             cols = simengine._slot_columns(chained, WINDOW_GEOM, None)
             assert cols.b0 == b0
             assert_same_bits(cols.channel, channel, b0)
@@ -896,12 +933,14 @@ class TestClosedFormGain:
 
     def test_a_one_slot_prefix_has_the_first_slot_of_the_phase(self):
         # a one-slot product written over one of its operands rounds unlike
-        # the same product into another array: seeds 11 and 171 once showed it
+        # the same product into another array; the channel does not read the
+        # seed, so the walks vary in what it reads: the starting distance
         geom = LinkGeometry()
-        for seed in range(1, 200):
-            walk = generate_path(TrajectorySpec(path_length=0.01, rng_seed=seed), (), geom)
+        for r2_init in np.linspace(1.0, 5.0, 199).tolist():
+            walk = generate_path(TrajectorySpec(r2_init=r2_init, path_length=0.01), (), geom)
             want = simengine._slot_columns(walk, geom, None).channel[:1]
-            assert_same_bits(simengine._slot_columns(walk[:1], geom, None).channel, want, seed)
+            assert_same_bits(simengine._slot_columns(walk[:1], geom, None).channel, want,
+                             r2_init)
 
     def test_an_anchor_off_the_walks_start_is_refused(self):
         # the engine chains the walk's channel from the walk's r0, and b0 is the
@@ -909,7 +948,7 @@ class TestClosedFormGain:
         walk = generate_path(SPEC, (), GEOM)
         assert walk.anchor.r2 == walk.walk.r0 == walk.walk[:3].r0
         with pytest.raises(ValueError, match="where the walk starts"):
-            Trajectory(replace(walk.anchor, r2=walk.anchor.r2 + 0.1), walk.walk, GEOM)
+            Trajectory(replace(walk.anchor, r2=walk.anchor.r2 + 0.1), walk.walk)
 
     def test_generating_a_seed_of_a_kept_walk_allocates_per_segment(self):
         # the seed only draws its gain: no column
