@@ -31,7 +31,7 @@ print(f"departure angle: {np.rad2deg(traj.theta2[0]):.2f} deg -> "
 print(f"surface-user distance: {traj.r2[0]:.3f} m -> {traj.r2[-1]:.3f} m")
 
 # the walk is straight, so the gain has a closed form in r2 from the initial gain
-b0, r0 = traj.anchor.beta, traj.anchor.r2
+b0, r0 = traj.b0, traj.walk.r0
 beta = (b0 * (geom.r1 + r0) / (geom.r1 + traj.r2)
         * np.exp(2j * np.pi * (traj.r2 - r0) / geom.wavelength))
 product = np.abs(beta) * (geom.r1 + traj.r2)

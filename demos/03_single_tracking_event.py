@@ -30,7 +30,7 @@ geom = LinkGeometry(r1=4.0)
 spec = TrajectorySpec(r2_init=4.0, path_length=0.05, rng_seed=3)
 traj = generate_path(spec, (), geom)
 # the walk is straight, so the gain has a closed form in r2 from the initial gain
-b0, r0 = traj.anchor.beta, traj.anchor.r2
+b0, r0 = traj.b0, traj.walk.r0
 beta = (b0 * (geom.r1 + r0) / (geom.r1 + traj.r2)
         * np.exp(2j * np.pi * (traj.r2 - r0) / geom.wavelength))
 

@@ -1,9 +1,9 @@
 """Slot-ledger CSV text, formatted by numpy with the bytes of ``%d`` and ``%.12g``.
 
 The ledgers of one trajectory are formatted together, block by block of
-rows. Each timeline hands out a block's columns from its ``block`` method, a
-simulated run deriving them from its status table and carrying its running
-rate sum on to the next block. The slot index and the true angle are the
+rows. Each simulated run hands out a block's columns from its ``block``
+method, deriving them from its status table and carrying its running rate
+sum on to the next block. The slot index and the true angle are the
 same for every tracker of a seed, so their cells are formatted once per
 block and shared.
 
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simengine import SlotKind, StatusTimeline, Timeline
+from .simengine import SlotKind, StatusTimeline
 
 LEDGER_HEADER = ("slot_index,kind,rss,rss_normalized,inst_rate,cum_rate,"
                  "status_id,config_id,theta2_true_deg")
@@ -231,12 +231,7 @@ def _block_text(cells: Sequence[_Cell]) -> bytes:
     return text
 
 
-def _shared(cell: _Cell) -> _Cell:
-    """The cell with its rows as index arrays, to be copied into many blocks."""
-    return cell._replace(rows=[np.asarray(row, np.intp) for row in cell.rows])
-
-
-def ledger_chunks(timelines: Sequence[StatusTimeline | Timeline]) -> Iterator[bytes]:
+def ledger_chunks(timelines: Sequence[StatusTimeline]) -> Iterator[bytes]:
     """The ledger CSV of each timeline of one trajectory, in lockstep.
 
     Yields a chunk of each timeline in turn: the headers, then the rows of
@@ -259,18 +254,18 @@ def ledger_chunks(timelines: Sequence[StatusTimeline | Timeline]) -> Iterator[by
     return _lockstep(timelines)
 
 
-def _lockstep(timelines: Sequence[StatusTimeline | Timeline]) -> Iterator[bytes]:
+def _lockstep(timelines: Sequence[StatusTimeline]) -> Iterator[bytes]:
     for _ in timelines:
         yield LEDGER_HEADER.encode()
     if timelines:
         block_rows = LEDGER_BLOCK_ROWS
         theta = timelines[0].theta2_true
-        carries = [None] * len(timelines)  # each timeline's running inst_rate sum
+        carries = [0.0] * len(timelines)  # each timeline's running inst_rate sum
         for start in range(0, len(theta), block_rows):
             stop = min(start + block_rows, len(theta))
             # each cell starts with its separator, so each row starts with a newline
-            index = _shared(_int_cell(np.arange(start + 1, stop + 1), _NEWLINE))
-            angle = _shared(_float_cell(np.rad2deg(theta[start:stop])))
+            index = _int_cell(np.arange(start + 1, stop + 1), _NEWLINE)
+            angle = _float_cell(np.rad2deg(theta[start:stop]))
             for i, tl in enumerate(timelines):
                 block, carries[i] = tl.block(start, stop, carries[i])
                 yield _block_text((

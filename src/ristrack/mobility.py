@@ -59,7 +59,7 @@ class ChannelState:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """The first straight walk segment plus the initial channel anchor.
+    """The first straight walk segment plus the draw of the initial gain.
 
     The initial gain has Rayleigh magnitude (scale ``rayleigh_scale``) and
     uniform phase, drawn from ``rng_seed``.
@@ -200,25 +200,24 @@ class Walk:
 class Trajectory:
     """A seed's channel along a walk of one or more straight segments.
 
-    ``walk`` is the :class:`Walk`, whose read-only ``theta2`` and ``r2`` and
-    segment ``starts`` are exposed here too, and ``anchor`` the state just
-    before slot 1, at the walk's ``r0``, whose ``beta`` is the seed's initial
-    gain b0. That is all a trajectory is: a run builds its gain under the
-    run's geometry, b0 times the walk's unit-gain channel (`Walk.channel`),
-    so a trajectory runs under any geometry. ``traj[:end]`` is the
-    trajectory on the walk's first `end` slots, ``walk[:end]``.
-    `generate_path` builds a trajectory on the walk it keeps, so every seed
-    of a walk gets the same one.
+    ``b0`` is the seed's initial gain, the gain just before slot 1, and
+    ``walk`` the :class:`Walk`, whose read-only ``theta2`` and ``r2`` and
+    segment ``starts`` are exposed here too. That is all a trajectory is: a
+    run builds its gain under the run's geometry, b0 times the walk's
+    unit-gain channel (`Walk.channel`), so a trajectory runs under any
+    geometry. ``traj[:end]`` is the trajectory with the same b0 on the
+    walk's first `end` slots, ``walk[:end]``. `generate_path` builds a
+    trajectory on the walk it keeps, so every seed of a walk gets the same
+    one.
 
     ``columns`` holds the engine's slot columns for the (geometry, noise seed)
     it was last simulated under, or None.
     """
 
-    def __init__(self, anchor: ChannelState, walk: Walk):
-        if anchor.r2 != walk.r0:
-            raise ValueError(f"the anchor must sit where the walk starts: r2 {anchor.r2} "
-                             f"against the walk's r0 {walk.r0}")
-        self.anchor, self.walk = anchor, walk
+    def __init__(self, b0: complex, walk: Walk):
+        if not (cmath.isfinite(b0) and b0 != 0):  # also on NaN
+            raise ValueError(f"b0 must be nonzero and finite, got {b0}")
+        self.b0, self.walk = b0, walk
         self.theta2, self.r2, self.starts = walk.theta2, walk.r2, walk.starts
         self.columns = None
 
@@ -226,7 +225,7 @@ class Trajectory:
         return self.theta2.shape[0]
 
     def __getitem__(self, cut: slice) -> Trajectory:
-        return Trajectory(self.anchor, self.walk[cut])
+        return Trajectory(self.b0, self.walk[cut])
 
 
 # the last walk generated, under the spec fields it reads and its continuations
@@ -290,5 +289,4 @@ def generate_path(
     Raises ValueError for a segment length that is not finite and > 0, and
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.
     """
-    anchor = ChannelState(beta=_draw_beta(spec), theta2=spec.theta2_init, r2=spec.r2_init)
-    return Trajectory(anchor, _walk(spec, continuations))
+    return Trajectory(_draw_beta(spec), _walk(spec, continuations))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 from .config import ConfigError, ScenarioConfig, override_config
 from .mobility import generate_path
-from .simengine import RunMetrics, StatusTimeline, Timeline, overhead_report, run_timeline
+from .simengine import RunMetrics, StatusTimeline, overhead_report, run_timeline
 
 OUTPUT_DIR_ENV = "RISTRACK_OUTDIR"
 
@@ -44,7 +44,7 @@ class RunResult:
     summary_path: str
 
 
-def write_ledgers(paths: list[str], timelines: list[StatusTimeline | Timeline]) -> None:
+def write_ledgers(paths: list[str], timelines: list[StatusTimeline]) -> None:
     """Write the slot ledgers of one trajectory's timelines, each to its path.
 
     A ledger is a header, then one ``%d``/``%.12g`` row per slot. The files

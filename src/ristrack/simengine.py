@@ -182,8 +182,8 @@ class ExhaustivePolicy:
 class Timeline:
     """Ledger columns of a run of slots, one array per column.
 
-    A `StatusTimeline` hands out its columns as one of these per block of
-    slots; one can also be built from explicit columns.
+    A `StatusTimeline` hands out the columns of a block of its slots as one
+    of these (`StatusTimeline.block`).
     """
 
     kind: np.ndarray
@@ -200,13 +200,6 @@ class Timeline:
 
     def __len__(self) -> int:
         return self.kind.shape[0]
-
-    def block(self, lo: int, hi: int, carry: float | None = None) -> tuple[Timeline, float | None]:
-        """Slots [lo, hi) of every column; `cum_rate` is given, so `carry` passes through."""
-        return Timeline(self.kind[lo:hi], self.rss[lo:hi], self.rss_normalized[lo:hi],
-                        self.inst_rate[lo:hi], self.cum_rate[lo:hi], self.config_id[lo:hi],
-                        self.status_id[lo:hi], self.theta2_true[lo:hi], self.policy_name,
-                        self.gamma, self.tracking_calls), carry
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,15 +306,13 @@ class StatusTimeline:
         rates[kind != SlotKind.DATA] = 0.0
         return rates
 
-    def block(self, lo: int, hi: int, carry: float | None = None) -> tuple[Timeline, float]:
+    def block(self, lo: int, hi: int, carry: float) -> tuple[Timeline, float]:
         """The ledger columns of slots [lo, hi), and the running `inst_rate` sum through hi.
 
-        `carry` is the running sum through lo, as the block before returned
-        it; None sums it here from slot 0.
+        `carry` is the running sum through lo: 0.0 for the first block, and
+        for each later one what the block before returned.
         """
         table = self.statuses
-        if carry is None:
-            carry = _running_sum(self._rates(0, lo, table.spread("kind", 0, lo)))
         span = table.span(lo, hi)
         kind = table.spread("kind", lo, hi, span)
         rss = self.rss[lo:hi]
@@ -475,7 +466,7 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
     """The trajectory's columns under (geometry, noise seed), held by it until another pair.
 
     Every tracker of a seed shares one draw of its noise; `kdu` and the
-    channel come from its walk (`Walk.channel`) and b0 from its anchor. A
+    channel come from its walk (`Walk.channel`) and b0 is the trajectory's. A
     noise seed of None gives zero noise.
     """
     cols = trajectory.columns
@@ -498,8 +489,8 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
             rng.standard_normal(out=part)
             np.multiply(part[:n], scale, out=view)
         noise.setflags(write=False)
-    trajectory.columns = cols = _SlotColumns(geom, noise_seed, trajectory.anchor.beta, kdu,
-                                             channel, noise)
+    trajectory.columns = cols = _SlotColumns(geom, noise_seed, trajectory.b0, kdu, channel,
+                                             noise)
     return cols
 
 
@@ -572,8 +563,7 @@ def run_timeline(
     tracker = policy.start(float(theta2[0]), geom.r1 + float(trajectory.r2[0]), geom)
     config_id = 0
     next_config_id = 1
-    status = 1
-    events = 0
+    status = 1  # one more than the events so far
 
     # a row from slot lo to the next row, in the current status and reference
     def row(lo: int, k: SlotKind, cfg_id: int) -> None:
@@ -625,7 +615,6 @@ def run_timeline(
         if t2 < 0:
             break
 
-        events += 1
         status += 1
         last_len = t2 + 1 - ref_idx
         row(t2, SlotKind.DATA_BELOW_THRESHOLD, config_id)
@@ -663,4 +652,4 @@ def run_timeline(
     for arr in (rss, *vars(table).values()):
         arr.setflags(write=False)
     return StatusTimeline(rss, geom.noise_var, table, trajectory.theta2, policy.name,
-                          policy.gamma, events)
+                          policy.gamma, status - 1)

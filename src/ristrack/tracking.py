@@ -50,13 +50,12 @@ class TrackingObservables:
 
     eta: float
     xi: float
-    rss_ref: float
     r_ref: float
     theta2_ref: float
 
     def __post_init__(self):
         # written so that NaN fails every check
-        for name in ("eta", "rss_ref", "r_ref"):
+        for name in ("eta", "r_ref"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -111,9 +110,7 @@ def measure_observables(
     # (cmath.phase) can differ from it in the last ulp
     phase_now, phase_ref = np.angle([y_now, y_ref]).tolist()
     xi = wrap_principal(phase_now - phase_ref)
-    return TrackingObservables(
-        eta=eta, xi=xi, rss_ref=rss_ref, r_ref=r_ref, theta2_ref=theta2_ref
-    )
+    return TrackingObservables(eta=eta, xi=xi, r_ref=r_ref, theta2_ref=theta2_ref)
 
 
 @functools.lru_cache(maxsize=8)

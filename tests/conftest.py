@@ -43,5 +43,5 @@ def engine_gain():
     def gain(traj, geom):
         kdu, channel = traj.walk.channel(geom)
         turn = np.exp(-0.5j * (geom.n_ris - 1) * kdu)
-        return traj.anchor.beta * channel / (geom.beamformer_gain * geom.alpha * turn)
+        return traj.b0 * channel / (geom.beamformer_gain * geom.alpha * turn)
     return gain

@@ -68,11 +68,11 @@ def noise_column(n: int, uncut: int, noise_var: float, noise_seed: int | None) -
 def gain_column(traj, geom) -> list[complex]:
     """beta per slot: a segment from gain b at r has b*(r1+r)/(r1+r2)*exp(j*2*pi*(r2-r)/lambda).
 
-    The first segment starts from the anchor at the walk's r0, each later one
-    from the segment before at its last slot.
+    The first segment starts from the initial gain b0 at the walk's r0, each
+    later one from the segment before at its last slot.
     """
     r2, later = traj.r2.tolist(), set(traj.walk.starts[1:])
-    b, r, gains = traj.anchor.beta, traj.walk.r0, []
+    b, r, gains = traj.b0, traj.walk.r0, []
     for i, r2_i in enumerate(r2):
         if i in later:
             b, r = gains[-1], r2[i - 1]

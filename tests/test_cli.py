@@ -125,7 +125,7 @@ class TestRunCommand:
         first, second = timelines
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
         with pytest.raises(ValueError, match="slots"):
-            runner.write_ledgers(paths, [first, second.block(0, len(second) - 1)[0]])
+            runner.write_ledgers(paths, [first, replace(second, rss=second.rss[:-1])])
         with pytest.raises(ValueError, match="theta2_true differs"):
             runner.write_ledgers(paths, [first, replace(second, theta2_true=-second.theta2_true)])
         with pytest.raises(ValueError, match="2 paths for 1 timelines"):

@@ -5,12 +5,16 @@ blocks of neighbours in magnitude, so that the blocks drop different integer
 and fraction words.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ristrack import (ExhaustivePolicy, LinkGeometry, OraclePolicy, ProposedPolicy,
+                      TrajectorySpec, generate_path, run_timeline)
 from ristrack.ledger import (LEDGER_HEADER, _block_text, _float_cell, _int_cell, _kind_cell,
                              ledger_chunks)
-from ristrack.simengine import SlotKind, Timeline
+from ristrack.simengine import SlotKind
 
 NEIGHBOURS = 64  # values per block of neighbours in magnitude
 
@@ -139,21 +143,17 @@ def test_kind_names():
     assert _block_text([_kind_cell(np.zeros(3, np.int8))]) == b",DATA" * 3
 
 
-def timeline(n, name, seed, theta=None):
-    rng = np.random.default_rng(seed)
-    return Timeline(
-        kind=rng.integers(0, 4, n).astype(np.int8), rss=rng.uniform(0, 1e6, n),
-        rss_normalized=rng.uniform(0, 1, n), inst_rate=rng.uniform(0, 20, n),
-        cum_rate=rng.uniform(0, 20, n), config_id=rng.integers(0, 20000, n).astype(np.int32),
-        status_id=rng.integers(0, 100, n).astype(np.int32),
-        theta2_true=np.linspace(0.3, 0.5, n) if theta is None else theta,
-        policy_name=name, gamma=0.9, tracking_calls=0)
+def runs():
+    """Three trackers' runs of one 30-slot cut: one trajectory's timelines."""
+    geom = LinkGeometry()
+    traj = generate_path(TrajectorySpec(path_length=0.01, rng_seed=1), (), geom)[:30]
+    policies = (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0), OraclePolicy())
+    return [run_timeline(traj, policy, geom, noise_seed=2) for policy in policies]
 
 
 def test_lockstep_chunks_follow_their_timelines(monkeypatch):
     monkeypatch.setattr("ristrack.ledger.LEDGER_BLOCK_ROWS", 7)
-    theta = np.linspace(-0.01, 0.01, 30)
-    timelines = [timeline(30, name, seed, theta) for seed, name in enumerate("abc")]
+    timelines = runs()
     chunks = list(ledger_chunks(timelines))
     assert len(chunks) == 3 * (2 + 5)  # the headers, five blocks and the closing newlines
     for k, tl in enumerate(timelines):
@@ -165,15 +165,15 @@ def test_lockstep_chunks_follow_their_timelines(monkeypatch):
 
 
 def test_lockstep_rejects_timelines_that_share_no_cells():
-    a = timeline(10, "a", 1)
-    with pytest.raises(ValueError, match="b: 9 slots, a has 10"):
-        ledger_chunks([a, timeline(9, "b", 2)])
+    a, b, _ = runs()
+    with pytest.raises(ValueError, match="exhaustive_10deg: 29 slots, proposed has 30"):
+        ledger_chunks([a, replace(b, rss=b.rss[:-1])])
     theta = a.theta2_true.copy()
     theta[4] += 1e-12
     with pytest.raises(ValueError, match="theta2_true differs"):
-        ledger_chunks([a, timeline(10, "b", 2, theta)])
-    zeros = np.zeros(10)
+        ledger_chunks([a, replace(b, theta2_true=theta)])
+    zeros = np.zeros(30)
     # -0.0 == 0.0, but the two print differently
     with pytest.raises(ValueError, match="theta2_true differs"):
-        ledger_chunks([timeline(10, "a", 1, zeros), timeline(10, "b", 2, -zeros)])
-    ledger_chunks([a, timeline(10, "b", 2, a.theta2_true.copy())])
+        ledger_chunks([replace(a, theta2_true=zeros), replace(b, theta2_true=-zeros)])
+    ledger_chunks([a, replace(b, theta2_true=a.theta2_true.copy())])

@@ -179,7 +179,7 @@ class TestGenerateTrajectory:
     def test_phase_telescopes_with_distance(self, engine_gain):
         spec = TrajectorySpec(path_length=0.2, rng_seed=5)
         traj = generate_path(spec, (), self.geom)
-        expect = np.angle(traj.anchor.beta) + 2 * np.pi * (traj.r2 - spec.r2_init) / self.geom.wavelength
+        expect = np.angle(traj.b0) + 2 * np.pi * (traj.r2 - spec.r2_init) / self.geom.wavelength
         got = np.angle(engine_gain(traj, self.geom))
         assert np.allclose(np.exp(1j * expect), np.exp(1j * got), atol=1e-9)
 
@@ -188,7 +188,7 @@ class TestGenerateTrajectory:
         spec = TrajectorySpec(path_length=0.005, rng_seed=9)
         traj = generate_path(spec, (), self.geom)
         gain = engine_gain(traj, self.geom)
-        state = traj.anchor
+        state = ChannelState(traj.b0, spec.theta2_init, traj.walk.r0)
         for t in range(1, len(traj) + 1):
             state = evolve_channel(state, traj.r2[t - 1], traj.theta2[t - 1],
                                    self.geom.wavelength, self.geom.r1)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -43,6 +44,10 @@ def test_removed_record_views_and_selftest_module():
     assert not hasattr(ristrack.Timeline, "__getitem__")
     assert not hasattr(ristrack.Timeline, "__iter__")
     assert "__iter__" not in vars(ristrack.Trajectory)
+    # the ledger takes simulated runs, and every block of one needs its carry
+    assert not hasattr(ristrack.Timeline, "block")
+    carry = inspect.signature(ristrack.StatusTimeline.block).parameters["carry"]
+    assert carry.default is inspect.Parameter.empty
     for module in ("ristrack.selftest", "ristrack.baselines"):
         with pytest.raises(ImportError):
             importlib.import_module(module)
@@ -56,6 +61,10 @@ def test_removed_chaining_field_and_method():
     traj = ristrack.generate_path(ristrack.TrajectorySpec(path_length=0.001, rng_seed=1), (),
                                   ristrack.LinkGeometry())
     assert not {"beta", "beta_range", "segment_gains"} & set(dir(traj))
+    # a trajectory is its b0 and its walk: no anchor state wraps b0
+    assert list(inspect.signature(ristrack.Trajectory).parameters) == ["b0", "walk"]
+    assert not hasattr(traj, "anchor")
+    assert "rss_ref" not in {f.name for f in dataclasses.fields(ristrack.TrackingObservables)}
 
 
 def test_readme_quick_start_runs(capsys):

@@ -73,7 +73,7 @@ def test_low_snr(n_ris, policy):
 def test_absolute_thresholds():
     geom = LinkGeometry(r1=2.0)
     walk = generate_path(TrajectorySpec(r2_init=2.0, path_length=0.05, rng_seed=11), (), geom)
-    peak = (geom.beamformer_gain * abs(walk.anchor.beta) * geom.n_ris) ** 2
+    peak = (geom.beamformer_gain * abs(walk.b0) * geom.n_ris) ** 2
     for policy in (ProposedPolicy(0.9 * peak), ExhaustivePolicy(0.5 * peak, 10.0),
                    OraclePolicy(0.9 * peak)):
         tl = assert_agrees(walk, policy, geom, 5, "absolute")

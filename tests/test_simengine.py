@@ -49,7 +49,7 @@ def kinds_of(tl):
 
 def first_peak(traj, geom):
     """The aligned rss at slot 1: the initial gain moved by the distance ratio (r1+r0)/(r1+r2)."""
-    gain = abs(traj.anchor.beta) * (geom.r1 + traj.walk.r0) / (geom.r1 + traj.r2[0])
+    gain = abs(traj.b0) * (geom.r1 + traj.walk.r0) / (geom.r1 + traj.r2[0])
     return (geom.beamformer_gain * gain * geom.n_ris) ** 2
 
 
@@ -671,7 +671,7 @@ class TestWalkCache:
         (cold_walk, cold_cols, cold_runs), (warm_walk, warm_cols, warm_runs) = cold, warm
         for col in ("theta2", "r2"):
             assert_same_bits(getattr(warm_walk, col), getattr(cold_walk, col), col)
-        assert warm_cols.b0 == cold_cols.b0 == warm_walk.anchor.beta
+        assert warm_cols.b0 == cold_cols.b0 == warm_walk.b0
         for col in ("kdu", "channel", "noise"):
             assert_same_bits(getattr(warm_cols, col), getattr(cold_cols, col), col)
         for got, want in zip(warm_runs, cold_runs):
@@ -695,7 +695,7 @@ class TestWalkCache:
                 arr[0] = 0.5
         # the one constructor takes a walk: the old array constructor is gone
         with pytest.raises(TypeError):
-            Trajectory(walk.anchor, walk.theta2, walk.r2, GEOM, walk.starts)
+            Trajectory(walk.b0, walk.theta2, walk.r2, GEOM, walk.starts)
 
     def test_any_change_of_walk_or_geometry_misses(self, monkeypatch):
         turn = ((np.deg2rad(70.0), 0.01),)
@@ -747,7 +747,7 @@ class TestWalkCache:
                             lambda *args: walked.append(1) or original(*args))
         scaled = generate_path(replace(spec, rayleigh_scale=3.0), continuations, WINDOW_GEOM)
         assert scaled.walk is first.walk and walked == []
-        assert scaled.anchor.beta != first.anchor.beta
+        assert scaled.b0 != first.b0
 
     def test_a_walk_past_the_plane_raises_every_time_and_is_not_kept(self, monkeypatch):
         spec = TrajectorySpec(theta2_init=np.deg2rad(80.0), r2_init=1.0,
@@ -808,7 +808,7 @@ class TestWalkCache:
             cols, peak = traced_peak(lambda: simengine._slot_columns(traj, WINDOW_GEOM, seed + 4))
             # the noise and the scratch column of its draw: 24 bytes per slot
             assert peak <= 24 * len(traj) + 4096, (seed, peak / len(traj))
-            assert cols.b0 == traj.anchor.beta, seed
+            assert cols.b0 == traj.b0, seed
 
 
 class TestPhasors:
@@ -845,7 +845,7 @@ class TestPhasors:
         unit = eager_beta(TrajectorySpec(path_length=length), (), WINDOW_GEOM, walk)
         amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * unit
         assert_same_bits(cols.channel, np.multiply(turn, amp), length)
-        assert cols.b0 == walk.anchor.beta
+        assert cols.b0 == walk.b0
 
 
 def eager_beta(spec, continuations, geom, walk):
@@ -905,7 +905,7 @@ class TestClosedFormGain:
         _, channel = walk.walk.channel(WINDOW_GEOM)
         rng = np.random.default_rng(8)
         for b0 in (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist():
-            chained = Trajectory(replace(walk.anchor, beta=b0), walk.walk)
+            chained = Trajectory(b0, walk.walk)
             cols = simengine._slot_columns(chained, WINDOW_GEOM, None)
             assert cols.b0 == b0
             assert_same_bits(cols.channel, channel, b0)
@@ -942,13 +942,17 @@ class TestClosedFormGain:
             assert_same_bits(simengine._slot_columns(walk[:1], geom, None).channel, want,
                              r2_init)
 
-    def test_an_anchor_off_the_walks_start_is_refused(self):
-        # the engine chains the walk's channel from the walk's r0, and b0 is the
-        # gain at the anchor's r2, so the two must be one distance
+    def test_a_zero_or_non_finite_b0_is_refused(self):
+        # b0 is the seed's draw, kept as drawn by every cut; it scales every
+        # sample, so one that is zero or not finite is refused
         walk = generate_path(SPEC, (), GEOM)
-        assert walk.anchor.r2 == walk.walk.r0 == walk.walk[:3].r0
-        with pytest.raises(ValueError, match="where the walk starts"):
-            Trajectory(replace(walk.anchor, r2=walk.anchor.r2 + 0.1), walk.walk)
+        rng = np.random.default_rng(SPEC.rng_seed)
+        magnitude = rng.rayleigh(SPEC.rayleigh_scale)
+        draw = complex(magnitude * np.exp(1j * rng.uniform(0.0, TWO_PI)))
+        assert walk.b0 == walk[:3].b0 == draw
+        for b0 in (0j, 0.0, complex(math.nan, 1.0), complex(1.0, math.inf), -math.inf):
+            with pytest.raises(ValueError, match="b0 must be nonzero and finite"):
+                Trajectory(b0, walk.walk)
 
     def test_generating_a_seed_of_a_kept_walk_allocates_per_segment(self):
         # the seed only draws its gain: no column
@@ -991,7 +995,7 @@ class TestEngineSamples:
         # np.exp's value bit for bit, so slopes as numpy values and edge values
         # are checked as well as random ones; the turn times b0 is one scalar
         cols = simengine._slot_columns(traj, GEOM, 3)
-        assert cols.b0 == traj.anchor.beta
+        assert cols.b0 == traj.b0
         lo, hi = 5, 300
         rng = np.random.default_rng(21)
         values = [0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.pi, -1.0, 1e6, -1e300,
@@ -1000,7 +1004,7 @@ class TestEngineSamples:
             for slope in (value, np.float64(value)):
                 d, _ = _dirichlet(slope - cols.kdu[lo:hi], GEOM.n_ris)
                 turn = np.exp(0.5j * (GEOM.n_ris - 1) * np.asarray(slope))
-                want = (turn * traj.anchor.beta) * cols.channel[lo:hi] * d + cols.noise[lo:hi]
+                want = (turn * traj.b0) * cols.channel[lo:hi] * d + cols.noise[lo:hi]
                 got = simengine._received_samples(cols, lo, hi, slope)
                 assert_same_bits(got, want, value)
         for n_ris in (2, 3, 7, 64, 100):
@@ -1022,7 +1026,7 @@ class TestSeedInvariance:
         runs = {}
         for seed in (1, 2, 3, 4):
             traj = generate_path(replace(spec, rng_seed=seed), (), geom)[:end]
-            scale = abs(traj.anchor.beta) ** 2
+            scale = abs(traj.b0) ** 2
             runs[seed] = [(run_timeline(traj, policy, geom, noise_seed=None), scale)
                           for policy in cfg.policies()]
         assert len({scale for (_, scale), *_ in runs.values()}) == 4
@@ -1074,16 +1078,16 @@ def boundaries(tl) -> list[int]:
 
 
 def assert_blocks_match_full_range(tl, bounds):
-    """Blocks between the bounds, carried and alone, equal the full-range columns bit for bit."""
+    """Blocks between the bounds, carried from 0.0, equal the full-range columns bit for bit."""
     full = {col: getattr(tl, col) for col in DERIVED}
-    carry = None
+    rates = tl.inst_rate
+    carry = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
         block, carry = tl.block(lo, hi, carry)
-        alone, alone_carry = tl.block(lo, hi)
-        assert alone_carry == carry
+        # the sequential running sum through hi
+        assert carry == np.cumsum(np.concatenate(([0.0], rates[:hi])))[-1]
         for col in DERIVED:
             assert_same_bits(getattr(block, col), full[col][lo:hi], col)
-            assert_same_bits(getattr(alone, col), full[col][lo:hi], col)
         for col in ("rss", "inst_rate", "theta2_true"):
             assert_same_bits(getattr(block, col), getattr(tl, col)[lo:hi], col)
         assert len(block) == hi - lo
@@ -1133,7 +1137,7 @@ class TestDerivedColumns:
         # the carry added after the block's own running sums rounds differently
         tl = default_scans[0]
         lo = 8192
-        _, carry = tl.block(0, lo)
+        _, carry = tl.block(0, lo, 0.0)
         block, _ = tl.block(lo, len(tl), carry)
         slots = np.arange(lo + 1, len(tl) + 1)
         added_after = (carry + np.cumsum(tl.inst_rate[lo:])) / slots

@@ -92,12 +92,12 @@ class TestMeasureObservables:
             measure_observables(0.0j, 1.0 + 0.0j, 8.0, 0.3)
 
     @pytest.mark.parametrize("field, value", [
-        (field, value) for field in ("eta", "rss_ref", "r_ref")
+        (field, value) for field in ("eta", "r_ref")
         for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
     ] + [("theta2_ref", value) for value in (math.nan, math.inf, -math.inf)]
       + [("xi", value) for value in (math.nan, math.inf, -math.pi)])
     def test_non_finite_or_out_of_range_field_rejected(self, field, value):
-        values = dict(eta=0.5, xi=0.1, rss_ref=2.0, r_ref=8.0, theta2_ref=-0.3)
+        values = dict(eta=0.5, xi=0.1, r_ref=8.0, theta2_ref=-0.3)
         TrackingObservables(**values)
         values[field] = value
         with pytest.raises(ValueError, match=field):
@@ -261,7 +261,6 @@ def random_observables(rng, **fixed):
     values = dict(
         eta=float(np.exp(rng.uniform(np.log(1e-3), np.log(4.0)))),
         xi=wrap_principal(rng.uniform(-math.pi, math.pi)),
-        rss_ref=1.0,
         r_ref=rng.uniform(2.0, 15.0),
         theta2_ref=np.deg2rad(rng.uniform(-60.0, 60.0)),
     )
