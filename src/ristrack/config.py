@@ -199,7 +199,8 @@ def load_config(path: str) -> ScenarioConfig:
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that some editors write first
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None

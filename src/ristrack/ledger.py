@@ -1,11 +1,11 @@
 """Slot-ledger CSV text, formatted by numpy with the bytes of ``%d`` and ``%.12g``.
 
-The ledgers of one trajectory are formatted together, block by block of
-rows. Each simulated run hands out a block's columns from its ``block``
-method, deriving them from its status table and carrying its running rate
-sum on to the next block. The slot index and the true angle are the
-same for every tracker of a seed, so their cells are formatted once per
-block and shared.
+`write_ledgers` writes the ledgers of one trajectory's runs, one file each,
+together block by block of rows. Each simulated run hands out a block's
+columns from its ``block`` method, deriving them from its status table and
+carrying its running rate sum on to the next block. The slot index and the
+true angle are the same for every tracker of a seed, so their cells are
+formatted once per block and written to every file.
 
 Each cell of a block is a few rows of indices into a table of uint32 words,
 pieces of four ASCII bytes: a separator (which also carries a minus sign),
@@ -28,8 +28,9 @@ are written as one placeholder byte and named once the NULs are stripped.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -231,47 +232,44 @@ def _block_text(cells: Sequence[_Cell]) -> bytes:
     return text
 
 
-def ledger_chunks(timelines: Sequence[StatusTimeline]) -> Iterator[bytes]:
-    """The ledger CSV of each timeline of one trajectory, in lockstep.
+def write_ledgers(paths: Sequence[str], timelines: Sequence[StatusTimeline]) -> None:
+    """Write the slot ledger CSV of each timeline of one trajectory to its path.
 
-    Yields a chunk of each timeline in turn: the headers, then the rows of
-    each LEDGER_BLOCK_ROWS-row block, then a closing newline. Raises
-    ValueError at once if the timelines differ in length or in
-    ``theta2_true``, whose cells they share.
+    Raises ValueError before any file is opened if there are not as many paths
+    as timelines, or if the timelines differ in length or in ``theta2_true``,
+    whose cells they share. Then writes each header, each LEDGER_BLOCK_ROWS-row
+    block to each file in turn as soon as it is formatted, and each closing
+    newline.
     """
-    if timelines:
-        first = timelines[0]
-        theta = np.asarray(first.theta2_true, float)
-        for tl in timelines[1:]:
-            if len(tl) != len(first):
-                raise ValueError(f"{tl.policy_name}: {len(tl)} slots, "
-                                 f"{first.policy_name} has {len(first)}")
-            # bit patterns: -0.0 and 0.0 print differently, and NaN equals itself
-            if tl.theta2_true is not first.theta2_true and not np.array_equal(
-                    np.asarray(tl.theta2_true, float).view(np.uint64), theta.view(np.uint64)):
-                raise ValueError(f"{tl.policy_name}: theta2_true differs from "
-                                 f"{first.policy_name}'s")
-    return _lockstep(timelines)
-
-
-def _lockstep(timelines: Sequence[StatusTimeline]) -> Iterator[bytes]:
-    for _ in timelines:
-        yield LEDGER_HEADER.encode()
-    if timelines:
-        block_rows = LEDGER_BLOCK_ROWS
-        theta = timelines[0].theta2_true
-        carries = [0.0] * len(timelines)  # each timeline's running inst_rate sum
-        for start in range(0, len(theta), block_rows):
-            stop = min(start + block_rows, len(theta))
+    if len(paths) != len(timelines):
+        raise ValueError(f"{len(paths)} paths for {len(timelines)} timelines")
+    if not timelines:
+        return
+    first = timelines[0]
+    theta = np.asarray(first.theta2_true, float)
+    for tl in timelines[1:]:
+        if len(tl) != len(first):
+            raise ValueError(f"{tl.policy_name}: {len(tl)} slots, "
+                             f"{first.policy_name} has {len(first)}")
+        # bit patterns: -0.0 and 0.0 print differently, and NaN equals itself
+        if tl.theta2_true is not first.theta2_true and not np.array_equal(
+                np.asarray(tl.theta2_true, float).view(np.uint64), theta.view(np.uint64)):
+            raise ValueError(f"{tl.policy_name}: theta2_true differs from "
+                             f"{first.policy_name}'s")
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh in files:
+            fh.write(LEDGER_HEADER.encode())
+        carries = [0.0] * len(files)  # each timeline's running inst_rate sum
+        for start in range(0, len(theta), LEDGER_BLOCK_ROWS):
+            stop = min(start + LEDGER_BLOCK_ROWS, len(theta))
             # each cell starts with its separator, so each row starts with a newline
             index = _int_cell(np.arange(start + 1, stop + 1), _NEWLINE)
             angle = _float_cell(np.rad2deg(theta[start:stop]))
-            for i, tl in enumerate(timelines):
-                block, carries[i] = tl.block(start, stop, carries[i])
-                yield _block_text((
-                    index, _kind_cell(block.kind), _float_cell(block.rss),
-                    _float_cell(block.rss_normalized), _float_cell(block.inst_rate),
-                    _float_cell(block.cum_rate), _int_cell(block.status_id),
-                    _int_cell(block.config_id), angle))
-    for _ in timelines:
-        yield b"\n"
+            for i, (fh, tl) in enumerate(zip(files, timelines)):
+                columns, carries[i] = tl.block(start, stop, carries[i])
+                kind, *floats, status_id, config_id = columns
+                fh.write(_block_text((index, _kind_cell(kind), *map(_float_cell, floats),
+                                      _int_cell(status_id), _int_cell(config_id), angle)))
+        for fh in files:
+            fh.write(b"\n")

@@ -5,18 +5,14 @@ rate-vs-position curves come from the ledger's ``theta2_true_deg`` and
 ``cum_rate`` columns. A scenario-level summary aggregates the signaling share
 and tracking-call tables across runs. Floats are serialised with 12
 significant digits so identical configurations and seeds produce byte-equal
-files. The ledgers of one seed are written together, block by block of rows
-in lockstep, so the slot index and angle cells the trackers share are
-formatted once; :mod:`ristrack.ledger` formats them with numpy into the bytes
-a row-by-row ``%d``/``%.12g`` writer would produce. The trajectory noise
-stream is derived from the run seed (seed for the walk, seed+1 for receiver
-noise).
+files. :func:`ristrack.ledger.write_ledgers` writes the ledgers of one seed,
+formatted with numpy into the bytes a row-by-row ``%d``/``%.12g`` writer
+would produce. The trajectory noise stream is derived from the run seed
+(seed for the walk, seed+1 for receiver noise).
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -42,25 +38,6 @@ class RunResult:
     metrics: RunMetrics
     ledger_path: str
     summary_path: str
-
-
-def write_ledgers(paths: list[str], timelines: list[StatusTimeline]) -> None:
-    """Write the slot ledgers of one trajectory's timelines, each to its path.
-
-    A ledger is a header, then one ``%d``/``%.12g`` row per slot. The files
-    are written block by block in lockstep, each block as soon as it is
-    formatted.
-    """
-    # imported on first use: runs that write no ledger never load the formatter
-    from .ledger import ledger_chunks
-
-    if len(paths) != len(timelines):
-        raise ValueError(f"{len(paths)} paths for {len(timelines)} timelines")
-    chunks = ledger_chunks(timelines)  # checks the timelines before a file is opened
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path in paths]
-        for fh, chunk in zip(itertools.cycle(files), chunks):
-            fh.write(chunk)
 
 
 def write_run_summary(path: str, tl: StatusTimeline, seed: int, metrics: RunMetrics) -> None:
@@ -112,9 +89,10 @@ def _aggregate_summary(path: str, results: list[RunResult]) -> None:
 
 
 def resolve_output_dir(cfg: ScenarioConfig, out_dir: str | None = None) -> str:
-    if out_dir is not None:
-        return out_dir
-    return os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
+    """`out_dir`, else a non-empty RISTRACK_OUTDIR, else the scenario's `output_dir`."""
+    if out_dir == "":
+        raise ConfigError("--out: the output directory must not be empty")
+    return out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
 
 
 def _simulate_seed(cfg: ScenarioConfig, seed: int) -> list[StatusTimeline]:
@@ -148,6 +126,8 @@ def _write_seed(out: str, seed: int, timelines: list[StatusTimeline]) -> list[Ru
     """Write one seed's ledgers and run summaries; the oracle, if any, is the reference."""
     # made once a walk is simulated: a walk that fails leaves no empty directory
     os.makedirs(out, exist_ok=True)
+    from .ledger import write_ledgers  # on first use: library runs never load the formatter
+
     oracle_tl = next((tl for tl in timelines if tl.policy_name == "oracle"), None)
     stems = [os.path.join(out, f"{tl.policy_name}_seed{seed}") for tl in timelines]
     ledgers = [f"{stem}_slots.csv" for stem in stems]

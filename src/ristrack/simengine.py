@@ -180,10 +180,11 @@ class ExhaustivePolicy:
 
 @dataclass(frozen=True, eq=False)  # identity equality: arrays have no single truth value
 class Timeline:
-    """Ledger columns of a run of slots, one array per column.
+    """Ledger columns of a run of slots, one array per column, held explicitly.
 
-    A `StatusTimeline` hands out the columns of a block of its slots as one
-    of these (`StatusTimeline.block`).
+    The engine builds none: it returns a `StatusTimeline`, which derives these
+    columns. The benchmark's output checks build one to hand them a timeline
+    with an altered column.
     """
 
     kind: np.ndarray
@@ -306,11 +307,13 @@ class StatusTimeline:
         rates[kind != SlotKind.DATA] = 0.0
         return rates
 
-    def block(self, lo: int, hi: int, carry: float) -> tuple[Timeline, float]:
-        """The ledger columns of slots [lo, hi), and the running `inst_rate` sum through hi.
+    def block(self, lo: int, hi: int, carry: float) -> tuple[tuple, float]:
+        """The ledger's columns of slots [lo, hi), and the running `inst_rate` sum through hi.
 
-        `carry` is the running sum through lo: 0.0 for the first block, and
-        for each later one what the block before returned.
+        The columns come in ledger order: kind, rss, rss_normalized, inst_rate,
+        cum_rate, status_id and config_id. `carry` is the running sum through
+        lo: 0.0 for the first block, and for each later one what the block
+        before returned.
         """
         table = self.statuses
         span = table.span(lo, hi)
@@ -318,10 +321,9 @@ class StatusTimeline:
         rss = self.rss[lo:hi]
         inst = self._rates(lo, hi, kind)
         cum, carry = _running_mean(inst, lo, carry)
-        return Timeline(kind, rss, rss / table.spread("rss_ref", lo, hi, span), inst, cum,
-                        table.spread("config_id", lo, hi, span),
-                        table.spread("status_id", lo, hi, span), self.theta2_true[lo:hi],
-                        self.policy_name, self.gamma, self.tracking_calls), carry
+        return (kind, rss, rss / table.spread("rss_ref", lo, hi, span), inst, cum,
+                table.spread("status_id", lo, hi, span),
+                table.spread("config_id", lo, hi, span)), carry
 
     @property
     def kind(self) -> np.ndarray:

@@ -125,11 +125,11 @@ class TestRunCommand:
         first, second = timelines
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
         with pytest.raises(ValueError, match="slots"):
-            runner.write_ledgers(paths, [first, replace(second, rss=second.rss[:-1])])
+            ledger.write_ledgers(paths, [first, replace(second, rss=second.rss[:-1])])
         with pytest.raises(ValueError, match="theta2_true differs"):
-            runner.write_ledgers(paths, [first, replace(second, theta2_true=-second.theta2_true)])
+            ledger.write_ledgers(paths, [first, replace(second, theta2_true=-second.theta2_true)])
         with pytest.raises(ValueError, match="2 paths for 1 timelines"):
-            runner.write_ledgers(paths, [first])
+            ledger.write_ledgers(paths, [first])
         assert not any(os.path.exists(p) for p in paths)
 
     def test_results_keep_no_columns(self, tmp_path):
@@ -171,6 +171,13 @@ class TestRunCommand:
         cfg = write_scenario(tmp_path)
         target = tmp_path / "from_env"
         monkeypatch.setenv("RISTRACK_OUTDIR", str(target))
+        assert main(["run", cfg]) == 0
+        assert (target / "summary.txt").is_file()
+
+    def test_empty_env_var_keeps_the_scenario_output_dir(self, tmp_path, monkeypatch):
+        target = tmp_path / "from_file"
+        cfg = write_scenario(tmp_path, TINY_SCENARIO + f"output_dir = {target}\n")
+        monkeypatch.setenv("RISTRACK_OUTDIR", "")
         assert main(["run", cfg]) == 0
         assert (target / "summary.txt").is_file()
 
@@ -280,6 +287,25 @@ class TestExitCodes:
         assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
         assert "configuration error: [DEFAULT] gamma" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_unknown_key_after_byte_order_mark_is_one(self, tmp_path, capsys):
+        bad = tmp_path / "bom.ini"
+        bad.write_text(TINY_SCENARIO + "n_trx = 16\n", encoding="utf-8-sig")
+        assert main(["run", str(bad), "--out", str(tmp_path / "run")]) == 1
+        assert "configuration error: [run] unknown key 'n_trx'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "gamma=0.9,0.8"]])
+    def test_empty_out_is_one_before_any_walk(self, tmp_path, monkeypatch, capsys, command):
+        cfg = write_scenario(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a walk was simulated")
+
+        monkeypatch.setattr(runner, "generate_path", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], cfg, *command[1:], "--out", ""]) == 1
+        assert "configuration error: --out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
 
     def test_missing_config_is_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 1

@@ -169,6 +169,16 @@ output_dir = out
         cfg = load_config(write(tmp_path, "[tracker]\ngamma = 0.8  # tighter\n"))
         assert cfg.gamma == 0.8
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Notepad starts a UTF-8 file with a byte-order mark
+        text = "[trajectory]\nspeed_mps = 2\n[tracker]\nalgorithms = proposed, oracle\n"
+        bom = tmp_path / "bom.ini"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf[trajectory]")
+        cfg = load_config(str(bom))
+        assert cfg == load_config(write(tmp_path, text))
+        assert cfg.trajectory.speed_v == 2.0
+
 
 class TestValidation:
     def test_gamma_above_one_rejected_in_normalized_mode(self, tmp_path):

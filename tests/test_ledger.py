@@ -13,7 +13,7 @@ import pytest
 from ristrack import (ExhaustivePolicy, LinkGeometry, OraclePolicy, ProposedPolicy,
                       TrajectorySpec, generate_path, run_timeline)
 from ristrack.ledger import (LEDGER_HEADER, _block_text, _float_cell, _int_cell, _kind_cell,
-                             ledger_chunks)
+                             write_ledgers)
 from ristrack.simengine import SlotKind
 
 NEIGHBOURS = 64  # values per block of neighbours in magnitude
@@ -144,36 +144,57 @@ def test_kind_names():
 
 
 def runs():
-    """Three trackers' runs of one 30-slot cut: one trajectory's timelines."""
+    """Three trackers' runs of one 30-slot cut: one trajectory's timelines.
+
+    Each run draws its own noise, so no two of them write the same ledger.
+    """
     geom = LinkGeometry()
     traj = generate_path(TrajectorySpec(path_length=0.01, rng_seed=1), (), geom)[:30]
     policies = (ProposedPolicy(), ExhaustivePolicy(resolution_deg=10.0), OraclePolicy())
-    return [run_timeline(traj, policy, geom, noise_seed=2) for policy in policies]
+    return [run_timeline(traj, policy, geom, noise_seed=2 + k)
+            for k, policy in enumerate(policies)]
 
 
-def test_lockstep_chunks_follow_their_timelines(monkeypatch):
-    monkeypatch.setattr("ristrack.ledger.LEDGER_BLOCK_ROWS", 7)
+def written(tmp_path, timelines, name="lockstep"):
+    """The ledgers that one write_ledgers call writes for the timelines, as bytes."""
+    paths = [tmp_path / f"{name}{k}.csv" for k in range(len(timelines))]
+    write_ledgers([str(p) for p in paths], timelines)
+    return [p.read_bytes() for p in paths]
+
+
+def test_lockstep_files_equal_each_timeline_written_alone(tmp_path, monkeypatch):
     timelines = runs()
-    chunks = list(ledger_chunks(timelines))
-    assert len(chunks) == 3 * (2 + 5)  # the headers, five blocks and the closing newlines
-    for k, tl in enumerate(timelines):
-        alone = b"".join(ledger_chunks([tl]))
-        assert b"".join(chunks[k::3]) == alone
-        assert alone.startswith(LEDGER_HEADER.encode() + b"\n1,")
-        assert len(alone.splitlines()) == 31
-    assert list(ledger_chunks([])) == []
+    # the 30 slots in one block
+    alone = [written(tmp_path, [tl], f"alone{k}_")[0] for k, tl in enumerate(timelines)]
+    monkeypatch.setattr("ristrack.ledger.LEDGER_BLOCK_ROWS", 7)
+    # five blocks, the last a partial one, and each file fed one block at a time
+    assert written(tmp_path, timelines) == alone
+    for text in alone:
+        assert text.startswith(LEDGER_HEADER.encode() + b"\n1,")
+        assert text.endswith(b"\n") and len(text.splitlines()) == 31
+    assert len(set(alone)) == 3
+    write_ledgers([], [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"alone{k}_0.csv" for k in range(3)] + [f"lockstep{k}.csv" for k in range(3)])
 
 
-def test_lockstep_rejects_timelines_that_share_no_cells():
+def test_lockstep_rejects_timelines_that_share_no_cells_before_opening_a_file(tmp_path):
     a, b, _ = runs()
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
     with pytest.raises(ValueError, match="exhaustive_10deg: 29 slots, proposed has 30"):
-        ledger_chunks([a, replace(b, rss=b.rss[:-1])])
+        write_ledgers(paths, [a, replace(b, rss=b.rss[:-1])])
     theta = a.theta2_true.copy()
     theta[4] += 1e-12
     with pytest.raises(ValueError, match="theta2_true differs"):
-        ledger_chunks([a, replace(b, theta2_true=theta)])
+        write_ledgers(paths, [a, replace(b, theta2_true=theta)])
     zeros = np.zeros(30)
     # -0.0 == 0.0, but the two print differently
     with pytest.raises(ValueError, match="theta2_true differs"):
-        ledger_chunks([replace(a, theta2_true=zeros), replace(b, theta2_true=-zeros)])
-    ledger_chunks([a, replace(b, theta2_true=a.theta2_true.copy())])
+        write_ledgers(paths, [replace(a, theta2_true=zeros), replace(b, theta2_true=-zeros)])
+    with pytest.raises(ValueError, match="2 paths for 1 timelines"):
+        write_ledgers(paths, [a])
+    with pytest.raises(ValueError, match="1 paths for 2 timelines"):
+        write_ledgers(paths[:1], [a, b])
+    assert list(tmp_path.iterdir()) == []
+    write_ledgers(paths, [a, replace(b, theta2_true=a.theta2_true.copy())])
+    assert len(list(tmp_path.iterdir())) == 2

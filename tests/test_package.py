@@ -53,6 +53,15 @@ def test_removed_record_views_and_selftest_module():
             importlib.import_module(module)
 
 
+def test_removed_second_ledger_writer():
+    # the ledger module alone writes ledger files, from one entry point
+    ledger = importlib.import_module("ristrack.ledger")
+    runner = importlib.import_module("ristrack.runner")
+    assert not hasattr(ledger, "ledger_chunks")
+    assert not hasattr(runner, "write_ledgers")
+    assert callable(ledger.write_ledgers)
+
+
 def test_removed_chaining_field_and_method():
     assert "beta_init" not in {f.name for f in dataclasses.fields(ristrack.TrajectorySpec)}
     assert "slot_index" not in {f.name for f in dataclasses.fields(ristrack.ChannelState)}
