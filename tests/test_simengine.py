@@ -1,4 +1,5 @@
 import cmath
+import functools
 import gc
 import inspect
 import math
@@ -1048,6 +1049,71 @@ class TestSeedInvariance:
                 gap = np.abs(got.rss / got_scale - power)
                 assert np.all(gap <= 1e-13 * np.maximum(power, ref)), name
         assert all(tl.tracking_calls > 0 for tl, _ in runs[1])
+
+
+# a 0.3 m walk of the default scene, and the fingerprint's absolute scene
+SCALE_WALK = ScenarioConfig(trajectory=TrajectorySpec(path_length=0.3), seeds=(1, 2, 3))
+SCALE_ABSOLUTE = ScenarioConfig(geometry=LinkGeometry(r1=2.0),
+                                trajectory=TrajectorySpec(r2_init=2.0, path_length=0.05),
+                                threshold_mode="absolute", gamma=135000.0, gamma_exh=75000.0,
+                                seeds=(11,))
+# split: (base scene, the scene with the signal scale split another way, the
+# factor by which every strength moves against the base scene's)
+SCALE_SPLITS = {
+    "n_tx 32, snr 5": (SCALE_WALK, replace(SCALE_WALK, geometry=LinkGeometry(
+        n_tx=32, snr_linear=5.0)), 1.0),
+    "noise_var 3, snr 30": (SCALE_WALK, replace(SCALE_WALK, geometry=LinkGeometry(
+        noise_var=3.0, snr_linear=30.0)), 3.0),
+    "alpha 3, snr 10/9": (SCALE_WALK, replace(SCALE_WALK, geometry=LinkGeometry(
+        alpha=3.0, snr_linear=10.0 / 9.0)), 1.0),
+    "rayleigh_scale x 0.7, snr / 0.49": (SCALE_WALK, replace(
+        SCALE_WALK, geometry=LinkGeometry(snr_linear=10.0 / 0.49),
+        trajectory=replace(SCALE_WALK.trajectory, rayleigh_scale=0.7 / math.sqrt(2.0))), 1.0),
+    "absolute, noise_var 3, snr x 3, gammas x 3": (SCALE_ABSOLUTE, replace(
+        SCALE_ABSOLUTE, geometry=replace(SCALE_ABSOLUTE.geometry, noise_var=3.0,
+                                         snr_linear=30.0),
+        gamma=3 * 135000.0, gamma_exh=3 * 75000.0), 3.0),
+}
+
+
+def scene_reports(cfg):
+    """(timeline, report) of every tracker and seed, the oracle as the rate-gap reference."""
+    out = []
+    for seed in cfg.seeds:
+        timelines = runner._simulate_seed(cfg, seed)
+        oracle = next(tl for tl in timelines if tl.policy_name == "oracle")
+        out += [(tl, overhead_report(tl, tl.gamma, None if tl is oracle else oracle))
+                for tl in timelines]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def base_reports(cfg):
+    return scene_reports(cfg)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("split", list(SCALE_SPLITS))
+    def test_a_split_of_the_signal_scale_is_the_same_run(self, split):
+        # the run reads samples only through ratios of two samples and
+        # through |y|^2 over the noise power (and in absolute mode through
+        # |y|^2 against gamma), so every split of one signal-to-noise ratio
+        # gives the same decisions and rates
+        base, cfg, factor = SCALE_SPLITS[split]
+        got, want = scene_reports(cfg), base_reports(base)
+        assert len(got) == len(want)
+        for (tl, m), (ref_tl, ref_m) in zip(got, want):
+            name = (split, ref_tl.policy_name)
+            assert tl.policy_name == ref_tl.policy_name
+            assert tl.tracking_calls == ref_tl.tracking_calls > 0, name
+            for col in ("first", "kind", "status_id", "config_id"):
+                assert np.array_equal(getattr(tl.statuses, col),
+                                      getattr(ref_tl.statuses, col)), (name, col)
+            np.testing.assert_allclose(tl.statuses.rss_ref, factor * ref_tl.statuses.rss_ref,
+                                       rtol=1e-12, atol=0.0, err_msg=str(name))
+            np.testing.assert_allclose([m.final_cum_rate, m.avg_error_vs_oracle],
+                                       [ref_m.final_cum_rate, ref_m.avg_error_vs_oracle],
+                                       rtol=1e-12, atol=0.0, err_msg=str(name))
 
 
 # what StatusTimeline.block returns, in this order
