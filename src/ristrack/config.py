@@ -13,8 +13,8 @@ to radians at this boundary.
 
 from __future__ import annotations
 
-import cmath
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,10 +116,10 @@ def _listed(conv):
 
 
 def _finite(value) -> bool:
-    """False if a converted float, complex part or list item is NaN or infinite."""
+    """False if a converted float or list item is NaN or infinite."""
     if isinstance(value, tuple):
         return all(map(_finite, value))
-    return not isinstance(value, (float, complex)) or cmath.isfinite(value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 # key: (section, target, converter). A target "holder.name" is field `name` of
@@ -131,16 +131,13 @@ _SCHEMA = {
     "spacing_m": ("geometry", "geometry.spacing", float),
     "theta1_deg": ("geometry", "geometry.theta1", _radians),
     "r1_m": ("geometry", "geometry.r1", float),
-    "alpha": ("geometry", "geometry.alpha", complex),
     "snr_db": ("geometry", "geometry.snr_linear", _db_to_linear),
-    "noise_var": ("geometry", "geometry.noise_var", float),
     "theta2_init_deg": ("trajectory", "trajectory.theta2_init", _radians),
     "r2_init_m": ("trajectory", "trajectory.r2_init", float),
     "psi_a_deg": ("trajectory", "trajectory.psi_a", _radians),
     "speed_mps": ("trajectory", "trajectory.speed_v", float),
     "slot_duration_s": ("trajectory", "trajectory.slot_duration_t0", float),
     "path_length_m": ("trajectory", "trajectory.path_length", float),
-    "rayleigh_scale": ("trajectory", "trajectory.rayleigh_scale", float),
     "segments": ("trajectory", "continuations", _listed(_segment)),
     "algorithms": ("tracker", "algorithms", _listed(str.lower)),
     "gamma": ("tracker", "gamma", float),

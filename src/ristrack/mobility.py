@@ -37,6 +37,7 @@ import numpy as np
 from .wavefield import TWO_PI, LinkGeometry, unit_phasors
 
 _ACOS_CLAMP_TOL = 1e-9
+_RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # of |b0|: E|b0|^2 = 2 * scale^2 = 1
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class ChannelState:
 class TrajectorySpec:
     """The first straight walk segment plus the draw of the initial gain.
 
-    The initial gain has Rayleigh magnitude (scale ``rayleigh_scale``) and
-    uniform phase, drawn from ``rng_seed``.
+    The initial gain has Rayleigh magnitude of unit mean square, E|b0|^2 =
+    1, and uniform phase, drawn from ``rng_seed``.
     """
 
     theta2_init: float = np.deg2rad(20.0)
@@ -72,11 +73,10 @@ class TrajectorySpec:
     slot_duration_t0: float = 15.6e-6
     path_length: float = 3.0
     rng_seed: int | None = None
-    rayleigh_scale: float = 1.0 / math.sqrt(2.0)  # unit mean-square magnitude
 
     def __post_init__(self):
         # written so that NaN fails every check
-        for name in ("speed_v", "slot_duration_t0", "path_length", "r2_init", "rayleigh_scale"):
+        for name in ("speed_v", "slot_duration_t0", "path_length", "r2_init"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -104,7 +104,7 @@ def _walk_geometry(theta0: float, r0: float, psi: float, s):
 
 def _draw_beta(spec: TrajectorySpec) -> complex:
     rng = np.random.default_rng(spec.rng_seed)
-    mag = rng.rayleigh(spec.rayleigh_scale)
+    mag = rng.rayleigh(_RAYLEIGH_SCALE)
     phase = rng.uniform(0.0, TWO_PI)
     return complex(mag * np.exp(1j * phase))
 
@@ -161,7 +161,7 @@ class Walk:
         """kdu and the channel of a unit initial gain under `geom`, read-only.
 
         kdu = kd*(sin(theta1) - sin(theta2)), and the channel is
-        exp(-j*(N-1)*kdu/2) * (c*alpha * u), u being the gain of `_segment_gain`
+        exp(-j*(N-1)*kdu/2) * (c * u), u being the gain of `_segment_gain`
         from an initial gain of 1 at r0, each later segment starting from the
         segment before at its last slot: a trajectory's gain is its initial
         gain times u. The channel is built block by block, its products out
@@ -178,10 +178,10 @@ class Walk:
         elif channel is not None:
             return kdu, channel
         n = len(self)
-        c_alpha = geom.beamformer_gain * geom.alpha
+        c = geom.beamformer_gain
         channel = np.empty(n, dtype=complex)
         gain, ref, bounds = 1.0 + 0.0j, self.r0, self.starts + (n,)
-        # exp * (c*alpha * u), out of place: complex products round by FMA, so
+        # exp * (c * u), out of place: complex products round by FMA, so
         # the order shows in the last bit, and so does a one-element product
         # written over one of its operands
         for a, b in zip(bounds, bounds[1:]):
@@ -191,7 +191,7 @@ class Walk:
                 hi = min(b, lo + _BLOCK)
                 pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu[lo:hi])
                 unit = _segment_gain(gain, ref, self.r2[lo:hi], geom)
-                np.multiply(pexp, np.multiply(c_alpha, unit), out=channel[lo:hi])
+                np.multiply(pexp, np.multiply(c, unit), out=channel[lo:hi])
         channel.setflags(write=False)
         self._channel = (geom, kdu, channel if kept_geom == geom else None)
         return kdu, channel
@@ -235,11 +235,11 @@ _LAST_WALK: dict[tuple, Walk] = {}
 def _walk(spec: TrajectorySpec, continuations) -> Walk:
     """The walk of `spec` and its continuations, the last one kept for the next seed.
 
-    The seed and the Rayleigh scale only draw the initial gain, so every
-    draw of a walk gets the same one. A walk that fails a check raises on
-    every call and is not kept.
+    The seed only draws the initial gain, so every draw of a walk gets the
+    same one. A walk that fails a check raises on every call and is not
+    kept.
     """
-    key = (replace(spec, rng_seed=None, rayleigh_scale=1.0), tuple(map(tuple, continuations)))
+    key = (replace(spec, rng_seed=None), tuple(map(tuple, continuations)))
     walk = _LAST_WALK.get(key)
     if walk is not None:
         return walk
@@ -281,10 +281,10 @@ def generate_path(
     `geom` is not read: a trajectory is its walk and its initial gain, and a
     run builds the gain under its own geometry (`Walk.channel`).
 
-    The seed and the Rayleigh scale only draw the initial gain, so the
-    :class:`Walk` (theta2, r2 and the segment starts) is built once for the
-    last walk generated, and the trajectories of all its draws share it with
-    the channel it keeps. Each call only draws its gain; no column is built.
+    The seed only draws the initial gain, so the :class:`Walk` (theta2, r2
+    and the segment starts) is built once for the last walk generated, and
+    the trajectories of all its draws share it with the channel it keeps.
+    Each call only draws its gain; no column is built.
 
     Raises ValueError for a segment length that is not finite and > 0, and
     when theta2 leaves the front half-plane (-pi/2, pi/2) at any slot.

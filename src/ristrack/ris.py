@@ -4,14 +4,15 @@ Every configuration the simulator installs has linear phase phi_k = k*slope:
 the aligned law, its differential update and the exhaustive sweep all move
 only the per-element slope, so a configuration is that slope, wrapped to
 [0, 2*pi). The received downlink sample reduces, under the fixed AP
-beamformer, to c*alpha*beta * sum_k exp(j*k*(slope - kd*(sin(theta1) -
-sin(theta2)))) with c = sqrt(SNR*n_tx). That geometric series in the
-per-element step mu is evaluated in Dirichlet form, exp(j*(N-1)*mu/2) *
-sin(N*mu/2) / sin(mu/2), with both sines taken of mu wrapped into (-pi, pi]:
-it keeps about 1e-14 relative accuracy next to every whole turn of mu, where
-the ratio (exp(j*N*mu) - 1) / (exp(j*mu) - 1) lost up to 5e-9 next to 0 and,
-for N = 7 or 100, 5e-6 at 1e-9 rad from +-2*pi. The explicit matrix pipeline
-h^H Theta G f over the element phases gives the same value and is kept as a
+beamformer, to c*beta * sum_k exp(j*k*(slope - kd*(sin(theta1) -
+sin(theta2)))) plus unit-power noise, with c = sqrt(SNR*n_tx) and the
+AP-RIS path gain 1. That geometric series in the per-element step mu is
+evaluated in Dirichlet form, exp(j*(N-1)*mu/2) * sin(N*mu/2) / sin(mu/2),
+with both sines taken of mu wrapped into (-pi, pi]: it keeps about 1e-14
+relative accuracy next to every whole turn of mu, where the ratio
+(exp(j*N*mu) - 1) / (exp(j*mu) - 1) lost up to 5e-9 next to 0 and, for N =
+7 or 100, 5e-6 at 1e-9 rad from +-2*pi. The explicit matrix pipeline h^H
+Theta G f over the element phases gives the same value and is kept as a
 test oracle.
 """
 
@@ -28,7 +29,7 @@ def optimal_config(theta1: float, theta2: float, geom: LinkGeometry) -> float:
 
     Applying it to a channel at exactly `theta2` makes all N element
     contributions add in phase, so the noiseless received magnitude is
-    |c*alpha*beta|*N.
+    |c*beta|*N.
     """
     return wrap_two_pi(geom.kd * (np.sin(theta1) - np.sin(theta2)))
 
@@ -121,4 +122,4 @@ def received_sample(
     """
     u = np.sin(geom.theta1) - np.sin(channel.theta2)
     gain = _geometric_sum(slope - geom.kd * u, geom.n_ris)
-    return complex(geom.beamformer_gain * geom.alpha * channel.beta * gain) + complex(noise)
+    return complex(geom.beamformer_gain * channel.beta * gain) + complex(noise)

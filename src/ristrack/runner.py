@@ -89,10 +89,19 @@ def _aggregate_summary(path: str, results: list[RunResult]) -> None:
 
 
 def resolve_output_dir(cfg: ScenarioConfig, out_dir: str | None = None) -> str:
-    """`out_dir`, else a non-empty RISTRACK_OUTDIR, else the scenario's `output_dir`."""
+    """`out_dir`, else a non-empty RISTRACK_OUTDIR, else the scenario's `output_dir`.
+
+    Refused before any walk: an empty `out_dir`, and a path a file stands in the way of.
+    """
     if out_dir == "":
         raise ConfigError("--out: the output directory must not be empty")
-    return out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
+    out = out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
+    existing = os.path.abspath(out)  # the path, or the nearest that exists above it
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"output directory {out!r}: {existing!r} is not a directory")
+    return out
 
 
 def _simulate_seed(cfg: ScenarioConfig, seed: int) -> list[StatusTimeline]:
@@ -165,9 +174,10 @@ def run_sweep(cfg: ScenarioConfig, param: str, raw_values: list[str],
                               "same scenario; each value must be distinct")
     out = resolve_output_dir(cfg, out_dir)
     name = param.split(".")[-1].lower()
+    sub_dirs = [resolve_output_dir(cfg, os.path.join(out, f"{name}={raw}"))
+                for raw in raw_values]
     rows = []
-    for raw, sub_cfg in zip(raw_values, sub_cfgs):
-        sub_dir = os.path.join(out, f"{name}={raw}")
+    for raw, sub_cfg, sub_dir in zip(raw_values, sub_cfgs, sub_dirs):
         for result in run_scenario(sub_cfg, out_dir=sub_dir):
             rows.append((raw, result))
     sweep_path = os.path.join(out, f"sweep_{name}.csv")

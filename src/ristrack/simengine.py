@@ -28,8 +28,8 @@ Every scan window, coarse pass, span and training slice is evaluated by one
 function, `_received_samples`, from the trajectory's initial gain b0 and
 three read-only columns that do not depend on the tracker: kdu =
 kd*(sin(theta1) - sin(theta2)), the channel, exp(-j*(N-1)*kdu/2) times
-c*alpha times the walk's gain chained from an initial gain of 1, and the
-receiver noise, which is zero when the noise seed is None. kdu and the channel do not
+c times the walk's gain chained from an initial gain of 1, and the
+unit-power receiver noise, zero when the noise seed is None. kdu and the channel do not
 depend on the seed either: along a segment the gain is linear in b0, so a
 seed's channel is b0 times its walk's, and the walk keeps both
 (`Walk.channel`). The trajectory holds its columns for the (geometry, noise
@@ -60,8 +60,9 @@ event. Every other ledger column (`kind`, `rss_normalized`, `inst_rate`,
 `cum_rate`, `config_id`, `status_id`) is derived from these over any range of
 slots, row by row, whenever it is read; the ledger writer derives them one
 block of rows at a time, continuing the running rate sum from block to block.
-A slot's `inst_rate` is log2(1 + rss/noise_var) on a data slot and zero on
-any other, elementwise, so a block's rates have the bits of the whole run's.
+A slot's `inst_rate` is log2(1 + rss), rss in units of the noise power, on a
+data slot and zero on any other, elementwise, so a block's rates have the
+bits of the whole run's.
 Running sums over a whole run are taken block by block behind a carry too,
 so no full-length cumulative column is held. The rate-gap metric reads the
 oracle's rates for every tracker of a seed, the oracle's own report too, so
@@ -282,7 +283,7 @@ def _running_sum(inst: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StatusTimeline:
-    """A simulated run: its `rss` column, its status table and its noise variance.
+    """A simulated run: its `rss` column, in units of the noise power, and its status table.
 
     The other ledger columns follow from these. `block` derives them over a
     range of slots, and the properties of the same names over every slot.
@@ -291,7 +292,6 @@ class StatusTimeline:
     """
 
     rss: np.ndarray
-    noise_var: float
     statuses: StatusTable
     theta2_true: np.ndarray
     policy_name: str
@@ -303,7 +303,7 @@ class StatusTimeline:
 
     def _rates(self, lo: int, hi: int, kind: np.ndarray) -> np.ndarray:
         """`inst_rate` of slots [lo, hi), whose kinds are `kind`: zero off the data slots."""
-        rates = instantaneous_rate(self.rss[lo:hi], self.noise_var)
+        rates = instantaneous_rate(self.rss[lo:hi])
         rates[kind != SlotKind.DATA] = 0.0
         return rates
 
@@ -385,17 +385,14 @@ class RunMetrics:
         return np.array([self.final_cum_rate])
 
 
-def instantaneous_rate(rss, noise_var: float):
-    """Spectral efficiency log2(1 + rss/noise_var) of one data slot."""
+def instantaneous_rate(rss):
+    """Spectral efficiency log2(1 + rss) of one data slot, rss in units of the noise power."""
     rss = np.asarray(rss, dtype=float)
     if np.any(rss < 0):
         raise ValueError("rss must be >= 0")
-    if noise_var <= 0:
-        raise ValueError("noise_var must be > 0")
     # one output column, built in place: a temporary column of a whole run
     # would sit at the run's memory peak
-    out = np.atleast_1d(rss / noise_var)
-    out += 1.0
+    out = np.atleast_1d(rss + 1.0)
     np.log2(out, out=out)
     return float(out[0]) if rss.ndim == 0 else out
 
@@ -480,16 +477,15 @@ def _slot_columns(trajectory: Trajectory, geom: LinkGeometry,
         # one read-only zero that every slot views
         noise = np.broadcast_to(np.zeros((), dtype=complex), (n,))
     else:
-        # drawn for the uncut walk and built in place, real parts drawn first:
-        # the first n of scale * (standard_normal(m) + 1j * standard_normal(m)),
-        # so a cut walk's noise is the whole walk's
+        # unit power, drawn for the uncut walk and built in place, real parts
+        # drawn first: the first n of sqrt(1/2) * (standard_normal(m) + 1j *
+        # standard_normal(m)), so a cut walk's noise is the whole walk's
         rng = np.random.default_rng(noise_seed)
-        scale = math.sqrt(geom.noise_var / 2.0)
         noise = np.empty(n, dtype=complex)
         part = np.empty(trajectory.walk.uncut_slots)
         for view in (noise.real, noise.imag):
             rng.standard_normal(out=part)
-            np.multiply(part[:n], scale, out=view)
+            np.multiply(part[:n], math.sqrt(0.5), out=view)
         noise.setflags(write=False)
     trajectory.columns = cols = _SlotColumns(geom, noise_seed, trajectory.b0, kdu, channel,
                                              noise)
@@ -531,7 +527,8 @@ def run_timeline(
     walk's first `end` slots. The trajectory's gain is built under `geom`,
     so a trajectory runs under any geometry. `threshold_mode="normalized"`
     compares strength against the status reference (portable thresholds in
-    (0, 1]); `"absolute"` compares raw strength against a finite gamma > 0.
+    (0, 1]); `"absolute"` compares raw strength, in units of the noise
+    power, against a finite gamma > 0.
     Either way a fresh status re-evaluates from the slot after its reference
     slot, so at most one event fires per trigger. A status is scanned in
     windows of `_SCAN_WINDOW` slots, or, after a status of L >=
@@ -653,5 +650,5 @@ def run_timeline(
                         np.array(refs, float))
     for arr in (rss, *vars(table).values()):
         arr.setflags(write=False)
-    return StatusTimeline(rss, geom.noise_var, table, trajectory.theta2, policy.name,
-                          policy.gamma, status - 1)
+    return StatusTimeline(rss, table, trajectory.theta2, policy.name, policy.gamma,
+                          status - 1)

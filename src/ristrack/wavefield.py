@@ -13,7 +13,6 @@ rounding) and a zero remainder made +0. Arrays go through ``np.mod``; scalars
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,9 +31,10 @@ class LinkGeometry:
 
     Defaults follow the reference evaluation setup: a 16-antenna AP, a
     64-element RIS at half-wavelength spacing, 45 deg arrival angle on the
-    AP-RIS path, 10 dB transmit SNR and unit noise variance. The carrier
-    wavelength defaults to 5 mm (60 GHz); ``spacing=None`` means half a
-    wavelength, so a replaced wavelength moves the default spacing with it.
+    AP-RIS path and 10 dB transmit SNR over unit-power noise; the AP-RIS
+    path gain is 1, so ``snr_linear`` and ``n_tx`` set the signal scale. The
+    carrier wavelength defaults to 5 mm (60 GHz); ``spacing=None`` means half
+    a wavelength, so a replaced wavelength moves the default spacing with it.
     """
 
     n_tx: int = 16
@@ -43,9 +43,7 @@ class LinkGeometry:
     spacing: float | None = None
     theta1: float = np.deg2rad(45.0)
     r1: float = 4.0
-    alpha: complex = 1.0 + 0.0j
     snr_linear: float = 10.0
-    noise_var: float = 1.0
 
     def __post_init__(self):
         if self.n_tx < 1:
@@ -54,14 +52,9 @@ class LinkGeometry:
             # one element has no beam to track: every event would be spent on
             # single noisy samples crossing the threshold
             raise ValueError(f"n_ris must be >= 2, got {self.n_ris}")
-        if not (cmath.isfinite(self.alpha) and self.alpha != 0):
-            # at zero no signal reaches the user: every event would be noise
-            # crossing the threshold
-            raise ValueError(f"alpha must be nonzero and finite, got {self.alpha}")
         # written so that NaN fails every check
         for name, value in (("wavelength", self.wavelength), ("spacing", self.spacing_d),
-                            ("r1", self.r1), ("snr_linear", self.snr_linear),
-                            ("noise_var", self.noise_var)):
+                            ("r1", self.r1), ("snr_linear", self.snr_linear)):
             if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         half_pi = np.pi / 2

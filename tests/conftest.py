@@ -39,9 +39,9 @@ def engine_calls(monkeypatch):
 
 @pytest.fixture
 def engine_gain():
-    """The engine's gain: b0 times the walk's channel, c*alpha and exp(-j*(N-1)*kdu/2) out."""
+    """The engine's gain: b0 times the walk's channel, c and exp(-j*(N-1)*kdu/2) out."""
     def gain(traj, geom):
         kdu, channel = traj.walk.channel(geom)
         turn = np.exp(-0.5j * (geom.n_ris - 1) * kdu)
-        return traj.b0 * channel / (geom.beamformer_gain * geom.alpha * turn)
+        return traj.b0 * channel / (geom.beamformer_gain * turn)
     return gain

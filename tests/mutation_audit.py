@@ -30,6 +30,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 GUARDS = ("tests/test_golden.py", "tests/test_fingerprint.py", "tests/test_reference_engine.py")
 LEDGER = "src/ristrack/ledger.py"
+MOBILITY = "src/ristrack/mobility.py"
+SIMENGINE = "src/ristrack/simengine.py"
 
 
 class Mutant(NamedTuple):
@@ -60,6 +62,13 @@ MUTANTS = (
            "        for fh in files:\n            fh.write(LEDGER_HEADER",
            "        for fh in files[:1]:\n            fh.write(LEDGER_HEADER",
            "killed"),
+    # the constants that make snr_db the one signal scale
+    Mutant("initial gain drawn at Rayleigh scale 1 instead of 1/sqrt(2)", MOBILITY,
+           "_RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)", "_RAYLEIGH_SCALE = 1.0", "killed"),
+    Mutant("receiver noise drawn at sqrt(1) instead of sqrt(1/2) per component", SIMENGINE,
+           "part[:n], math.sqrt(0.5), out=view", "part[:n], math.sqrt(1.0), out=view", "killed"),
+    Mutant("inst_rate taken from rss/2", SIMENGINE,
+           "out = np.atleast_1d(rss + 1.0)", "out = np.atleast_1d(rss / 2.0 + 1.0)", "killed"),
 )
 
 

@@ -5,13 +5,13 @@ one slot at a time, with none of the engine's machinery: no scan windows,
 spans or coarse passes, no slot columns, no Dirichlet form and no block
 evaluation. Each received sample is the explicit element sum
 
-    c * alpha * beta * sum_k exp(j*(k*slope - kd*k*(sin(theta1) - sin(theta2)))) + noise
+    c * beta * sum_k exp(j*(k*slope - kd*k*(sin(theta1) - sin(theta2)))) + noise
 
 over the N surface elements, as the matrix oracle of `tests/test_ris.py`
 writes h^H Theta G f, and the receiver noise is drawn again from
 ``default_rng(noise_seed)``: all real parts, then all imaginary parts, each
-for the uncut walk and cut to the trajectory's slots, scaled by
-sqrt(noise_var / 2). It states the gain itself (`gain_column`). Of the
+for the uncut walk and cut to the trajectory's slots, scaled by sqrt(1/2)
+to unit power. It states the gain itself (`gain_column`). Of the
 engine it shares only `optimal_config` and the policies' tracker objects,
 which hold the tracker's own steps.
 
@@ -55,14 +55,14 @@ class Reference:
     close_calls: list[tuple[int, float]]  # (slot, level / gamma - 1)
 
 
-def noise_column(n: int, uncut: int, noise_var: float, noise_seed: int | None) -> np.ndarray:
-    """The first n slots of the noise drawn for a walk of `uncut` slots."""
+def noise_column(n: int, uncut: int, noise_seed: int | None) -> np.ndarray:
+    """The first n slots of the unit-power noise drawn for a walk of `uncut` slots."""
     if noise_seed is None:
         return np.zeros(n, dtype=complex)
     rng = np.random.default_rng(noise_seed)
     real = rng.standard_normal(uncut)[:n]
     imag = rng.standard_normal(uncut)[:n]
-    return math.sqrt(noise_var / 2.0) * (real + 1j * imag)
+    return math.sqrt(0.5) * (real + 1j * imag)
 
 
 def gain_column(traj, geom) -> list[complex]:
@@ -89,9 +89,9 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
     kd = 2.0 * math.pi * geom.spacing_d / geom.wavelength
     sin1 = math.sin(geom.theta1)
     theta2 = traj.theta2.tolist()
-    c_alpha = math.sqrt(geom.snr_linear * geom.n_tx) * geom.alpha
-    gain = [c_alpha * b for b in gain_column(traj, geom)]
-    noise = noise_column(n, traj.walk.uncut_slots, geom.noise_var, noise_seed).tolist()
+    c = math.sqrt(geom.snr_linear * geom.n_tx)
+    gain = [c * b for b in gain_column(traj, geom)]
+    noise = noise_column(n, traj.walk.uncut_slots, noise_seed).tolist()
 
     def sample(i: int, slope: float) -> complex:
         u = sin1 - math.sin(theta2[i])

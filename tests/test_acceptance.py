@@ -63,7 +63,7 @@ def test_c1_coherent_gain_closed_form():
 
 
 def test_c2_aligned_configuration_law():
-    """Aligned magnitude |c*alpha*beta|*N and matrix-pipeline agreement, 1e-9, < 1 s."""
+    """Aligned magnitude |c*beta|*N and matrix-pipeline agreement, 1e-9, < 1 s."""
     rng = np.random.default_rng(1002)
     start = time.perf_counter()
     for _ in range(100):
@@ -76,7 +76,7 @@ def test_c2_aligned_configuration_law():
         state = ChannelState(beta=beta, theta2=theta2, r2=4.0)
         slope = optimal_config(geom.theta1, theta2, geom)
         y = received_sample(state, slope, geom)
-        want_mag = geom.beamformer_gain * abs(geom.alpha) * abs(beta) * geom.n_ris
+        want_mag = geom.beamformer_gain * abs(beta) * geom.n_ris
         assert abs(abs(y) - want_mag) <= 1e-9 * want_mag
 
         # independent explicit-matrix oracle
@@ -86,7 +86,7 @@ def test_c2_aligned_configuration_law():
         a1 = np.exp(-1j * kd * k_ris * math.sin(geom.theta1))
         a2 = np.exp(-1j * kd * k_ris * math.sin(theta2))
         a_ap = np.exp(-1j * kd * k_ap * math.sin(phi_ap))
-        big_g = geom.alpha * np.outer(a1, a_ap.conj())
+        big_g = np.outer(a1, a_ap.conj())
         f = math.sqrt(geom.snr_linear) * a_ap / np.linalg.norm(a_ap)
         phases = wrap_two_pi(k_ris * slope)
         y_matrix = (beta * a2.conj()) @ np.diag(np.exp(1j * phases)) @ big_g @ f

@@ -61,6 +61,10 @@ def run_keeping_timelines(tmp_path, monkeypatch, text):
     return timelines, out
 
 
+def refuse_walks(*args, **kwargs):
+    raise AssertionError("a walk was simulated")
+
+
 def assert_ledgers_match_row_wise(timelines, out):
     for tl in timelines:
         written = (out / f"{tl.policy_name}_seed1_slots.csv").read_bytes()
@@ -240,12 +244,10 @@ class TestExitCodes:
         ("run", "seeds", "-1"),
         ("run", "seeds", "1, 1"),
         ("geometry", "n_ris", "1"),
-        ("geometry", "alpha", "0"),
         # non-finite values, which used to run on or fail at run time
         ("geometry", "r1_m", "nan"),
         ("geometry", "snr_db", "nan"),
         ("geometry", "snr_db", "4000"),
-        ("geometry", "alpha", "1+nanj"),
         ("trajectory", "speed_mps", "nan"),
         ("trajectory", "path_length_m", "inf"),
         ("trajectory", "segments", "70:1.0, -inf:1.0"),
@@ -288,6 +290,17 @@ class TestExitCodes:
         assert "configuration error: [DEFAULT] gamma" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    # the signal scale is snr_db and n_tx alone: the noise has unit power,
+    # the AP-RIS path gain is 1 and E|b0|^2 = 1
+    @pytest.mark.parametrize("section,key", [("geometry", "alpha"), ("geometry", "noise_var"),
+                                             ("trajectory", "rayleigh_scale")])
+    def test_a_removed_scale_key_is_one(self, tmp_path, capsys, section, key):
+        bad = write_scenario(tmp_path, TINY_SCENARIO.replace(f"[{section}]\n",
+                                                             f"[{section}]\n{key} = 1\n"))
+        assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
+        assert f"configuration error: [{section}] unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_key_after_byte_order_mark_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bom.ini"
         bad.write_text(TINY_SCENARIO + "n_trx = 16\n", encoding="utf-8-sig")
@@ -297,24 +310,53 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "gamma=0.9,0.8"]])
     def test_empty_out_is_one_before_any_walk(self, tmp_path, monkeypatch, capsys, command):
         cfg = write_scenario(tmp_path)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a walk was simulated")
-
-        monkeypatch.setattr(runner, "generate_path", refuse)
+        monkeypatch.setattr(runner, "generate_path", refuse_walks)
         monkeypatch.chdir(tmp_path)
         assert main([command[0], cfg, *command[1:], "--out", ""]) == 1
         assert "configuration error: --out" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "gamma=0.9,0.8"]])
+    @pytest.mark.parametrize("source", ["--out", "RISTRACK_OUTDIR", "output_dir"])
+    @pytest.mark.parametrize("below", ["", "/sub"])
+    def test_a_file_in_the_output_path_is_one_before_any_walk(self, tmp_path, monkeypatch,
+                                                              capsys, command, source, below):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        out = str(blocker) + below
+        text = TINY_SCENARIO + (f"output_dir = {out}\n" if source == "output_dir" else "")
+        cfg = write_scenario(tmp_path, text)
+        args = [command[0], cfg, *command[1:]]
+        if source == "--out":
+            args += ["--out", out]
+        monkeypatch.setenv("RISTRACK_OUTDIR", out if source == "RISTRACK_OUTDIR" else "")
+        monkeypatch.setattr(runner, "generate_path", refuse_walks)
+        assert main(args) == 1
+        assert (f"configuration error: output directory {out!r}: {str(blocker)!r} is not a "
+                "directory") in capsys.readouterr().err
+        assert blocker.read_text() == "a file, not a directory"
+
+    def test_a_file_named_as_a_sweep_value_is_one_before_any_walk(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "gamma=0.8").write_text("a file, not a directory")
+        monkeypatch.setattr(runner, "generate_path", refuse_walks)
+        assert main(["sweep", write_scenario(tmp_path), "--vary", "gamma=0.9,0.8",
+                     "--out", str(out)]) == 1
+        assert (f"configuration error: output directory {str(out / 'gamma=0.8')!r}"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in out.iterdir()) == ["gamma=0.8"]
+
     def test_missing_config_is_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 1
 
     def test_unwritable_output_is_two(self, tmp_path):
+        # a directory where a ledger goes fails only when that ledger is written
         cfg = write_scenario(tmp_path)
-        blocker = tmp_path / "blocked"
-        blocker.write_text("a file, not a directory")
-        assert main(["run", cfg, "--out", str(blocker)]) == 2
+        out = tmp_path / "out"
+        (out / "proposed_seed1_slots.csv").mkdir(parents=True)
+        assert main(["run", cfg, "--out", str(out)]) == 2
 
     def test_walk_behind_the_surface_is_two_in_one_segment_or_two(self, tmp_path, capsys):
         walk = "[trajectory]\ntheta2_init_deg = 80\nr2_init_m = 1\npsi_a_deg = 150\n"

@@ -24,7 +24,6 @@ class TestDefaults:
         assert g.n_ris == 64
         assert g.theta1 == pytest.approx(np.deg2rad(45.0))
         assert g.snr_linear == pytest.approx(10.0)
-        assert g.noise_var == 1.0
         assert g.wavelength == 0.005
         assert g.spacing_d == pytest.approx(0.0025)
         t = cfg.trajectory
@@ -65,16 +64,13 @@ NON_DEFAULT = {
     "spacing_m": ("0.002", "geometry.spacing"),
     "theta1_deg": ("30", "geometry.theta1"),
     "r1_m": ("2", "geometry.r1"),
-    "alpha": ("0.5+0.5j", "geometry.alpha"),
     "snr_db": ("20", "geometry.snr_linear"),
-    "noise_var": ("2", "geometry.noise_var"),
     "theta2_init_deg": ("10", "trajectory.theta2_init"),
     "r2_init_m": ("3", "trajectory.r2_init"),
     "psi_a_deg": ("90", "trajectory.psi_a"),
     "speed_mps": ("1.2", "trajectory.speed_v"),
     "slot_duration_s": ("1e-5", "trajectory.slot_duration_t0"),
     "path_length_m": ("1", "trajectory.path_length"),
-    "rayleigh_scale": ("1", "trajectory.rayleigh_scale"),
     "segments": ("70:1", "continuations"),
     "algorithms": ("proposed, oracle", "algorithms"),
     "gamma": ("0.8", "gamma"),
@@ -118,8 +114,8 @@ class TestSchema:
             load_config(write(tmp_path, "[trajectory]\nspeed_mps = 0\n"))
         with pytest.raises(ConfigError, match=r"\[trajectory\] speed_mps: speed_v"):
             override_config(ScenarioConfig(), "speed_mps", "0")
-        with pytest.raises(ConfigError, match=r"\[geometry\] alpha: alpha must be nonzero"):
-            load_config(write(tmp_path, "[geometry]\nalpha = 0\n"))
+        with pytest.raises(ConfigError, match=r"\[geometry\] n_ris: n_ris must be >= 2"):
+            load_config(write(tmp_path, "[geometry]\nn_ris = 1\n"))
 
     def test_readme_scenario_block_loads(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"

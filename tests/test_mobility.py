@@ -258,7 +258,7 @@ class TestFrontHalfPlane:
 
 class TestSpecValidation:
     @pytest.mark.parametrize("field", ["speed_v", "slot_duration_t0", "path_length",
-                                       "r2_init", "rayleigh_scale"])
+                                       "r2_init"])
     def test_scales_must_be_finite_and_positive(self, field):
         for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match=rf"^{field} must be finite and > 0"):

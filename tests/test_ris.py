@@ -46,7 +46,7 @@ def matrix_pipeline_sample(beta, theta2, slope, geom, phi_ap):
     a_ris_1 = np.exp(-1j * kd * k_ris * math.sin(geom.theta1))
     a_ris_2 = np.exp(-1j * kd * k_ris * math.sin(theta2))
     a_ap = np.exp(-1j * kd * k_ap * math.sin(phi_ap))
-    big_g = geom.alpha * np.outer(a_ris_1, a_ap.conj())
+    big_g = np.outer(a_ris_1, a_ap.conj())
     big_theta = np.diag(np.exp(1j * element_phases(slope, geom.n_ris)))
     f = math.sqrt(geom.snr_linear) * a_ap / np.linalg.norm(a_ap)
     h_h = beta * a_ris_2.conj()
@@ -77,7 +77,7 @@ class TestOptimalConfig:
         state = ChannelState(beta=0.8 * np.exp(0.3j), theta2=np.deg2rad(20.0), r2=4.0)
         slope = optimal_config(GEOM.theta1, state.theta2, GEOM)
         y = received_sample(state, slope, GEOM)
-        want = GEOM.beamformer_gain * abs(GEOM.alpha) * abs(state.beta) * GEOM.n_ris
+        want = GEOM.beamformer_gain * abs(state.beta) * GEOM.n_ris
         assert abs(y) == pytest.approx(want, rel=1e-9)
 
     def test_maximises_over_family(self):
@@ -208,7 +208,7 @@ class TestReceivedSample:
         state = ChannelState(beta=0.9 * np.exp(-0.2j), theta2=th_next, r2=4.0)
         y = received_sample(state, stale, GEOM)
         w = math.sin(th_next) - math.sin(th_s)
-        want = GEOM.beamformer_gain * GEOM.alpha * state.beta * gain(w, GEOM.n_ris)
+        want = GEOM.beamformer_gain * state.beta * gain(w, GEOM.n_ris)
         assert y == pytest.approx(want, rel=1e-9)
 
     def test_matches_matrix_pipeline(self):
@@ -239,7 +239,7 @@ class TestReceivedSample:
         # column form: amplitude times the element sum of each slot's step
         u = np.sin(GEOM.theta1) - np.sin(thetas)
         gains = _geometric_sum(slope - GEOM.kd * u, GEOM.n_ris)
-        ys = GEOM.beamformer_gain * GEOM.alpha * betas * gains
+        ys = GEOM.beamformer_gain * betas * gains
         for i in range(8):
             one = received_sample(
                 ChannelState(beta=betas[i], theta2=thetas[i], r2=4.0), slope, GEOM

@@ -56,19 +56,14 @@ def first_peak(traj, geom):
 
 class TestInstantaneousRate:
     def test_zero_rss(self):
-        assert instantaneous_rate(0.0, 1.0) == 0.0
+        assert instantaneous_rate(0.0) == 0.0
 
     def test_unit_snr(self):
-        assert instantaneous_rate(1.0, 1.0) == pytest.approx(1.0)
-
-    def test_three_noise_vars(self):
-        assert instantaneous_rate(3.0, 1.0) == pytest.approx(2.0)
+        assert instantaneous_rate(1.0) == pytest.approx(1.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            instantaneous_rate(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            instantaneous_rate(1.0, 0.0)
+            instantaneous_rate(-1.0)
 
 
 class TestCumulativeRate:
@@ -104,7 +99,7 @@ class TestOracleTimeline:
     def test_peak_rss_at_status_reference(self, traj, engine_gain):
         tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
-        # first slot of each status is exactly the aligned peak |c*alpha*beta*N|^2
+        # first slot of each status is exactly the aligned peak |c*beta*N|^2
         starts = [0] + [i + 1 for i in np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0]
                         if i + 1 < len(tl)]
         peak = (GEOM.beamformer_gain * np.abs(engine_gain(traj, GEOM)) * GEOM.n_ris) ** 2
@@ -203,7 +198,7 @@ class TestExhaustiveTimeline:
             slope = np.deg2rad(10.0 * (config[t] - first_id[status[t]]))
             u = np.sin(GEOM.theta1) - np.sin(walk.theta2[t])
             gain = np.exp(1j * k * (slope - GEOM.kd * u)).sum()
-            want = abs(GEOM.beamformer_gain * GEOM.alpha * beta[t] * gain) ** 2
+            want = abs(GEOM.beamformer_gain * beta[t] * gain) ** 2
             assert tl.rss[t] == pytest.approx(want, rel=1e-9)
 
 
@@ -323,8 +318,8 @@ class TestTimelineStructure:
                             assert_same_bits(getattr(got.statuses, f.name),
                                              getattr(want.statuses, f.name), f.name)
         # every other field is free
-        for change in (dict(n_ris=7), dict(snr_linear=0.1), dict(noise_var=2.0), dict(n_tx=4),
-                       dict(alpha=0.5j), dict(theta1=0.5), dict(spacing=0.002)):
+        for change in (dict(n_ris=7), dict(snr_linear=0.1), dict(n_tx=4), dict(theta1=0.5),
+                       dict(spacing=0.002)):
             run_timeline(traj, ProposedPolicy(), replace(GEOM, **change), noise_seed=None)
 
 
@@ -366,9 +361,9 @@ class TestOverheadReport:
         want.append(overhead_report(oracle, oracle.gamma))  # rates derived afresh
         derived = []  # whether each derivation read the oracle's rss
 
-        def spy(rss, noise_var):
+        def spy(rss):
             derived.append(np.shares_memory(rss, oracle.rss))
-            return instantaneous_rate(rss, noise_var)
+            return instantaneous_rate(rss)
 
         monkeypatch.setattr(simengine, "instantaneous_rate", spy)
         got = [overhead_report(tl, tl.gamma, None if tl is oracle else oracle)
@@ -620,11 +615,11 @@ class TestSlotColumns:
         assert cols.noise.shape == (len(seed),) and not np.any(cols.noise)
 
     def test_noise_is_the_scaled_pair_of_draws(self, traj):
-        geom = replace(GEOM, noise_var=3.0)
-        cols = simengine._slot_columns(traj, geom, 9)
+        # unit power: each part has variance 1/2
+        cols = simengine._slot_columns(traj, GEOM, 9)
         rng = np.random.default_rng(9)
         n = len(traj)
-        want = math.sqrt(1.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = math.sqrt(0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         assert np.array_equal(cols.noise.view(np.uint64), want.view(np.uint64))
 
     def test_noise_seed_is_the_one_required_noise_argument(self, traj):
@@ -716,7 +711,7 @@ class TestWalkCache:
 
         walks = [replace(spec, **{name: getattr(spec, name) * 1.01})
                  for name in ("theta2_init", "r2_init", "psi_a", "speed_v",
-                              "slot_duration_t0", "path_length", "rayleigh_scale")]
+                              "slot_duration_t0", "path_length")]
         for other_spec, continuations in ([(w, turn) for w in walks]
                                           + [(spec, ()), (spec, ((np.deg2rad(71.0), 0.01),)),
                                              (spec, ((np.deg2rad(70.0), 0.02),)),
@@ -729,26 +724,12 @@ class TestWalkCache:
         monkeypatch.setattr(mobility, "_walk_geometry",
                             lambda *args: walked.append(1) or original(*args))
         for change in (dict(n_ris=8), dict(wavelength=0.004), dict(spacing=0.002),
-                       dict(theta1=0.5), dict(r1=3.0), dict(alpha=0.5j), dict(snr_linear=2.0),
-                       dict(noise_var=2.0), dict(n_tx=4)):
+                       dict(theta1=0.5), dict(r1=3.0), dict(snr_linear=2.0), dict(n_tx=4)):
             simengine._slot_columns(generate_path(spec, turn, geom), geom, 1)
             walked.clear()
             generate_path(spec, turn, replace(geom, **change))
             assert not walked, change
             generate(spec, turn, replace(geom, **change))
-
-    def test_a_draw_of_another_scale_gets_the_same_walk(self, monkeypatch):
-        # the Rayleigh scale, like the seed, only draws the initial gain
-        spec, continuations = CACHE_WALKS["two_turns"]
-        spec = replace(spec, path_length=0.05, rng_seed=1)
-        first = generate_path(spec, continuations, WINDOW_GEOM)
-        walked = []
-        original = mobility._walk_geometry
-        monkeypatch.setattr(mobility, "_walk_geometry",
-                            lambda *args: walked.append(1) or original(*args))
-        scaled = generate_path(replace(spec, rayleigh_scale=3.0), continuations, WINDOW_GEOM)
-        assert scaled.walk is first.walk and walked == []
-        assert scaled.b0 != first.b0
 
     def test_a_walk_past_the_plane_raises_every_time_and_is_not_kept(self, monkeypatch):
         spec = TrajectorySpec(theta2_init=np.deg2rad(80.0), r2_init=1.0,
@@ -831,7 +812,7 @@ class TestPhasors:
                          "phase turn as written")
         rho_prod = (geom.r1 + r0) / (geom.r1 + walk.r2)
         unit = (1 + 0j) * rho_prod * np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength)
-        want = np.exp(-0.5j * (geom.n_ris - 1) * kdu) * (geom.beamformer_gain * geom.alpha * unit)
+        want = np.exp(-0.5j * (geom.n_ris - 1) * kdu) * (geom.beamformer_gain * unit)
         assert_same_bits(channel, want, "channel as written")
 
     @pytest.mark.parametrize("length", [0.1, 0.3])
@@ -844,7 +825,7 @@ class TestPhasors:
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
         turn = np.exp(-0.5j * (WINDOW_GEOM.n_ris - 1) * cols.kdu)
         unit = eager_beta(TrajectorySpec(path_length=length), (), WINDOW_GEOM, walk)
-        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * unit
+        amp = WINDOW_GEOM.beamformer_gain * unit
         assert_same_bits(cols.channel, np.multiply(turn, amp), length)
         assert cols.b0 == walk.b0
 
@@ -879,7 +860,7 @@ class TestClosedFormGain:
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
         pexp = np.exp(1j * ((-0.5 * (WINDOW_GEOM.n_ris - 1)) * cols.kdu))
         unit = eager_beta(spec, continuations, WINDOW_GEOM, walk)
-        amp = WINDOW_GEOM.beamformer_gain * WINDOW_GEOM.alpha * unit
+        amp = WINDOW_GEOM.beamformer_gain * unit
         assert_same_bits(cols.channel, np.multiply(pexp, amp), "channel")
 
     @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
@@ -948,7 +929,7 @@ class TestClosedFormGain:
         # sample, so one that is zero or not finite is refused
         walk = generate_path(SPEC, (), GEOM)
         rng = np.random.default_rng(SPEC.rng_seed)
-        magnitude = rng.rayleigh(SPEC.rayleigh_scale)
+        magnitude = rng.rayleigh(1.0 / math.sqrt(2.0))  # E|b0|^2 = 1
         draw = complex(magnitude * np.exp(1j * rng.uniform(0.0, TWO_PI)))
         assert walk.b0 == walk[:3].b0 == draw
         for b0 in (0j, 0.0, complex(math.nan, 1.0), complex(1.0, math.inf), -math.inf):
@@ -1057,22 +1038,15 @@ SCALE_ABSOLUTE = ScenarioConfig(geometry=LinkGeometry(r1=2.0),
                                 trajectory=TrajectorySpec(r2_init=2.0, path_length=0.05),
                                 threshold_mode="absolute", gamma=135000.0, gamma_exh=75000.0,
                                 seeds=(11,))
-# split: (base scene, the scene with the signal scale split another way, the
-# factor by which every strength moves against the base scene's)
+# split: (base scene, the scene with its SNR * n_tx = 160 split another way)
 SCALE_SPLITS = {
     "n_tx 32, snr 5": (SCALE_WALK, replace(SCALE_WALK, geometry=LinkGeometry(
-        n_tx=32, snr_linear=5.0)), 1.0),
-    "noise_var 3, snr 30": (SCALE_WALK, replace(SCALE_WALK, geometry=LinkGeometry(
-        noise_var=3.0, snr_linear=30.0)), 3.0),
-    "alpha 3, snr 10/9": (SCALE_WALK, replace(SCALE_WALK, geometry=LinkGeometry(
-        alpha=3.0, snr_linear=10.0 / 9.0)), 1.0),
-    "rayleigh_scale x 0.7, snr / 0.49": (SCALE_WALK, replace(
-        SCALE_WALK, geometry=LinkGeometry(snr_linear=10.0 / 0.49),
-        trajectory=replace(SCALE_WALK.trajectory, rayleigh_scale=0.7 / math.sqrt(2.0))), 1.0),
-    "absolute, noise_var 3, snr x 3, gammas x 3": (SCALE_ABSOLUTE, replace(
-        SCALE_ABSOLUTE, geometry=replace(SCALE_ABSOLUTE.geometry, noise_var=3.0,
-                                         snr_linear=30.0),
-        gamma=3 * 135000.0, gamma_exh=3 * 75000.0), 3.0),
+        n_tx=32, snr_linear=5.0))),
+    "n_tx 12, snr 40/3": (SCALE_WALK, replace(SCALE_WALK, geometry=LinkGeometry(
+        n_tx=12, snr_linear=40.0 / 3.0))),
+    "absolute, n_tx 48, snr 10/3": (SCALE_ABSOLUTE, replace(
+        SCALE_ABSOLUTE, geometry=replace(SCALE_ABSOLUTE.geometry, n_tx=48,
+                                         snr_linear=10.0 / 3.0))),
 }
 
 
@@ -1095,11 +1069,9 @@ def base_reports(cfg):
 class TestScaleInvariance:
     @pytest.mark.parametrize("split", list(SCALE_SPLITS))
     def test_a_split_of_the_signal_scale_is_the_same_run(self, split):
-        # the run reads samples only through ratios of two samples and
-        # through |y|^2 over the noise power (and in absolute mode through
-        # |y|^2 against gamma), so every split of one signal-to-noise ratio
-        # gives the same decisions and rates
-        base, cfg, factor = SCALE_SPLITS[split]
+        # n_tx and the SNR enter a sample only through c = sqrt(SNR * n_tx),
+        # so every split of one product gives the same decisions and rates
+        base, cfg = SCALE_SPLITS[split]
         got, want = scene_reports(cfg), base_reports(base)
         assert len(got) == len(want)
         for (tl, m), (ref_tl, ref_m) in zip(got, want):
@@ -1109,7 +1081,7 @@ class TestScaleInvariance:
             for col in ("first", "kind", "status_id", "config_id"):
                 assert np.array_equal(getattr(tl.statuses, col),
                                       getattr(ref_tl.statuses, col)), (name, col)
-            np.testing.assert_allclose(tl.statuses.rss_ref, factor * ref_tl.statuses.rss_ref,
+            np.testing.assert_allclose(tl.statuses.rss_ref, ref_tl.statuses.rss_ref,
                                        rtol=1e-12, atol=0.0, err_msg=str(name))
             np.testing.assert_allclose([m.final_cum_rate, m.avg_error_vs_oracle],
                                        [ref_m.final_cum_rate, ref_m.avg_error_vs_oracle],
@@ -1172,10 +1144,10 @@ class TestDerivedColumns:
         assert len(modes) == 6
 
     def test_full_range_columns_follow_the_ledger_rules(self, default_walk, default_scans):
-        for (geom, _, _), tl in zip(scan_runs(default_walk), default_scans):
+        for tl in default_scans:
             assert_same_bits(tl.cum_rate, cumulative_rate(tl.inst_rate), "cum_rate")
             data = tl.kind == SlotKind.DATA
-            rates = np.where(data, instantaneous_rate(tl.rss, geom.noise_var), 0.0)
+            rates = np.where(data, instantaneous_rate(tl.rss), 0.0)
             assert_same_bits(tl.inst_rate, rates, "inst_rate")
             # a status's data row starts at its reference slot, normalised to one
             table = tl.statuses
