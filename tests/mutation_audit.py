@@ -29,9 +29,13 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 GUARDS = ("tests/test_golden.py", "tests/test_fingerprint.py", "tests/test_reference_engine.py")
+CONFIG = "src/ristrack/config.py"
 LEDGER = "src/ristrack/ledger.py"
 MOBILITY = "src/ristrack/mobility.py"
+RIS = "src/ristrack/ris.py"
+RUNNER = "src/ristrack/runner.py"
 SIMENGINE = "src/ristrack/simengine.py"
+TRACKING = "src/ristrack/tracking.py"
 
 
 class Mutant(NamedTuple):
@@ -69,6 +73,47 @@ MUTANTS = (
            "part[:n], math.sqrt(0.5), out=view", "part[:n], math.sqrt(1.0), out=view", "killed"),
     Mutant("inst_rate taken from rss/2", SIMENGINE,
            "out = np.atleast_1d(rss + 1.0)", "out = np.atleast_1d(rss / 2.0 + 1.0)", "killed"),
+    # the model, the engine and the reports
+    Mutant("gain law without r1", MOBILITY,
+           "rho_prod = (geom.r1 + r0) / (geom.r1 + r2)", "rho_prod = r0 / r2", "killed"),
+    Mutant("noise drawn imaginary parts first", SIMENGINE,
+           "for view in (noise.real, noise.imag):", "for view in (noise.imag, noise.real):",
+           "killed"),
+    Mutant("genie aligned to the previous slot", SIMENGINE,
+           "optimal_config(geom.theta1, float(theta2[cursor]), geom)",
+           "optimal_config(geom.theta1, float(theta2[cursor - 1]), geom)", "killed"),
+    Mutant("pct_below_threshold over n - 1", SIMENGINE,
+           "100.0 * (nondata / n)", "100.0 * (nondata / max(n - 1, 1))", "killed"),
+    Mutant("11-digit summaries", RUNNER, 'return f"{x:.12g}"', 'return f"{x:.11g}"', "killed"),
+    Mutant("a reference slot that may trigger", SIMENGINE,
+           "skip = int(lo == ref_idx)", "skip = 0", "killed"),
+    Mutant("trigger at <= gamma instead of < gamma", SIMENGINE,
+           "np.nonzero(level < policy.gamma)", "np.nonzero(level <= policy.gamma)",
+           "equivalent: a slot's strength is a continuous quantity, so no run's "
+           "level lands exactly on gamma"),
+    Mutant("window scan of 512 slots", SIMENGINE,
+           "_SCAN_WINDOW = 1024", "_SCAN_WINDOW = 512", "killed"),
+    Mutant("noise_seed defaulting to None in run_timeline", SIMENGINE,
+           "    noise_seed: int | None,\n    threshold_mode",
+           "    noise_seed: int | None = None,\n    threshold_mode", "killed"),
+    # the tracker
+    Mutant("a frozen distance belief", SIMENGINE,
+           "self.believed_r = self.candidates[best].r_cand",
+           "self.believed_r = self.believed_r", "killed"),
+    Mutant("training ties broken toward the larger |w|", TRACKING,
+           "key=lambda i: (-power[i], abs(candidates[i].w_cand))",
+           "key=lambda i: (-power[i], -abs(candidates[i].w_cand))", "killed"),
+    Mutant("candidates ranked by signed w", TRACKING,
+           "np.lexsort((thetas, np.abs(w), best))", "np.lexsort((thetas, w, best))", "killed"),
+    Mutant("Dirichlet degenerate below 1e-9 instead of 1e-12", RIS,
+           "degenerate = np.abs(den) < 0.5e-12", "degenerate = np.abs(den) < 0.5e-9",
+           "killed"),
+    # the interfaces
+    Mutant("no finite-value check in config._apply", CONFIG,
+           "if not _finite(value):", "if False:", "killed"),
+    Mutant("Trajectory taking extra arrays", MOBILITY,
+           "def __init__(self, b0: complex, walk: Walk):",
+           "def __init__(self, b0: complex, walk: Walk, *arrays):", "killed"),
 )
 
 
