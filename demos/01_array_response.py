@@ -1,8 +1,8 @@
 """Array response and coherent-gain pattern of the reflecting surface.
 
-Walks through the building blocks: steering vectors of a uniform linear
-array, the aligned phase configuration, and what happens to the summed gain
-of 64 elements when the steering drifts away from the user (the classic
+Walks through the building blocks: the response of a uniform linear array,
+the aligned phase configuration, and what happens to the summed gain of 64
+elements when the steering drifts away from the user (the classic
 Dirichlet-kernel mainlobe/sidelobe pattern, with a phase that is linear in
 the mismatch across the mainlobe).
 
@@ -14,14 +14,15 @@ import math
 
 import numpy as np
 
-from ristrack import LinkGeometry, coherent_gain_values, optimal_config, steering_vector
+from ristrack import LinkGeometry, coherent_gain_values, optimal_config
 
 geom = LinkGeometry()
 print(f"surface elements : {geom.n_ris}")
 print(f"element spacing  : {geom.spacing_d * 1000:.2f} mm (half wavelength)")
 print(f"carrier          : {geom.wavelength * 1000:.1f} mm wavelength")
 
-v = steering_vector(np.deg2rad(20.0), geom.n_ris, geom.spacing_d, geom.wavelength)
+# entry k of the array response is exp(-1j * kd * k * sin(angle))
+v = np.exp(-1j * geom.kd * np.arange(geom.n_ris) * np.sin(np.deg2rad(20.0)))
 print(f"\nsteering vector at 20 deg: first entries {np.round(v[:3], 4)}")
 print(f"all unit magnitude: {np.allclose(np.abs(v), 1.0)}")
 

@@ -31,7 +31,6 @@ from .simengine import (
     SlotKind,
     StatusTimeline,
     Timeline,
-    cumulative_rate,
     instantaneous_rate,
     overhead_report,
     run_timeline,
@@ -46,7 +45,6 @@ from .tracking import (
 )
 from .wavefield import (
     LinkGeometry,
-    steering_vector,
     wrap_principal,
     wrap_two_pi,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "Trajectory",
     "TrajectorySpec",
     "coherent_gain_values",
-    "cumulative_rate",
     "generate_path",
     "instantaneous_rate",
     "load_config",
@@ -85,7 +82,6 @@ __all__ = [
     "run_timeline",
     "select_by_training",
     "slot_count",
-    "steering_vector",
     "two_dim_search",
     "update_config",
     "wrap_principal",

@@ -68,10 +68,7 @@ def _aggregate_summary(path: str, results: list[RunResult]) -> None:
     def table(title, getter):
         rows = [title, "seed".ljust(8) + "".join(n.ljust(width) for n in names)]
         for seed in seeds:
-            cells = []
-            for n in names:
-                r = by.get((n, seed))
-                cells.append(("-" if r is None else getter(r)).ljust(width))
+            cells = (getter(by[(n, seed)]).ljust(width) for n in names)
             rows.append(str(seed).ljust(8) + "".join(cells))
         return rows
 

@@ -262,7 +262,7 @@ def _running_mean(inst: np.ndarray, lo: int, carry: float) -> tuple[np.ndarray, 
     """`cum_rate` of the slots from lo whose rates are `inst`, and the running sum through them.
 
     The slots are accumulated behind `carry`, the running sum through lo, so
-    a block continues the one sequential np.cumsum of `cumulative_rate` bit
+    a block continues the one sequential np.cumsum over the whole run bit
     for bit; adding the carry to the block's own sums would round
     differently.
     """
@@ -395,14 +395,6 @@ def instantaneous_rate(rss):
     out = np.atleast_1d(rss + 1.0)
     np.log2(out, out=out)
     return float(out[0]) if rss.ndim == 0 else out
-
-
-def cumulative_rate(rates) -> np.ndarray:
-    """Running mean of per-slot instantaneous rates over all elapsed slots."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.size == 0:
-        raise ValueError("empty rate series")
-    return np.cumsum(rates) / np.arange(1, rates.size + 1)
 
 
 def overhead_report(records: StatusTimeline, gamma: float,

@@ -1,4 +1,4 @@
-"""Link geometry, array-response and phase-wrapping primitives shared by every module.
+"""Link geometry, unit phasors and phase wrapping, shared by every module.
 
 Angles are radians everywhere inside the library; degree conversion happens
 only at the configuration/CLI boundary. Element indexing is zero-based, so a
@@ -19,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-# Phases closer to 0 (mod 2*pi) than this snap to exactly 0 so that equality
-# tests across different update paths are deterministic.
-PHASE_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,20 +77,6 @@ class LinkGeometry:
         return float(np.sqrt(self.snr_linear * self.n_tx))
 
 
-def steering_vector(angle: float, count: int, spacing_d: float, wavelength: float) -> np.ndarray:
-    """Uniform-linear-array response at `angle` (radians from broadside).
-
-    Entry k equals exp(-1j * (2*pi*spacing_d/wavelength) * k * sin(angle));
-    the first entry is exactly 1.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if spacing_d <= 0 or wavelength <= 0:
-        raise ValueError("spacing_d and wavelength must be > 0")
-    k = np.arange(count)
-    return np.exp(-1j * (TWO_PI * spacing_d / wavelength) * k * np.sin(angle))
-
-
 def unit_phasors(y: np.ndarray) -> np.ndarray:
     """cos(y) + 1j*sin(y) for real phases `y`.
 
@@ -107,12 +89,15 @@ def unit_phasors(y: np.ndarray) -> np.ndarray:
 
 
 def wrap_two_pi(phases):
-    """Wrap phases to [0, 2*pi), snapping values within 1e-12 of the seam to 0."""
+    """Wrap phases modulo 2*pi, as np.mod does: into [0, 2*pi], not [0, 2*pi).
+
+    A negative remainder closer to 0 than half an ulp of TWO_PI rounds to
+    TWO_PI itself when TWO_PI is added to it; every other phase lands in
+    [0, 2*pi).
+    """
     if isinstance(phases, float) or np.ndim(phases) == 0:  # float covers np.float64
-        out = float(phases) % TWO_PI
-        return 0.0 if out < PHASE_SNAP or out > TWO_PI - PHASE_SNAP else out
-    out = np.mod(np.asarray(phases, dtype=float), TWO_PI)
-    return np.where((out < PHASE_SNAP) | (out > TWO_PI - PHASE_SNAP), 0.0, out)
+        return float(phases) % TWO_PI
+    return np.mod(np.asarray(phases, dtype=float), TWO_PI)
 
 
 def wrap_principal(x):

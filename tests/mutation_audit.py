@@ -84,6 +84,8 @@ MUTANTS = (
            "optimal_config(geom.theta1, float(theta2[cursor - 1]), geom)", "killed"),
     Mutant("pct_below_threshold over n - 1", SIMENGINE,
            "100.0 * (nondata / n)", "100.0 * (nondata / max(n - 1, 1))", "killed"),
+    Mutant("running mean of a block started from 0 instead of its carry", SIMENGINE,
+           "np.concatenate(([carry], inst))", "np.concatenate(([0.0], inst))", "killed"),
     Mutant("11-digit summaries", RUNNER, 'return f"{x:.12g}"', 'return f"{x:.11g}"', "killed"),
     Mutant("a reference slot that may trigger", SIMENGINE,
            "skip = int(lo == ref_idx)", "skip = 0", "killed"),

@@ -15,6 +15,7 @@ REMOVED = (
     "SweepSpec",
     "ap_ris_channel",
     "coherent_gain",
+    "cumulative_rate",
     "evolve_channel",
     "follow_on_spec",
     "generate_trajectory",
@@ -22,6 +23,7 @@ REMOVED = (
     "r2_at",
     "r_from_eta",
     "received_samples",
+    "steering_vector",
     "theta2_at",
 )
 
@@ -76,9 +78,15 @@ def test_removed_chaining_field_and_method():
     assert "rss_ref" not in {f.name for f in dataclasses.fields(ristrack.TrackingObservables)}
 
 
+def test_removed_phase_snap():
+    # wrap_two_pi wraps as np.mod does, so no seam width is left to set
+    assert not hasattr(importlib.import_module("ristrack.wavefield"), "PHASE_SNAP")
+
+
 def test_readme_quick_start_runs(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
     exec(compile(block.group(1), "README.md", "exec"), {})
     calls, pct_below, final_rate = capsys.readouterr().out.split()
     assert int(calls) > 0 and 0.0 < float(pct_below) < 1.0 and float(final_rate) > 0.0
+

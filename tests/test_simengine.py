@@ -22,7 +22,6 @@ from ristrack import (
     SlotKind,
     Trajectory,
     TrajectorySpec,
-    cumulative_rate,
     generate_path,
     instantaneous_rate,
     overhead_report,
@@ -64,27 +63,6 @@ class TestInstantaneousRate:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             instantaneous_rate(-1.0)
-
-
-class TestCumulativeRate:
-    def test_constant_series(self):
-        out = cumulative_rate(np.full(5, 3.0))
-        assert np.allclose(out, 3.0)
-
-    def test_two_slot_mean(self):
-        out = cumulative_rate([4.0, 0.0])
-        assert np.allclose(out, [4.0, 2.0])
-
-    def test_matches_recurrence_oracle(self):
-        rng = np.random.default_rng(99)
-        x = rng.uniform(0, 20, size=1000)
-        out = cumulative_rate(x)
-        # independent oracle: the slot-by-slot running-mean recurrence
-        acc = x[0]
-        assert abs(out[0] - acc) <= 1e-12
-        for t in range(1, x.size):
-            acc = (t * acc + x[t]) / (t + 1)
-            assert abs(out[t] - acc) <= 1e-12
 
 
 class TestOracleTimeline:
@@ -347,7 +325,9 @@ class TestOverheadReport:
         for tl in default_scans:
             m = overhead_report(tl, tl.gamma)
             assert m.pct_below_threshold == 100.0 * float(np.mean(tl.kind != SlotKind.DATA))
-            assert m.final_cum_rate == tl.cum_rate[-1] == cumulative_rate(tl.inst_rate)[-1]
+            r = tl.inst_rate
+            final = (np.cumsum(r) / np.arange(1, r.size + 1))[-1]
+            assert m.final_cum_rate == tl.cum_rate[-1] == final
             assert m.cumulative_rate_series.shape == (1,)
             assert m.cumulative_rate_series[-1] == m.final_cum_rate
 
@@ -1145,7 +1125,8 @@ class TestDerivedColumns:
 
     def test_full_range_columns_follow_the_ledger_rules(self, default_walk, default_scans):
         for tl in default_scans:
-            assert_same_bits(tl.cum_rate, cumulative_rate(tl.inst_rate), "cum_rate")
+            r = tl.inst_rate
+            assert_same_bits(tl.cum_rate, np.cumsum(r) / np.arange(1, r.size + 1), "cum_rate")
             data = tl.kind == SlotKind.DATA
             rates = np.where(data, instantaneous_rate(tl.rss), 0.0)
             assert_same_bits(tl.inst_rate, rates, "inst_rate")
