@@ -1,20 +1,20 @@
 """The aligned-configuration law, its differential update and signal synthesis.
 
-Every configuration the simulator installs has linear phase phi_k =
-k*slope: the aligned law, its differential update and the exhaustive sweep
-all move only the per-element slope, so a configuration is that slope,
-wrapped by `wrap_two_pi` into [0, 2*pi] (exactly 2*pi only for a slope
-within half an ulp below a whole turn). The received downlink sample
-reduces, under the fixed AP beamformer, to c*beta * sum_k exp(j*k*(slope -
-kd*(sin(theta1) - sin(theta2)))) plus unit-power noise, with c =
-sqrt(SNR*n_tx) and the AP-RIS path gain 1. That geometric series in the
-per-element step mu is evaluated in Dirichlet form, exp(j*(N-1)*mu/2) *
-sin(N*mu/2) / sin(mu/2), with both sines taken of mu wrapped into (-pi,
-pi]: it keeps about 1e-14 relative accuracy next to every whole turn of mu,
-where the ratio (exp(j*N*mu) - 1) / (exp(j*mu) - 1) lost up to 5e-9 next to
-0 and, for N = 7 or 100, 5e-6 at 1e-9 rad from +-2*pi. The explicit matrix
-pipeline h^H Theta G f over the element phases gives the same value and is
-kept as a test oracle.
+Every configuration the simulator installs has linear phase phi_k = k*slope:
+the aligned law, its differential update and the exhaustive sweep all move
+only the per-element slope, so a configuration is that slope, wrapped into
+[0, 2*pi] by `wrap_two_pi` (2*pi itself only within half an ulp below a
+whole turn). The received downlink sample reduces, under the fixed AP
+beamformer, to c*beta * sum_k exp(j*k*(slope - kd*(sin(theta1) -
+sin(theta2)))) plus unit-power noise, with c = sqrt(SNR*n_tx) and the
+AP-RIS path gain 1. That geometric series in the per-element step mu is
+evaluated in Dirichlet form, exp(j*(N-1)*mu/2) * sin(N*mu/2) / sin(mu/2),
+with both sines taken of mu wrapped into (-pi, pi]: it keeps about 1e-14
+relative accuracy next to every whole turn of mu, where the ratio
+(exp(j*N*mu) - 1) / (exp(j*mu) - 1) lost up to 5e-9 next to 0 and, for N =
+7 or 100, 5e-6 at 1e-9 rad from +-2*pi. The explicit matrix pipeline h^H
+Theta G f over the element phases gives the same value and is kept as a
+test oracle.
 """
 
 from __future__ import annotations

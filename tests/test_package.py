@@ -89,4 +89,3 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block.group(1), "README.md", "exec"), {})
     calls, pct_below, final_rate = capsys.readouterr().out.split()
     assert int(calls) > 0 and 0.0 < float(pct_below) < 1.0 and float(final_rate) > 0.0
-

@@ -101,7 +101,7 @@ class TestUpdateConfig:
     def test_zero_update_keeps_slope_wrapped(self):
         slope = optimal_config(0.5, 0.1, GEOM)
         assert update_config(slope, 0.0, GEOM) == slope
-        # any slope comes back wrapped to [0, 2*pi), whole turns to exactly 0
+        # any slope comes back wrapped as np.mod wraps it, whole turns to exactly 0
         for raw, want in ((7.0, 7.0 - 2 * np.pi), (-1.0, 2 * np.pi - 1.0), (2 * np.pi, 0.0)):
             got = update_config(raw, 0.0, GEOM)
             assert got == pytest.approx(want, abs=1e-15)
