@@ -65,6 +65,60 @@ class TestInstantaneousRate:
             instantaneous_rate(-1.0)
 
 
+def chained_running_mean(x, size):
+    """`_running_mean` over blocks of `size` slots, each from the carry the one before returned."""
+    blocks, carry = [], 0.0
+    for lo in range(0, len(x), size):
+        cum, carry = simengine._running_mean(np.asarray(x[lo:lo + size], dtype=float), lo, carry)
+        blocks.append(cum)
+    return np.concatenate(blocks), carry
+
+
+class TestRunningMean:
+    """The running mean behind every `cum_rate` cell, and the running sum behind its final value."""
+
+    def test_constant_series(self):
+        cum, total = simengine._running_mean(np.full(5, 3.0), 0, 0.0)
+        assert np.allclose(cum, 3.0)
+        assert total == 15.0
+
+    def test_two_slot_mean(self):
+        cum, total = simengine._running_mean(np.array([4.0, 0.0]), 0, 0.0)
+        assert np.allclose(cum, [4.0, 2.0])
+        assert total == 4.0
+
+    def test_matches_recurrence_oracle(self):
+        rng = np.random.default_rng(99)
+        x = rng.uniform(0, 20, size=1000)
+        out, _ = chained_running_mean(x, 333)
+        # independent oracle: the slot-by-slot running-mean recurrence
+        acc = x[0]
+        assert abs(out[0] - acc) <= 1e-12
+        for t in range(1, x.size):
+            acc = (t * acc + x[t]) / (t + 1)
+            assert abs(out[t] - acc) <= 1e-12
+
+    def test_blocks_continue_one_cumsum_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 20, size=2000)
+        want = np.cumsum(x) / np.arange(1, x.size + 1)
+        for size in (1, 7, 256, 1999, 2000):
+            got, total = chained_running_mean(x, size)
+            assert_same_bits(got, want, f"blocks of {size}")
+            assert total == np.cumsum(x)[-1]
+
+    def test_empty_block_keeps_the_carry(self):
+        cum, total = simengine._running_mean(np.empty(0), 40, 12.5)
+        assert cum.shape == (0,) and total == 12.5
+
+    def test_running_sum_is_the_last_cumsum_entry(self):
+        rng = np.random.default_rng(5)
+        for n in (1, simengine._BLOCK, 2 * simengine._BLOCK + 17):
+            x = rng.uniform(0, 20, size=n)
+            assert simengine._running_sum(x) == np.cumsum(x)[-1]
+        assert simengine._running_sum(np.empty(0)) == 0.0
+
+
 class TestOracleTimeline:
     def test_zero_training_and_feedback(self, traj):
         tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
