@@ -194,7 +194,8 @@ def load_config(path: str) -> ScenarioConfig:
     Raises :class:`ConfigError` with the section, key and violated rule for
     semantic problems; syntax errors keep configparser's line numbers.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read literally: a % is a character, not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         # utf-8-sig drops the byte-order mark that some editors write first
         with open(path, "r", encoding="utf-8-sig") as fh:

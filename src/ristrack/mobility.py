@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .wavefield import TWO_PI, LinkGeometry, unit_phasors
+from .wavefield import TWO_PI, LinkGeometry
 
 _ACOS_CLAMP_TOL = 1e-9
 _RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # of |b0|: E|b0|^2 = 2 * scale^2 = 1
@@ -120,7 +120,7 @@ def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry) ->
     written over one of its operands differently.
     """
     rho_prod = (geom.r1 + r0) / (geom.r1 + r2)
-    return np.multiply(b0 * rho_prod, unit_phasors(TWO_PI * (r2 - r0) * (1.0 / geom.wavelength)))
+    return np.multiply(b0 * rho_prod, np.exp(1j * (TWO_PI * (r2 - r0) * (1.0 / geom.wavelength))))
 
 
 # slots per block of a channel build: a full-length temporary would hold
@@ -189,7 +189,7 @@ class Walk:
                 gain, ref = complex(unit[-1]), float(self.r2[a - 1])
             for lo in range(a, b, _BLOCK):
                 hi = min(b, lo + _BLOCK)
-                pexp = unit_phasors((-0.5 * (geom.n_ris - 1)) * kdu[lo:hi])
+                pexp = np.exp(1j * ((-0.5 * (geom.n_ris - 1)) * kdu[lo:hi]))
                 unit = _segment_gain(gain, ref, self.r2[lo:hi], geom)
                 np.multiply(pexp, np.multiply(c, unit), out=channel[lo:hi])
         channel.setflags(write=False)

@@ -40,20 +40,15 @@ def update_config(slope, w, geom: LinkGeometry):
 
     `slope` is one surface slope. `w` is one mismatch, which gives one
     float, or a sequence or array of them, which gives an array of one
-    updated slope each. Each is updated as a scalar, bit for bit the array
-    law wrap_two_pi(slope - kd*w): a candidate list has a handful of
-    entries, where numpy's per-call cost exceeds the arithmetic. Starting
-    from the aligned slope for some reference angle and applying w =
-    sin(theta_new) - sin(theta_ref) lands exactly on the aligned slope for
-    theta_new; successive updates add.
+    updated slope each, wrapped by `wrap_two_pi`. Starting from the aligned
+    slope for some reference angle and applying w = sin(theta_new) -
+    sin(theta_ref) lands exactly on the aligned slope for theta_new;
+    successive updates add.
     """
     w = np.asarray(w, dtype=float)
-    ws = w.ravel().tolist()
-    if any(abs(x) > 2.0 for x in ws):
+    if np.any(np.abs(w) > 2.0):
         raise ValueError(f"|w| must be <= 2, got {w}")
-    kd = geom.kd
-    slopes = np.array([wrap_two_pi(slope - kd * x) for x in ws]).reshape(w.shape)
-    return float(slopes) if w.ndim == 0 else slopes
+    return wrap_two_pi(slope - geom.kd * w)
 
 
 def _dirichlet(mu, n_ris: int) -> tuple[np.ndarray, np.ndarray]:

@@ -71,7 +71,6 @@ the oracle's run keeps them (`StatusTimeline.reference_rates`) while it lives.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -388,7 +387,7 @@ class RunMetrics:
 def instantaneous_rate(rss):
     """Spectral efficiency log2(1 + rss) of one data slot, rss in units of the noise power."""
     rss = np.asarray(rss, dtype=float)
-    if np.any(rss < 0):
+    if not np.all(rss >= 0):  # also on NaN
         raise ValueError("rss must be >= 0")
     # one output column, built in place: a temporary column of a whole run
     # would sit at the run's memory peak
@@ -494,9 +493,7 @@ def _received_samples(cols: _SlotColumns, lo: int, hi: int, slope,
     where the slope's half of the phase times b0 is one scalar for a scan.
     """
     d, _ = _dirichlet(slope - cols.kdu[lo:hi:step], cols.geom.n_ris)
-    # on one slope cmath.exp gives np.exp's value without numpy's call cost
-    exp = np.exp if isinstance(slope, np.ndarray) else cmath.exp
-    scale = exp(0.5j * (cols.geom.n_ris - 1) * slope) * cols.b0
+    scale = np.exp(0.5j * (cols.geom.n_ris - 1) * slope) * cols.b0
     y = scale * cols.channel[lo:hi:step]
     y *= d
     y += cols.noise[lo:hi:step]

@@ -1,4 +1,4 @@
-"""Link geometry, unit phasors and phase wrapping, shared by every module.
+"""Link geometry and phase wrapping, shared by every module.
 
 Angles are radians everywhere inside the library; degree conversion happens
 only at the configuration/CLI boundary. Element indexing is zero-based, so a
@@ -75,17 +75,6 @@ class LinkGeometry:
         angle cancels and does not enter the link.
         """
         return float(np.sqrt(self.snr_linear * self.n_tx))
-
-
-def unit_phasors(y: np.ndarray) -> np.ndarray:
-    """cos(y) + 1j*sin(y) for real phases `y`.
-
-    These are the bits of np.exp(1j * y), without its complex pass.
-    """
-    out = np.empty(y.shape, dtype=complex)
-    np.cos(y, out=out.real)
-    np.sin(y, out=out.imag)
-    return out
 
 
 def wrap_two_pi(phases):

@@ -76,6 +76,14 @@ MUTANTS = (
     # the model, the engine and the reports
     Mutant("gain law without r1", MOBILITY,
            "rho_prod = (geom.r1 + r0) / (geom.r1 + r2)", "rho_prod = r0 / r2", "killed"),
+    # the single path of the update law and of each complex exponential
+    Mutant("update law with its sign flipped", RIS,
+           "slope - geom.kd * w", "slope + geom.kd * w", "killed"),
+    Mutant("travel phase of the gain conjugated", MOBILITY,
+           "np.exp(1j * (TWO_PI * (r2 - r0)", "np.exp(-1j * (TWO_PI * (r2 - r0)", "killed"),
+    Mutant("scan turn conjugated", SIMENGINE,
+           "np.exp(0.5j * (cols.geom.n_ris - 1) * slope)",
+           "np.exp(-0.5j * (cols.geom.n_ris - 1) * slope)", "killed"),
     Mutant("noise drawn imaginary parts first", SIMENGINE,
            "for view in (noise.real, noise.imag):", "for view in (noise.imag, noise.real):",
            "killed"),

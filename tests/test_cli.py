@@ -284,6 +284,20 @@ class TestExitCodes:
         assert main(vary) == 1
         assert "configuration error: algorithms" in capsys.readouterr().err
 
+    def test_percent_sign_in_a_value_is_read_literally(self, tmp_path, monkeypatch, capsys):
+        # not an interpolation: a bad number is a configuration error, not a
+        # runtime one, and a directory name keeps its %
+        text = TINY_SCENARIO.replace("[tracker]", "[tracker]\ngamma = 0.9 %")
+        bad = write_scenario(tmp_path, text)
+        assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
+        assert "configuration error: [tracker] gamma: bad value" in capsys.readouterr().err
+        monkeypatch.setenv("RISTRACK_OUTDIR", "")
+        for name in ("runs_50%", "%(seeds)s"):
+            out = tmp_path / name
+            cfg = write_scenario(tmp_path, TINY_SCENARIO + f"output_dir = {out}\n")
+            assert main(["run", cfg]) == 0
+            assert (out / "summary.txt").is_file(), name
+
     def test_default_section_is_one(self, tmp_path, capsys):
         bad = write_scenario(tmp_path, "[DEFAULT]\ngamma = 0.5\n" + TINY_SCENARIO)
         assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1

@@ -229,6 +229,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             override_config(ScenarioConfig(), "algorithms", algorithms)
 
+    def test_a_percent_sign_is_read_literally(self, tmp_path):
+        # no interpolation: a % is part of the value, and %(key)s names no key
+        with pytest.raises(ConfigError, match=r"^\[tracker\] gamma: bad value"):
+            load_config(write(tmp_path, "[tracker]\ngamma = 0.9 %\n"))
+        for output_dir in ("runs_50%", "%(seeds)s"):
+            cfg = load_config(write(tmp_path, f"[run]\noutput_dir = {output_dir}\n"))
+            assert cfg.output_dir == output_dir
+
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\ngamma = 0.5\n",
         "[DEFAULT]\ngamma = 0.5\n[geometry]\nn_tx = 8\n",

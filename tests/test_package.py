@@ -83,6 +83,11 @@ def test_removed_phase_snap():
     assert not hasattr(importlib.import_module("ristrack.wavefield"), "PHASE_SNAP")
 
 
+def test_removed_unit_phasors():
+    # every complex exponential of the model is np.exp
+    assert not hasattr(importlib.import_module("ristrack.wavefield"), "unit_phasors")
+
+
 def test_readme_quick_start_runs(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)

@@ -143,9 +143,10 @@ class TestUpdateConfig:
             update_config(slope, np.array([[0.1, 0.2], [2.0000000001, 0.0]]), GEOM)
 
     def test_sequence_equals_array_law_bit_for_bit(self):
-        # each candidate is updated as a scalar; the result must be the array
-        # law wrap_two_pi(slope - kd*w) bit for bit, also for mismatches that
-        # land next to a whole turn, at signed zeros and at |w| = 2
+        # a sequence, an array or one mismatch is the array law
+        # wrap_two_pi(slope - kd*w) bit for bit, one mismatch as a float, also
+        # for mismatches that land next to a whole turn, at signed zeros and
+        # at |w| = 2
         rng = np.random.default_rng(12)
         kd = GEOM.kd
         for slope in (0.0, 1.3, np.float64(6.2), TWO_PI - 1e-13):
