@@ -46,7 +46,7 @@ def update_config(slope, w, geom: LinkGeometry):
     successive updates add.
     """
     w = np.asarray(w, dtype=float)
-    if np.any(np.abs(w) > 2.0):
+    if not np.all(np.abs(w) <= 2.0):  # also on NaN
         raise ValueError(f"|w| must be <= 2, got {w}")
     return wrap_two_pi(slope - geom.kd * w)
 

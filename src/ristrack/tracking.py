@@ -27,6 +27,13 @@ and its minimum over the window lies at a zero or at an edge, never only at
 the distance where x vanishes. two_dim_search checks that precondition,
 (r_ref - h)**3 * 2*pi/lambda > 2 * r_ref**2, on every call; on the default
 grid it holds for any r_ref above 1.066 cm.
+
+When h >= lambda/2, every row's minimum lies at a zero of p. The zeros sit
+lambda apart along r, so a window of width 2h >= lambda holds one in every
+angle row, and from an edge the total falls toward the nearest zero. The
+phase residual then ranks nothing: each row is scored where p vanishes, up
+to rounding, and the rows are ranked by the strength residual there. The
+default grid has h = lambda = 5 mm.
 """
 
 from __future__ import annotations

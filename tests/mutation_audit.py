@@ -79,6 +79,8 @@ MUTANTS = (
     # the single path of the update law and of each complex exponential
     Mutant("update law with its sign flipped", RIS,
            "slope - geom.kd * w", "slope + geom.kd * w", "killed"),
+    Mutant("update_config letting a NaN mismatch through", RIS,
+           "if not np.all(np.abs(w) <= 2.0):", "if np.any(np.abs(w) > 2.0):", "killed"),
     Mutant("travel phase of the gain conjugated", MOBILITY,
            "np.exp(1j * (TWO_PI * (r2 - r0)", "np.exp(-1j * (TWO_PI * (r2 - r0)", "killed"),
     Mutant("scan turn conjugated", SIMENGINE,
@@ -115,6 +117,9 @@ MUTANTS = (
            "key=lambda i: (-power[i], -abs(candidates[i].w_cand))", "killed"),
     Mutant("candidates ranked by signed w", TRACKING,
            "np.lexsort((thetas, np.abs(w), best))", "np.lexsort((thetas, w, best))", "killed"),
+    Mutant("phase-zero columns placed 1e-12 m off the zeros", TRACKING,
+           "(obs.r_ref + zero_base)[:, None] + ks * lam",
+           "(obs.r_ref + zero_base)[:, None] + ks * lam + 1e-12", "killed"),
     Mutant("Dirichlet degenerate below 1e-9 instead of 1e-12", RIS,
            "degenerate = np.abs(den) < 0.5e-12", "degenerate = np.abs(den) < 0.5e-9",
            "killed"),

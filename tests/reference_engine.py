@@ -7,13 +7,10 @@ evaluation. Each received sample is the explicit element sum
 
     c * beta * sum_k exp(j*(k*slope - kd*k*(sin(theta1) - sin(theta2)))) + noise
 
-over the N surface elements, as the matrix oracle of `tests/test_ris.py`
-writes h^H Theta G f, and the receiver noise is drawn again from
-``default_rng(noise_seed)``: all real parts, then all imaginary parts, each
-for the uncut walk and cut to the trajectory's slots, scaled by sqrt(1/2)
-to unit power. It states the gain itself (`gain_column`). Of the
-engine it shares only `optimal_config` and the policies' tracker objects,
-which hold the tracker's own steps.
+over the N surface elements, as `tests/oracles.py` writes h^H Theta G f,
+with the gain and the unit-power receiver noise of `oracles.gain_column`
+and `oracles.noise_column`. Of the engine it shares only `optimal_config`
+and the policies' tracker objects, which hold the tracker's own steps.
 
 Its status table follows the rules of `ristrack.simengine.StatusTable`:
 a DATA row from each status's reference slot; for each event the rows of
@@ -33,12 +30,12 @@ takes about ten seconds on a 2-core host:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from oracles import gain_column, noise_column
 from ristrack.ris import optimal_config
 from ristrack.simengine import OraclePolicy, ProposedPolicy, SlotKind
 
@@ -55,32 +52,6 @@ class Reference:
     close_calls: list[tuple[int, float]]  # (slot, level / gamma - 1)
 
 
-def noise_column(n: int, uncut: int, noise_seed: int | None) -> np.ndarray:
-    """The first n slots of the unit-power noise drawn for a walk of `uncut` slots."""
-    if noise_seed is None:
-        return np.zeros(n, dtype=complex)
-    rng = np.random.default_rng(noise_seed)
-    real = rng.standard_normal(uncut)[:n]
-    imag = rng.standard_normal(uncut)[:n]
-    return math.sqrt(0.5) * (real + 1j * imag)
-
-
-def gain_column(traj, geom) -> list[complex]:
-    """beta per slot: a segment from gain b at r has b*(r1+r)/(r1+r2)*exp(j*2*pi*(r2-r)/lambda).
-
-    The first segment starts from the initial gain b0 at the walk's r0, each
-    later one from the segment before at its last slot.
-    """
-    r2, later = traj.r2.tolist(), set(traj.walk.starts[1:])
-    b, r, gains = traj.b0, traj.walk.r0, []
-    for i, r2_i in enumerate(r2):
-        if i in later:
-            b, r = gains[-1], r2[i - 1]
-        phase = 2.0 * math.pi * (r2_i - r) * (1.0 / geom.wavelength)
-        gains.append(b * ((geom.r1 + r) / (geom.r1 + r2_i)) * cmath.exp(1j * phase))
-    return gains
-
-
 def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalized") -> Reference:
     n = len(traj)
     normalized = threshold_mode == "normalized"
@@ -90,7 +61,7 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
     sin1 = math.sin(geom.theta1)
     theta2 = traj.theta2.tolist()
     c = math.sqrt(geom.snr_linear * geom.n_tx)
-    gain = [c * b for b in gain_column(traj, geom)]
+    gain = (c * gain_column(traj.b0, traj.walk.r0, traj.r2, traj.starts, geom)).tolist()
     noise = noise_column(n, traj.walk.uncut_slots, noise_seed).tolist()
 
     def sample(i: int, slope: float) -> complex:

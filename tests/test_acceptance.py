@@ -5,7 +5,6 @@ lines and timings. Stochastic criteria use fixed seed sets and the published
 evaluation scenario (walks of 3 m at 0.6-1.8 m/s observed in 15.6 us slots).
 """
 
-import cmath
 import math
 import time
 from dataclasses import replace
@@ -13,6 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import (brute_force_gain, cartesian_states, matrix_pipeline_sample,
+                     synthetic_transition)
 from ristrack import (
     ChannelState,
     ExhaustivePolicy,
@@ -49,8 +50,7 @@ def test_c1_coherent_gain_closed_form():
     checked = 0
     for n in (1, 2, 64, 128):
         w = rng.uniform(-2.0, 2.0, size=10_000)
-        k = np.arange(n)
-        direct = np.exp(1j * geom.kd * np.outer(w, k)).sum(axis=1)
+        direct = brute_force_gain(geom.kd * w, n)
         closed = coherent_gain_values(w, n, geom.spacing_d, geom.wavelength)
         # relative tolerance floored at |sum| = 1: both routes lose all
         # significant digits at the exact nulls of the pattern
@@ -80,16 +80,7 @@ def test_c2_aligned_configuration_law():
         assert abs(abs(y) - want_mag) <= 1e-9 * want_mag
 
         # independent explicit-matrix oracle
-        kd = geom.kd
-        k_ris = np.arange(geom.n_ris)
-        k_ap = np.arange(geom.n_tx)
-        a1 = np.exp(-1j * kd * k_ris * math.sin(geom.theta1))
-        a2 = np.exp(-1j * kd * k_ris * math.sin(theta2))
-        a_ap = np.exp(-1j * kd * k_ap * math.sin(phi_ap))
-        big_g = np.outer(a1, a_ap.conj())
-        f = math.sqrt(geom.snr_linear) * a_ap / np.linalg.norm(a_ap)
-        phases = wrap_two_pi(k_ris * slope)
-        y_matrix = (beta * a2.conj()) @ np.diag(np.exp(1j * phases)) @ big_g @ f
+        y_matrix = matrix_pipeline_sample(beta, theta2, slope, geom, phi_ap)
         assert abs(y - y_matrix) <= 1e-9 * abs(y_matrix)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -122,16 +113,7 @@ def test_c4_trajectory_oracle(engine_gain):
     n = len(traj)
     assert n >= 100_000
 
-    a = np.array([spec.r2_init * math.sin(spec.theta2_init),
-                  spec.r2_init * math.cos(spec.theta2_init)])
-    to_ris = -a / np.hypot(*a)
-    c, s = math.cos(spec.psi_a), math.sin(spec.psi_a)
-    walk = np.array([c * to_ris[0] - s * to_ris[1], s * to_ris[0] + c * to_ris[1]])
-    disp = spec.speed_v * spec.slot_duration_t0 * np.arange(1, n + 1)
-    pos = a[None, :] + disp[:, None] * walk[None, :]
-    r2_oracle = np.hypot(pos[:, 0], pos[:, 1])
-    th_oracle = np.arctan2(pos[:, 0], pos[:, 1])
-
+    r2_oracle, th_oracle = cartesian_states(spec)
     assert np.max(np.abs(traj.r2 - r2_oracle)) < 1e-9
     assert np.max(np.abs(traj.theta2 - th_oracle)) < 1e-9
     product = np.abs(engine_gain(traj, geom)) * (geom.r1 + traj.r2)
@@ -152,14 +134,8 @@ def test_c5_noiseless_search_recovery():
         d_theta = np.deg2rad(rng.uniform(-2.0, 2.0))
         d_r = rng.uniform(-0.004, 0.004)
         r2_ref = 4.0
-        beta_ref = 0.75 + 0.31j
-        slope = optimal_config(geom.theta1, theta_ref, geom)
-        ref_state = ChannelState(beta=beta_ref, theta2=theta_ref, r2=r2_ref)
-        rho = (geom.r1 + r2_ref) / (geom.r1 + r2_ref + d_r)
-        beta_now = rho * beta_ref * cmath.exp(2j * math.pi * d_r / geom.wavelength)
-        now_state = ChannelState(beta=beta_now, theta2=theta_ref + d_theta, r2=r2_ref + d_r)
-        y_ref = received_sample(ref_state, slope, geom)
-        y_now = received_sample(now_state, slope, geom)
+        y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r, geom, r2_ref,
+                                               beta_ref=0.75 + 0.31j)
         obs = measure_observables(y_ref, y_now, geom.r1 + r2_ref, theta_ref)
         top = two_dim_search(obs, grid, geom)
         w_true = math.sin(theta_ref + d_theta) - math.sin(theta_ref)

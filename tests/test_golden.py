@@ -13,6 +13,7 @@ tests/test_golden.py`` and says why in CHANGES.md.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from ristrack.cli import main
@@ -28,6 +29,23 @@ SCENARIOS = {
         "[tracker]\nalgorithms = proposed, oracle\ngamma = 0.95\n[run]\nseeds = 1, 53\n"
     ),
 }
+
+# the numpy version and SIMD extensions (as np.show_runtime lists them) the
+# table was recorded under: the ledger bytes follow the last ulp of numpy's exp
+# and sin, which another build or CPU can move without moving a decision
+RECORDED_UNDER = "numpy 2.4.6, SIMD baseline X86_V2, found X86_V3 X86_V4 AVX512_ICL"
+
+
+def runtime_stamp() -> str:
+    """This host's numpy version and SIMD extensions, in the form of RECORDED_UNDER."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+    return (f"numpy {np.__version__}, SIMD baseline {' '.join(umath.__cpu_baseline__)}, "
+            f"found {' '.join(found)}")
+
 
 DIGESTS = {
     "default_0p3m": {
@@ -141,8 +159,13 @@ def test_artifacts_match_golden_digests(scenario, tmp_path, capsys):
     capsys.readouterr()  # the run's per-tracker lines
     want = DIGESTS[scenario]
     assert sorted(got) == sorted(want), "the set of artifact files changed"
+    stamp = runtime_stamp()
+    note = "" if stamp == RECORDED_UNDER else (
+        f" (recorded under {RECORDED_UNDER}, run under {stamp}: ledger bytes are "
+        "host-local, and tests/test_fingerprint.py is the portable check)")
     for name in sorted(want):
-        assert got[name] == want[name], f"{scenario}: {name} differs from its golden digest"
+        assert got[name] == want[name], (
+            f"{scenario}: {name} differs from its golden digest{note}")
 
 
 if __name__ == "__main__":
@@ -152,6 +175,7 @@ if __name__ == "__main__":
     import pathlib
     import tempfile
 
+    print(f'RECORDED_UNDER = "{runtime_stamp()}"')
     lines = ["DIGESTS = {"]
     for scenario in sorted(SCENARIOS):
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):

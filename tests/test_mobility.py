@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import cartesian_states, gain_step
 from ristrack import (
     ChannelState,
     LinkGeometry,
@@ -18,43 +19,6 @@ GEOM = LinkGeometry()
 
 def walk(spec: TrajectorySpec):
     return generate_path(spec, (), GEOM)
-
-
-def evolve_channel(prev: ChannelState, next_r2: float, next_theta2: float,
-                   wavelength: float, r1: float) -> ChannelState:
-    """Per-slot oracle of the gain chain that generate_path telescopes.
-
-    beta scales by rho = (r1 + r2_prev)/(r1 + r2_next) and rotates by
-    2*pi*(r2_next - r2_prev)/lambda, the extra travel phase.
-    """
-    rho = (r1 + prev.r2) / (r1 + next_r2)
-    beta = rho * prev.beta * np.exp(1j * 2 * np.pi * (next_r2 - prev.r2) / wavelength)
-    return ChannelState(beta=complex(beta), theta2=next_theta2, r2=next_r2)
-
-
-def cartesian_states(spec: TrajectorySpec, continuations=()):
-    """Independent planar-coordinates oracle of a polyline walk.
-
-    RIS at the origin, broadside along +y, position (r*sin(theta), r*cos(theta)).
-    Each segment's walking direction is the unit vector from its start point
-    to the RIS rotated counterclockwise by its psi_a, which reproduces the
-    sign convention of the angle increment. A segment starts at the previous
-    segment's last slot and covers slot_count of its length.
-    """
-    start = np.array(
-        [spec.r2_init * math.sin(spec.theta2_init), spec.r2_init * math.cos(spec.theta2_init)]
-    )
-    legs = []
-    for psi, length in ((spec.psi_a, spec.path_length), *continuations):
-        to_ris = -start / np.hypot(*start)
-        c, s = math.cos(psi), math.sin(psi)
-        heading = np.array([c * to_ris[0] - s * to_ris[1], s * to_ris[0] + c * to_ris[1]])
-        n = slot_count(replace(spec, path_length=length))
-        disp = spec.speed_v * spec.slot_duration_t0 * np.arange(1, n + 1)
-        legs.append(start[None, :] + disp[:, None] * heading[None, :])
-        start = legs[-1][-1]
-    pos = np.concatenate(legs)
-    return np.hypot(pos[:, 0], pos[:, 1]), np.arctan2(pos[:, 0], pos[:, 1])
 
 
 class TestSlotCount:
@@ -116,20 +80,16 @@ class TestTheta2At:
 
 
 class TestEvolveChannel:
+    # the one-slot gain law that the chains below check the engine against
     def test_no_movement_is_identity(self):
-        prev = ChannelState(beta=0.3 + 0.4j, theta2=0.2, r2=4.0)
-        nxt = evolve_channel(prev, 4.0, 0.21, wavelength=0.005, r1=4.0)
-        assert nxt.beta == pytest.approx(prev.beta)
+        assert gain_step(0.3 + 0.4j, 4.0, 4.0, GEOM) == pytest.approx(0.3 + 0.4j)
 
     def test_pathloss_ratio(self):
-        prev = ChannelState(beta=1.0 + 0.0j, theta2=0.2, r2=4.0)
-        nxt = evolve_channel(prev, 4.1, 0.2, wavelength=0.005, r1=4.0)
-        assert abs(nxt.beta) == pytest.approx(8.0 / 8.1, rel=1e-12)
+        assert abs(gain_step(1.0 + 0.0j, 4.0, 4.1, GEOM)) == pytest.approx(8.0 / 8.1, rel=1e-12)
 
     def test_full_wavelength_travel_preserves_phase(self):
-        prev = ChannelState(beta=2.0 * np.exp(0.7j), theta2=0.2, r2=4.0)
-        nxt = evolve_channel(prev, 4.0 + 0.005, 0.2, wavelength=0.005, r1=4.0)
-        assert np.angle(nxt.beta) == pytest.approx(0.7, abs=1e-9)
+        beta = gain_step(2.0 * np.exp(0.7j), 4.0, 4.0 + GEOM.wavelength, GEOM)
+        assert np.angle(beta) == pytest.approx(0.7, abs=1e-9)
 
 
 class TestChannelStateValidation:
@@ -188,11 +148,10 @@ class TestGenerateTrajectory:
         spec = TrajectorySpec(path_length=0.005, rng_seed=9)
         traj = generate_path(spec, (), self.geom)
         gain = engine_gain(traj, self.geom)
-        state = ChannelState(traj.b0, spec.theta2_init, traj.walk.r0)
-        for t in range(1, len(traj) + 1):
-            state = evolve_channel(state, traj.r2[t - 1], traj.theta2[t - 1],
-                                   self.geom.wavelength, self.geom.r1)
-            assert gain[t - 1] == pytest.approx(state.beta, rel=1e-12), t
+        beta, r = traj.b0, traj.walk.r0
+        for t, r2 in enumerate(traj.r2.tolist()):
+            beta, r = gain_step(beta, r, r2, self.geom), r2
+            assert gain[t] == pytest.approx(beta, rel=1e-12), t
 
     def test_sequence_protocol(self):
         traj = generate_path(TrajectorySpec(path_length=0.001, rng_seed=3), (), self.geom)

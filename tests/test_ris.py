@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brute_force_gain, matrix_pipeline_sample
 from ristrack import (
     ChannelState,
     LinkGeometry,
@@ -24,33 +25,9 @@ def gain(w: float, n: int = 64) -> complex:
     return complex(coherent_gain_values(w, n, GEOM.spacing_d, GEOM.wavelength))
 
 
-def brute_force_gain(w: float, n: int, spacing_d: float, wavelength: float) -> complex:
-    """Direct summation oracle for the coherent gain."""
-    kd = 2 * math.pi * spacing_d / wavelength
-    acc = 0j
-    for k in range(n):
-        acc += cmath.exp(1j * kd * k * w)
-    return acc
-
-
 def element_phases(slope: float, n_ris: int) -> np.ndarray:
     """Phases k*slope of a linear-phase surface, wrapped to [0, 2*pi)."""
     return wrap_two_pi(np.arange(n_ris) * slope)
-
-
-def matrix_pipeline_sample(beta, theta2, slope, geom, phi_ap):
-    """Explicit h^H Theta G f product, built independently of the library."""
-    kd = 2 * math.pi * geom.spacing_d / geom.wavelength
-    k_ris = np.arange(geom.n_ris)
-    k_ap = np.arange(geom.n_tx)
-    a_ris_1 = np.exp(-1j * kd * k_ris * math.sin(geom.theta1))
-    a_ris_2 = np.exp(-1j * kd * k_ris * math.sin(theta2))
-    a_ap = np.exp(-1j * kd * k_ap * math.sin(phi_ap))
-    big_g = np.outer(a_ris_1, a_ap.conj())
-    big_theta = np.diag(np.exp(1j * element_phases(slope, geom.n_ris)))
-    f = math.sqrt(geom.snr_linear) * a_ap / np.linalg.norm(a_ap)
-    h_h = beta * a_ris_2.conj()
-    return complex(h_h @ big_theta @ big_g @ f)
 
 
 class TestOptimalConfig:
@@ -141,6 +118,10 @@ class TestUpdateConfig:
             update_config(slope, [0.1, -2.5], GEOM)
         with pytest.raises(ValueError):
             update_config(slope, np.array([[0.1, 0.2], [2.0000000001, 0.0]]), GEOM)
+        # NaN fails the check too, alone and inside an array
+        for w in (math.nan, [0.1, math.nan]):
+            with pytest.raises(ValueError, match=r"^\|w\| must be <= 2"):
+                update_config(slope, w, GEOM)
 
     def test_sequence_equals_array_law_bit_for_bit(self):
         # a sequence, an array or one mismatch is the array law
@@ -179,11 +160,10 @@ class TestCoherentGain:
         assert abs(gain(w)) < 1e-9 * 64
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(23)
-        for w in rng.uniform(-2, 2, size=300):
-            closed = gain(w)
-            direct = brute_force_gain(w, 64, GEOM.spacing_d, GEOM.wavelength)
-            assert abs(closed - direct) <= 1e-10 * max(1.0, abs(direct))
+        w = np.random.default_rng(23).uniform(-2, 2, size=300)
+        closed = coherent_gain_values(w, 64, GEOM.spacing_d, GEOM.wavelength)
+        direct = brute_force_gain(GEOM.kd * w, 64)
+        assert np.all(np.abs(closed - direct) <= 1e-10 * np.maximum(1.0, np.abs(direct)))
 
     def test_magnitude_even_angle_odd(self):
         rng = np.random.default_rng(5)
@@ -325,17 +305,16 @@ class TestGeometricSum:
     # next to whole turns, and degenerate steps return N + 0j exactly
     def test_matches_explicit_element_sum(self):
         rng = np.random.default_rng(41)
-        k = np.arange(GEOM.n_ris)
         for _ in range(200):
             slope = rng.uniform(0, 2 * np.pi)
             u = rng.uniform(-2, 2, size=16)
             got = _geometric_sum(slope - GEOM.kd * u, GEOM.n_ris)
-            want = np.exp(1j * np.outer(slope - GEOM.kd * u, k)).sum(axis=1)
+            want = brute_force_gain(slope - GEOM.kd * u, GEOM.n_ris)
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
         # a per-slot slope array: slot i is received under slope i
         slopes = rng.uniform(0, 2 * np.pi, size=64)
         u = rng.uniform(-2, 2, size=64)
-        want = np.exp(1j * (slopes - GEOM.kd * u)[:, None] * k).sum(axis=1)
+        want = brute_force_gain(slopes - GEOM.kd * u, GEOM.n_ris)
         got = _geometric_sum(slopes - GEOM.kd * u, GEOM.n_ris)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
         for th2_deg in (20.0, 45.0, 70.0, -37.0):

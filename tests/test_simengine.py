@@ -9,7 +9,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from reference_engine import gain_column
+from oracles import gain_column, gain_step, matrix_pipeline_sample, noise_column
 import ristrack.mobility as mobility
 import ristrack.simengine as simengine
 from ristrack import (
@@ -47,9 +47,9 @@ def kinds_of(tl):
 
 
 def first_peak(traj, geom):
-    """The aligned rss at slot 1: the initial gain moved by the distance ratio (r1+r0)/(r1+r2)."""
-    gain = abs(traj.b0) * (geom.r1 + traj.walk.r0) / (geom.r1 + traj.r2[0])
-    return (geom.beamformer_gain * gain * geom.n_ris) ** 2
+    """The aligned rss |c*beta*N|^2 at slot 1, beta the initial gain moved to its distance."""
+    return abs(geom.beamformer_gain * gain_step(traj.b0, traj.walk.r0, traj.r2[0], geom)
+               * geom.n_ris) ** 2
 
 
 class TestInstantaneousRate:
@@ -224,13 +224,10 @@ class TestExhaustiveTimeline:
         train = np.nonzero(kinds_of(tl) == int(SlotKind.DL_TRAINING))[0]
         config, status = tl.config_id, tl.status_id
         first_id = {s: config[train][status[train] == s].min() for s in np.unique(status[train])}
-        k = np.arange(GEOM.n_ris)
         beta = engine_gain(walk, GEOM)
         for t in train:
             slope = np.deg2rad(10.0 * (config[t] - first_id[status[t]]))
-            u = np.sin(GEOM.theta1) - np.sin(walk.theta2[t])
-            gain = np.exp(1j * k * (slope - GEOM.kd * u)).sum()
-            want = abs(GEOM.beamformer_gain * beta[t] * gain) ** 2
+            want = abs(matrix_pipeline_sample(beta[t], walk.theta2[t], slope, GEOM)) ** 2
             assert tl.rss[t] == pytest.approx(want, rel=1e-9)
 
 
@@ -651,9 +648,7 @@ class TestSlotColumns:
     def test_noise_is_the_scaled_pair_of_draws(self, traj):
         # unit power: each part has variance 1/2
         cols = simengine._slot_columns(traj, GEOM, 9)
-        rng = np.random.default_rng(9)
-        n = len(traj)
-        want = math.sqrt(0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = noise_column(len(traj), traj.walk.uncut_slots, 9)
         assert np.array_equal(cols.noise.view(np.uint64), want.view(np.uint64))
 
     def test_noise_seed_is_the_one_required_noise_argument(self, traj):
@@ -828,50 +823,11 @@ class TestWalkCache:
             assert cols.b0 == traj.b0, seed
 
 
-class TestPhasors:
-    def test_unit_phasors_are_np_exp_bit_for_bit(self):
-        # the default walk's channel against its formula as written: a numpy
-        # on which the walk's order of the phase arithmetic moves a bit of
-        # either exponential fails here before any golden digest
-        geom = WINDOW_GEOM
-        spec = replace(TrajectorySpec(), rng_seed=1)
-        walk = generate_path(spec, (), geom)
-        r0 = spec.r2_init
-        kdu, channel = walk.walk.channel(geom)
-        rho_prod = (geom.r1 + r0) / (geom.r1 + walk.r2)
-        unit = (1 + 0j) * rho_prod * np.exp(1j * TWO_PI * (walk.r2 - r0) / geom.wavelength)
-        want = np.exp(-0.5j * (geom.n_ris - 1) * kdu) * (geom.beamformer_gain * unit)
-        assert_same_bits(channel, want, "channel as written")
-
-    @pytest.mark.parametrize("length", [0.1, 0.3])
-    def test_phase_is_the_turn_times_the_amplitude_at_every_length(self, length):
-        # the channel: the turn times the amplitude of a unit initial gain;
-        # complex products round by FMA, so the order shows in the last bit;
-        # 10684 and 32052 slots sit on either side of numpy's 256 KiB reuse
-        # of temporaries, which once swapped the factors
-        walk = generate_path(TrajectorySpec(path_length=length, rng_seed=2), (), WINDOW_GEOM)
-        cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
-        turn = np.exp(-0.5j * (WINDOW_GEOM.n_ris - 1) * cols.kdu)
-        unit = eager_beta(TrajectorySpec(path_length=length), (), WINDOW_GEOM, walk)
-        amp = WINDOW_GEOM.beamformer_gain * unit
-        assert_same_bits(cols.channel, np.multiply(turn, amp), length)
-        assert cols.b0 == walk.b0
-
-
-def eager_beta(spec, continuations, geom, walk):
-    """The gain column of a unit initial gain, each segment in one pass, chained
-    on the last entry of the segment before."""
-    lengths = [spec.path_length] + [length for _, length in continuations]
-    counts = [slot_count(replace(spec, path_length=length)) for length in lengths]
-    bounds = np.cumsum([0] + counts).tolist()
-    assert walk.starts == tuple(bounds[:-1])
-    parts, r0, b0 = [], walk.walk.r0, 1 + 0j
-    for lo, hi in zip(bounds, bounds[1:]):
-        r2 = walk.r2[lo:hi]
-        rho_prod = (geom.r1 + r0) / (geom.r1 + r2)
-        parts.append(b0 * rho_prod * np.exp(1j * (TWO_PI * (r2 - r0) * (1.0 / geom.wavelength))))
-        r0, b0 = float(r2[-1]), complex(parts[-1][-1])
-    return np.concatenate(parts)
+def oracle_channel(walk, kdu, geom):
+    """The turn exp(-j*(N-1)*kdu/2) times c times the gain column of a unit initial gain."""
+    turn = np.exp(1j * ((-0.5 * (geom.n_ris - 1)) * kdu))
+    unit = gain_column(1 + 0j, walk.walk.r0, walk.r2, walk.starts, geom)
+    return np.multiply(turn, geom.beamformer_gain * unit)
 
 
 class TestClosedFormGain:
@@ -883,13 +839,24 @@ class TestClosedFormGain:
         if cache == "warm":
             generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
         walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
-        # the engine's channel is the eager column of a unit initial gain,
-        # evaluated block by block
+        lengths = [spec.path_length] + [length for _, length in continuations]
+        counts = [slot_count(replace(spec, path_length=length)) for length in lengths]
+        assert walk.starts == tuple(np.cumsum([0] + counts[:-1]).tolist())
+        # the channel, built block by block, has the eager column's bits: a numpy
+        # that moves a bit of either exponential fails here before any golden digest
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
-        pexp = np.exp(1j * ((-0.5 * (WINDOW_GEOM.n_ris - 1)) * cols.kdu))
-        unit = eager_beta(spec, continuations, WINDOW_GEOM, walk)
-        amp = WINDOW_GEOM.beamformer_gain * unit
-        assert_same_bits(cols.channel, np.multiply(pexp, amp), "channel")
+        assert_same_bits(cols.channel, oracle_channel(walk, cols.kdu, WINDOW_GEOM), "channel")
+
+    @pytest.mark.parametrize("length", [0.1, 0.3])
+    def test_phase_is_the_turn_times_the_amplitude_at_every_length(self, length):
+        # the channel: the turn times the amplitude of a unit initial gain;
+        # complex products round by FMA, so the order shows in the last bit;
+        # 10684 and 32052 slots sit on either side of numpy's 256 KiB reuse
+        # of temporaries, which once swapped the factors
+        walk = generate_path(TrajectorySpec(path_length=length, rng_seed=2), (), WINDOW_GEOM)
+        cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
+        assert_same_bits(cols.channel, oracle_channel(walk, cols.kdu, WINDOW_GEOM), length)
+        assert cols.b0 == walk.b0
 
     @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
     def test_a_slot_alone_has_its_bits_in_the_column(self, name):
@@ -991,7 +958,7 @@ class TestEngineSamples:
         assert any(c.step > 1 for c in engine_calls)
         covered = set()
         kinds = kinds_of(tl)
-        gains = gain_column(walk, geom)
+        gains = gain_column(walk.b0, walk.walk.r0, walk.r2, walk.starts, geom)
         for call in engine_calls:
             for j, i in enumerate(call.slots):
                 state = ChannelState(gains[i], float(walk.theta2[i]), float(walk.r2[i]))

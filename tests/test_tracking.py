@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ristrack.simengine as simengine
+from oracles import brute_force_gain, synthetic_transition
 from ristrack import (
     CandidatePair,
     ChannelState,
@@ -18,7 +19,6 @@ from ristrack import (
     coherent_gain_values,
     generate_path,
     measure_observables,
-    optimal_config,
     received_sample,
     run_timeline,
     select_by_training,
@@ -29,23 +29,6 @@ from ristrack import (
 from ristrack.wavefield import TWO_PI
 
 GEOM = LinkGeometry(r1=4.0)
-
-
-def synthetic_transition(theta_ref, d_theta, d_r, r2_ref=4.0, beta_ref=0.8 + 0.3j,
-                         geom=GEOM):
-    """Noiseless before/after samples of one status transition.
-
-    The reference slot uses the aligned configuration; the transition slot
-    keeps that stale configuration while the channel moves by (d_theta, d_r).
-    """
-    slope = optimal_config(geom.theta1, theta_ref, geom)
-    ref_state = ChannelState(beta=beta_ref, theta2=theta_ref, r2=r2_ref)
-    rho = (geom.r1 + r2_ref) / (geom.r1 + r2_ref + d_r)
-    beta_now = rho * beta_ref * cmath.exp(2j * math.pi * d_r / geom.wavelength)
-    now_state = ChannelState(beta=beta_now, theta2=theta_ref + d_theta, r2=r2_ref + d_r)
-    y_ref = received_sample(ref_state, slope, geom)
-    y_now = received_sample(now_state, slope, geom)
-    return y_ref, y_now, slope
 
 
 class TestMeasureObservables:
@@ -63,7 +46,7 @@ class TestMeasureObservables:
     def test_matches_closed_form_model(self):
         # eta = rho^2 |gain|^2 / N^2 and xi = 2*pi*r_delta/lambda + angle(gain)
         theta_ref, d_theta, d_r = np.deg2rad(25.0), np.deg2rad(0.4), 0.0013
-        y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r)
+        y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r, GEOM)
         obs = measure_observables(y_ref, y_now, GEOM.r1 + 4.0, theta_ref)
         w = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
         gain = complex(coherent_gain_values(w, GEOM.n_ris, GEOM.spacing_d, GEOM.wavelength))
@@ -141,8 +124,7 @@ def fit_totals(obs, geom, w, r):
     Each angle's gain is the explicit element sum sum_k exp(j*kd*k*w), not
     coherent_gain_values.
     """
-    kd = 2 * math.pi * geom.spacing_d / geom.wavelength
-    acc = np.exp(1j * kd * np.arange(geom.n_ris)[None, :] * w[:, None]).sum(axis=1)
+    acc = brute_force_gain(TWO_PI * geom.spacing_d / geom.wavelength * w, geom.n_ris)
     gm = np.abs(acc) / geom.n_ris
     ga = np.angle(acc)
     e1 = np.abs((obs.r_ref / r)[None, :] ** 2 * (gm**2)[:, None] - obs.eta)
@@ -310,16 +292,8 @@ TOO_CLOSE = {
 }
 
 
-@pytest.fixture(scope="module")
-def recorded_searches():
-    """Inputs of every search in short proposed runs of a fast two-turn walk.
-
-    A fast walk with a high threshold puts eta near gamma, where many rows
-    score close totals; uniformly drawn observables seldom do.
-    """
-    geom = LinkGeometry()
-    policy = ProposedPolicy(gamma=0.95)
-    turns = ((np.deg2rad(70.0), 0.1), (np.deg2rad(150.0), 0.1))
+def searches_in(policy, geom, runs):
+    """Inputs of every search that runs of `policy` make on (walk, noise seed) pairs."""
     seen = []
     real = simengine.two_dim_search
 
@@ -329,11 +303,23 @@ def recorded_searches():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simengine, "two_dim_search", record)
-        for seed in (14, 15):
-            walk = generate_path(TrajectorySpec(speed_v=1.8, path_length=0.1, rng_seed=seed),
-                                 turns, geom)
-            run_timeline(walk, policy, geom, noise_seed=seed + 1)
+        for walk, noise_seed in runs:
+            run_timeline(walk, policy, geom, noise_seed=noise_seed)
     return seen
+
+
+@pytest.fixture(scope="module")
+def recorded_searches():
+    """Inputs of every search in short proposed runs of a fast two-turn walk.
+
+    A fast walk with a high threshold puts eta near gamma, where many rows
+    score close totals; uniformly drawn observables seldom do.
+    """
+    geom = LinkGeometry()
+    turns = ((np.deg2rad(70.0), 0.1), (np.deg2rad(150.0), 0.1))
+    spec = TrajectorySpec(speed_v=1.8, path_length=0.1)
+    return searches_in(ProposedPolicy(gamma=0.95), geom, [
+        (generate_path(replace(spec, rng_seed=seed), turns, geom), seed + 1) for seed in (14, 15)])
 
 
 # pins and grids for the n_sol prefix checks: random observables, a NaN
@@ -356,7 +342,7 @@ class TestTwoDimSearch:
     def test_known_shift_recovered(self):
         theta_ref = np.deg2rad(25.0)
         d_theta, d_r = np.deg2rad(0.512), 0.00203
-        y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r)
+        y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r, GEOM)
         obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
         grid = SearchGrid()
         top = two_dim_search(obs, grid, GEOM)
@@ -370,7 +356,7 @@ class TestTwoDimSearch:
         # residuals alone; the training probes resolve it)
         theta_ref = np.deg2rad(24.0)
         for d_theta_deg, d_r in ((0.31, 0.0011), (-0.74, -0.0022), (1.13, 0.0035)):
-            y_ref, y_now, _ = synthetic_transition(theta_ref, np.deg2rad(d_theta_deg), d_r)
+            y_ref, y_now, _ = synthetic_transition(theta_ref, np.deg2rad(d_theta_deg), d_r, GEOM)
             obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
             grid = SearchGrid()
             top = two_dim_search(obs, grid, GEOM)
@@ -390,7 +376,7 @@ class TestTwoDimSearch:
             theta_ref = np.deg2rad(rng.uniform(20.0, 45.0))
             d_theta = np.deg2rad(rng.uniform(-2.0, 2.0))
             d_r = rng.uniform(-0.004, 0.004)
-            y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r)
+            y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r, GEOM)
             obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
             top = two_dim_search(obs, grid, GEOM)
             w_true = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
@@ -400,7 +386,7 @@ class TestTwoDimSearch:
 
     def test_pure_function_and_ordering(self):
         theta_ref = np.deg2rad(25.0)
-        y_ref, y_now, _ = synthetic_transition(theta_ref, np.deg2rad(0.3), 0.001)
+        y_ref, y_now, _ = synthetic_transition(theta_ref, np.deg2rad(0.3), 0.001, GEOM)
         obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
         grid = SearchGrid()
         a = two_dim_search(obs, grid, GEOM)
@@ -418,7 +404,7 @@ class TestTwoDimSearch:
         # adding whole turns to the measured phase difference cannot matter
         # (the rotation perturbs the sample by one ulp, hence the tolerances)
         theta_ref = np.deg2rad(25.0)
-        y_ref, y_now, _ = synthetic_transition(theta_ref, np.deg2rad(0.4), 0.0015)
+        y_ref, y_now, _ = synthetic_transition(theta_ref, np.deg2rad(0.4), 0.0015, GEOM)
         obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
         shifted = measure_observables(
             y_ref, y_now * cmath.exp(4j * math.pi), 8.0, theta_ref
@@ -500,6 +486,22 @@ class TestTwoDimSearch:
             for k in (1, 2, 7, 100):
                 assert two_dim_search(obs, SearchGrid(n_sol=k), geom) == full[:k]
 
+    def test_default_scene_candidates_sit_at_phase_zeros(self):
+        # h >= lambda/2 puts each row's minimum at a zero of the phase residual
+        # (module docstring). A zero's distance r_ref + zero_base + k*lambda is
+        # rounded twice, to within one ulp of r_ref + h, which (2*pi/lambda)*(r
+        # - r_ref) turns into 2*pi/lambda such ulps of phase; the phase's own
+        # products, sums and wrap add a few ulps of 4*pi
+        geom, h = LinkGeometry(), SearchGrid().r_halfwidth
+        assert 2 * h >= geom.wavelength
+        runs = [(generate_path(TrajectorySpec(rng_seed=s), (), geom), s + 1) for s in (1, 2, 3)]
+        searches = searches_in(ProposedPolicy(), geom, runs)
+        candidates = [(obs, c) for obs, grid, g in searches for c in two_dim_search(obs, grid, g)]
+        assert len(candidates) > 1000
+        for obs, c in candidates:
+            bound = TWO_PI / geom.wavelength * math.ulp(obs.r_ref + h) + 8 * math.ulp(4 * math.pi)
+            assert abs(c.error_angle) <= bound, (obs, c)
+
     def test_nan_total_takes_first_grid_cell(self):
         # a NaN strength ratio makes every cell NaN; as in argmin over the
         # whole row, the first NaN wins: the lower window edge, which is also
@@ -551,7 +553,7 @@ class TestSelectByTraining:
     def test_true_candidate_wins_under_noiseless_probe(self):
         theta_ref = np.deg2rad(25.0)
         d_theta = np.deg2rad(0.87)
-        y_ref, y_now, slope_ref = synthetic_transition(theta_ref, d_theta, 0.001)
+        y_ref, y_now, slope_ref = synthetic_transition(theta_ref, d_theta, 0.001, GEOM)
         obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
         cands = two_dim_search(obs, SearchGrid(), GEOM)
         truth = ChannelState(beta=0.8 + 0.3j, theta2=theta_ref + d_theta, r2=4.0)
