@@ -5,10 +5,9 @@ field it sets and a converter from the file's text. An absent or empty key
 keeps the default of that field, so the reference evaluation setup is the set
 of field defaults of :class:`ScenarioConfig`, :class:`LinkGeometry`,
 :class:`TrajectorySpec` and :class:`SearchGrid`; an empty file loads as
-``ScenarioConfig()``. Converters only convert types, and a converted value
-that is NaN or infinite is rejected where it is converted; the constructors
-check everything else. Angles appear in degrees in files and are converted
-to radians at this boundary.
+``ScenarioConfig()``. Converters only convert types; the constructors check
+every value, a NaN or infinite one included. Angles appear in degrees in
+files and are converted to radians at this boundary.
 """
 
 from __future__ import annotations
@@ -53,15 +52,19 @@ class ScenarioConfig:
         if self.threshold_mode not in ("normalized", "absolute"):
             raise _invalid("threshold_mode", "must be 'normalized' or 'absolute', "
                            f"got {self.threshold_mode!r}")
+        # written so that NaN fails every check
         for key in ("gamma", "gamma_exh"):
             value = getattr(self, key)
-            if value <= 0:
-                raise _invalid(key, f"threshold must be > 0, got {value}")
+            if not 0 < value < math.inf:
+                raise _invalid(key, f"threshold must be finite and > 0, got {value}")
             if self.threshold_mode == "normalized" and value > 1.0:
                 raise _invalid(key, f"normalized threshold is a fraction <= 1, got {value}")
-        for _, length in self.continuations:
-            if length <= 0:
-                raise _invalid("segments", f"segment length must be > 0, got {length:g}")
+        for psi, length in self.continuations:
+            if not -math.inf < psi < math.inf:
+                raise _invalid("segments", f"segment heading must be finite, got {psi:g}")
+            if not 0 < length < math.inf:
+                raise _invalid("segments",
+                               f"segment length must be finite and > 0, got {length:g}")
         if not self.algorithms:
             raise _invalid("algorithms", "empty algorithm list")
         try:
@@ -115,13 +118,6 @@ def _listed(conv):
     return lambda raw: tuple(conv(p.strip()) for p in raw.split(",") if p.strip())
 
 
-def _finite(value) -> bool:
-    """False if a converted float or list item is NaN or infinite."""
-    if isinstance(value, tuple):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
-
-
 # key: (section, target, converter). A target "holder.name" is field `name` of
 # the ScenarioConfig field `holder`; a bare target is a ScenarioConfig field.
 _SCHEMA = {
@@ -158,8 +154,7 @@ def _apply(cfg: ScenarioConfig, raw_values: dict[str, str]) -> ScenarioConfig:
     """`cfg` with each key's raw value converted and set on its target field.
 
     Scenario files and `sweep --vary` both come through here, so a bad value
-    fails the same way from either, naming its section and key. Non-finite
-    values are rejected here once, for every key and its list items.
+    fails the same way from either, naming its section and key.
     """
     top: dict = {}
     nested: dict[str, dict] = {}
@@ -170,8 +165,6 @@ def _apply(cfg: ScenarioConfig, raw_values: dict[str, str]) -> ScenarioConfig:
             value = conv(raw)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"[{section}] {key}: bad value {raw!r} ({exc})") from None
-        if not _finite(value):
-            raise ConfigError(f"[{section}] {key}: value must be finite, got {raw!r}")
         holder, _, name = target.rpartition(".")
         if holder:
             nested.setdefault(holder, {})[name] = value

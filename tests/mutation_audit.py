@@ -1,18 +1,18 @@
-"""Mutation audit: does the suite fail on each of a table of seeded defects?
+"""Mutation audit: which tests fail on each of a table of seeded defects?
 
-Run from the repository root (takes a few minutes):
+Run from the repository root (about 12 min on a 2-core host):
 
     PYTHONPATH=src python tests/mutation_audit.py
 
 Each row of MUTANTS names a defect, the file it goes into, the text it
 replaces, the text it puts in, and whether the suite is expected to kill it
 ("killed") or cannot tell it apart from the program ("equivalent", with the
-reason). Each row is applied to its own copy of the tree in a temporary
-directory. The copy first runs the byte-level guards (GUARDS), and the rest of the
-suite only if the mutant survives them. The audit prints the tests that
-kill each mutant. It exits 1 when a mutant expected to be killed survives,
-and 2 when the unmutated tree fails the guards or a row's old text is not
-found in its file exactly once.
+reason). The checkout is copied once into a temporary directory, each row is
+applied to its own copy of that copy, and the whole suite runs on every
+copy, so the audit prints every test that kills each mutant: the map of
+which tests pin which behaviour. It exits 1 when a mutant expected to be
+killed survives, and 2 when the unmutated tree fails a test or a row's old
+text is not found in its file exactly once.
 
 pytest does not collect this file: its name does not start with ``test_``.
 """
@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-GUARDS = ("tests/test_golden.py", "tests/test_fingerprint.py", "tests/test_reference_engine.py")
 CONFIG = "src/ristrack/config.py"
 LEDGER = "src/ristrack/ledger.py"
 MOBILITY = "src/ristrack/mobility.py"
@@ -69,16 +68,32 @@ MUTANTS = (
     # the constants that make snr_db the one signal scale
     Mutant("initial gain drawn at Rayleigh scale 1 instead of 1/sqrt(2)", MOBILITY,
            "_RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)", "_RAYLEIGH_SCALE = 1.0", "killed"),
+    Mutant("initial gain drawn from one seed whatever the spec's", MOBILITY,
+           "np.random.default_rng(spec.rng_seed)", "np.random.default_rng(1)", "killed"),
     Mutant("receiver noise drawn at sqrt(1) instead of sqrt(1/2) per component", SIMENGINE,
            "part[:n], math.sqrt(0.5), out=view", "part[:n], math.sqrt(1.0), out=view", "killed"),
     Mutant("inst_rate taken from rss/2", SIMENGINE,
            "out = np.atleast_1d(rss + 1.0)", "out = np.atleast_1d(rss / 2.0 + 1.0)", "killed"),
+    Mutant("signaling slots keeping their rate", SIMENGINE,
+           "rates[kind != SlotKind.DATA] = 0.0", "rates[kind == SlotKind.UL_FEEDBACK] = 0.0",
+           "killed"),
+    Mutant("full-range rss normalised by the first slot's", SIMENGINE,
+           'self.rss / self.statuses.spread("rss_ref", 0, len(self))', "self.rss / self.rss[0]",
+           "killed"),
+    Mutant("status ids counted from 0", SIMENGINE,
+           "    status = 1  # one more", "    status = 0  # one more", "killed"),
     # the model, the engine and the reports
     Mutant("gain law without r1", MOBILITY,
            "rho_prod = (geom.r1 + r0) / (geom.r1 + r2)", "rho_prod = r0 / r2", "killed"),
     # the single path of the update law and of each complex exponential
     Mutant("update law with its sign flipped", RIS,
            "slope - geom.kd * w", "slope + geom.kd * w", "killed"),
+    Mutant("aligned law with its sign flipped", RIS,
+           "geom.kd * (np.sin(theta1) - np.sin(theta2))",
+           "geom.kd * (np.sin(theta2) - np.sin(theta1))", "killed"),
+    Mutant("sweep grid closed at 360 degrees", SIMENGINE,
+           "np.arange(0.0, 360.0, self.resolution_deg)",
+           "np.arange(0.0, 360.0 + self.resolution_deg / 2, self.resolution_deg)", "killed"),
     Mutant("update_config letting a NaN mismatch through", RIS,
            "if not np.all(np.abs(w) <= 2.0):", "if np.any(np.abs(w) > 2.0):", "killed"),
     Mutant("travel phase of the gain conjugated", MOBILITY,
@@ -115,6 +130,9 @@ MUTANTS = (
     Mutant("training ties broken toward the larger |w|", TRACKING,
            "key=lambda i: (-power[i], abs(candidates[i].w_cand))",
            "key=lambda i: (-power[i], -abs(candidates[i].w_cand))", "killed"),
+    Mutant("search scoring the phase residual alone", TRACKING,
+           "total = error_rss + error_angle", "total = error_angle + 0.0 * error_rss",
+           "killed"),
     Mutant("candidates ranked by signed w", TRACKING,
            "np.lexsort((thetas, np.abs(w), best))", "np.lexsort((thetas, w, best))", "killed"),
     Mutant("phase-zero columns placed 1e-12 m off the zeros", TRACKING,
@@ -124,53 +142,58 @@ MUTANTS = (
            "degenerate = np.abs(den) < 0.5e-12", "degenerate = np.abs(den) < 0.5e-9",
            "killed"),
     # the interfaces
-    Mutant("no finite-value check in config._apply", CONFIG,
-           "if not _finite(value):", "if False:", "killed"),
+    Mutant("thresholds checked for > 0 only, letting NaN and infinity through", CONFIG,
+           "if not 0 < value < math.inf:", "if value <= 0:", "killed"),
+    Mutant("a repeated tracker let through", CONFIG, "        if repeated:\n",
+           "        if False:\n", "killed"),
+    Mutant("[DEFAULT] keys let through", CONFIG, "    if parser.defaults():\n",
+           "    if False:\n", "killed"),
+    Mutant("a --vary prefix not checked against its key's section", CONFIG,
+           "if dot and prefix != section:", "if False:", "killed"),
+    Mutant("scenario values interpolated", CONFIG,
+           '("#", ";"), interpolation=None)', '("#", ";"))', "killed"),
     Mutant("Trajectory taking extra arrays", MOBILITY,
            "def __init__(self, b0: complex, walk: Walk):",
            "def __init__(self, b0: complex, walk: Walk, *arrays):", "killed"),
 )
 
 
-def _copy_tree(dest: Path) -> Path:
-    tree = dest / "tree"
-    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+def _copy_tree(source: Path, dest: Path) -> Path:
+    shutil.copytree(source, dest, ignore=shutil.ignore_patterns(
         ".git", ".bench_work", ".benchmarks", ".pytest_cache", "__pycache__", "runs"))
-    return tree
+    return dest
 
 
-def _failing(tree: Path, args: list[str]) -> list[str]:
-    """The ids of the tests that fail or error in one pytest run of the tree."""
+def _failing(tree: Path) -> list[str]:
+    """The ids of the tests that fail or error in one run of the suite on the tree."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE",
-                              "-p", "no:cacheprovider", *args],
+                              "-p", "no:cacheprovider"],
                              cwd=tree, env=env, capture_output=True, text=True, timeout=900)
     except subprocess.TimeoutExpired:
         return ["(timed out)"]
-    failed = [line.split()[1] for line in run.stdout.splitlines()
+    # "FAILED <id> - <message>": a parametrized id may hold spaces, the message
+    # starts at pytest's " - " separator
+    failed = [line.split(" ", 1)[1].partition(" - ")[0] for line in run.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     if run.returncode not in (0, 1) and not failed:
         return [f"(pytest exit {run.returncode})"]
     return failed
 
 
-def _killers(tree: Path) -> list[str]:
-    """The guards that fail, else the other tests that do."""
-    return _failing(tree, list(GUARDS)) or _failing(
-        tree, [f"--ignore={guard}" for guard in GUARDS])
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        broken = _failing(_copy_tree(Path(tmp)), list(GUARDS))
-    if broken:
-        print("the unmutated tree fails the guards:", *broken, sep="\n  ")
-        return 2
-    status = 0
-    for mutant in MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = _copy_tree(Path(tmp))
+        # the checkout is copied once, so an edit made while the audit runs
+        # reaches none of its rows
+        base = _copy_tree(ROOT, Path(tmp) / "base")
+        broken = _failing(_copy_tree(base, Path(tmp) / "unmutated"))
+        if broken:
+            print("the unmutated tree fails:", *broken, sep="\n  ")
+            return 2
+        status = 0
+        for i, mutant in enumerate(MUTANTS):
+            tree = _copy_tree(base, Path(tmp) / f"mutant{i}")
             target = tree / mutant.path
             text = target.read_text(encoding="utf-8")
             if text.count(mutant.old) != 1:
@@ -178,11 +201,13 @@ def main() -> int:
                       f"{mutant.path}")
                 return 2
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-            killers = _killers(tree)
-        outcome = "killed" if killers else "survives"
-        print(f"{mutant.name}: {outcome} (marked {mutant.expect})", *killers, sep="\n  ")
-        if mutant.expect == "killed" and not killers:
-            status = 1
+            killers = _failing(tree)
+            shutil.rmtree(tree)
+            outcome = "killed" if killers else "survives"
+            print(f"{mutant.name}: {outcome} (marked {mutant.expect})", *killers, sep="\n  ",
+                  flush=True)
+            if mutant.expect == "killed" and not killers:
+                status = 1
     return status
 
 

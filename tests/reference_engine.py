@@ -7,10 +7,11 @@ evaluation. Each received sample is the explicit element sum
 
     c * beta * sum_k exp(j*(k*slope - kd*k*(sin(theta1) - sin(theta2)))) + noise
 
-over the N surface elements, as `tests/oracles.py` writes h^H Theta G f,
-with the gain and the unit-power receiver noise of `oracles.gain_column`
-and `oracles.noise_column`. Of the engine it shares only `optimal_config`
-and the policies' tracker objects, which hold the tracker's own steps.
+over the N surface elements, summed term by term by
+`oracles.brute_force_gain`, with the gain and the unit-power receiver noise
+of `oracles.gain_column` and `oracles.noise_column`. Of the engine it shares
+only `optimal_config` and the policies' tracker objects, which hold the
+tracker's own steps.
 
 Its status table follows the rules of `ristrack.simengine.StatusTable`:
 a DATA row from each status's reference slot; for each event the rows of
@@ -23,7 +24,7 @@ its last bit, so every trigger test whose normalised level lies within
 Run as a script it compares the engine with the reference on a wider matrix
 of 27 whole timelines and prints how far each run departs from its
 reference; it exits 1 when any run disagrees or shows a close call. That
-takes about ten seconds on a 2-core host:
+takes about five seconds on a 2-core host:
 
     PYTHONPATH=src python tests/reference_engine.py
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from oracles import gain_column, noise_column
+from oracles import brute_force_gain, gain_column, noise_column
 from ristrack.ris import optimal_config
 from ristrack.simengine import OraclePolicy, ProposedPolicy, SlotKind
 
@@ -56,7 +57,6 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
     n = len(traj)
     normalized = threshold_mode == "normalized"
     gamma = policy.gamma
-    k = np.arange(geom.n_ris)
     kd = 2.0 * math.pi * geom.spacing_d / geom.wavelength
     sin1 = math.sin(geom.theta1)
     theta2 = traj.theta2.tolist()
@@ -66,7 +66,7 @@ def reference_timeline(traj, policy, geom, noise_seed, threshold_mode="normalize
 
     def sample(i: int, slope: float) -> complex:
         u = sin1 - math.sin(theta2[i])
-        return gain[i] * complex(np.exp(1j * (k * slope - kd * k * u)).sum()) + noise[i]
+        return gain[i] * complex(brute_force_gain([slope - kd * u], geom.n_ris)[0]) + noise[i]
 
     rss = np.zeros(n)
     out = Reference(rss, [], 0, [])

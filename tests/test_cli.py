@@ -1,6 +1,6 @@
 import configparser
 import os
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -83,17 +83,6 @@ class TestRunCommand:
         assert not list(out.glob("*_cumrate.csv"))
         assert "proposed seed=1" in capsys.readouterr().out
 
-    def test_ledger_schema(self, tmp_path):
-        cfg = write_scenario(tmp_path)
-        out = tmp_path / "out"
-        main(["run", cfg, "--out", str(out)])
-        lines = (out / "proposed_seed1_slots.csv").read_text().splitlines()
-        assert lines[0] == LEDGER_HEADER
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert first[1] in ("DATA", "DATA_BELOW_THRESHOLD", "DL_TRAINING", "UL_FEEDBACK")
-        assert len(first) == 9
-
     def test_ledger_matches_row_wise_reference(self, tmp_path, monkeypatch):
         block = 9
         monkeypatch.setattr(ledger, "LEDGER_BLOCK_ROWS", block)
@@ -124,18 +113,6 @@ class TestRunCommand:
         assert [len(tl) for tl in timelines] == [1, 1]
         assert_ledgers_match_row_wise(timelines, out)
 
-    def test_ledgers_of_another_trajectory_rejected_before_writing(self, tmp_path, monkeypatch):
-        timelines, _ = run_keeping_timelines(tmp_path, monkeypatch, TINY_SCENARIO)
-        first, second = timelines
-        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
-        with pytest.raises(ValueError, match="slots"):
-            ledger.write_ledgers(paths, [first, replace(second, rss=second.rss[:-1])])
-        with pytest.raises(ValueError, match="theta2_true differs"):
-            ledger.write_ledgers(paths, [first, replace(second, theta2_true=-second.theta2_true)])
-        with pytest.raises(ValueError, match="2 paths for 1 timelines"):
-            ledger.write_ledgers(paths, [first])
-        assert not any(os.path.exists(p) for p in paths)
-
     def test_results_keep_no_columns(self, tmp_path):
         cfg = load_config(write_scenario(tmp_path))
         results = runner.run_scenario(cfg, out_dir=str(tmp_path / "out"))
@@ -163,14 +140,6 @@ class TestRunCommand:
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
 
-    def test_summary_mentions_zero_training_for_oracle(self, tmp_path):
-        cfg = write_scenario(tmp_path)
-        out = tmp_path / "out"
-        main(["run", cfg, "--out", str(out)])
-        ledger = (out / "oracle_seed1_slots.csv").read_text()
-        assert "DL_TRAINING" not in ledger
-        assert "UL_FEEDBACK" not in ledger
-
     def test_env_var_output_override(self, tmp_path, monkeypatch):
         cfg = write_scenario(tmp_path)
         target = tmp_path / "from_env"
@@ -187,10 +156,12 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
-    def test_candidate_size_sweep(self, tmp_path):
+    # a key prefixed with its section names the files as the bare key does
+    @pytest.mark.parametrize("key", ["n_sol", "tracker.n_sol"])
+    def test_candidate_size_sweep(self, tmp_path, key):
         cfg = write_scenario(tmp_path, TINY_SCENARIO)
         out = tmp_path / "sweep"
-        assert main(["sweep", cfg, "--vary", "n_sol=2,4", "--out", str(out)]) == 0
+        assert main(["sweep", cfg, "--vary", f"{key}=2,4", "--out", str(out)]) == 0
         sweep_csv = out / "sweep_n_sol.csv"
         assert sweep_csv.is_file()
         lines = sweep_csv.read_text().splitlines()
@@ -219,23 +190,59 @@ class TestSweepCommand:
         assert "configuration error" in err and "same scenario" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["geometry.gamma", "nonsense.x.gamma"])
-    def test_vary_prefix_must_be_the_keys_section(self, tmp_path, capsys, key):
-        cfg = write_scenario(tmp_path)
-        out = tmp_path / "s"
-        assert main(["sweep", cfg, "--vary", f"{key}=0.8", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "configuration error" in err and key in err and "[tracker]" in err
-        assert not out.exists()
-        assert main(["sweep", cfg, "--vary", "tracker.gamma=0.8", "--out", str(out)]) == 0
-        assert (out / "sweep_gamma.csv").is_file()
+
+# case: (scenario text, the command after the scenario path, what stderr must say)
+CONFIG_ERRORS = {
+    "normalized_gamma_above_one": (
+        "[tracker]\ngamma = 1.5\n", ["run"],
+        "[tracker] gamma: normalized threshold is a fraction <= 1, got 1.5"),
+    # a repeat would write the same files twice and share one summary column
+    "repeated_tracker": (
+        TINY_SCENARIO.replace("proposed, oracle", "oracle, proposed, oracle"), ["run"],
+        "[tracker] algorithms: each tracker may appear once, repeated: oracle\n"),
+    "repeated_tracker_under_two_names": (
+        TINY_SCENARIO.replace("proposed, oracle", "exhaustive:5, exhaustive:5.0"), ["run"],
+        "[tracker] algorithms: each tracker may appear once, repeated: exhaustive_5deg\n"),
+    # values are read literally: a % is no interpolation, so this is a bad number
+    "percent_sign": (
+        TINY_SCENARIO.replace("[tracker]", "[tracker]\ngamma = 0.9 %"), ["run"],
+        "[tracker] gamma: bad value '0.9 %'"),
+    # configparser would copy the key into every section
+    "default_section": (
+        "[DEFAULT]\ngamma = 0.5\n" + TINY_SCENARIO, ["run"],
+        "[DEFAULT] gamma: the [DEFAULT] section is not supported"),
+    "unknown_section": ("[mystery]\nx = 1\n" + TINY_SCENARIO, ["run"],
+                        "unknown section [mystery]"),
+    "unknown_key": (TINY_SCENARIO.replace("[geometry]\n", "[geometry]\nn_trx = 16\n"),
+                    ["run"], "[geometry] unknown key 'n_trx'"),
+    # Notepad starts a UTF-8 file with a byte-order mark
+    "unknown_key_after_byte_order_mark": ("\ufeff" + TINY_SCENARIO + "n_trx = 16\n", ["run"],
+                                          "[run] unknown key 'n_trx'"),
+    # the signal scale is snr_db and n_tx alone: the noise has unit power,
+    # the AP-RIS path gain is 1 and E|b0|^2 = 1
+    **{f"removed_scale_key_{key}": (
+        TINY_SCENARIO.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"), ["run"],
+        f"[{section}] unknown key {key!r}")
+       for section, key in (("geometry", "alpha"), ("geometry", "noise_var"),
+                            ("trajectory", "rayleigh_scale"))},
+    **{f"vary_prefix_{key}": (
+        TINY_SCENARIO, ["sweep", "--vary", f"{key}=0.8"],
+        f"{key}: {key.rpartition('.')[2]} belongs to [{section}]")
+       for key, section in (("geometry.gamma", "tracker"), ("nonsense.x.gamma", "tracker"),
+                            (".gamma", "tracker"), ("tracker.speed_mps", "trajectory"),
+                            ("run.algorithms", "tracker"))},
+}
 
 
 class TestExitCodes:
-    def test_config_error_is_one(self, tmp_path, capsys):
-        bad = write_scenario(tmp_path, "[tracker]\ngamma = 1.5\n")
-        assert main(["run", bad]) == 1
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+    def test_config_error_is_one_and_writes_nothing(self, tmp_path, capsys, case):
+        text, command, message = CONFIG_ERRORS[case]
+        out = tmp_path / "out"
+        assert main([command[0], write_scenario(tmp_path, text), *command[1:],
+                     "--out", str(out)]) == 1
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,key,value", [
         ("tracker", "gamma_exh", "-1"),
@@ -271,55 +278,6 @@ class TestExitCodes:
         assert main(vary) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
-
-    @pytest.mark.parametrize("algorithms", ["oracle, oracle", "exhaustive:5, exhaustive:5.0"])
-    def test_repeated_tracker_is_one(self, tmp_path, capsys, algorithms):
-        bad = write_scenario(tmp_path, TINY_SCENARIO.replace("proposed, oracle", algorithms))
-        assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
-        assert "configuration error: [tracker] algorithms" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-        # --vary splits on commas, so each of its values names one tracker
-        cfg = write_scenario(tmp_path)
-        vary = ["sweep", cfg, "--vary", "algorithms=oracle,oracle", "--out", str(tmp_path / "s")]
-        assert main(vary) == 1
-        assert "configuration error: algorithms" in capsys.readouterr().err
-
-    def test_percent_sign_in_a_value_is_read_literally(self, tmp_path, monkeypatch, capsys):
-        # not an interpolation: a bad number is a configuration error, not a
-        # runtime one, and a directory name keeps its %
-        text = TINY_SCENARIO.replace("[tracker]", "[tracker]\ngamma = 0.9 %")
-        bad = write_scenario(tmp_path, text)
-        assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
-        assert "configuration error: [tracker] gamma: bad value" in capsys.readouterr().err
-        monkeypatch.setenv("RISTRACK_OUTDIR", "")
-        for name in ("runs_50%", "%(seeds)s"):
-            out = tmp_path / name
-            cfg = write_scenario(tmp_path, TINY_SCENARIO + f"output_dir = {out}\n")
-            assert main(["run", cfg]) == 0
-            assert (out / "summary.txt").is_file(), name
-
-    def test_default_section_is_one(self, tmp_path, capsys):
-        bad = write_scenario(tmp_path, "[DEFAULT]\ngamma = 0.5\n" + TINY_SCENARIO)
-        assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
-        assert "configuration error: [DEFAULT] gamma" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    # the signal scale is snr_db and n_tx alone: the noise has unit power,
-    # the AP-RIS path gain is 1 and E|b0|^2 = 1
-    @pytest.mark.parametrize("section,key", [("geometry", "alpha"), ("geometry", "noise_var"),
-                                             ("trajectory", "rayleigh_scale")])
-    def test_a_removed_scale_key_is_one(self, tmp_path, capsys, section, key):
-        bad = write_scenario(tmp_path, TINY_SCENARIO.replace(f"[{section}]\n",
-                                                             f"[{section}]\n{key} = 1\n"))
-        assert main(["run", bad, "--out", str(tmp_path / "run")]) == 1
-        assert f"configuration error: [{section}] unknown key {key!r}" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    def test_unknown_key_after_byte_order_mark_is_one(self, tmp_path, capsys):
-        bad = tmp_path / "bom.ini"
-        bad.write_text(TINY_SCENARIO + "n_trx = 16\n", encoding="utf-8-sig")
-        assert main(["run", str(bad), "--out", str(tmp_path / "run")]) == 1
-        assert "configuration error: [run] unknown key 'n_trx'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "gamma=0.9,0.8"]])
     def test_empty_out_is_one_before_any_walk(self, tmp_path, monkeypatch, capsys, command):
@@ -362,8 +320,9 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert sorted(p.name for p in out.iterdir()) == ["gamma=0.8"]
 
-    def test_missing_config_is_one(self, tmp_path):
+    def test_missing_config_is_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.ini")]) == 1
+        assert "configuration error: cannot read" in capsys.readouterr().err
 
     def test_unwritable_output_is_two(self, tmp_path):
         # a directory where a ledger goes fails only when that ledger is written

@@ -18,6 +18,7 @@ from ristrack import (
     LinkGeometry,
     OraclePolicy,
     ProposedPolicy,
+    SearchGrid,
     SlotKind,
     Trajectory,
     TrajectorySpec,
@@ -119,15 +120,24 @@ class TestRunningMean:
         assert simengine._running_sum(np.empty(0)) == 0.0
 
 
-class TestOracleTimeline:
-    def test_zero_training_and_feedback(self, traj):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
-        assert np.sum(kinds == int(SlotKind.DL_TRAINING)) == 0
-        assert np.sum(kinds == int(SlotKind.UL_FEEDBACK)) == 0
+class TestEventAccounting:
+    @pytest.mark.parametrize("policy,training,feedback", [
+        (ProposedPolicy(gamma=0.9), 7, 2),
+        (ProposedPolicy(gamma=0.9, grid=SearchGrid(n_sol=4)), 4, 2),
+        (ExhaustivePolicy(gamma=0.5, resolution_deg=10.0), 36, 2),
+        (OraclePolicy(gamma=0.9), 0, 0),
+    ], ids=["proposed", "proposed_n_sol_4", "exhaustive_10deg", "oracle"])
+    def test_event_slot_accounting(self, traj, policy, training, feedback):
+        # per event: one trigger slot, and the tracker's feedback and training slots
+        tl = run_timeline(traj, policy, GEOM, noise_seed=None)
+        counts = np.bincount(kinds_of(tl), minlength=len(SlotKind))
         assert tl.tracking_calls > 0
-        assert np.sum(kinds == int(SlotKind.DATA_BELOW_THRESHOLD)) == tl.tracking_calls
+        assert counts[SlotKind.DATA_BELOW_THRESHOLD] == tl.tracking_calls
+        assert counts[SlotKind.DL_TRAINING] == training * tl.tracking_calls
+        assert counts[SlotKind.UL_FEEDBACK] == feedback * tl.tracking_calls
 
+
+class TestOracleTimeline:
     def test_peak_rss_at_status_reference(self, traj, engine_gain):
         tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
@@ -146,15 +156,6 @@ class TestOracleTimeline:
 
 
 class TestProposedTimeline:
-    def test_event_slot_accounting(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
-        events = tl.tracking_calls
-        assert events > 0
-        assert np.sum(kinds == int(SlotKind.DATA_BELOW_THRESHOLD)) == events
-        assert np.sum(kinds == int(SlotKind.UL_FEEDBACK)) == 2 * events
-        assert np.sum(kinds == int(SlotKind.DL_TRAINING)) == 7 * events
-
     def test_event_slot_sequence(self, traj):
         tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
         kinds = kinds_of(tl)
@@ -171,14 +172,6 @@ class TestProposedTimeline:
         peak = (GEOM.beamformer_gain * np.abs(engine_gain(traj, GEOM)) * GEOM.n_ris) ** 2
         # retrained configuration restores at least 99% of the aligned peak
         assert tl.rss[t2 + 10] >= 0.99 * peak[t2 + 10]
-
-    def test_custom_candidate_count(self, traj):
-        from ristrack import SearchGrid
-
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9, grid=SearchGrid(n_sol=4)),
-                          GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
-        assert np.sum(kinds == int(SlotKind.DL_TRAINING)) == 4 * tl.tracking_calls
 
     def test_a_reused_policy_starts_each_run_afresh(self):
         # the belief lives in the run's tracker, so a policy run before leaves none behind
@@ -198,15 +191,6 @@ class TestProposedTimeline:
 
 
 class TestExhaustiveTimeline:
-    def test_event_slot_accounting(self, traj):
-        tl = run_timeline(traj, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
-                          GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
-        events = tl.tracking_calls
-        assert events > 0
-        assert np.sum(kinds == int(SlotKind.DL_TRAINING)) == 36 * events
-        assert np.sum(kinds == int(SlotKind.UL_FEEDBACK)) == 2 * events
-
     def test_channel_keeps_moving_during_sweep(self, traj):
         tl = run_timeline(traj, ExhaustivePolicy(gamma=0.5, resolution_deg=10.0),
                           GEOM, noise_seed=None)
@@ -252,20 +236,6 @@ class TestTrajectoryEndsMidTraining:
 
 
 class TestTimelineStructure:
-    def test_every_slot_exactly_one_kind(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        assert len(tl) == len(traj)
-        kinds = kinds_of(tl)
-        counts = sum(int(np.sum(kinds == int(k))) for k in SlotKind)
-        assert counts == len(tl)
-
-    def test_signaling_slots_have_zero_rate(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
-        nondata = kinds != int(SlotKind.DATA)
-        assert np.all(tl.inst_rate[nondata] == 0.0)
-        assert np.all(tl.inst_rate >= 0.0)
-
     def test_near_stationary_user_never_triggers(self):
         quiet = TrajectorySpec(r2_init=2.0, speed_v=1e-4, slot_duration_t0=15.6e-6,
                                path_length=1e-6, rng_seed=2)
@@ -273,40 +243,6 @@ class TestTimelineStructure:
                           GEOM, noise_seed=None)
         assert tl.tracking_calls == 0
         assert np.all(kinds_of(tl) == int(SlotKind.DATA))
-
-    def test_reference_slot_normalised_to_one(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        assert tl.rss_normalized[0] == pytest.approx(1.0)
-
-    def test_bit_reproducible_with_noise(self, traj):
-        a = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=5)
-        b = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=5)
-        for left, right in ((a.rss, b.rss), (a.kind, b.kind), (a.inst_rate, b.inst_rate),
-                            (a.config_id, b.config_id), (a.status_id, b.status_id)):
-            assert np.array_equal(left, right)
-
-    def test_different_noise_seed_differs(self, traj):
-        a = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=5)
-        b = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=6)
-        assert not np.array_equal(a.rss, b.rss)
-
-    def test_status_ids_monotone_and_count_events(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        status = np.asarray(tl.status_id, dtype=int)
-        assert np.all(np.diff(status) >= 0)
-        assert status[0] == 1
-        assert status[-1] - status[0] == tl.tracking_calls
-
-    def test_record_materialisation(self, traj):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
-        assert tl.kind[0] == SlotKind.DATA
-        assert tl.rss_normalized[0] == pytest.approx(1.0)
-        assert len(tl) == len(traj)
-
-    def test_absolute_threshold_mode(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=float(0.9 * first_peak(traj, GEOM))), GEOM,
-                          noise_seed=None, threshold_mode="absolute")
-        assert tl.tracking_calls > 0
 
     def test_gamma_validated_per_mode(self, traj):
         with pytest.raises(ValueError):
@@ -363,18 +299,10 @@ class TestOverheadReport:
         assert m.tracking_calls == 0
         assert math.isnan(m.avg_error_vs_oracle)
 
-    def test_counts_all_nondata_kinds(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        m = overhead_report(tl, 0.9)
-        kinds = kinds_of(tl)
-        want = 100.0 * np.sum(kinds != int(SlotKind.DATA)) / len(tl)
-        assert m.pct_below_threshold == pytest.approx(want)
-        assert m.tracking_calls == tl.tracking_calls
-        assert m.cumulative_rate_series[-1] == pytest.approx(tl.cum_rate[-1])
-
     def test_counts_read_off_the_status_table_bit_for_bit(self, default_scans):
         for tl in default_scans:
             m = overhead_report(tl, tl.gamma)
+            assert m.tracking_calls == tl.tracking_calls
             assert m.pct_below_threshold == 100.0 * float(np.mean(tl.kind != SlotKind.DATA))
             r = tl.inst_rate
             final = (np.cumsum(r) / np.arange(1, r.size + 1))[-1]
@@ -417,16 +345,6 @@ class TestOverheadReport:
         assert m.avg_error_vs_oracle == pytest.approx(want)
         self_err = overhead_report(orc, 0.9, oracle_records=orc)
         assert self_err.avg_error_vs_oracle == 0.0
-
-
-class TestCumulativeOrdering:
-    def test_oracle_cumulative_dominates(self, traj):
-        # the genie pays no signaling slots, so its running mean wins even
-        # though a freshly retrained tracker can transiently beat an aged
-        # genie configuration on single slots
-        orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
-        prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        assert orc.cum_rate[-1] >= prop.cum_rate[-1]
 
 
 # Edge scenarios for the ledger invariants: (geometry, walk, continuations,
@@ -830,70 +748,39 @@ def oracle_channel(walk, kdu, geom):
     return np.multiply(turn, geom.beamformer_gain * unit)
 
 
+# the cache walks, and default walks of 10684 and 32052 slots, on either side
+# of numpy's 256 KiB reuse of temporaries, which once swapped the factors
+CHANNEL_WALKS = {**CACHE_WALKS, "default_0.1m": (TrajectorySpec(path_length=0.1), ()),
+                 "default_0.3m": (TrajectorySpec(path_length=0.3), ())}
+
+
 class TestClosedFormGain:
-    @pytest.mark.parametrize("cache", ["warm", "cold"])
-    @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
-    def test_beta_has_the_bits_of_the_eager_column(self, name, cache):
-        spec, continuations = CACHE_WALKS[name]
-        forget_walk()
-        if cache == "warm":
-            generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
+    @pytest.mark.parametrize("name", sorted(CHANNEL_WALKS))
+    def test_channel_has_the_bits_of_the_eager_column(self, name):
+        spec, continuations = CHANNEL_WALKS[name]
         walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
         lengths = [spec.path_length] + [length for _, length in continuations]
         counts = [slot_count(replace(spec, path_length=length)) for length in lengths]
         assert walk.starts == tuple(np.cumsum([0] + counts[:-1]).tolist())
-        # the channel, built block by block, has the eager column's bits: a numpy
-        # that moves a bit of either exponential fails here before any golden digest
+        # the channel, built block by block, is the turn times the amplitude of
+        # a unit initial gain with the eager column's bits: complex products
+        # round by FMA, so a numpy that moves a bit of either exponential, or
+        # the order of the factors, fails here before any golden digest
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
         assert_same_bits(cols.channel, oracle_channel(walk, cols.kdu, WINDOW_GEOM), "channel")
-
-    @pytest.mark.parametrize("length", [0.1, 0.3])
-    def test_phase_is_the_turn_times_the_amplitude_at_every_length(self, length):
-        # the channel: the turn times the amplitude of a unit initial gain;
-        # complex products round by FMA, so the order shows in the last bit;
-        # 10684 and 32052 slots sit on either side of numpy's 256 KiB reuse
-        # of temporaries, which once swapped the factors
-        walk = generate_path(TrajectorySpec(path_length=length, rng_seed=2), (), WINDOW_GEOM)
-        cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
-        assert_same_bits(cols.channel, oracle_channel(walk, cols.kdu, WINDOW_GEOM), length)
-        assert cols.b0 == walk.b0
-
-    @pytest.mark.parametrize("name", sorted(CACHE_WALKS))
-    def test_a_slot_alone_has_its_bits_in_the_column(self, name):
-        spec, continuations = CACHE_WALKS[name]
-        walk = generate_path(replace(spec, rng_seed=53), continuations, WINDOW_GEOM)
-        kdu, channel = walk.walk.channel(WINDOW_GEOM)
-        n = len(walk)
-        ends = [s + d for s in walk.starts[1:] for d in (-2, -1, 0, 1)]
-        # each pick builds the channel of a cut, so 30 random slots, not 300
-        picks = [0, 1, n - 1, *ends, *np.random.default_rng(3).integers(0, n, 30).tolist()]
-        for i in picks:
-            # slot i alone: the last slot of the cut that ends there
-            for got, want in zip(walk.walk[:i + 1].channel(WINDOW_GEOM), (kdu, channel)):
-                assert_same_bits(got[-1:], want[i:i + 1], i)
-
-    def test_each_chained_gain_is_the_last_entry_of_the_segment_before(self):
-        # the walk's channel chains each later segment on the last entry of the
-        # segment before once, for a unit initial gain (the eager column above);
-        # many initial gains over one walk all scale that one channel
-        spec, continuations = CACHE_WALKS["two_turns"]
-        walk = generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
-        assert len(walk.starts) == 3
-        _, channel = walk.walk.channel(WINDOW_GEOM)
-        rng = np.random.default_rng(8)
-        for b0 in (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist():
-            chained = Trajectory(b0, walk.walk)
-            cols = simengine._slot_columns(chained, WINDOW_GEOM, None)
-            assert cols.b0 == b0
-            assert_same_bits(cols.channel, channel, b0)
 
     def test_a_prefix_has_the_prefix_of_every_column(self):
         spec, continuations = CACHE_WALKS["two_turns"]
         walk = generate_path(replace(spec, rng_seed=2), continuations, WINDOW_GEOM)
-        n, (_, second, third) = len(walk), walk.starts
+        n = len(walk)
         full = {col: getattr(walk, col) for col in ("theta2", "r2")}
         cols = simengine._slot_columns(walk, WINDOW_GEOM, 4)
-        for end in (1, 1000, second - 1, second, second + 1, third + 7, n - 1, n, -3):
+        # cuts around each turn and at random: the last slot of a cut, alone
+        # or not, has the bits of its slot in the column; each cut builds its
+        # own channel, so 20 random ends, not 200
+        ends = [s + d for s in walk.starts[1:] for d in (-2, -1, 0, 1, 7)]
+        picks = np.random.default_rng(3).integers(1, n, 20).tolist()
+        for end in (1, 1000, *ends, *picks, n - 1, n, -3):
             cut = walk[:end]
             stop = end % n if end < 0 else end
             assert len(cut) == stop
