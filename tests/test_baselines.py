@@ -46,6 +46,20 @@ class TestExhaustiveSweep:
         # a fractional resolution keeps its digits in the tracker's name
         assert sweep(2.5).name == "exhaustive_2.5deg"
 
+    def test_slots_used_matches_grid(self):
+        geom = LinkGeometry(r1=2.0)
+        traj = generate_path(
+            TrajectorySpec(r2_init=2.0, path_length=0.05, rng_seed=11), (), geom)
+        for res, want in ((1.0, 360), (5.0, 72), (10.0, 36)):
+            slopes = sweep(res).slopes
+            assert slopes.size == want
+            assert np.allclose(np.diff(slopes), np.deg2rad(res), rtol=0, atol=1e-12)
+            assert slopes[0] == 0.0 and slopes[-1] < 2 * np.pi
+            tl = run_timeline(traj, sweep(res), geom,
+                              noise_seed=None)
+            assert tl.tracking_calls > 0
+            assert np.sum(tl.kind == int(SlotKind.DL_TRAINING)) == want * tl.tracking_calls
+
     def test_recovers_aligned_slope_within_half_step(self):
         theta2 = np.deg2rad(20.0)
         state = ChannelState(beta=0.7 + 0.2j, theta2=theta2, r2=4.0)
@@ -96,3 +110,10 @@ class TestOracleConfig:
         genie = optimal_config(GEOM.theta1, state.theta2, GEOM)
         want = wrap_two_pi(GEOM.kd * (math.sin(GEOM.theta1) - math.sin(state.theta2)))
         assert genie == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_noiseless_rss_is_peak(self):
+        state = ChannelState(beta=0.6 - 0.1j, theta2=np.deg2rad(24.0), r2=4.0)
+        genie = optimal_config(GEOM.theta1, state.theta2, GEOM)
+        rss = abs(received_sample(state, genie, GEOM)) ** 2
+        want = (GEOM.beamformer_gain * abs(state.beta) * GEOM.n_ris) ** 2
+        assert rss == pytest.approx(want, rel=1e-9)

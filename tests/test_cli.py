@@ -1,6 +1,6 @@
 import configparser
 import os
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -83,6 +83,17 @@ class TestRunCommand:
         assert not list(out.glob("*_cumrate.csv"))
         assert "proposed seed=1" in capsys.readouterr().out
 
+    def test_ledger_schema(self, tmp_path):
+        cfg = write_scenario(tmp_path)
+        out = tmp_path / "out"
+        main(["run", cfg, "--out", str(out)])
+        lines = (out / "proposed_seed1_slots.csv").read_text().splitlines()
+        assert lines[0] == LEDGER_HEADER
+        first = lines[1].split(",")
+        assert first[0] == "1"
+        assert first[1] in ("DATA", "DATA_BELOW_THRESHOLD", "DL_TRAINING", "UL_FEEDBACK")
+        assert len(first) == 9
+
     def test_ledger_matches_row_wise_reference(self, tmp_path, monkeypatch):
         block = 9
         monkeypatch.setattr(ledger, "LEDGER_BLOCK_ROWS", block)
@@ -113,6 +124,18 @@ class TestRunCommand:
         assert [len(tl) for tl in timelines] == [1, 1]
         assert_ledgers_match_row_wise(timelines, out)
 
+    def test_ledgers_of_another_trajectory_rejected_before_writing(self, tmp_path, monkeypatch):
+        timelines, _ = run_keeping_timelines(tmp_path, monkeypatch, TINY_SCENARIO)
+        first, second = timelines
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        with pytest.raises(ValueError, match="slots"):
+            ledger.write_ledgers(paths, [first, replace(second, rss=second.rss[:-1])])
+        with pytest.raises(ValueError, match="theta2_true differs"):
+            ledger.write_ledgers(paths, [first, replace(second, theta2_true=-second.theta2_true)])
+        with pytest.raises(ValueError, match="2 paths for 1 timelines"):
+            ledger.write_ledgers(paths, [first])
+        assert not any(os.path.exists(p) for p in paths)
+
     def test_results_keep_no_columns(self, tmp_path):
         cfg = load_config(write_scenario(tmp_path))
         results = runner.run_scenario(cfg, out_dir=str(tmp_path / "out"))
@@ -139,6 +162,14 @@ class TestRunCommand:
         for name in sorted(os.listdir(out_a)):
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+    def test_summary_mentions_zero_training_for_oracle(self, tmp_path):
+        cfg = write_scenario(tmp_path)
+        out = tmp_path / "out"
+        main(["run", cfg, "--out", str(out)])
+        ledger = (out / "oracle_seed1_slots.csv").read_text()
+        assert "DL_TRAINING" not in ledger
+        assert "UL_FEEDBACK" not in ledger
 
     def test_env_var_output_override(self, tmp_path, monkeypatch):
         cfg = write_scenario(tmp_path)

@@ -186,10 +186,29 @@ output_dir = out
 
 
 class TestValidation:
+    def test_gamma_above_one_rejected_in_normalized_mode(self, tmp_path):
+        with pytest.raises(ConfigError, match="gamma"):
+            load_config(write(tmp_path, "[tracker]\ngamma = 1.5\n"))
+
     def test_gamma_above_one_allowed_in_absolute_mode(self, tmp_path):
         cfg = load_config(write(
             tmp_path, "[tracker]\nthreshold_mode = absolute\ngamma = 1000\n"))
         assert cfg.gamma == 1000
+
+    def test_unknown_section(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown section"):
+            load_config(write(tmp_path, "[mystery]\nx = 1\n"))
+
+    def test_unknown_key_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="n_trx"):
+            load_config(write(tmp_path, "[geometry]\nn_trx = 16\n"))
+        # the search scores no distance grid, so it has no distance step
+        with pytest.raises(ConfigError, match=r"\[tracker\] unknown key 'r_step_m'"):
+            load_config(write(tmp_path, "[tracker]\nr_step_m = 0.001\n"))
+
+    def test_semantic_error_names_invariant(self, tmp_path):
+        with pytest.raises(ConfigError, match="speed_v"):
+            load_config(write(tmp_path, "[trajectory]\nspeed_mps = 0\n"))
 
     def test_parse_error_carries_line(self, tmp_path):
         with pytest.raises(ConfigError, match="parse error"):
@@ -203,11 +222,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match="algorithms"):
             load_config(write(tmp_path, "[tracker]\nalgorithms = kalman\n"))
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(str(tmp_path / "absent.ini"))
+
+    @pytest.mark.parametrize("algorithms,name", [
+        ("oracle, proposed, oracle", "oracle"),
+        ("exhaustive:5, exhaustive:5.0", "exhaustive_5deg"),
+    ])
+    def test_repeated_tracker_rejected(self, tmp_path, algorithms, name):
+        # a repeat would write the same files twice and share one summary column
+        match = rf"^\[tracker\] algorithms: .*repeated: {name}$"
+        with pytest.raises(ConfigError, match=match):
+            load_config(write(tmp_path, f"[tracker]\nalgorithms = {algorithms}\n"))
+        with pytest.raises(ConfigError, match=match):
+            override_config(ScenarioConfig(), "algorithms", algorithms)
+
     def test_a_percent_sign_is_read_literally(self, tmp_path):
         # no interpolation: a % is part of the value, and %(key)s names no key
+        with pytest.raises(ConfigError, match=r"^\[tracker\] gamma: bad value"):
+            load_config(write(tmp_path, "[tracker]\ngamma = 0.9 %\n"))
         for output_dir in ("runs_50%", "%(seeds)s"):
             cfg = load_config(write(tmp_path, f"[run]\noutput_dir = {output_dir}\n"))
             assert cfg.output_dir == output_dir
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\ngamma = 0.5\n",
+        "[DEFAULT]\ngamma = 0.5\n[geometry]\nn_tx = 8\n",
+        "[DEFAULT]\ngamma = 0.5\n[tracker]\nn_sol = 3\n",
+    ])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser would copy the key into every section
+        with pytest.raises(ConfigError, match=r"^\[DEFAULT\] gamma"):
+            load_config(write(tmp_path, text))
 
 
 class TestPolicies:
@@ -255,3 +302,11 @@ class TestOverrideConfig:
             override_config(cfg, "gamma", "1.5")
         with pytest.raises(ConfigError):
             override_config(cfg, "n_sol", "three")
+
+    @pytest.mark.parametrize("key", ["geometry.gamma", "nonsense.x.gamma", ".gamma",
+                                     "tracker.speed_mps", "run.algorithms"])
+    def test_prefix_must_be_the_keys_own_section(self, tmp_path, key):
+        cfg = load_config(write(tmp_path, ""))
+        name = key.rpartition(".")[2]
+        with pytest.raises(ConfigError, match=f"{name} belongs to \\[{_SCHEMA[name][0]}\\]"):
+            override_config(cfg, key, "0.8")

@@ -118,6 +118,18 @@ class TestChannelStateValidation:
 class TestGenerateTrajectory:
     geom = LinkGeometry(r1=4.0)
 
+    def test_equal_seeds_identical(self, engine_gain):
+        spec = TrajectorySpec(path_length=0.01, rng_seed=42)
+        a = generate_path(spec, (), self.geom)
+        b = generate_path(spec, (), self.geom)
+        assert np.array_equal(engine_gain(a, self.geom), engine_gain(b, self.geom))
+        assert np.array_equal(a.theta2, b.theta2)
+
+    def test_different_seeds_differ(self, engine_gain):
+        a = generate_path(TrajectorySpec(path_length=0.01, rng_seed=1), (), self.geom)
+        b = generate_path(TrajectorySpec(path_length=0.01, rng_seed=2), (), self.geom)
+        assert engine_gain(a, self.geom)[0] != engine_gain(b, self.geom)[0]
+
     def test_gain_distance_product_invariant(self, engine_gain):
         spec = TrajectorySpec(path_length=0.5, rng_seed=5)
         traj = generate_path(spec, (), self.geom)
@@ -217,6 +229,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"^psi_a must be finite"):
             TrajectorySpec(psi_a=bad)
         assert TrajectorySpec(psi_a=-4.0).psi_a == -4.0
+
+    def test_rejects_zero_speed(self):
+        with pytest.raises(ValueError):
+            TrajectorySpec(speed_v=0.0)
+
+    def test_rejects_bad_path(self):
+        with pytest.raises(ValueError):
+            TrajectorySpec(path_length=-1.0)
 
     def test_rejects_bad_angle(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+import dataclasses
+import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import ristrack
 
@@ -20,6 +24,47 @@ def test_all_is_exactly_the_public_names():
     assert ristrack.__all__ == PUBLIC == sorted(set(PUBLIC))
     for name in PUBLIC:
         assert getattr(ristrack, name) is not None, name
+
+
+REMOVED = (
+    "CoherentGain",
+    "RisConfiguration",
+    "SlotRecord",
+    "SweepSpec",
+    "ap_ris_channel",
+    "coherent_gain",
+    "cumulative_rate",
+    "evolve_channel",
+    "follow_on_spec",
+    "generate_trajectory",
+    "path_loss_linear",
+    "r2_at",
+    "r_from_eta",
+    "received_samples",
+    "steering_vector",
+    "theta2_at",
+)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_not_importable(name):
+    # a name left on the package imports without being in __all__
+    with pytest.raises(ImportError):
+        exec(f"from ristrack import {name}", {})
+
+
+def test_removed_chaining_field_and_method():
+    assert "beta_init" not in {f.name for f in dataclasses.fields(ristrack.TrajectorySpec)}
+    assert "slot_index" not in {f.name for f in dataclasses.fields(ristrack.ChannelState)}
+    assert not hasattr(ristrack.Trajectory, "final_state")
+    # the gain is the engine's alone: a trajectory evaluates none of its own
+    traj = ristrack.generate_path(ristrack.TrajectorySpec(path_length=0.001, rng_seed=1), (),
+                                  ristrack.LinkGeometry())
+    assert not {"beta", "beta_range", "segment_gains"} & set(dir(traj))
+    # a trajectory is its b0 and its walk: no anchor state wraps b0
+    assert list(inspect.signature(ristrack.Trajectory).parameters) == ["b0", "walk"]
+    assert not hasattr(traj, "anchor")
+    assert "rss_ref" not in {f.name for f in dataclasses.fields(ristrack.TrackingObservables)}
 
 
 def test_readme_quick_start_runs(capsys):

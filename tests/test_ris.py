@@ -151,6 +151,9 @@ class TestUpdateConfig:
 
 
 class TestCoherentGain:
+    def test_aligned_value_is_n(self):
+        assert gain(0.0) == 64 + 0j
+
     def test_full_circle_sum_is_zero(self):
         # per-element step 2*pi/N closes the circle
         w = (2 * np.pi / 64) / GEOM.kd

@@ -236,6 +236,20 @@ class TestTrajectoryEndsMidTraining:
 
 
 class TestTimelineStructure:
+    def test_every_slot_exactly_one_kind(self, traj):
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
+        assert len(tl) == len(traj)
+        kinds = kinds_of(tl)
+        counts = sum(int(np.sum(kinds == int(k))) for k in SlotKind)
+        assert counts == len(tl)
+
+    def test_signaling_slots_have_zero_rate(self, traj):
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
+        kinds = kinds_of(tl)
+        nondata = kinds != int(SlotKind.DATA)
+        assert np.all(tl.inst_rate[nondata] == 0.0)
+        assert np.all(tl.inst_rate >= 0.0)
+
     def test_near_stationary_user_never_triggers(self):
         quiet = TrajectorySpec(r2_init=2.0, speed_v=1e-4, slot_duration_t0=15.6e-6,
                                path_length=1e-6, rng_seed=2)
@@ -243,6 +257,40 @@ class TestTimelineStructure:
                           GEOM, noise_seed=None)
         assert tl.tracking_calls == 0
         assert np.all(kinds_of(tl) == int(SlotKind.DATA))
+
+    def test_reference_slot_normalised_to_one(self, traj):
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
+        assert tl.rss_normalized[0] == pytest.approx(1.0)
+
+    def test_bit_reproducible_with_noise(self, traj):
+        a = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=5)
+        b = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=5)
+        for left, right in ((a.rss, b.rss), (a.kind, b.kind), (a.inst_rate, b.inst_rate),
+                            (a.config_id, b.config_id), (a.status_id, b.status_id)):
+            assert np.array_equal(left, right)
+
+    def test_different_noise_seed_differs(self, traj):
+        a = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=5)
+        b = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=6)
+        assert not np.array_equal(a.rss, b.rss)
+
+    def test_status_ids_monotone_and_count_events(self, traj):
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
+        status = np.asarray(tl.status_id, dtype=int)
+        assert np.all(np.diff(status) >= 0)
+        assert status[0] == 1
+        assert status[-1] - status[0] == tl.tracking_calls
+
+    def test_record_materialisation(self, traj):
+        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
+        assert tl.kind[0] == SlotKind.DATA
+        assert tl.rss_normalized[0] == pytest.approx(1.0)
+        assert len(tl) == len(traj)
+
+    def test_absolute_threshold_mode(self, traj):
+        tl = run_timeline(traj, ProposedPolicy(gamma=float(0.9 * first_peak(traj, GEOM))), GEOM,
+                          noise_seed=None, threshold_mode="absolute")
+        assert tl.tracking_calls > 0
 
     def test_gamma_validated_per_mode(self, traj):
         with pytest.raises(ValueError):
@@ -299,6 +347,15 @@ class TestOverheadReport:
         assert m.tracking_calls == 0
         assert math.isnan(m.avg_error_vs_oracle)
 
+    def test_counts_all_nondata_kinds(self, traj):
+        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
+        m = overhead_report(tl, 0.9)
+        kinds = kinds_of(tl)
+        want = 100.0 * np.sum(kinds != int(SlotKind.DATA)) / len(tl)
+        assert m.pct_below_threshold == pytest.approx(want)
+        assert m.tracking_calls == tl.tracking_calls
+        assert m.cumulative_rate_series[-1] == pytest.approx(tl.cum_rate[-1])
+
     def test_counts_read_off_the_status_table_bit_for_bit(self, default_scans):
         for tl in default_scans:
             m = overhead_report(tl, tl.gamma)
@@ -345,6 +402,16 @@ class TestOverheadReport:
         assert m.avg_error_vs_oracle == pytest.approx(want)
         self_err = overhead_report(orc, 0.9, oracle_records=orc)
         assert self_err.avg_error_vs_oracle == 0.0
+
+
+class TestCumulativeOrdering:
+    def test_oracle_cumulative_dominates(self, traj):
+        # the genie pays no signaling slots, so its running mean wins even
+        # though a freshly retrained tracker can transiently beat an aged
+        # genie configuration on single slots
+        orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
+        prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
+        assert orc.cum_rate[-1] >= prop.cum_rate[-1]
 
 
 # Edge scenarios for the ledger invariants: (geometry, walk, continuations,
@@ -768,6 +835,21 @@ class TestClosedFormGain:
         # the order of the factors, fails here before any golden digest
         cols = simengine._slot_columns(walk, WINDOW_GEOM, None)
         assert_same_bits(cols.channel, oracle_channel(walk, cols.kdu, WINDOW_GEOM), "channel")
+
+    def test_each_chained_gain_is_the_last_entry_of_the_segment_before(self):
+        # the walk's channel chains each later segment on the last entry of the
+        # segment before once, for a unit initial gain (the eager column above);
+        # many initial gains over one walk all scale that one channel
+        spec, continuations = CACHE_WALKS["two_turns"]
+        walk = generate_path(replace(spec, rng_seed=1), continuations, WINDOW_GEOM)
+        assert len(walk.starts) == 3
+        _, channel = walk.walk.channel(WINDOW_GEOM)
+        rng = np.random.default_rng(8)
+        for b0 in (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist():
+            chained = Trajectory(b0, walk.walk)
+            cols = simengine._slot_columns(chained, WINDOW_GEOM, None)
+            assert cols.b0 == b0
+            assert_same_bits(cols.channel, channel, b0)
 
     def test_a_prefix_has_the_prefix_of_every_column(self):
         spec, continuations = CACHE_WALKS["two_turns"]

@@ -32,6 +32,11 @@ GEOM = LinkGeometry(r1=4.0)
 
 
 class TestMeasureObservables:
+    def test_identical_samples(self):
+        obs = measure_observables(1.0 + 1.0j, 1.0 + 1.0j, r_ref=8.0, theta2_ref=0.3)
+        assert obs.eta == pytest.approx(1.0)
+        assert obs.xi == pytest.approx(0.0)
+
     def test_scaled_rotation(self):
         y = 2.0 - 1.0j
         obs = measure_observables(y, 0.5 * y * cmath.exp(1j * math.pi / 3), 8.0, 0.3)
@@ -334,6 +339,17 @@ class TestTwoDimSearch:
         assert abs(top[0].w_cand) < 1e-12
         assert top[0].r_cand == pytest.approx(8.0, abs=1e-9)
 
+    def test_known_shift_recovered(self):
+        theta_ref = np.deg2rad(25.0)
+        d_theta, d_r = np.deg2rad(0.512), 0.00203
+        y_ref, y_now, _ = synthetic_transition(theta_ref, d_theta, d_r, GEOM)
+        obs = measure_observables(y_ref, y_now, 8.0, theta_ref)
+        grid = SearchGrid()
+        top = two_dim_search(obs, grid, GEOM)
+        w_true = math.sin(theta_ref + d_theta) - math.sin(theta_ref)
+        step_w = math.sin(theta_ref + grid.theta2_step) - math.sin(theta_ref)
+        assert any(abs(c.w_cand - w_true) <= step_w * 1.01 for c in top)
+
     def test_agrees_with_fine_grid_brute_force(self):
         # the 10x-resolution brute force must not find a structurally better
         # |w| than the candidate set (sign is not identifiable from the
@@ -529,6 +545,11 @@ class TestTwoDimSearch:
 
 
 class TestSelectByTraining:
+    def test_single_candidate_wins(self):
+        obs = measure_observables(1.0 + 0.0j, 1.0 + 0.0j, 8.0, np.deg2rad(25.0))
+        cands = two_dim_search(obs, SearchGrid(n_sol=1), GEOM)
+        assert select_by_training(cands, [1.0]) == 0
+
     def test_true_candidate_wins_under_noiseless_probe(self):
         theta_ref = np.deg2rad(25.0)
         d_theta = np.deg2rad(0.87)
