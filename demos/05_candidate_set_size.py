@@ -9,8 +9,6 @@ slots.
 Writes candidate_set_size.csv.
 """
 
-import numpy as np
-
 from ristrack import (
     LinkGeometry,
     OraclePolicy,

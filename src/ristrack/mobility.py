@@ -123,8 +123,8 @@ def _segment_gain(b0: complex, r0: float, r2: np.ndarray, geom: LinkGeometry) ->
     return np.multiply(b0 * rho_prod, np.exp(1j * (TWO_PI * (r2 - r0) * (1.0 / geom.wavelength))))
 
 
-# slots per block of a channel build: a full-length temporary would hold
-# another column of the walk
+# slots per block of a channel build, and of the engine's passes over a whole
+# run: a full-length temporary would hold another column
 _BLOCK = 65536
 
 

@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mobility import Trajectory
+from .mobility import _BLOCK, Trajectory
 from .ris import _dirichlet, optimal_config, update_config
 from .tracking import SearchGrid, measure_observables, select_by_training, two_dim_search
 from .wavefield import LinkGeometry
@@ -250,11 +250,6 @@ class StatusTable:
                 a, b = max(start, lo), min(int(self.first[rows.start + r + 1]), hi)
                 values[a - lo:b - lo] += np.arange(a - start, b - start, dtype=np.int32)
         return values
-
-
-# slots per block of a pass over a whole run or a running sum: a full-length
-# temporary would hold another column of the run
-_BLOCK = 65536
 
 
 def _running_mean(inst: np.ndarray, lo: int, carry: float) -> tuple[np.ndarray, float]:

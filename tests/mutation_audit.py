@@ -1,6 +1,6 @@
 """Mutation audit: which tests fail on each of a table of seeded defects?
 
-Run from the repository root (about 12 min on a 2-core host):
+Run from the repository root (about 27 min on a 2-core host):
 
     PYTHONPATH=src python tests/mutation_audit.py
 
@@ -141,6 +141,44 @@ MUTANTS = (
     Mutant("Dirichlet degenerate below 1e-9 instead of 1e-12", RIS,
            "degenerate = np.abs(den) < 0.5e-12", "degenerate = np.abs(den) < 0.5e-9",
            "killed"),
+    Mutant("the n_sol best totals kept before their ties are ranked", TRACKING,
+           "i = np.lexsort((thetas, np.abs(w), best))[: grid.n_sol]",
+           "i = np.argpartition(best, min(grid.n_sol, best.size) - 1)[: grid.n_sol]\n"
+           "    i = i[np.lexsort((thetas[i], np.abs(w[i]), best[i]))]", "killed"),
+    Mutant("search grid one angle short", TRACKING,
+           "n_theta = int(round(2.0 * grid.theta2_halfwidth / grid.theta2_step)) + 1",
+           "n_theta = int(round(2.0 * grid.theta2_halfwidth / grid.theta2_step))", "killed"),
+    Mutant("padding columns past a row's last phase zero scored", TRACKING,
+           "total[:, 2:][ks > k_hi[:, None]] = np.inf", "pass", "killed"),
+    Mutant("search precondition against r_ref**2 instead of 2 * r_ref**2", TRACKING,
+           "> 2.0 * obs.r_ref ** 2", "> obs.r_ref ** 2", "killed"),
+    # the walk, the surface law and the running mean
+    Mutant("theta2 increment positive on either side of the walk", MOBILITY,
+           "sign = 1.0 if math.sin(psi) >= 0.0 else -1.0", "sign = 1.0", "killed"),
+    Mutant("slot_count rounding down", MOBILITY,
+           "int(math.ceil(spec.path_length / (spec.speed_v * spec.slot_duration_t0)))",
+           "int(spec.path_length / (spec.speed_v * spec.slot_duration_t0))", "killed"),
+    Mutant("theta2_init range not checked", MOBILITY,
+           "if not -np.pi / 2 < self.theta2_init < np.pi / 2:", "if False:", "killed"),
+    Mutant("spec scales checked for > 0 only, letting NaN and infinity through", MOBILITY,
+           "if not 0 < value < np.inf:", "if value <= 0:", "killed"),
+    Mutant("law of cosines walking away on the ray to the surface", MOBILITY,
+           "np.square(s) - 2.0 * r0 * s * np.cos(psi)",
+           "np.square(s) + 2.0 * r0 * s * np.cos(psi)", "killed"),
+    Mutant("aligned slope left unwrapped", RIS,
+           "return wrap_two_pi(geom.kd * (np.sin(theta1) - np.sin(theta2)))",
+           "return float(geom.kd * (np.sin(theta1) - np.sin(theta2)))", "killed"),
+    Mutant("update law stepping by kd * sin(w), so updates no longer add", RIS,
+           "wrap_two_pi(slope - geom.kd * w)", "wrap_two_pi(slope - geom.kd * np.sin(w))",
+           "killed"),
+    Mutant("received_sample dropping its noise", RIS, "+ complex(noise)", "+ 0j", "killed"),
+    Mutant("even-N turn parity not undone", RIS,
+           "if n_ris % 2 == 0 and wraps:", "if False:", "killed"),
+    Mutant("running mean over one slot more than it holds", SIMENGINE,
+           "np.arange(lo + 1, lo + inst.size + 1, dtype=float)",
+           "np.arange(lo + 2, lo + inst.size + 2, dtype=float)", "killed"),
+    Mutant("running sum returned without the block's slots", SIMENGINE,
+           "total = float(sums[-1])", "total = float(sums[0])", "killed"),
     # the interfaces
     Mutant("thresholds checked for > 0 only, letting NaN and infinity through", CONFIG,
            "if not 0 < value < math.inf:", "if value <= 0:", "killed"),

@@ -10,7 +10,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from oracles import (brute_force_gain, cartesian_states, matrix_pipeline_sample,
                      synthetic_transition)

@@ -21,43 +21,45 @@ def walk(spec: TrajectorySpec):
     return generate_path(spec, (), GEOM)
 
 
-class TestSlotCount:
-    def test_single_slot(self):
-        spec = TrajectorySpec(speed_v=1.0, slot_duration_t0=1.0, path_length=1.0)
-        assert slot_count(spec) == 1
-
-    def test_ceiling(self):
-        spec = TrajectorySpec(speed_v=1.0, slot_duration_t0=1.0, path_length=2.5)
-        assert slot_count(spec) == 3
-
-    def test_reference_parameters(self):
-        spec = TrajectorySpec(speed_v=0.6, slot_duration_t0=15.6e-6, path_length=1.0)
-        assert slot_count(spec) == 106_838
+# slot counts by hand: (speed_v, slot_duration_t0, path_length, slots)
+SLOT_COUNTS = {
+    "single_slot": (1.0, 1.0, 1.0, 1),
+    "ceiling": (1.0, 1.0, 2.5, 3),
+    "reference_parameters": (0.6, 15.6e-6, 1.0, 106_838),
+}
 
 
-class TestR2At:
-    def test_right_angle_walk(self):
-        spec = TrajectorySpec(
-            r2_init=4.0, psi_a=np.pi / 2, speed_v=1.0, slot_duration_t0=1.0, path_length=4.0
-        )
-        assert walk(spec).r2[3] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)
-
-    def test_hand_value_110_degrees(self):
-        spec = TrajectorySpec(
-            r2_init=4.0, psi_a=np.deg2rad(110.0), speed_v=1.0,
-            slot_duration_t0=0.01, path_length=0.01,
-        )
-        assert walk(spec).r2[0] == pytest.approx(4.00343, abs=1e-5)
+@pytest.mark.parametrize("case", list(SLOT_COUNTS))
+def test_slot_count(case):
+    speed_v, slot_duration_t0, path_length, slots = SLOT_COUNTS[case]
+    spec = TrajectorySpec(speed_v=speed_v, slot_duration_t0=slot_duration_t0,
+                          path_length=path_length)
+    assert slot_count(spec) == slots
 
 
-class TestTheta2At:
-    def test_hand_increment_110_degrees(self):
-        spec = TrajectorySpec(
-            theta2_init=np.deg2rad(20.0), r2_init=4.0, psi_a=np.deg2rad(110.0),
-            speed_v=1.0, slot_duration_t0=0.01, path_length=0.01,
-        )
-        inc = walk(spec).theta2[0] - spec.theta2_init
-        assert np.rad2deg(inc) == pytest.approx(0.1345, abs=1e-3)
+# walks by hand: (spec, what is read off the walk, its value, tolerance)
+HAND_VALUES = {
+    "right_angle_walk": (
+        TrajectorySpec(r2_init=4.0, psi_a=np.pi / 2, speed_v=1.0, slot_duration_t0=1.0,
+                       path_length=4.0),
+        lambda traj, spec: traj.r2[3], 4.0 * math.sqrt(2.0), dict(rel=1e-12)),
+    "r2_110_degrees": (
+        TrajectorySpec(r2_init=4.0, psi_a=np.deg2rad(110.0), speed_v=1.0,
+                       slot_duration_t0=0.01, path_length=0.01),
+        lambda traj, spec: traj.r2[0], 4.00343, dict(abs=1e-5)),
+    "theta2_increment_deg_110_degrees": (
+        TrajectorySpec(theta2_init=np.deg2rad(20.0), r2_init=4.0, psi_a=np.deg2rad(110.0),
+                       speed_v=1.0, slot_duration_t0=0.01, path_length=0.01),
+        lambda traj, spec: np.rad2deg(traj.theta2[0] - spec.theta2_init), 0.1345,
+        dict(abs=1e-3)),
+}
+
+
+class TestWalkGeometry:
+    @pytest.mark.parametrize("case", list(HAND_VALUES))
+    def test_hand_value(self, case):
+        spec, read, value, tolerance = HAND_VALUES[case]
+        assert read(walk(spec), spec) == pytest.approx(value, **tolerance)
 
     @pytest.mark.parametrize("psi_deg", [35.0, 110.0, 200.0, 290.0])
     def test_matches_cartesian_oracle(self, psi_deg):
@@ -216,28 +218,20 @@ class TestFrontHalfPlane:
 
 
 class TestSpecValidation:
-    @pytest.mark.parametrize("field", ["speed_v", "slot_duration_t0", "path_length",
-                                       "r2_init"])
-    def test_scales_must_be_finite_and_positive(self, field):
-        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
-            with pytest.raises(ValueError, match=rf"^{field} must be finite and > 0"):
-                TrajectorySpec(**{field: bad})
-        assert getattr(TrajectorySpec(**{field: 0.5}), field) == 0.5
+    @pytest.mark.parametrize("field, bad", [
+        (field, bad) for field in ("speed_v", "slot_duration_t0", "path_length", "r2_init")
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+    ] + [("psi_a", bad) for bad in (math.nan, math.inf, -math.inf)]
+      + [("theta2_init", np.pi)])  # the one pin of theta2_init's range
+    def test_bad_value_is_refused(self, field, bad):
+        message = {"psi_a": "psi_a must be finite",
+                   "theta2_init": r"theta2_init must lie in \(-pi/2, pi/2\)",
+                   }.get(field, f"{field} must be finite and > 0")
+        with pytest.raises(ValueError, match=rf"^{message}"):
+            TrajectorySpec(**{field: bad})
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_walking_angle_must_be_finite(self, bad):
-        with pytest.raises(ValueError, match=r"^psi_a must be finite"):
-            TrajectorySpec(psi_a=bad)
+    def test_finite_values_construct(self):
+        # a scale takes any finite positive value, the walking angle any finite one
+        for field in ("speed_v", "slot_duration_t0", "path_length", "r2_init"):
+            assert getattr(TrajectorySpec(**{field: 0.5}), field) == 0.5
         assert TrajectorySpec(psi_a=-4.0).psi_a == -4.0
-
-    def test_rejects_zero_speed(self):
-        with pytest.raises(ValueError):
-            TrajectorySpec(speed_v=0.0)
-
-    def test_rejects_bad_path(self):
-        with pytest.raises(ValueError):
-            TrajectorySpec(path_length=-1.0)
-
-    def test_rejects_bad_angle(self):
-        with pytest.raises(ValueError):
-            TrajectorySpec(theta2_init=np.pi)

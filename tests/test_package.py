@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import re
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import ristrack
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # the public API, exactly: a name added or removed is a change of this list
 PUBLIC = [
@@ -68,8 +71,30 @@ def test_removed_chaining_field_and_method():
 
 
 def test_readme_quick_start_runs(capsys):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     block = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
     exec(compile(block.group(1), "README.md", "exec"), {})
     calls, pct_below, final_rate = capsys.readouterr().out.split()
     assert int(calls) > 0 and 0.0 < float(pct_below) < 1.0 and float(final_rate) > 0.0
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that module-level imports of `path` bind and the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {alias.asname or alias.name.partition(".")[0]: node.lineno
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a package reads the names it exports in __all__
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "__all__" in {getattr(t, "id", None)
+                                                          for t in node.targets}:
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in bound.items()
+            if name not in read]
+
+
+@pytest.mark.parametrize("tree", ["src/ristrack", "tests", "demos"])
+def test_no_module_level_import_is_unused(tree):
+    unused = [u for path in sorted((ROOT / tree).rglob("*.py")) for u in unused_imports(path)]
+    assert not unused, unused

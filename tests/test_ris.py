@@ -43,8 +43,10 @@ class TestOptimalConfig:
         for k in range(GEOM.n_ris):
             assert phases[k] == pytest.approx(wrap_two_pi(k * phases[1]), abs=1e-9)
 
-    def test_first_phase_zero_and_wrapped(self):
-        slope = optimal_config(np.deg2rad(45.0), np.deg2rad(-37.0), GEOM)
+    # the second pair's raw slope is negative, so only the wrap brings it in
+    @pytest.mark.parametrize("theta1_deg, theta2_deg", [(45.0, -37.0), (-37.0, 45.0)])
+    def test_first_phase_zero_and_wrapped(self, theta1_deg, theta2_deg):
+        slope = optimal_config(np.deg2rad(theta1_deg), np.deg2rad(theta2_deg), GEOM)
         assert 0.0 <= slope < 2 * np.pi
         phases = element_phases(slope, GEOM.n_ris)
         assert phases[0] == 0.0
@@ -151,9 +153,6 @@ class TestUpdateConfig:
 
 
 class TestCoherentGain:
-    def test_aligned_value_is_n(self):
-        assert gain(0.0) == 64 + 0j
-
     def test_full_circle_sum_is_zero(self):
         # per-element step 2*pi/N closes the circle
         w = (2 * np.pi / 64) / GEOM.kd

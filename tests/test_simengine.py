@@ -43,6 +43,17 @@ def traj():
     return generate_path(SPEC, (), GEOM)
 
 
+# the noiseless runs at gamma = 0.9 that many tests read, one per policy
+@pytest.fixture(scope="module")
+def proposed(traj):
+    return run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
+
+
+@pytest.fixture(scope="module")
+def oracle(traj):
+    return run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
+
+
 def kinds_of(tl):
     return np.asarray(tl.kind, dtype=int)
 
@@ -78,15 +89,13 @@ def chained_running_mean(x, size):
 class TestRunningMean:
     """The running mean behind every `cum_rate` cell, and the running sum behind its final value."""
 
-    def test_constant_series(self):
-        cum, total = simengine._running_mean(np.full(5, 3.0), 0, 0.0)
-        assert np.allclose(cum, 3.0)
-        assert total == 15.0
-
-    def test_two_slot_mean(self):
-        cum, total = simengine._running_mean(np.array([4.0, 0.0]), 0, 0.0)
-        assert np.allclose(cum, [4.0, 2.0])
-        assert total == 4.0
+    @pytest.mark.parametrize("rates, mean, total", [
+        (np.full(5, 3.0), 3.0, 15.0), (np.array([4.0, 0.0]), [4.0, 2.0], 4.0),
+    ], ids=["constant_series", "two_slot_mean"])
+    def test_hand_values(self, rates, mean, total):
+        cum, got = simengine._running_mean(rates, 0, 0.0)
+        assert np.allclose(cum, mean)
+        assert got == total
 
     def test_matches_recurrence_oracle(self):
         rng = np.random.default_rng(99)
@@ -128,9 +137,11 @@ class TestEventAccounting:
         (OraclePolicy(gamma=0.9), 0, 0),
     ], ids=["proposed", "proposed_n_sol_4", "exhaustive_10deg", "oracle"])
     def test_event_slot_accounting(self, traj, policy, training, feedback):
-        # per event: one trigger slot, and the tracker's feedback and training slots
+        # every slot has one kind; per event: one trigger slot, and the
+        # tracker's feedback and training slots
         tl = run_timeline(traj, policy, GEOM, noise_seed=None)
         counts = np.bincount(kinds_of(tl), minlength=len(SlotKind))
+        assert counts.size == len(SlotKind) and counts.sum() == len(tl) == len(traj)
         assert tl.tracking_calls > 0
         assert counts[SlotKind.DATA_BELOW_THRESHOLD] == tl.tracking_calls
         assert counts[SlotKind.DL_TRAINING] == training * tl.tracking_calls
@@ -138,40 +149,36 @@ class TestEventAccounting:
 
 
 class TestOracleTimeline:
-    def test_peak_rss_at_status_reference(self, traj, engine_gain):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
+    def test_peak_rss_at_status_reference(self, traj, oracle, engine_gain):
+        kinds = kinds_of(oracle)
         # first slot of each status is exactly the aligned peak |c*beta*N|^2
         starts = [0] + [i + 1 for i in np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0]
-                        if i + 1 < len(tl)]
+                        if i + 1 < len(oracle)]
         peak = (GEOM.beamformer_gain * np.abs(engine_gain(traj, GEOM)) * GEOM.n_ris) ** 2
         for i in starts:
-            assert tl.rss[i] == pytest.approx(peak[i], rel=1e-9)
+            assert oracle.rss[i] == pytest.approx(peak[i], rel=1e-9)
 
-    def test_data_slots_stay_at_or_above_threshold(self, traj):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
+    def test_data_slots_stay_at_or_above_threshold(self, oracle):
+        kinds = kinds_of(oracle)
         data = kinds == int(SlotKind.DATA)
-        assert np.all(tl.rss_normalized[data] >= 0.9 - 1e-12)
+        assert np.all(oracle.rss_normalized[data] >= 0.9 - 1e-12)
 
 
 class TestProposedTimeline:
-    def test_event_slot_sequence(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
+    def test_event_slot_sequence(self, proposed):
+        kinds = kinds_of(proposed)
         t2 = int(np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
         assert kinds[t2 + 1] == int(SlotKind.UL_FEEDBACK)
         assert np.all(kinds[t2 + 2 : t2 + 9] == int(SlotKind.DL_TRAINING))
         assert kinds[t2 + 9] == int(SlotKind.UL_FEEDBACK)
         assert kinds[t2 + 10] == int(SlotKind.DATA)
 
-    def test_recovers_after_event(self, traj, engine_gain):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
+    def test_recovers_after_event(self, traj, proposed, engine_gain):
+        kinds = kinds_of(proposed)
         t2 = int(np.nonzero(kinds == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
         peak = (GEOM.beamformer_gain * np.abs(engine_gain(traj, GEOM)) * GEOM.n_ris) ** 2
         # retrained configuration restores at least 99% of the aligned peak
-        assert tl.rss[t2 + 10] >= 0.99 * peak[t2 + 10]
+        assert proposed.rss[t2 + 10] >= 0.99 * peak[t2 + 10]
 
     def test_a_reused_policy_starts_each_run_afresh(self):
         # the belief lives in the run's tracker, so a policy run before leaves none behind
@@ -215,52 +222,20 @@ class TestExhaustiveTimeline:
             assert tl.rss[t] == pytest.approx(want, rel=1e-9)
 
 
-class TestTrajectoryEndsMidTraining:
-    @pytest.mark.parametrize("policy", [ExhaustivePolicy(gamma=0.5, resolution_deg=1.0),
-                                        ProposedPolicy(gamma=0.9)])
-    def test_cut_event_is_counted_and_left_open(self, traj, policy):
-        full = run_timeline(traj, policy, GEOM, noise_seed=None)
-        t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
-        # trigger, opening feedback, then three of the event's training slots
-        end = t2 + 5
-        cut = traj[:end]
-        tl = run_timeline(cut, policy, GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
-        assert len(tl) == end
-        assert kinds[t2] == int(SlotKind.DATA_BELOW_THRESHOLD)
-        assert kinds[t2 + 1] == int(SlotKind.UL_FEEDBACK)
-        assert np.all(kinds[t2 + 2 :] == int(SlotKind.DL_TRAINING))
-        assert np.array_equal(tl.config_id[t2 + 2 :], [1, 2, 3])
-        assert tl.tracking_calls == 1
-        assert np.array_equal(tl.rss[:end], full.rss[:end])
-
-
 class TestTimelineStructure:
-    def test_every_slot_exactly_one_kind(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        assert len(tl) == len(traj)
-        kinds = kinds_of(tl)
-        counts = sum(int(np.sum(kinds == int(k))) for k in SlotKind)
-        assert counts == len(tl)
-
-    def test_signaling_slots_have_zero_rate(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        kinds = kinds_of(tl)
-        nondata = kinds != int(SlotKind.DATA)
-        assert np.all(tl.inst_rate[nondata] == 0.0)
-        assert np.all(tl.inst_rate >= 0.0)
-
-    def test_near_stationary_user_never_triggers(self):
+    @pytest.mark.parametrize("policy", [ProposedPolicy(gamma=0.9), OraclePolicy(gamma=0.9)],
+                             ids=["proposed", "oracle"])
+    def test_near_stationary_user_never_triggers(self, policy):
         quiet = TrajectorySpec(r2_init=2.0, speed_v=1e-4, slot_duration_t0=15.6e-6,
                                path_length=1e-6, rng_seed=2)
-        tl = run_timeline(generate_path(quiet, (), GEOM), ProposedPolicy(gamma=0.9),
-                          GEOM, noise_seed=None)
+        tl = run_timeline(generate_path(quiet, (), GEOM), policy, GEOM, noise_seed=None)
         assert tl.tracking_calls == 0
         assert np.all(kinds_of(tl) == int(SlotKind.DATA))
-
-    def test_reference_slot_normalised_to_one(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        assert tl.rss_normalized[0] == pytest.approx(1.0)
+        # and its report reads no signaling and no rate gap
+        m = overhead_report(tl, 0.9)
+        assert m.pct_below_threshold == 0.0
+        assert m.tracking_calls == 0
+        assert math.isnan(m.avg_error_vs_oracle)
 
     def test_bit_reproducible_with_noise(self, traj):
         a = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=5)
@@ -274,18 +249,11 @@ class TestTimelineStructure:
         b = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=6)
         assert not np.array_equal(a.rss, b.rss)
 
-    def test_status_ids_monotone_and_count_events(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        status = np.asarray(tl.status_id, dtype=int)
+    def test_status_ids_monotone_and_count_events(self, proposed):
+        status = np.asarray(proposed.status_id, dtype=int)
         assert np.all(np.diff(status) >= 0)
         assert status[0] == 1
-        assert status[-1] - status[0] == tl.tracking_calls
-
-    def test_record_materialisation(self, traj):
-        tl = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
-        assert tl.kind[0] == SlotKind.DATA
-        assert tl.rss_normalized[0] == pytest.approx(1.0)
-        assert len(tl) == len(traj)
+        assert status[-1] - status[0] == proposed.tracking_calls
 
     def test_absolute_threshold_mode(self, traj):
         tl = run_timeline(traj, ProposedPolicy(gamma=float(0.9 * first_peak(traj, GEOM))), GEOM,
@@ -337,27 +305,8 @@ class TestTimelineStructure:
 
 
 class TestOverheadReport:
-    def test_all_data_run_is_zero_percent(self):
-        quiet = TrajectorySpec(r2_init=2.0, speed_v=1e-4, slot_duration_t0=15.6e-6,
-                               path_length=1e-6, rng_seed=2)
-        tl = run_timeline(generate_path(quiet, (), GEOM), OraclePolicy(gamma=0.9),
-                          GEOM, noise_seed=None)
-        m = overhead_report(tl, 0.9)
-        assert m.pct_below_threshold == 0.0
-        assert m.tracking_calls == 0
-        assert math.isnan(m.avg_error_vs_oracle)
-
-    def test_counts_all_nondata_kinds(self, traj):
-        tl = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        m = overhead_report(tl, 0.9)
-        kinds = kinds_of(tl)
-        want = 100.0 * np.sum(kinds != int(SlotKind.DATA)) / len(tl)
-        assert m.pct_below_threshold == pytest.approx(want)
-        assert m.tracking_calls == tl.tracking_calls
-        assert m.cumulative_rate_series[-1] == pytest.approx(tl.cum_rate[-1])
-
-    def test_counts_read_off_the_status_table_bit_for_bit(self, default_scans):
-        for tl in default_scans:
+    def test_counts_read_off_the_status_table_bit_for_bit(self, default_scans, proposed):
+        for tl in (*default_scans, proposed):
             m = overhead_report(tl, tl.gamma)
             assert m.tracking_calls == tl.tracking_calls
             assert m.pct_below_threshold == 100.0 * float(np.mean(tl.kind != SlotKind.DATA))
@@ -394,24 +343,20 @@ class TestOverheadReport:
         gc.collect()
         assert kept() is None
 
-    def test_error_vs_oracle(self, traj):
-        prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
-        m = overhead_report(prop, 0.9, oracle_records=orc)
-        want = float(np.mean(np.abs(prop.inst_rate - orc.inst_rate)))
+    def test_error_vs_oracle(self, proposed, oracle):
+        m = overhead_report(proposed, 0.9, oracle_records=oracle)
+        want = float(np.mean(np.abs(proposed.inst_rate - oracle.inst_rate)))
         assert m.avg_error_vs_oracle == pytest.approx(want)
-        self_err = overhead_report(orc, 0.9, oracle_records=orc)
+        self_err = overhead_report(oracle, 0.9, oracle_records=oracle)
         assert self_err.avg_error_vs_oracle == 0.0
 
 
 class TestCumulativeOrdering:
-    def test_oracle_cumulative_dominates(self, traj):
+    def test_oracle_cumulative_dominates(self, proposed, oracle):
         # the genie pays no signaling slots, so its running mean wins even
         # though a freshly retrained tracker can transiently beat an aged
         # genie configuration on single slots
-        orc = run_timeline(traj, OraclePolicy(gamma=0.9), GEOM, noise_seed=None)
-        prop = run_timeline(traj, ProposedPolicy(gamma=0.9), GEOM, noise_seed=None)
-        assert orc.cum_rate[-1] >= prop.cum_rate[-1]
+        assert oracle.cum_rate[-1] >= proposed.cum_rate[-1]
 
 
 # Edge scenarios for the ledger invariants: (geometry, walk, continuations,
@@ -1103,34 +1048,41 @@ class TestDerivedColumns:
             modes.add((policy.name, mode))
         assert len(modes) == 6
 
-    def test_full_range_columns_follow_the_ledger_rules(self, default_walk, default_scans):
-        for tl in default_scans:
+    def test_full_range_columns_follow_the_ledger_rules(self, default_scans, proposed, oracle):
+        for tl in (*default_scans, proposed, oracle):
             r = tl.inst_rate
             assert_same_bits(tl.cum_rate, np.cumsum(r) / np.arange(1, r.size + 1), "cum_rate")
             data = tl.kind == SlotKind.DATA
             rates = np.where(data, instantaneous_rate(tl.rss), 0.0)
             assert_same_bits(tl.inst_rate, rates, "inst_rate")
-            # a status's data row starts at its reference slot, normalised to one
+            assert np.all(r >= 0.0)
+            # a run starts with a data row, and a status's data row starts at
+            # its reference slot, normalised to one
             table = tl.statuses
             refs = table.first[:-1][table.kind == SlotKind.DATA]
+            assert refs[0] == 0
             assert np.all(tl.rss_normalized[refs] == 1.0)
             assert np.all(tl.rss[refs] == table.rss_ref[table.kind == SlotKind.DATA])
 
-    def test_cut_training_slice(self, traj):
-        for policy in (ExhaustivePolicy(gamma=0.5, resolution_deg=1.0), ProposedPolicy()):
-            full = run_timeline(traj, policy, GEOM, noise_seed=2)
-            t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
-            # cut three slots into the training slice, and before its first slot
-            for end, bounds in ((t2 + 5, [0, t2, t2 + 1, t2 + 3, t2 + 5]), (t2 + 2, [0, t2 + 2])):
-                cut = traj[:end]
-                tl = run_timeline(cut, policy, GEOM, noise_seed=2)
-                # the cut draws the whole walk's noise, so its run is the whole run's prefix
-                assert_same_bits(tl.rss, full.rss[:end], (policy.name, end))
-                assert tl.tracking_calls == 1
-                assert_blocks_match_full_range(tl, bounds)
-                assert_blocks_match_full_range(tl, [0, end - 1, end, end])
-                assert np.array_equal(tl.kind[t2:], [1, 3, 2, 2, 2][: end - t2])
-                assert np.array_equal(tl.config_id[t2 + 2:], [1, 2, 3][: end - t2 - 2])
+    @pytest.mark.parametrize("noise_seed", [None, 2])
+    @pytest.mark.parametrize("policy", [ExhaustivePolicy(gamma=0.5, resolution_deg=1.0),
+                                        ProposedPolicy()], ids=["exhaustive_1deg", "proposed"])
+    def test_cut_training_slice(self, traj, policy, noise_seed):
+        # a cut event is counted and left open
+        full = run_timeline(traj, policy, GEOM, noise_seed=noise_seed)
+        t2 = int(np.nonzero(kinds_of(full) == int(SlotKind.DATA_BELOW_THRESHOLD))[0][0])
+        # cut after the trigger, the opening feedback and three training
+        # slots, and before the first training slot
+        for end, bounds in ((t2 + 5, [0, t2, t2 + 1, t2 + 3, t2 + 5]), (t2 + 2, [0, t2 + 2])):
+            cut = traj[:end]
+            tl = run_timeline(cut, policy, GEOM, noise_seed=noise_seed)
+            # the cut draws the whole walk's noise, so its run is the whole run's prefix
+            assert_same_bits(tl.rss, full.rss[:end], (policy.name, end))
+            assert tl.tracking_calls == 1
+            assert_blocks_match_full_range(tl, bounds)
+            assert_blocks_match_full_range(tl, [0, end - 1, end, end])
+            assert np.array_equal(tl.kind[t2:], [1, 3, 2, 2, 2][: end - t2])
+            assert np.array_equal(tl.config_id[t2 + 2:], [1, 2, 3][: end - t2 - 2])
 
     def test_block_accumulates_behind_the_carry(self, default_scans):
         # the carry added after the block's own running sums rounds differently

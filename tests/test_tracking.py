@@ -32,16 +32,14 @@ GEOM = LinkGeometry(r1=4.0)
 
 
 class TestMeasureObservables:
-    def test_identical_samples(self):
-        obs = measure_observables(1.0 + 1.0j, 1.0 + 1.0j, r_ref=8.0, theta2_ref=0.3)
-        assert obs.eta == pytest.approx(1.0)
-        assert obs.xi == pytest.approx(0.0)
-
-    def test_scaled_rotation(self):
-        y = 2.0 - 1.0j
-        obs = measure_observables(y, 0.5 * y * cmath.exp(1j * math.pi / 3), 8.0, 0.3)
-        assert obs.eta == pytest.approx(0.25)
-        assert obs.xi == pytest.approx(math.pi / 3)
+    @pytest.mark.parametrize("y_ref, y_now, eta, xi", [
+        (1.0 + 1.0j, 1.0 + 1.0j, 1.0, 0.0),
+        (2.0 - 1.0j, 0.5 * (2.0 - 1.0j) * cmath.exp(1j * math.pi / 3), 0.25, math.pi / 3),
+    ], ids=["identical_samples", "scaled_rotation"])
+    def test_hand_values(self, y_ref, y_now, eta, xi):
+        obs = measure_observables(y_ref, y_now, r_ref=8.0, theta2_ref=0.3)
+        assert obs.eta == pytest.approx(eta)
+        assert obs.xi == pytest.approx(xi)
 
     def test_matches_closed_form_model(self):
         # eta = rho^2 |gain|^2 / N^2 and xi = 2*pi*r_delta/lambda + angle(gain)
@@ -322,13 +320,21 @@ def recorded_searches():
         (generate_path(replace(spec, rng_seed=seed), turns, geom), seed + 1) for seed in (14, 15)])
 
 
-# pins and grids for the n_sol prefix checks: random observables, a NaN
-# strength ratio (which the per-angle loop cannot rank) and edge cases
-PRUNING_CASES = {
-    "random": ({}, SearchGrid(), GEOM),
-    "eta_nan": (dict(eta=math.nan), SearchGrid(), GEOM),
-    **{case: EDGE_CASES[case] for case in ("eta_infinite", "tiny_r_ref", "narrow_r_window")},
-}
+# (observable pins, grid, geometry) of every case that draws random observables
+CASES = {"random": ({}, SearchGrid(), GEOM), "eta_nan": (dict(eta=math.nan), SearchGrid(), GEOM),
+         **EDGE_CASES}
+# the inputs of the search's laws: random observables, the edge cases and
+# the recorded searches
+SOURCES = ["random", *sorted(EDGE_CASES), "recorded"]
+
+
+def search_inputs(request, source, seed, draws):
+    """`draws` seeded (observables, grid, geometry) of a case, or every recorded search."""
+    if source == "recorded":
+        return request.getfixturevalue("recorded_searches")
+    fixed, grid, geom = CASES[source]
+    rng = np.random.default_rng(seed)
+    return [(random_observables(rng, **fixed), grid, geom) for _ in range(draws)]
 
 
 class TestTwoDimSearch:
@@ -420,22 +426,16 @@ class TestTwoDimSearch:
         obs = measure_observables(1.0 + 0.0j, 0.9 + 0.1j, 8.0, np.deg2rad(25.0))
         assert len(two_dim_search(obs, SearchGrid(n_sol=3), GEOM)) == 3
 
-    def test_equals_per_angle_loop_on_random_observables(self):
-        rng = np.random.default_rng(2024)
-        grid = SearchGrid()
-        for _ in range(500):
-            obs = random_observables(rng)
-            assert two_dim_search(obs, grid, GEOM) == loop_two_dim_search(obs, grid, GEOM)
-
-    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-    def test_equals_per_angle_loop_on_edge_cases(self, case):
-        fixed, grid, geom = EDGE_CASES[case]
-        rng = np.random.default_rng(sorted(EDGE_CASES).index(case))
-        for _ in range(100):
-            obs = random_observables(rng, **fixed)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_equals_per_angle_loop(self, request, source):
+        # 500 random draws, or 100 of an edge case seeded by its index in sorted(EDGE_CASES)
+        seed, draws = (2024, 500) if source == "random" else (SOURCES.index(source) - 1, 100)
+        inputs = search_inputs(request, source, seed, draws)
+        assert len(inputs) >= 20
+        for obs, grid, geom in inputs:
             got = two_dim_search(obs, grid, geom)
             want = loop_two_dim_search(obs, grid, geom)
-            if case != "xi_pi":
+            if source != "xi_pi":
                 assert got == want
                 continue
             # a phase zero can fall exactly on a grid distance of the loop,
@@ -450,41 +450,22 @@ class TestTwoDimSearch:
                     assert getattr(a, name) == pytest.approx(
                         getattr(b, name), rel=0, abs=TWO_PI / geom.wavelength * ulp)
 
-    def test_equals_per_angle_loop_on_recorded_observables(self, recorded_searches):
-        assert len(recorded_searches) >= 20
-        for obs, grid, geom in recorded_searches:
-            assert two_dim_search(obs, grid, geom) == loop_two_dim_search(obs, grid, geom)
-
-    @pytest.mark.parametrize("case", sorted({"random", *EDGE_CASES}))
-    def test_no_finer_distance_wins(self, case):
-        fixed, grid, geom = EDGE_CASES.get(case, PRUNING_CASES["random"])
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            assert_no_finer_distance_wins(random_observables(rng, **fixed), grid, geom)
-
-    def test_no_finer_distance_wins_on_recorded_observables(self, recorded_searches):
-        for obs, grid, geom in recorded_searches:
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_no_finer_distance_wins(self, request, source):
+        for obs, grid, geom in search_inputs(request, source, 41, 100):
             assert_no_finer_distance_wins(obs, grid, geom)
 
-    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
-    def test_pruning_cannot_change_the_ranking(self, case):
-        # whatever n_sol, every result is a prefix of the full ranking. repr
-        # compares NaN totals, which == does not
-        fixed, grid, geom = PRUNING_CASES[case]
-        rng = np.random.default_rng(31)
-        n_theta = 101
-        for _ in range(40):
-            obs = random_observables(rng, **fixed)
-            full = two_dim_search(obs, replace(grid, n_sol=n_theta), geom)
-            assert len(full) == n_theta
+    # random observables, a NaN strength ratio (which the per-angle loop
+    # cannot rank), three edge cases and the recorded searches
+    @pytest.mark.parametrize("source", ["random", "eta_nan", "eta_infinite", "tiny_r_ref",
+                                        "narrow_r_window", "recorded"])
+    def test_any_n_sol_returns_a_prefix_of_the_full_ranking(self, request, source):
+        # repr compares NaN totals, which == does not
+        for obs, grid, geom in search_inputs(request, source, 31, 40):
+            full = two_dim_search(obs, replace(grid, n_sol=101), geom)
+            assert len(full) == 101
             for k in (1, 2, 7, 100, 101, 200):
                 assert repr(two_dim_search(obs, replace(grid, n_sol=k), geom)) == repr(full[:k])
-
-    def test_pruning_cannot_change_the_ranking_on_recorded_observables(self, recorded_searches):
-        for obs, grid, geom in recorded_searches:
-            full = two_dim_search(obs, SearchGrid(n_sol=101), geom)
-            for k in (1, 2, 7, 100):
-                assert two_dim_search(obs, SearchGrid(n_sol=k), geom) == full[:k]
 
     def test_default_scene_candidates_sit_at_phase_zeros(self):
         # h >= lambda/2 puts each row's minimum at a zero of the phase residual
@@ -518,10 +499,10 @@ class TestTwoDimSearch:
             by_angle = lambda cands: sorted(cands, key=lambda c: c.theta2_cand)
             assert repr(by_angle(got)) == repr(by_angle(want))
 
-    def test_masked_cells_do_not_warn(self):
-        # no distance is masked any more: near the surface the search either
-        # scores every column without a numpy warning or, below its
-        # precondition, raises before any arithmetic
+    def test_scores_near_the_surface_without_a_warning(self):
+        # near the surface the search either scores every column without a
+        # warning of any kind or, below its precondition, raises before any
+        # arithmetic
         rng = np.random.default_rng(7)
         fixed, grid, geom = EDGE_CASES["tiny_r_ref"]
         with warnings.catch_warnings():
